@@ -25,15 +25,12 @@ from .evolution import (
     evaluate_fitness,
     index_to_pair,
     load_individual,
-    load_population,
     pair_count,
     pair_to_index,
     run_search,
     save_individual,
-    save_population,
 )
 from .losses import (
-    ModelOutputs,
     combined_loss,
     image_loss,
     log_softmax,
@@ -53,16 +50,14 @@ from .masks import (
     sample_random_mask,
     serialize_mask,
 )
-from .mixing import MixedSample, cutmix, mixup, patchmix
+from .mixing import MixedBatch, MixedSample, cutmix, mixup, patchmix, patchmix_batch
 from .model import (
     ReferenceModel,
     TrainConfig,
     adversarial_accuracy,
     cosine_lr,
     evaluate_model,
-    fgsm_attack,
     fgsm_attack_batch,
-    forward,
     forward_batch,
     load_metrics,
     load_model,
@@ -76,7 +71,6 @@ from .workflow import (
     GuidedPlan,
     PipelineResult,
     ablation_grid,
-    generate_guided_set,
     run_guided_pipeline,
     train_final,
 )
@@ -89,8 +83,8 @@ __all__ = [
     "FormatError",
     "GuidedPlan",
     "Individual",
+    "MixedBatch",
     "MixedSample",
-    "ModelOutputs",
     "NumericError",
     "PatchMask",
     "PipelineResult",
@@ -108,12 +102,9 @@ __all__ = [
     "evaluate_fitness",
     "evaluate_model",
     "expand_to_pixel_mask",
-    "fgsm_attack",
     "fgsm_attack_batch",
-    "forward",
     "forward_batch",
     "full_mask",
-    "generate_guided_set",
     "image_loss",
     "index_to_pair",
     "load_cifar_binary",
@@ -121,7 +112,6 @@ __all__ = [
     "load_individual",
     "load_metrics",
     "load_model",
-    "load_population",
     "log_softmax",
     "mixing_ratio",
     "mixup",
@@ -132,6 +122,7 @@ __all__ = [
     "patch_accuracy",
     "patch_loss",
     "patchmix",
+    "patchmix_batch",
     "reduce_to_patch_mask",
     "run_guided_pipeline",
     "run_search",
@@ -140,7 +131,6 @@ __all__ = [
     "save_individual",
     "save_metrics",
     "save_model",
-    "save_population",
     "serialize_mask",
     "sgd_nesterov_step",
     "sniff_and_load",

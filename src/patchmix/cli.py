@@ -4,8 +4,9 @@ Commands: train-random, search, generate, train-guided, pipeline, eval,
 boundary-demo.  Exit codes: 0 success, 2 configuration/format error,
 3 numeric failure.
 
-Runs are driven by a JSON config with four top-level sections —
-``dataset``, ``train``, ``search`` — plus ``output_dir`` and ``threads``.
+Runs are driven by a JSON config with three sections — ``dataset``,
+``train``, ``search`` — plus the top-level keys ``output_dir`` and
+``threads``.
 Unknown keys are rejected by name.  The config snapshot written into the
 run directory normalizes ``output_dir`` to "." so that two runs of the
 same config into different directories stay byte-identical.
@@ -33,10 +34,11 @@ from .data import (
 )
 from .errors import ConfigError, FormatError, NumericError
 from .evolution import SearchConfig, evaluate_fitness, run_search, save_history, save_individual, load_individual
-from .mixing import cutmix, mixup
+from .mixing import MixedBatch, cutmix, mixup
 from .model import (
-    ReferenceModel,
     TrainConfig,
+    _initial_model,
+    _shuffled_pairs,
     _train_loop,
     adversarial_accuracy,
     evaluate_model,
@@ -328,32 +330,23 @@ def _demo_train(method: str, train: Dataset, val: Dataset, cfg: TrainConfig, thr
         image_cfg = dataclasses.replace(cfg, loss_mode="image_only")
 
         def batches(epoch: int, rng: np.random.Generator):
-            order = rng.permutation(len(train))
-            for start in range(0, len(order), image_cfg.batch_size):
-                idx = order[start : start + image_cfg.batch_size]
-                partner = rng.permutation(len(idx))
-                batch = []
-                for pos, i in enumerate(idx):
-                    j = int(idx[partner[pos]])
+            for idx, partner in _shuffled_pairs(len(train), image_cfg.batch_size, rng):
+                samples = []
+                for i, j in zip(idx, partner):
                     xi, yi = train.images[i], int(train.labels[i])
                     xj, yj = train.images[j], int(train.labels[j])
                     if method == "mixup":
                         lam = float(rng.beta(image_cfg.alpha, image_cfg.alpha))
-                        batch.append(mixup(xi, yi, xj, yj, lam, train.class_count))
+                        samples.append(mixup(xi, yi, xj, yj, lam, train.class_count))
                     else:
-                        batch.append(
-                            cutmix(xi, yi, xj, yj, rng, 1, 1, train.class_count)
-                        )
-                yield batch
+                        samples.append(cutmix(xi, yi, xj, yj, rng, 1, 1, train.class_count))
+                yield MixedBatch(
+                    np.stack([s.image for s in samples]),
+                    np.stack([s.image_label for s in samples]),
+                    None,
+                )
 
-        ppc = (train.height // cfg.grid_size) * (train.width // cfg.grid_size) * train.channels
-        model = ReferenceModel.initialize(
-            cfg.grid_size,
-            train.class_count,
-            cfg.hidden_dim,
-            ppc,
-            RngKey(cfg.seed).child("rand-train", "init").generator(),
-        )
+        model = _initial_model(train, cfg, "rand-train")
         _train_loop(model, image_cfg, val, batches, "rand-train")
         return model
     if method == "guided":

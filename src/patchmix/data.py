@@ -163,7 +163,9 @@ def synth_shapes(
     rows, cols = np.meshgrid(
         np.arange(image_size), np.arange(image_size), indexing="ij"
     )
-    images, labels = [], []
+    images = np.empty(
+        (class_count, samples_per_class, image_size, image_size, 3), dtype=np.float32
+    )
     for k in range(class_count):
         base = np.asarray(colorsys.hsv_to_rgb(k / class_count, 0.85, 0.9))
         period = 2 + (k % 3)
@@ -178,11 +180,11 @@ def synth_shapes(
             band = ((rows - cols) // period) % 2
         clean = (0.55 + 0.45 * band.astype(np.float64))[:, :, None] * base
         noise = rng.normal(0.0, 0.04, size=(samples_per_class, image_size, image_size, 3))
-        images.append(np.clip(clean[None] + noise, 0.0, 1.0))
-        labels.append(np.full(samples_per_class, k, dtype=np.int64))
+        noise += clean
+        images[k] = np.clip(noise, 0.0, 1.0, out=noise)
     return Dataset(
-        np.concatenate(images).astype(np.float32),
-        np.concatenate(labels),
+        images.reshape(-1, image_size, image_size, 3),
+        np.repeat(np.arange(class_count), samples_per_class),
         class_count,
         split,
     )

@@ -15,6 +15,7 @@ thread count cannot change any result.
 
 from __future__ import annotations
 
+import logging
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -27,8 +28,11 @@ from . import losses
 from .data import Dataset
 from .errors import ConfigError, FormatError, NumericError
 from .masks import parse_mask_rows
+from .mixing import patchmix_batch
 from .model import ReferenceModel, forward_batch
 from .rng import RngKey
+
+log = logging.getLogger("patchmix.evolution")
 
 OBJECTIVES = ("min_patch_acc", "max_patch_acc", "min_lp", "max_lp")
 
@@ -211,32 +215,27 @@ def evaluate_fitness(
             f"genome covers {individual.class_count} classes, "
             f"dataset has {val.class_count}"
         )
-    p = individual.grid_size
-    if val.height % p or val.width % p:
-        raise ConfigError(
-            f"images {val.width}x{val.height} not divisible by grid size {p}"
-        )
     key = RngKey(cfg.seed).child("fitness", generation)
     per_class = val.class_indices()
-    images, labels = [], []
+    pairs, ii, jj = [], [], []
     for slot in active:
         ci, cj = index_to_pair(int(slot), val.class_count)
         for cls in (ci, cj):
             if len(per_class[cls]) == 0:
                 raise ConfigError(f"validation set has no samples of class {cls}")
         srng = key.child(int(slot)).generator()
-        ii = srng.choice(per_class[ci], size=cfg.pairs_per_combo)
-        jj = srng.choice(per_class[cj], size=cfg.pairs_per_combo)
-        bits = individual.masks[slot]
-        pixel = np.repeat(np.repeat(bits, val.height // p, axis=0), val.width // p, axis=1)
-        keep = pixel.astype(bool)[None, :, :, None]
-        images.append(np.where(keep, val.images[ii], val.images[jj]))
-        slot_labels = np.where(bits.reshape(-1) == 1, ci, cj).astype(np.int64)
-        labels.append(np.tile(slot_labels, (cfg.pairs_per_combo, 1)))
-    images = np.concatenate(images)
-    labels = np.concatenate(labels)
+        ii.append(srng.choice(per_class[ci], size=cfg.pairs_per_combo))
+        jj.append(srng.choice(per_class[cj], size=cfg.pairs_per_combo))
+        pairs.append((ci, cj))
+    n = cfg.pairs_per_combo
+    y_i, y_j = np.repeat(np.asarray(pairs, dtype=np.int64), n, axis=0).T
+    batch = patchmix_batch(
+        val.images, np.concatenate(ii), np.concatenate(jj), y_i, y_j,
+        np.repeat(individual.masks[active], n, axis=0), val.class_count,
+    )
+    labels = batch.patch_labels
 
-    patch_logits, _ = forward_batch(model, images)
+    patch_logits, _ = forward_batch(model, batch.images)
     if cfg.objective in ("min_patch_acc", "max_patch_acc"):
         preds = np.argmax(patch_logits, axis=2)
         metric = (preds == labels).mean(axis=1)
@@ -244,7 +243,7 @@ def evaluate_fitness(
         logp = losses.log_softmax(patch_logits)
         picked = np.take_along_axis(logp, labels[..., None], axis=2)
         metric = -picked[..., 0].sum(axis=1)
-        losses.record_loss_eval("patch", len(images))
+        losses.record_loss_eval("patch", len(labels))
     score = float(metric.mean())
     if not np.isfinite(score):
         raise NumericError(f"non-finite fitness score {score}")
@@ -481,14 +480,8 @@ def run_search(
     population = init_population(cfg, class_count, grid_size, key.child("init").generator())
     _evaluate_population(population, fitness_fn, 0, threads)
     best = min(population, key=lambda ind: ind.fitness).copy()
-    history = [
-        GenerationStats(
-            0,
-            best.fitness,
-            float(np.mean([ind.fitness for ind in population])),
-            _census(population),
-        )
-    ]
+    history = [_generation_stats(0, best, population)]
+    flat = _has_zero_spread(population)
     stall = 0
     for generation in range(1, cfg.generations + 1):
         grng = key.child("generation", generation).generator()
@@ -507,23 +500,34 @@ def run_search(
                 offspring[i] = mutate(offspring[i], grng, cfg)
         _evaluate_population(offspring, fitness_fn, generation, threads)
         population = offspring
+        flat += _has_zero_spread(population)
         generation_best = min(population, key=lambda ind: ind.fitness)
         if generation_best.fitness < best.fitness:
             best = generation_best.copy()
             stall = 0
         else:
             stall += 1
-        history.append(
-            GenerationStats(
-                generation,
-                best.fitness,
-                float(np.mean([ind.fitness for ind in population])),
-                _census(population),
-            )
-        )
+        history.append(_generation_stats(generation, best, population))
         if stall >= cfg.patience:
             break
+    if flat:
+        log.warning(
+            "zero fitness spread in %d of %d generations: every genome scored "
+            "the same, so selection could not rank them", flat, len(history),
+        )
     return best, history
+
+
+def _generation_stats(
+    generation: int, best: Individual, population: list[Individual]
+) -> GenerationStats:
+    mean = float(np.mean([ind.fitness for ind in population]))
+    return GenerationStats(generation, best.fitness, mean, _census(population))
+
+
+def _has_zero_spread(population: list[Individual]) -> bool:
+    scores = [ind.fitness for ind in population]
+    return min(scores) == max(scores)
 
 
 # --- text formats -----------------------------------------------------------
@@ -547,13 +551,17 @@ def format_individual(individual: Individual, max_active: int) -> str:
     return "\n".join(lines)
 
 
-def _parse_individual_lines(lines: list[str], pos: int) -> tuple[Individual, int, int]:
-    header = _INDIVIDUAL_HEADER_RE.match(lines[pos].strip())
+def parse_individual(text: str) -> tuple[Individual, int]:
+    """Inverse of :func:`format_individual`; returns (genome, active limit)."""
+    lines = [ln for ln in text.strip().splitlines()]
+    if not lines:
+        raise FormatError("empty genome text")
+    header = _INDIVIDUAL_HEADER_RE.match(lines[0].strip())
     if not header:
-        raise FormatError(f"bad genome header {lines[pos]!r}")
+        raise FormatError(f"bad genome header {lines[0]!r}")
     class_count, grid_size, max_active = (int(g) for g in header.groups())
     n_pairs = pair_count(class_count)
-    pos += 1
+    pos = 1
     if pos >= len(lines):
         raise FormatError("missing head bits")
     head_text = lines[pos].strip()
@@ -581,18 +589,9 @@ def _parse_individual_lines(lines: list[str], pos: int) -> tuple[Individual, int
         except FormatError as err:
             raise FormatError(f"slot {expected}: {err}") from err
         pos += grid_size
-    return Individual(head, masks), max_active, pos
-
-
-def parse_individual(text: str) -> tuple[Individual, int]:
-    """Inverse of :func:`format_individual`; returns (genome, active limit)."""
-    lines = [ln for ln in text.strip().splitlines()]
-    if not lines:
-        raise FormatError("empty genome text")
-    individual, max_active, pos = _parse_individual_lines(lines, 0)
     if pos != len(lines):
         raise FormatError(f"{len(lines) - pos} unexpected trailing lines")
-    return individual, max_active
+    return Individual(head, masks), max_active
 
 
 def save_individual(individual: Individual, max_active: int, path) -> None:
@@ -601,34 +600,6 @@ def save_individual(individual: Individual, max_active: int, path) -> None:
 
 def load_individual(path) -> tuple[Individual, int]:
     return parse_individual(Path(path).read_text())
-
-
-def save_population(population: list[Individual], max_active: int, path) -> None:
-    """Count header line, then concatenated genome blocks."""
-    blocks = [str(len(population))]
-    blocks.extend(format_individual(ind, max_active) for ind in population)
-    Path(path).write_text("\n".join(blocks) + "\n")
-
-
-def load_population(path) -> tuple[list[Individual], int]:
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines:
-        raise FormatError("empty population file")
-    try:
-        count = int(lines[0].strip())
-    except ValueError as err:
-        raise FormatError(f"bad population count {lines[0]!r}") from err
-    population = []
-    pos = 1
-    max_active = 0
-    for _ in range(count):
-        if pos >= len(lines):
-            raise FormatError(f"expected {count} genomes, found {len(population)}")
-        individual, max_active, pos = _parse_individual_lines(lines, pos)
-        population.append(individual)
-    if pos != len(lines):
-        raise FormatError(f"{len(lines) - pos} unexpected trailing lines")
-    return population, max_active
 
 
 def history_csv_lines(history: list[GenerationStats]) -> list[str]:

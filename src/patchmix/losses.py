@@ -16,7 +16,6 @@ actually touched.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,14 +41,6 @@ def reset_loss_eval_counts() -> None:
     with _COUNT_LOCK:
         for kind in _EVAL_COUNTS:
             _EVAL_COUNTS[kind] = 0
-
-
-@dataclass
-class ModelOutputs:
-    """Per-sample classifier outputs."""
-
-    patch_logits: np.ndarray  # (P*P, class_count)
-    image_logits: np.ndarray  # (class_count,)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

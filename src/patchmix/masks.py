@@ -18,7 +18,7 @@ from .errors import ConfigError, FormatError
 
 def _as_bits(bits, name: str) -> np.ndarray:
     arr = np.ascontiguousarray(bits, dtype=np.uint8)
-    if not np.isin(arr, (0, 1)).all():
+    if arr.max(initial=0) > 1:
         raise ConfigError(f"{name} must contain only 0/1 values")
     arr.setflags(write=False)
     return arr
@@ -95,15 +95,20 @@ def full_mask(grid_size: int, value: int = 1) -> PatchMask:
     return PatchMask(np.full((grid_size, grid_size), value, dtype=np.uint8))
 
 
-def expand_to_pixel_mask(mask: PatchMask, width: int, height: int) -> PixelMask:
-    """Expand grid cells into constant pixel regions."""
-    p = mask.grid_size
+def expand_bits(bits: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Repeat each cell of (..., P, P) grid bits over its pixel region,
+    giving (..., height, width)."""
+    p = bits.shape[-1]
     if width % p != 0 or height % p != 0:
         raise ConfigError(
             f"image {width}x{height} not divisible by grid size {p}"
         )
-    expanded = np.repeat(np.repeat(mask.bits, height // p, axis=0), width // p, axis=1)
-    return PixelMask(expanded)
+    return np.repeat(np.repeat(bits, height // p, axis=-2), width // p, axis=-1)
+
+
+def expand_to_pixel_mask(mask: PatchMask, width: int, height: int) -> PixelMask:
+    """Expand grid cells into constant pixel regions."""
+    return PixelMask(expand_bits(mask.bits, width, height))
 
 
 def reduce_to_patch_mask(pixel_mask: PixelMask, grid_size: int) -> PatchMask:

@@ -8,17 +8,21 @@ Three ways to compose two labeled images into one training sample:
 * whole-image blending — a convex pixel blend (no patch labels);
 * rectangle transplant — a fixed-size crop of the second image pasted at
   a Gaussian-drawn center (no patch labels).
+
+Training consumes :class:`MixedBatch` stacks; :func:`patchmix_batch`
+composes a whole batch, row for row equal to :func:`patchmix`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .data import one_hot
 from .errors import ConfigError
-from .masks import PatchMask, expand_to_pixel_mask, mixing_ratio
+from .masks import PatchMask, expand_bits, expand_to_pixel_mask, mixing_ratio
 
 
 @dataclass
@@ -33,6 +37,37 @@ class MixedSample:
     image_label: np.ndarray      # (class_count,) float64, sums to 1
     patch_labels: np.ndarray | None  # (P*P,) int64, row-major grid order
     lam: float                   # weight of the first source image
+
+
+@dataclass
+class MixedBatch:
+    """A stack of composed training samples, one row per sample.
+
+    ``patch_labels`` is None when the composition does not align with the
+    patch grid (blending, rectangle transplant).
+    """
+
+    images: np.ndarray               # (B, H, W, C); float64 from the composers
+    image_labels: np.ndarray         # (B, class_count) float64, rows sum to 1
+    patch_labels: np.ndarray | None  # (B, P*P) int64, row-major grid order
+
+    def __len__(self) -> int:
+        return len(self.images)
+
+    def take(self, rows) -> "MixedBatch":
+        """The rows at ``rows``, in that order."""
+        patch = None if self.patch_labels is None else self.patch_labels[rows]
+        return MixedBatch(self.images[rows], self.image_labels[rows], patch)
+
+    @classmethod
+    def concat(cls, batches: Sequence["MixedBatch"]) -> "MixedBatch":
+        """Rows of every batch in order; patch labels only if all have them."""
+        patch = [b.patch_labels for b in batches]
+        return cls(
+            np.concatenate([b.images for b in batches]),
+            np.concatenate([b.image_labels for b in batches]),
+            None if any(p is None for p in patch) else np.concatenate(patch),
+        )
 
 
 def _check_pair(x_i: np.ndarray, x_j: np.ndarray) -> None:
@@ -65,6 +100,42 @@ def patchmix(
     image_label = lam * one_hot(y_i, class_count) + (1.0 - lam) * one_hot(y_j, class_count)
     patch_labels = np.where(mask.bits.reshape(-1) == 1, int(y_i), int(y_j)).astype(np.int64)
     return MixedSample(image, image_label, patch_labels, lam)
+
+
+def patchmix_batch(
+    images: np.ndarray,
+    i: np.ndarray,
+    j: np.ndarray,
+    y_i: np.ndarray,
+    y_j: np.ndarray,
+    bits: np.ndarray,
+    class_count: int,
+) -> MixedBatch:
+    """Compose ``images[i[k]]`` and ``images[j[k]]`` under the grid mask
+    ``bits[k]`` for every row k of a batch.
+
+    Row k equals ``patchmix(images[i[k]], y_i[k], images[j[k]], y_j[k],
+    PatchMask(bits[k]), class_count)``; all-ones bits give identity rows.
+    """
+    bits = np.asarray(bits, dtype=np.uint8)
+    if bits.max(initial=0) > 1:
+        raise ConfigError("mask bits must contain only 0/1 values")
+    y_i = np.asarray(y_i, dtype=np.int64)
+    y_j = np.asarray(y_j, dtype=np.int64)
+    if not len(i) == len(j) == len(y_i) == len(y_j) == len(bits):
+        raise ConfigError("sources, labels and masks must have one entry per row")
+    labels = np.concatenate([y_i, y_j])
+    if len(labels) and (labels.min() < 0 or labels.max() >= class_count):
+        raise ConfigError(f"label outside [0, {class_count})")
+    height, width = images.shape[1:3]
+    keep = expand_bits(bits, width, height).astype(bool)[..., None]
+    mixed = np.where(keep, images[i], images[j]).astype(np.float64, copy=False)
+    flat = bits.reshape(len(bits), bits.shape[1] ** 2)
+    lam = (flat.sum(axis=1) / flat.shape[1])[:, None]
+    eye = np.eye(class_count)
+    image_labels = lam * eye[y_i] + (1.0 - lam) * eye[y_j]
+    patch_labels = np.where(flat == 1, y_i[:, None], y_j[:, None])
+    return MixedBatch(mixed, image_labels, patch_labels)
 
 
 def mixup(

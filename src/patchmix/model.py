@@ -19,15 +19,15 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import losses
 from .data import Dataset, one_hot
 from .errors import ConfigError, FormatError, NumericError
-from .masks import PatchMask, full_mask, sample_random_mask
-from .mixing import MixedSample, patchmix
+from .masks import sample_random_mask
+from .mixing import MixedBatch, patchmix_batch
 from .rng import RngKey
 
 PARAM_FIELDS = ("w_embed", "b_embed", "w_patch", "b_patch", "w_img", "b_img")
@@ -183,14 +183,6 @@ def forward_batch(model: ReferenceModel, images: np.ndarray):
     return out[4], out[5]
 
 
-def forward(model: ReferenceModel, image: np.ndarray) -> losses.ModelOutputs:
-    """Score a single image."""
-    if image.ndim != 3:
-        raise ConfigError("image must have shape (height, width, channels)")
-    patch_logits, image_logits = forward_batch(model, image[None])
-    return losses.ModelOutputs(patch_logits[0], image_logits[0])
-
-
 def batch_gradients(
     model: ReferenceModel,
     images: np.ndarray,
@@ -292,18 +284,11 @@ def batch_gradients(
     return loss, grads, input_grads
 
 
-def backward(model: ReferenceModel, batch: Sequence[MixedSample], loss_mode: str):
+def backward(model: ReferenceModel, batch: MixedBatch, loss_mode: str):
     """Gradients of the mean loss over a batch of mixed samples."""
-    if not batch:
-        raise ConfigError("empty batch")
-    images = np.stack([s.image for s in batch])
-    targets = np.stack([s.image_label for s in batch])
-    patch_labels = None
-    if loss_mode != "image_only":
-        if any(s.patch_labels is None for s in batch):
-            raise ConfigError(f"loss mode {loss_mode!r} requires patch labels")
-        patch_labels = np.stack([s.patch_labels for s in batch])
-    return batch_gradients(model, images, targets, patch_labels, loss_mode)
+    return batch_gradients(
+        model, batch.images, batch.image_labels, batch.patch_labels, loss_mode
+    )
 
 
 def cosine_lr(epoch: int, total_epochs: int, lr0: float, eta_min: float = 0.0) -> float:
@@ -369,7 +354,7 @@ def _train_loop(
     model: ReferenceModel,
     cfg: TrainConfig,
     val: Dataset,
-    batch_source: Callable[[int, np.random.Generator], Iterable[list[MixedSample]]],
+    batch_source: Callable[[int, np.random.Generator], Iterable[MixedBatch]],
     stream_tag: str,
 ) -> list[EpochMetrics]:
     """Shared SGD driver.  ``batch_source(epoch, rng)`` yields sample batches.
@@ -415,12 +400,30 @@ def _check_train_inputs(train: Dataset, val: Dataset, cfg: TrainConfig) -> None:
         )
 
 
-def train_random_patchmix(
-    train: Dataset,
-    val: Dataset,
-    cfg: TrainConfig,
-    mask_sampler: Callable[[int, float, np.random.Generator], PatchMask] | None = None,
-):
+def _initial_model(train: Dataset, cfg: TrainConfig, stream_tag: str) -> ReferenceModel:
+    p = cfg.grid_size
+    ppc = (train.height // p) * (train.width // p) * train.channels
+    return ReferenceModel.initialize(
+        p,
+        train.class_count,
+        cfg.hidden_dim,
+        ppc,
+        RngKey(cfg.seed).child(stream_tag, "init").generator(),
+    )
+
+
+def _shuffled_pairs(
+    n: int, batch_size: int, rng: np.random.Generator
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """One epoch of ``(idx, partner)`` index batches: shuffle, cut into
+    batches, and pair each element with a random partner from its batch."""
+    order = rng.permutation(n)
+    for start in range(0, n, batch_size):
+        idx = order[start : start + batch_size]
+        yield idx, idx[rng.permutation(len(idx))]
+
+
+def train_random_patchmix(train: Dataset, val: Dataset, cfg: TrainConfig):
     """Train a model on randomly grid-mixed batches.
 
     Every epoch shuffles the training set, pairs each batch element with
@@ -431,60 +434,31 @@ def train_random_patchmix(
     Returns ``(model, per-epoch metrics)``.
     """
     _check_train_inputs(train, val, cfg)
-    sampler = mask_sampler if mask_sampler is not None else sample_random_mask
     p = cfg.grid_size
-    ones = full_mask(p)
 
     def batches(epoch: int, rng: np.random.Generator):
-        order = rng.permutation(len(train))
-        for start in range(0, len(order), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            partner = rng.permutation(len(idx))
-            batch = []
-            for pos, i in enumerate(idx):
-                j = int(idx[partner[pos]])
+        for idx, partner in _shuffled_pairs(len(train), cfg.batch_size, rng):
+            bits = np.ones((len(idx), p, p), dtype=np.uint8)
+            for row in bits:
                 if rng.random() < cfg.mix_probability:
-                    mask = sampler(p, cfg.alpha, rng)
-                else:
-                    mask = ones
-                batch.append(
-                    patchmix(
-                        train.images[i],
-                        int(train.labels[i]),
-                        train.images[j],
-                        int(train.labels[j]),
-                        mask,
-                        train.class_count,
-                    )
-                )
-            yield batch
+                    row[:] = sample_random_mask(p, cfg.alpha, rng).bits
+            yield patchmix_batch(
+                train.images, idx, partner, train.labels[idx], train.labels[partner],
+                bits, train.class_count,
+            )
 
-    ppc = (train.height // p) * (train.width // p) * train.channels
-    model = ReferenceModel.initialize(
-        p,
-        train.class_count,
-        cfg.hidden_dim,
-        ppc,
-        RngKey(cfg.seed).child("rand-train", "init").generator(),
-    )
+    model = _initial_model(train, cfg, "rand-train")
     metrics = _train_loop(model, cfg, val, batches, "rand-train")
     return model, metrics
-
-
-def fgsm_attack(
-    model: ReferenceModel, image: np.ndarray, label: int, epsilon: float
-) -> np.ndarray:
-    """One-step sign attack against the image head.
-
-    x_adv = clip(x + epsilon * sign(d image_loss / d x), 0, 1)
-    """
-    adv = fgsm_attack_batch(model, image[None], np.asarray([label]), epsilon)
-    return adv[0]
 
 
 def fgsm_attack_batch(
     model: ReferenceModel, images: np.ndarray, labels: np.ndarray, epsilon: float
 ) -> np.ndarray:
+    """One-step sign attack against the image head, per image:
+
+    x_adv = clip(x + epsilon * sign(d image_loss / d x), 0, 1)
+    """
     if epsilon < 0:
         raise ConfigError(f"epsilon must be non-negative, got {epsilon}")
     targets = np.stack([one_hot(int(y), model.class_count) for y in labels])

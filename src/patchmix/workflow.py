@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import Dataset, one_hot
+from .data import Dataset
 from .errors import ConfigError, FormatError
 from .evolution import (
     Individual,
@@ -36,11 +36,13 @@ from .evolution import (
     save_individual,
 )
 from .masks import PatchMask, sample_random_mask
-from .mixing import MixedSample, patchmix
+from .mixing import MixedBatch, patchmix, patchmix_batch
 from .model import (
     EpochMetrics,
     ReferenceModel,
     TrainConfig,
+    _check_train_inputs,
+    _initial_model,
     _train_loop,
     load_model,
     save_metrics,
@@ -116,30 +118,27 @@ def draw_guided_recipe(
 
 def materialize_guided(
     individual: Individual, train: Dataset, recipe: Sequence[tuple[int, int, int]]
-) -> list[MixedSample]:
-    samples = []
-    for slot, i, j in recipe:
-        ci, cj = index_to_pair(int(slot), train.class_count)
-        samples.append(
-            patchmix(
-                train.images[i],
-                ci,
-                train.images[j],
-                cj,
-                PatchMask(individual.masks[slot]),
-                train.class_count,
-            )
-        )
-    return samples
+) -> MixedBatch:
+    """The guided set of a recipe, one row per ``(slot, i, j)`` entry.
 
-
-def generate_guided_set(
-    individual: Individual, train: Dataset, count: int, rng: np.random.Generator
-) -> list[MixedSample]:
-    """Materialized guided augmented set (see :func:`draw_guided_recipe`)."""
-    return materialize_guided(
-        individual, train, draw_guided_recipe(individual, train, count, rng)
+    Images keep the dataset's float32 storage type: a composition only
+    selects source pixels, so this is lossless and halves the set.
+    """
+    n, c = len(recipe), train.class_count
+    guided = MixedBatch(
+        np.empty((n, *train.images.shape[1:]), dtype=train.images.dtype),
+        np.empty((n, c)),
+        np.empty((n, individual.grid_size**2), dtype=np.int64),
     )
+    for row, (slot, i, j) in enumerate(recipe):
+        ci, cj = index_to_pair(int(slot), c)
+        sample = patchmix(
+            train.images[i], ci, train.images[j], cj, PatchMask(individual.masks[slot]), c
+        )
+        guided.images[row] = sample.image
+        guided.image_labels[row] = sample.image_label
+        guided.patch_labels[row] = sample.patch_labels
+    return guided
 
 
 def save_guided_manifest(recipe: Sequence[tuple[int, int, int]], path) -> None:
@@ -187,99 +186,80 @@ def _cycled_order(n: int, rng: np.random.Generator):
             yield int(i)
 
 
+def _take(order, count: int) -> np.ndarray:
+    return np.fromiter((next(order) for _ in range(count)), dtype=np.int64, count=count)
+
+
 def guided_batch_composer(
     train: Dataset,
     random_mixer,
-    guided_set: Sequence[MixedSample],
+    guided_set: MixedBatch,
     ratio: tuple[int, int, int],
     batch_size: int,
     batches: int,
     rng: np.random.Generator,
     grid_size: int,
-) -> Iterable[list[MixedSample]]:
+) -> Iterable[MixedBatch]:
     """Yield batches of original : randomly-mixed : guided samples.
 
     Originals cycle through epoch-shuffled training permutations; guided
-    samples cycle through shuffled guided-set permutations;
-    ``random_mixer(rng, count)`` supplies fresh randomly mixed samples.
+    rows cycle through shuffled guided-set permutations;
+    ``random_mixer(rng, count)`` supplies a batch of fresh randomly mixed
+    samples.  An empty sequence stands for an empty guided set.
     """
     n_original, n_random, n_guided = split_batch(batch_size, ratio)
-    if n_guided and not guided_set:
+    if n_guided and not len(guided_set):
         raise ConfigError("batch ratio requires guided samples but the set is empty")
     if len(train) == 0:
         raise ConfigError("empty training set")
     originals = _cycled_order(len(train), rng)
-    guided_order = _cycled_order(len(guided_set), rng) if guided_set else None
-    patch_fill = grid_size * grid_size
+    guided_order = _cycled_order(len(guided_set), rng)
+    ones = np.ones((n_original, grid_size, grid_size), dtype=np.uint8)
     for _ in range(batches):
-        batch: list[MixedSample] = []
-        for _ in range(n_original):
-            i = next(originals)
-            label = int(train.labels[i])
-            batch.append(
-                MixedSample(
-                    train.images[i].astype(np.float64),
-                    one_hot(label, train.class_count),
-                    np.full(patch_fill, label, dtype=np.int64),
-                    1.0,
-                )
+        idx = _take(originals, n_original)
+        parts = [
+            patchmix_batch(
+                train.images, idx, idx, train.labels[idx], train.labels[idx],
+                ones, train.class_count,
             )
+        ]
         if n_random:
-            batch.extend(random_mixer(rng, n_random))
-        for _ in range(n_guided):
-            batch.append(guided_set[next(guided_order)])
-        yield batch
+            parts.append(random_mixer(rng, n_random))
+        if n_guided:
+            parts.append(guided_set.take(_take(guided_order, n_guided)))
+        yield MixedBatch.concat(parts)
 
 
 def train_final(
     train: Dataset,
     val: Dataset,
     cfg: TrainConfig,
-    guided_set: Sequence[MixedSample],
+    guided_set: MixedBatch,
     ratio: tuple[int, int, int] = DEFAULT_BATCH_RATIO,
 ):
     """Phase-4 trainer: composed batches, image-level objective only."""
-    cfg.validate()
-    if len(train) == 0 or len(val) == 0:
-        raise ConfigError("train and validation sets must be non-empty")
+    _check_train_inputs(train, val, cfg)
     p = cfg.grid_size
-    if train.height % p or train.width % p:
-        raise ConfigError(
-            f"images {train.width}x{train.height} not divisible by grid size {p}"
-        )
     n_batches = math.ceil(len(train) / cfg.batch_size)
 
-    def random_mixer(rng: np.random.Generator, count: int) -> list[MixedSample]:
-        out = []
-        for _ in range(count):
-            i = int(rng.integers(len(train)))
-            j = int(rng.integers(len(train)))
-            mask = sample_random_mask(p, cfg.alpha, rng)
-            out.append(
-                patchmix(
-                    train.images[i],
-                    int(train.labels[i]),
-                    train.images[j],
-                    int(train.labels[j]),
-                    mask,
-                    train.class_count,
-                )
-            )
-        return out
+    def random_mixer(rng: np.random.Generator, count: int) -> MixedBatch:
+        i = np.empty(count, dtype=np.int64)
+        j = np.empty(count, dtype=np.int64)
+        bits = np.empty((count, p, p), dtype=np.uint8)
+        for k in range(count):
+            i[k] = rng.integers(len(train))
+            j[k] = rng.integers(len(train))
+            bits[k] = sample_random_mask(p, cfg.alpha, rng).bits
+        return patchmix_batch(
+            train.images, i, j, train.labels[i], train.labels[j], bits, train.class_count
+        )
 
     def batches(epoch: int, rng: np.random.Generator):
         yield from guided_batch_composer(
             train, random_mixer, guided_set, ratio, cfg.batch_size, n_batches, rng, p
         )
 
-    ppc = (train.height // p) * (train.width // p) * train.channels
-    model = ReferenceModel.initialize(
-        p,
-        train.class_count,
-        cfg.hidden_dim,
-        ppc,
-        RngKey(cfg.seed).child("final-train", "init").generator(),
-    )
+    model = _initial_model(train, cfg, "final-train")
     metrics = _train_loop(model, cfg, val, batches, "final-train")
     return model, metrics
 

@@ -1,11 +1,13 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from patchmix.data import Dataset
+from patchmix.data import Dataset, synth_shapes
 from patchmix.errors import ConfigError, FormatError, NumericError
 from patchmix.evolution import (
+    OBJECTIVES,
     GenerationStats,
     Individual,
     SearchConfig,
@@ -19,7 +21,6 @@ from patchmix.evolution import (
     history_csv_lines,
     index_to_pair,
     init_population,
-    load_population,
     mutate,
     pair_count,
     pair_to_index,
@@ -28,11 +29,14 @@ from patchmix.evolution import (
     repair,
     run_search,
     same_class_slots,
-    save_population,
     tournament_select,
     transpose_tails,
 )
-from patchmix.model import PARAM_FIELDS, ReferenceModel
+from patchmix.losses import log_softmax
+from patchmix.masks import PatchMask
+from patchmix.mixing import patchmix
+from patchmix.model import PARAM_FIELDS, ReferenceModel, forward_batch
+from patchmix.rng import RngKey
 
 
 def make_individual(class_count=3, grid_size=2, active=(0,), rng=None, fitness=None):
@@ -183,7 +187,47 @@ class TestInitPopulation:
             assert np.array_equal(x.masks, y.masks)
 
 
+def reference_fitness(individual, model, val, cfg, generation):
+    """evaluate_fitness rebuilt from per-sample patchmix and forward_batch."""
+    key = RngKey(cfg.seed).child("fitness", generation)
+    per_class = val.class_indices()
+    samples = []
+    for slot in individual.active_slots():
+        ci, cj = index_to_pair(int(slot), val.class_count)
+        srng = key.child(int(slot)).generator()
+        ii = srng.choice(per_class[ci], size=cfg.pairs_per_combo)
+        jj = srng.choice(per_class[cj], size=cfg.pairs_per_combo)
+        mask = PatchMask(individual.masks[slot])
+        for a, b in zip(ii, jj):
+            samples.append(
+                patchmix(val.images[a], ci, val.images[b], cj, mask, val.class_count)
+            )
+    patch_logits, _ = forward_batch(model, np.stack([s.image for s in samples]))
+    labels = np.stack([s.patch_labels for s in samples])
+    if cfg.objective.endswith("patch_acc"):
+        metric = (np.argmax(patch_logits, axis=2) == labels).mean(axis=1)
+    else:
+        picked = np.take_along_axis(log_softmax(patch_logits), labels[..., None], axis=2)
+        metric = -picked[..., 0].sum(axis=1)
+    score = float(metric.mean())
+    return -score if cfg.objective.startswith("max") else score
+
+
 class TestEvaluateFitness:
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_equals_per_sample_reference(self, objective):
+        val = synth_shapes(4, 16, 7, seed=3, split="validation")
+        val = val.subset(np.flatnonzero(np.arange(len(val)) % 5 != 0))  # unequal classes
+        model = ReferenceModel.initialize(4, 4, 8, 48, np.random.default_rng(1))
+        cfg = SearchConfig(pairs_per_combo=5, seed=11, objective=objective)
+        rng = np.random.default_rng(4)
+        for active in ((0,), (1, 5, 9), (3, 4, 7, 8)):
+            ind = make_individual(class_count=4, grid_size=4, active=active, rng=rng)
+            for generation in (0, 3):
+                assert evaluate_fitness(ind, model, val, cfg, generation) == (
+                    reference_fitness(ind, model, val, cfg, generation)
+                )
+
     def test_always_correct_stub_scores_one(self, rng):
         # Three constant-brightness classes and a detector stub that gets
         # every patch right: minimizing patch accuracy bottoms out at 1.
@@ -546,6 +590,22 @@ class TestRunSearch:
         with pytest.raises(NumericError, match="non-finite"):
             run_search(cfg, 1, 2, lambda ind, gen: float("nan"))
 
+    def test_zero_spread_warns_once_per_run(self, caplog):
+        cfg = SearchConfig(population_size=10, generations=50, patience=3, seed=2)
+        with caplog.at_level(logging.WARNING, logger="patchmix.evolution"):
+            _, history = run_search(cfg, 1, 2, lambda ind, gen: 1.0)
+        warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(history) == 4
+        assert len(warnings) == 1
+        assert "zero fitness spread in 4 of 4 generations" in warnings[0].getMessage()
+
+    def test_ranked_search_does_not_warn(self, caplog):
+        target = np.eye(4, dtype=np.uint8)
+        cfg = SearchConfig(population_size=20, generations=3, patience=3, seed=7)
+        with caplog.at_level(logging.WARNING, logger="patchmix.evolution"):
+            run_search(cfg, 1, 4, hamming_fitness(target))
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+
     def test_census_counts_active_pairs(self):
         cfg = SearchConfig(population_size=12, generations=2, patience=5, seed=4)
         _, history = run_search(cfg, 2, 2, lambda ind, gen: 0.5)
@@ -587,25 +647,6 @@ class TestGenomeText:
     def test_malformed_rejected(self, text):
         with pytest.raises(FormatError):
             parse_individual(text)
-
-    def test_population_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        population = [
-            make_individual(active=(int(rng.integers(6)),), rng=rng) for _ in range(4)
-        ]
-        path = tmp_path / "population.txt"
-        save_population(population, 3, path)
-        back, max_active = load_population(path)
-        assert max_active == 3
-        assert len(back) == 4
-        for x, y in zip(back, population):
-            assert np.array_equal(x.head, y.head)
-
-    def test_population_count_must_match(self, tmp_path):
-        path = tmp_path / "population.txt"
-        path.write_text("2\nC=2 P=2 N=2\n010\n(0,1)\n10\n01\n")
-        with pytest.raises(FormatError):
-            load_population(path)
 
     def test_history_lines(self):
         history = [

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from patchmix.errors import ConfigError
 from patchmix.masks import PatchMask, complement, full_mask
-from patchmix.mixing import cutmix, mixup, patchmix
+from patchmix.mixing import MixedBatch, cutmix, mixup, patchmix, patchmix_batch
 from patchmix.rng import RngKey
 
 
@@ -82,6 +82,84 @@ class TestPatchmix:
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ConfigError):
             patchmix(rng.random((8, 8, 3)), 0, rng.random((4, 4, 3)), 1, full_mask(4), 2)
+
+
+def stacked_patchmix(images, i, j, y_i, y_j, bits, class_count):
+    """Reference: per-sample patchmix, one row at a time, stacked."""
+    samples = [
+        patchmix(images[a], int(ya), images[b], int(yb), PatchMask(m), class_count)
+        for a, b, ya, yb, m in zip(i, j, y_i, y_j, bits)
+    ]
+    return MixedBatch(
+        np.stack([s.image for s in samples]),
+        np.stack([s.image_label for s in samples]),
+        np.stack([s.patch_labels for s in samples]),
+    )
+
+
+class TestPatchmixBatch:
+    def assert_equal_batches(self, got, want):
+        assert got.images.dtype == want.images.dtype == np.float64
+        assert got.patch_labels.dtype == want.patch_labels.dtype == np.int64
+        np.testing.assert_array_equal(got.images, want.images)
+        np.testing.assert_array_equal(got.image_labels, want.image_labels)
+        np.testing.assert_array_equal(got.patch_labels, want.patch_labels)
+
+    @pytest.mark.parametrize("grid_size", [1, 2, 4])
+    def test_equals_stacked_patchmix(self, rng, grid_size):
+        images = rng.random((10, 8, 8, 3)).astype(np.float32)
+        labels = rng.integers(0, 4, 10)
+        i = rng.integers(0, 10, 25)
+        j = rng.integers(0, 10, 25)
+        bits = rng.integers(0, 2, (25, grid_size, grid_size), dtype=np.uint8)
+        args = (images, i, j, labels[i], labels[j], bits, 4)
+        self.assert_equal_batches(patchmix_batch(*args), stacked_patchmix(*args))
+
+    def test_all_ones_rows_are_identity(self, rng):
+        images = rng.random((6, 8, 8, 3)).astype(np.float32)
+        labels = rng.integers(0, 3, 6)
+        idx = rng.permutation(6)
+        bits = np.ones((6, 4, 4), dtype=np.uint8)
+        args = (images, idx, idx, labels[idx], labels[idx], bits, 3)
+        out = patchmix_batch(*args)
+        self.assert_equal_batches(out, stacked_patchmix(*args))
+        np.testing.assert_array_equal(out.images, images[idx].astype(np.float64))
+        np.testing.assert_array_equal(out.image_labels, np.eye(3)[labels[idx]])
+        np.testing.assert_array_equal(out.patch_labels, np.repeat(labels[idx][:, None], 16, 1))
+
+    def test_empty_batch(self, rng):
+        images = rng.random((3, 8, 8, 3))
+        none = np.empty(0, dtype=np.int64)
+        out = patchmix_batch(images, none, none, none, none, np.empty((0, 2, 2)), 3)
+        assert len(out) == 0
+        assert out.images.shape == (0, 8, 8, 3)
+        assert out.image_labels.shape == (0, 3)
+        assert out.patch_labels.shape == (0, 4)
+
+    @pytest.mark.parametrize(
+        "bits, labels, error",
+        [
+            (np.full((2, 2, 2), 2), (0, 1), "0/1"),
+            (np.ones((3, 2, 2)), (0, 1), "one entry per row"),
+            (np.ones((2, 2, 2)), (0, 3), "label outside"),
+        ],
+    )
+    def test_bad_inputs_rejected(self, rng, bits, labels, error):
+        images = rng.random((2, 4, 4, 1))
+        rows = np.array([0, 1])
+        with pytest.raises(ConfigError, match=error):
+            patchmix_batch(images, rows, rows, np.array(labels), np.array(labels), bits, 3)
+
+    def test_take_and_concat_keep_rows(self, rng):
+        images = rng.random((4, 4, 4, 1))
+        rows = np.arange(4)
+        bits = rng.integers(0, 2, (4, 2, 2), dtype=np.uint8)
+        batch = patchmix_batch(images, rows, rows[::-1], rows % 2, rows % 3, bits, 3)
+        again = MixedBatch.concat([batch.take([2, 3]), batch.take([0, 1])])
+        self.assert_equal_batches(again, batch.take([2, 3, 0, 1]))
+        blend = mixup(images[0], 0, images[1], 1, 0.5, 3)
+        blended = MixedBatch(blend.image[None], blend.image_label[None], None)
+        assert MixedBatch.concat([batch, blended]).patch_labels is None
 
 
 class TestMixup:

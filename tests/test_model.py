@@ -7,7 +7,7 @@ from patchmix.data import Dataset, one_hot, synth_shapes
 from patchmix.errors import ConfigError, FormatError, NumericError
 from patchmix.losses import LOSS_MODES, softmax
 from patchmix.masks import PatchMask, full_mask
-from patchmix.mixing import patchmix
+from patchmix.mixing import MixedBatch, patchmix
 from patchmix.model import (
     PARAM_FIELDS,
     EpochMetrics,
@@ -17,9 +17,7 @@ from patchmix.model import (
     batch_gradients,
     cosine_lr,
     evaluate_model,
-    fgsm_attack,
     fgsm_attack_batch,
-    forward,
     forward_batch,
     init_velocity,
     load_metrics,
@@ -50,10 +48,10 @@ def zero_model(**kwargs):
 
 
 def mixed_batch(rng, n=3, grid_size=2, class_count=3, side=4):
-    batch = []
+    samples = []
     for _ in range(n):
         mask = PatchMask(rng.integers(0, 2, (grid_size, grid_size), dtype=np.uint8))
-        batch.append(
+        samples.append(
             patchmix(
                 rng.random((side, side, 1)),
                 int(rng.integers(class_count)),
@@ -63,7 +61,11 @@ def mixed_batch(rng, n=3, grid_size=2, class_count=3, side=4):
                 class_count,
             )
         )
-    return batch
+    return MixedBatch(
+        np.stack([s.image for s in samples]),
+        np.stack([s.image_label for s in samples]),
+        np.stack([s.patch_labels for s in samples]),
+    )
 
 
 class TestPatchify:
@@ -91,10 +93,12 @@ class TestPatchify:
 class TestForward:
     def test_zero_model_gives_zero_logits(self):
         model = zero_model()
-        out = forward(model, np.random.default_rng(1).random((4, 4, 1)))
-        assert np.array_equal(out.patch_logits, np.zeros((4, 3)))
-        assert np.array_equal(out.image_logits, np.zeros(3))
-        assert np.allclose(softmax(out.image_logits), 1 / 3)
+        patch_logits, image_logits = forward_batch(
+            model, np.random.default_rng(1).random((1, 4, 4, 1))
+        )
+        assert np.array_equal(patch_logits[0], np.zeros((4, 3)))
+        assert np.array_equal(image_logits[0], np.zeros(3))
+        assert np.allclose(softmax(image_logits[0]), 1 / 3)
 
     def test_patch_rows_follow_mask_order(self):
         # Identity embedding; class-0 logit = sum of patch pixels.  Mixing
@@ -109,27 +113,28 @@ class TestForward:
             bits = np.zeros(4, dtype=np.uint8)
             bits[k] = 1
             sample = patchmix(x_i, 0, x_j, 1, PatchMask(bits.reshape(2, 2)), 2)
-            out = forward(model, sample.image)
-            assert np.argmax(out.patch_logits[:, 0]) == k
-            assert out.patch_logits[k, 0] == pytest.approx(4.0)
+            patch_logits, _ = forward_batch(model, sample.image[None])
+            assert np.argmax(patch_logits[0, :, 0]) == k
+            assert patch_logits[0, k, 0] == pytest.approx(4.0)
 
     def test_swapping_patches_permutes_rows_only(self, rng):
         model = tiny_model()
         image = rng.random((4, 4, 1))
         swapped = image.copy()
         swapped[:2, :2], swapped[:2, 2:] = image[:2, 2:].copy(), image[:2, :2].copy()
-        a = forward(model, image)
-        b = forward(model, swapped)
-        assert np.allclose(a.patch_logits[[1, 0, 2, 3]], b.patch_logits)
-        assert np.allclose(a.image_logits, b.image_logits, atol=1e-12)
+        (a_patch, b_patch), (a_image, b_image) = forward_batch(
+            model, np.stack([image, swapped])
+        )
+        assert np.allclose(a_patch[[1, 0, 2, 3]], b_patch)
+        assert np.allclose(a_image, b_image, atol=1e-12)
 
     def test_batch_matches_single(self, rng):
         model = tiny_model()
         images = rng.random((3, 4, 4, 1))
         patch_logits, image_logits = forward_batch(model, images)
-        one = forward(model, images[1])
-        assert np.allclose(patch_logits[1], one.patch_logits)
-        assert np.allclose(image_logits[1], one.image_logits)
+        one_patch, one_image = forward_batch(model, images[1:2])
+        assert np.allclose(patch_logits[1], one_patch[0])
+        assert np.allclose(image_logits[1], one_image[0])
 
     def test_duplicate_inputs_identical_outputs(self, rng):
         model = tiny_model()
@@ -141,7 +146,7 @@ class TestForward:
     def test_wrong_patch_pixels_rejected(self, rng):
         model = tiny_model()  # expects 2x2x1 patches
         with pytest.raises(ConfigError):
-            forward(model, rng.random((4, 4, 3)))
+            forward_batch(model, rng.random((1, 4, 4, 3)))
 
 
 def numeric_gradient(fn, array, index, h=1e-4):
@@ -161,9 +166,9 @@ class TestGradients:
         rng = np.random.default_rng(99)
         model = tiny_model(seed=4)
         batch = mixed_batch(rng)
-        images = np.stack([s.image for s in batch])
-        targets = np.stack([s.image_label for s in batch])
-        patch_labels = np.stack([s.patch_labels for s in batch])
+        images = batch.images
+        targets = batch.image_labels
+        patch_labels = batch.patch_labels
 
         def loss_value():
             return batch_gradients(model, images, targets, patch_labels, loss_mode)[0]
@@ -204,7 +209,7 @@ class TestGradients:
         model = tiny_model(seed=2)
         batch = mixed_batch(rng)
         _, grads_once, _ = backward(model, batch, "both")
-        _, grads_twice, _ = backward(model, batch + batch, "both")
+        _, grads_twice, _ = backward(model, MixedBatch.concat([batch, batch]), "both")
         for name in PARAM_FIELDS:
             assert np.allclose(grads_once[name], grads_twice[name], atol=1e-12)
 
@@ -318,16 +323,21 @@ class TestTraining:
         mixed_top1, _ = evaluate_model(mixed, small_val)
         assert plain_top1 >= mixed_top1 - 0.05
 
-    def test_unmixed_mode_consumes_no_mask_draws(self, small_train, small_val):
+    def test_unmixed_mode_consumes_no_mask_draws(self, small_train, small_val, monkeypatch):
         calls = []
 
         def counting_sampler(grid_size, alpha, rng):
             calls.append(grid_size)
             return full_mask(grid_size)
 
+        monkeypatch.setattr("patchmix.model.sample_random_mask", counting_sampler)
         cfg = TrainConfig(epochs=1, batch_size=40, hidden_dim=8, seed=0, mix_probability=0.0)
-        train_random_patchmix(small_train, small_val, cfg, mask_sampler=counting_sampler)
+        train_random_patchmix(small_train, small_val, cfg)
         assert calls == []
+        # The patch reaches the sampler phase 1 uses: one draw per sample.
+        mixing = dataclasses.replace(cfg, mix_probability=1.0)
+        train_random_patchmix(small_train, small_val, mixing)
+        assert len(calls) == len(small_train)
 
     def test_incompatible_grid_rejected(self, small_train, small_val):
         cfg = TrainConfig(epochs=1, grid_size=5)
@@ -342,9 +352,9 @@ class TestTraining:
 
 class TestFgsm:
     def test_zero_epsilon_is_identity(self, small_model, small_val):
-        image = small_val.images[0]
-        adv = fgsm_attack(small_model, image, int(small_val.labels[0]), 0.0)
-        assert np.array_equal(adv, image.astype(np.float64))
+        images = small_val.images[:1]
+        adv = fgsm_attack_batch(small_model, images, small_val.labels[:1], 0.0)
+        assert np.array_equal(adv, images.astype(np.float64))
 
     def test_perturbation_bounded_and_clipped(self, small_model, small_val):
         eps = 0.1
@@ -357,7 +367,7 @@ class TestFgsm:
 
     def test_negative_epsilon_rejected(self, small_model, small_val):
         with pytest.raises(ConfigError):
-            fgsm_attack(small_model, small_val.images[0], 0, -0.1)
+            fgsm_attack_batch(small_model, small_val.images[:1], np.array([0]), -0.1)
 
 
 class TestModelCheckpoint:

@@ -25,7 +25,6 @@ from patchmix.workflow import (
     ablation_grid,
     draw_guided_recipe,
     fitness_val_subset,
-    generate_guided_set,
     guided_batch_composer,
     load_guided_manifest,
     materialize_guided,
@@ -36,6 +35,12 @@ from patchmix.workflow import (
 )
 
 from test_evolution import make_individual
+
+
+def guided_set(individual, train, count, rng):
+    return materialize_guided(
+        individual, train, draw_guided_recipe(individual, train, count, rng)
+    )
 
 
 SMALL_SEARCH = SearchConfig(
@@ -117,21 +122,23 @@ class TestGuidedSet:
         ind.masks[slot] = np.array([[1, 1], [0, 0]], dtype=np.uint8)
         i = int(np.flatnonzero(train.labels == 0)[0])
         j = int(np.flatnonzero(train.labels == 2)[0])
-        (sample,) = materialize_guided(ind, train, [(slot, i, j)])
-        assert sample.lam == 0.5
-        assert np.allclose(sample.image_label, [0.5, 0.0, 0.5])
+        guided = materialize_guided(ind, train, [(slot, i, j)])
+        assert len(guided) == 1
+        # lam, the weight of the first (class-0) source, is 0.5.
+        assert guided.image_labels[0, 0] == 0.5
+        assert np.allclose(guided.image_labels[0], [0.5, 0.0, 0.5])
         # Top half of the image comes from the class-0 source.
-        np.testing.assert_array_equal(sample.image[:8], train.images[i][:8])
-        np.testing.assert_array_equal(sample.image[8:], train.images[j][8:])
-        assert sample.patch_labels.tolist() == [0, 0, 2, 2]
+        np.testing.assert_array_equal(guided.images[0, :8], train.images[i][:8])
+        np.testing.assert_array_equal(guided.images[0, 8:], train.images[j][8:])
+        assert guided.patch_labels[0].tolist() == [0, 0, 2, 2]
 
     def test_generate_is_deterministic(self, train):
         ind = make_individual(active=(1,), rng=np.random.default_rng(3))
-        a = generate_guided_set(ind, train, 12, np.random.default_rng(7))
-        b = generate_guided_set(ind, train, 12, np.random.default_rng(7))
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.image, y.image)
-            np.testing.assert_array_equal(x.image_label, y.image_label)
+        a = guided_set(ind, train, 12, np.random.default_rng(7))
+        b = guided_set(ind, train, 12, np.random.default_rng(7))
+        assert len(a) == len(b) == 12
+        np.testing.assert_array_equal(a.images, b.images)
+        np.testing.assert_array_equal(a.image_labels, b.image_labels)
 
 
 class TestManifest:
@@ -181,43 +188,40 @@ class TestBatchComposer:
         seen = set()
         for batch in batches:
             assert len(batch) == 6
-            for sample in batch:
-                assert sample.image.dtype == np.float64
-                assert sample.lam == 1.0
-                label = int(np.argmax(sample.image_label))
-                np.testing.assert_array_equal(
-                    sample.image_label, one_hot(label, 3)
-                )
-                assert sample.patch_labels.tolist() == [label] * 4
-                seen.add(sample.image.tobytes())
+            assert batch.images.dtype == np.float64
+            for image, image_label, patch_labels in zip(
+                batch.images, batch.image_labels, batch.patch_labels
+            ):
+                label = int(np.argmax(image_label))
+                # lam, the weight of the first source, is 1.
+                assert image_label[label] == 1.0
+                np.testing.assert_array_equal(image_label, one_hot(label, 3))
+                assert patch_labels.tolist() == [label] * 4
+                seen.add(image.tobytes())
         # One full pass over 18 images in 3 batches of 6: all distinct.
         assert len(seen) == len(train)
 
     def test_guided_samples_cycle(self, train, rng):
         ind = make_individual(active=(1,), rng=np.random.default_rng(0))
-        guided = generate_guided_set(ind, train, 2, np.random.default_rng(1))
+        guided = guided_set(ind, train, 2, np.random.default_rng(1))
         batches = list(
             guided_batch_composer(
                 train, self.null_mixer, guided, (0, 0, 1), 3, 2, rng, 2
             )
         )
-        source = {g.image.tobytes() for g in guided}
+        source = {image.astype(np.float64).tobytes() for image in guided.images}
         for batch in batches:
             assert len(batch) == 3
-            for sample in batch:
-                assert sample.image.tobytes() in source
+            for image in batch.images:
+                assert image.tobytes() in source
 
     def test_random_share_uses_mixer(self, train, rng):
         calls = []
 
         def mixer(mix_rng, count):
             calls.append(count)
-            return [
-                guided  # reuse a guided-style sample as a stand-in
-                for guided in generate_guided_set(
-                    make_individual(active=(0,)), train, count, mix_rng
-                )
-            ]
+            # reuse guided-style samples as a stand-in
+            return guided_set(make_individual(active=(0,)), train, count, mix_rng)
 
         batches = list(
             guided_batch_composer(train, mixer, [], (1, 1, 0), 8, 2, rng, 2)
@@ -269,7 +273,7 @@ class TestTrainFinal:
             loss_mode="image_only",
         )
         ind = make_individual(active=(1,), rng=np.random.default_rng(2))
-        guided = generate_guided_set(ind, small_train, 20, np.random.default_rng(3))
+        guided = guided_set(ind, small_train, 20, np.random.default_rng(3))
         reset_loss_eval_counts()
         model, metrics = train_final(small_train, small_val, cfg, guided)
         assert loss_eval_count("patch") == 0
@@ -284,7 +288,7 @@ class TestTrainFinal:
     def test_same_seed_same_model(self, small_train, small_val):
         cfg = TrainConfig(epochs=2, batch_size=40, hidden_dim=16, grid_size=2, seed=6)
         ind = make_individual(active=(0,), rng=np.random.default_rng(1))
-        guided = generate_guided_set(ind, small_train, 10, np.random.default_rng(1))
+        guided = guided_set(ind, small_train, 10, np.random.default_rng(1))
         m1, _ = train_final(small_train, small_val, cfg, guided)
         m2, _ = train_final(small_train, small_val, cfg, guided)
         np.testing.assert_array_equal(m1.w_embed, m2.w_embed)
