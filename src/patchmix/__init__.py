@@ -19,6 +19,7 @@ from .data import (
 )
 from .errors import ConfigError, FormatError, NumericError
 from .evolution import (
+    FitnessTable,
     Individual,
     SearchConfig,
     all_pairs,
@@ -80,6 +81,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "Dataset",
+    "FitnessTable",
     "FormatError",
     "GuidedPlan",
     "Individual",

@@ -5,8 +5,7 @@ boundary-demo.  Exit codes: 0 success, 2 configuration/format error,
 3 numeric failure.
 
 Runs are driven by a JSON config with three sections — ``dataset``,
-``train``, ``search`` — plus the top-level keys ``output_dir`` and
-``threads``.
+``train``, ``search`` — plus the top-level key ``output_dir``.
 Unknown keys are rejected by name.  The config snapshot written into the
 run directory normalizes ``output_dir`` to "." so that two runs of the
 same config into different directories stay byte-identical.
@@ -33,7 +32,7 @@ from .data import (
     toy_2d_three_class,
 )
 from .errors import ConfigError, FormatError, NumericError
-from .evolution import SearchConfig, evaluate_fitness, run_search, save_history, save_individual, load_individual
+from .evolution import SearchConfig, load_individual
 from .mixing import MixedBatch, cutmix, mixup
 from .model import (
     TrainConfig,
@@ -56,11 +55,10 @@ from .workflow import (
     FITNESS_METRICS_FILE,
     FITNESS_MODEL_FILE,
     GUIDED_MANIFEST_FILE,
-    SEARCH_HISTORY_FILE,
     draw_guided_recipe,
-    fitness_val_subset,
     load_guided_manifest,
     materialize_guided,
+    run_fitness_search,
     run_guided_pipeline,
     save_guided_manifest,
     train_final,
@@ -102,14 +100,11 @@ class RunConfig:
     train: TrainConfig
     search: SearchConfig
     output_dir: str = "runs/out"
-    threads: int = 1
 
     def validate(self) -> None:
         self.dataset.validate()
         self.train.validate()
         self.search.validate()
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
 
 
 _SECTION_TYPES = {"dataset": DatasetConfig, "train": TrainConfig, "search": SearchConfig}
@@ -141,20 +136,13 @@ def run_config_from_dict(data: dict) -> RunConfig:
         train=sections["train"],
         search=sections["search"],
         output_dir=data.get("output_dir", RunConfig.output_dir),
-        threads=data.get("threads", RunConfig.threads),
     )
     cfg.validate()
     return cfg
 
 
 def run_config_to_dict(cfg: RunConfig) -> dict:
-    return {
-        "dataset": dataclasses.asdict(cfg.dataset),
-        "train": dataclasses.asdict(cfg.train),
-        "search": dataclasses.asdict(cfg.search),
-        "output_dir": cfg.output_dir,
-        "threads": cfg.threads,
-    }
+    return dataclasses.asdict(cfg)
 
 
 def load_run_config(path) -> RunConfig:
@@ -197,12 +185,15 @@ def _prepare(args) -> tuple[RunConfig, Path]:
     if getattr(args, "seed", None) is not None:
         cfg.train = dataclasses.replace(cfg.train, seed=args.seed)
         cfg.search = dataclasses.replace(cfg.search, seed=args.seed)
-    if getattr(args, "threads", None) is not None:
-        cfg.threads = args.threads
-        cfg.validate()
     run_dir = Path(cfg.output_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     return cfg, run_dir
+
+
+def _existing(path: Path, step: str) -> Path:
+    if not path.exists():
+        raise ConfigError(f"missing {path}; run {step} first")
+    return path
 
 
 def cmd_train_random(args) -> int:
@@ -220,22 +211,9 @@ def cmd_train_random(args) -> int:
 
 def cmd_search(args) -> int:
     cfg, run_dir = _prepare(args)
-    model_path = run_dir / FITNESS_MODEL_FILE
-    if not model_path.exists():
-        raise ConfigError(f"missing fitness model {model_path}; run train-random first")
-    model = load_model(model_path)
+    model = load_model(_existing(run_dir / FITNESS_MODEL_FILE, "train-random"))
     _, val = build_datasets(cfg.dataset)
-    subset = fitness_val_subset(val, cfg.search)
-
-    def fitness_fn(individual, generation):
-        return evaluate_fitness(individual, model, subset, cfg.search, generation)
-
-    best, history = run_search(
-        cfg.search, val.class_count, model.grid_size, fitness_fn, cfg.threads
-    )
-    max_active = cfg.search.resolve_max_active(val.class_count)
-    save_history(history, run_dir / SEARCH_HISTORY_FILE)
-    save_individual(best, max_active, run_dir / BEST_INDIVIDUAL_FILE)
+    best, history = run_fitness_search(model, val, cfg.search, model.grid_size, run_dir)
     save_config_snapshot(cfg, run_dir)
     print(f"best_score,{best.fitness!r}")
     print(f"generations,{history[-1].generation}")
@@ -244,10 +222,7 @@ def cmd_search(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg, run_dir = _prepare(args)
-    best_path = run_dir / BEST_INDIVIDUAL_FILE
-    if not best_path.exists():
-        raise ConfigError(f"missing best individual {best_path}; run search first")
-    best, _ = load_individual(best_path)
+    best, _ = load_individual(_existing(run_dir / BEST_INDIVIDUAL_FILE, "search"))
     train, _ = build_datasets(cfg.dataset)
     rng = RngKey(cfg.train.seed).child("guided-set").generator()
     recipe = draw_guided_recipe(best, train, len(train), rng)
@@ -258,15 +233,9 @@ def cmd_generate(args) -> int:
 
 def cmd_train_guided(args) -> int:
     cfg, run_dir = _prepare(args)
-    best_path = run_dir / BEST_INDIVIDUAL_FILE
-    manifest_path = run_dir / GUIDED_MANIFEST_FILE
-    if not best_path.exists():
-        raise ConfigError(f"missing best individual {best_path}; run search first")
-    if not manifest_path.exists():
-        raise ConfigError(f"missing guided manifest {manifest_path}; run generate first")
-    best, _ = load_individual(best_path)
+    best, _ = load_individual(_existing(run_dir / BEST_INDIVIDUAL_FILE, "search"))
+    recipe = load_guided_manifest(_existing(run_dir / GUIDED_MANIFEST_FILE, "generate"))
     train, val = build_datasets(cfg.dataset)
-    recipe = load_guided_manifest(manifest_path)
     guided = materialize_guided(best, train, recipe)
     final_cfg = dataclasses.replace(cfg.train, loss_mode="image_only")
     model, metrics = train_final(train, val, final_cfg, guided)
@@ -280,9 +249,7 @@ def cmd_train_guided(args) -> int:
 def cmd_pipeline(args) -> int:
     cfg, run_dir = _prepare(args)
     train, val = build_datasets(cfg.dataset)
-    result = run_guided_pipeline(
-        train, val, cfg.train, cfg.search, run_dir, threads=cfg.threads
-    )
+    result = run_guided_pipeline(train, val, cfg.train, cfg.search, run_dir)
     save_config_snapshot(cfg, run_dir)
     last = result.final_metrics[-1]
     print(f"best_score,{result.plan.best_individual.fitness!r}")
@@ -318,7 +285,7 @@ def cmd_eval(args) -> int:
 # the shared encoder cannot tell the two features apart.
 
 
-def _demo_train(method: str, train: Dataset, val: Dataset, cfg: TrainConfig, threads: int):
+def _demo_train(method: str, train: Dataset, val: Dataset, cfg: TrainConfig):
     if method == "none":
         plain = dataclasses.replace(cfg, mix_probability=0.0)
         model, _ = train_random_patchmix(train, val, plain)
@@ -358,9 +325,7 @@ def _demo_train(method: str, train: Dataset, val: Dataset, cfg: TrainConfig, thr
             seed=cfg.seed,
         )
         with tempfile.TemporaryDirectory(prefix="pmx-demo-") as tmp:
-            result = run_guided_pipeline(
-                train, val, cfg, search_cfg, Path(tmp), threads=threads
-            )
+            result = run_guided_pipeline(train, val, cfg, search_cfg, Path(tmp))
         return result.final_model
     raise ConfigError(f"unknown method {method!r}")
 
@@ -397,7 +362,7 @@ def run_boundary_demo(
     train = toy_2d_three_class(samples_per_class, seed, "train")
     val = toy_2d_three_class(max(20, samples_per_class // 4), seed + 1, "validation")
     cfg = TrainConfig(epochs=epochs, grid_size=1, hidden_dim=32, seed=seed)
-    model = _demo_train(method, train, val, cfg, threads=1)
+    model = _demo_train(method, train, val, cfg)
 
     feats = train.images.reshape(len(train), 2).astype(np.float64)
     xs = np.linspace(feats[:, 0].min(), feats[:, 0].max(), GRID_RESOLUTION)
@@ -423,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="JSON run config")
         cmd.add_argument("--seed", type=int, default=None, help="override train/search seeds")
-        cmd.add_argument("--threads", type=int, default=None, help="parallel fitness evaluations")
         cmd.set_defaults(func=func)
         return cmd
 

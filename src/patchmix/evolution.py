@@ -8,16 +8,17 @@ same-class forcing keeps every (c, c) slot switched on.
 Fitness scores are minimized.  They come from mixing frozen-model
 validation images per active pair and averaging a patch-level metric;
 "max" objectives are sign-flipped so that lower always means fitter.
-The image pairs drawn for a slot depend only on (seed, generation, slot),
-so every individual in a generation is scored against identical data and
-thread count cannot change any result.
+The metric is read from a table of per-patch terms built by one forward
+pass of the validation images, which is exact because the reference
+encoder is patch-local.  The image pairs drawn for a slot depend only on
+(seed, generation, slot), so every individual in a generation is scored
+against identical data.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -27,8 +28,7 @@ import numpy as np
 from . import losses
 from .data import Dataset
 from .errors import ConfigError, FormatError, NumericError
-from .masks import parse_mask_rows
-from .mixing import patchmix_batch
+from .masks import mask_rows, parse_mask_rows
 from .model import ReferenceModel, forward_batch
 from .rng import RngKey
 
@@ -37,6 +37,8 @@ log = logging.getLogger("patchmix.evolution")
 OBJECTIVES = ("min_patch_acc", "max_patch_acc", "min_lp", "max_lp")
 
 RANDOM_TAIL_FLIP_PROB = 0.1
+
+TABLE_CHUNK = 256  # images per forward pass while building a fitness table
 
 
 def pair_count(class_count: int) -> int:
@@ -193,61 +195,106 @@ def init_population(
     return population
 
 
-def evaluate_fitness(
-    individual: Individual,
-    model: ReferenceModel,
-    val: Dataset,
-    cfg: SearchConfig,
-    generation: int,
-) -> float:
-    """Score a genome against the frozen model; lower is fitter.
+class FitnessTable:
+    """Per-patch fitness terms of the validation images, from one forward pass.
 
-    For each active pair (c_i, c_j) the stream keyed by (seed,
-    generation, slot) draws ``pairs_per_combo`` image pairs — c_i images
-    take the mask-1 side — so identical genomes in the same generation
-    always receive identical scores.
+    The reference encoder is patch-local: patch n of a composite has the
+    logits of patch n of the image that supplied it, and its label is that
+    image's class.  So a composite's metric needs only ``terms[k, n]`` of
+    its source images: whether image k's patch n is classified as image
+    k's class (accuracy objectives), or that class's log-probability
+    (loss objectives).  A cross-patch encoder would break this shortcut.
+
+    The table also keeps the terms of the image pairs drawn for each slot
+    in the current generation; moving to another generation drops them.
+    """
+
+    def __init__(self, terms: np.ndarray, val: Dataset, grid_size: int, cfg: SearchConfig):
+        self.terms = terms                  # (N, P*P) bool or float64
+        self.per_class = val.class_indices()
+        self.grid_size = grid_size
+        self.cfg = cfg
+        self.scored = 0                     # genomes scored so far
+        self._generation: int | None = None
+        self._drawn: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    @classmethod
+    def build(cls, model: ReferenceModel, val: Dataset, cfg: SearchConfig) -> "FitnessTable":
+        """Forward ``val`` once, ``TABLE_CHUNK`` images at a time."""
+        if len(val) == 0:
+            raise ConfigError("cannot build a fitness table from an empty dataset")
+        patch_logits = np.concatenate([
+            forward_batch(model, val.images[start : start + TABLE_CHUNK])[0]
+            for start in range(0, len(val), TABLE_CHUNK)
+        ])
+        own = np.broadcast_to(val.labels[:, None], patch_logits.shape[:2])
+        if cfg.objective.endswith("patch_acc"):
+            terms = np.argmax(patch_logits, axis=2) == own
+        else:
+            logp = losses.log_softmax(patch_logits)
+            terms = np.take_along_axis(logp, own[..., None], axis=2)[..., 0]
+        return cls(terms, val, model.grid_size, cfg)
+
+    def slot_terms(self, slot: int, generation: int) -> tuple[np.ndarray, np.ndarray]:
+        """Terms of the mask-1 and the mask-0 images drawn for ``slot``.
+
+        The stream keyed by (seed, generation, slot) draws
+        ``pairs_per_combo`` images of each class of the slot's pair.
+        """
+        if generation != self._generation:
+            self._generation = generation
+            self._drawn.clear()
+        if slot not in self._drawn:
+            ci, cj = index_to_pair(slot, len(self.per_class))
+            for c in (ci, cj):
+                if len(self.per_class[c]) == 0:
+                    raise ConfigError(f"validation set has no samples of class {c}")
+            srng = RngKey(self.cfg.seed).child("fitness", generation, slot).generator()
+            ii = srng.choice(self.per_class[ci], size=self.cfg.pairs_per_combo)
+            jj = srng.choice(self.per_class[cj], size=self.cfg.pairs_per_combo)
+            self._drawn[slot] = self.terms[ii], self.terms[jj]
+        return self._drawn[slot]
+
+
+def evaluate_fitness(individual: Individual, table: FitnessTable, generation: int) -> float:
+    """Score a genome against the fitness table; lower is fitter.
+
+    Every active slot contributes ``pairs_per_combo`` composites, each
+    patch taking the term of the image its mask bit selects.  The score
+    is the mean of a per-composite metric, exactly as if the composites
+    had been forwarded, so identical genomes in the same generation always
+    receive identical scores.
     """
     active = individual.active_slots()
     if len(active) == 0:
         raise ConfigError("individual has no active pairs")
-    if individual.class_count != val.class_count:
+    if individual.class_count != len(table.per_class):
         raise ConfigError(
             f"genome covers {individual.class_count} classes, "
-            f"dataset has {val.class_count}"
+            f"dataset has {len(table.per_class)}"
         )
-    key = RngKey(cfg.seed).child("fitness", generation)
-    per_class = val.class_indices()
-    pairs, ii, jj = [], [], []
-    for slot in active:
-        ci, cj = index_to_pair(int(slot), val.class_count)
-        for cls in (ci, cj):
-            if len(per_class[cls]) == 0:
-                raise ConfigError(f"validation set has no samples of class {cls}")
-        srng = key.child(int(slot)).generator()
-        ii.append(srng.choice(per_class[ci], size=cfg.pairs_per_combo))
-        jj.append(srng.choice(per_class[cj], size=cfg.pairs_per_combo))
-        pairs.append((ci, cj))
-    n = cfg.pairs_per_combo
-    y_i, y_j = np.repeat(np.asarray(pairs, dtype=np.int64), n, axis=0).T
-    batch = patchmix_batch(
-        val.images, np.concatenate(ii), np.concatenate(jj), y_i, y_j,
-        np.repeat(individual.masks[active], n, axis=0), val.class_count,
+    if individual.grid_size != table.grid_size:
+        raise ConfigError(
+            f"genome grid {individual.grid_size} does not match model grid {table.grid_size}"
+        )
+    drawn = [table.slot_terms(int(slot), generation) for slot in active]
+    bits = np.repeat(
+        individual.masks[active].reshape(len(active), -1), table.cfg.pairs_per_combo, axis=0
     )
-    labels = batch.patch_labels
-
-    patch_logits, _ = forward_batch(model, batch.images)
-    if cfg.objective in ("min_patch_acc", "max_patch_acc"):
-        preds = np.argmax(patch_logits, axis=2)
-        metric = (preds == labels).mean(axis=1)
+    kept = np.where(
+        bits, np.concatenate([a for a, _ in drawn]), np.concatenate([b for _, b in drawn])
+    )
+    objective = table.cfg.objective
+    if objective.endswith("patch_acc"):
+        metric = kept.mean(axis=1)
     else:
-        logp = losses.log_softmax(patch_logits)
-        picked = np.take_along_axis(logp, labels[..., None], axis=2)
-        metric = -picked[..., 0].sum(axis=1)
-        losses.record_loss_eval("patch", len(labels))
+        metric = -kept.sum(axis=1)
+        losses.record_loss_eval("patch", len(kept))
     score = float(metric.mean())
     if not np.isfinite(score):
         raise NumericError(f"non-finite fitness score {score}")
-    return -score if cfg.objective.startswith("max") else score
+    table.scored += 1
+    return -score if objective.startswith("max") else score
 
 
 def tournament_select(
@@ -410,35 +457,26 @@ FitnessFn = Callable[[Individual, int], float]
 
 
 def _evaluate_population(
-    population: list[Individual], fitness_fn: FitnessFn, generation: int, threads: int
+    population: list[Individual], fitness_fn: FitnessFn, generation: int
 ) -> None:
-    """Fill in missing fitness values, keyed by population index."""
-    pending = [i for i, ind in enumerate(population) if ind.fitness is None]
+    """Fill in missing fitness values; errors name the individual's index.
 
-    def score(index: int) -> float:
+    Configuration and format errors keep their type, arithmetic failures
+    become :class:`NumericError`, and anything else propagates unchanged.
+    """
+    for index, individual in enumerate(population):
+        if individual.fitness is not None:
+            continue
+        where = f"generation {generation}, individual {index}"
         try:
-            value = float(fitness_fn(population[index], generation))
+            value = float(fitness_fn(individual, generation))
         except (ConfigError, FormatError) as err:
-            raise type(err)(
-                f"generation {generation}, individual {index}: {err}"
-            ) from err
-        except Exception as err:
-            raise NumericError(
-                f"generation {generation}, individual {index}: {err}"
-            ) from err
+            raise type(err)(f"{where}: {err}") from err
+        except ArithmeticError as err:
+            raise NumericError(f"{where}: {err}") from err
         if not np.isfinite(value):
-            raise NumericError(
-                f"generation {generation}, individual {index}: non-finite fitness {value}"
-            )
-        return value
-
-    if threads > 1 and len(pending) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(score, pending))
-    else:
-        results = [score(i) for i in pending]
-    for index, value in zip(pending, results):
-        population[index].fitness = value
+            raise NumericError(f"{where}: non-finite fitness {value}")
+        individual.fitness = value
 
 
 def _census(population: list[Individual]) -> list[tuple[tuple[int, int], int]]:
@@ -457,7 +495,6 @@ def run_search(
     class_count: int,
     grid_size: int,
     fitness_fn: FitnessFn,
-    threads: int = 1,
 ):
     """Tournament GA with the best genome ever seen retained.
 
@@ -474,11 +511,9 @@ def run_search(
     if grid_size < 1:
         raise ConfigError("grid_size must be at least 1")
     cfg.resolve_max_active(class_count)
-    if threads < 1:
-        raise ConfigError("threads must be at least 1")
     key = RngKey(cfg.seed)
     population = init_population(cfg, class_count, grid_size, key.child("init").generator())
-    _evaluate_population(population, fitness_fn, 0, threads)
+    _evaluate_population(population, fitness_fn, 0)
     best = min(population, key=lambda ind: ind.fitness).copy()
     history = [_generation_stats(0, best, population)]
     flat = _has_zero_spread(population)
@@ -498,7 +533,7 @@ def run_search(
         for i in range(len(offspring)):
             if grng.random() < cfg.mutation_prob:
                 offspring[i] = mutate(offspring[i], grng, cfg)
-        _evaluate_population(offspring, fitness_fn, generation, threads)
+        _evaluate_population(offspring, fitness_fn, generation)
         population = offspring
         flat += _has_zero_spread(population)
         generation_best = min(population, key=lambda ind: ind.fitness)
@@ -545,9 +580,7 @@ def format_individual(individual: Individual, max_active: int) -> str:
     for slot in individual.active_slots():
         i, j = index_to_pair(int(slot), individual.class_count)
         lines.append(f"({i},{j})")
-        lines.extend(
-            "".join(str(int(v)) for v in row) for row in individual.masks[slot]
-        )
+        lines.extend(mask_rows(individual.masks[slot]))
     return "\n".join(lines)
 
 

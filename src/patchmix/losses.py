@@ -15,32 +15,21 @@ actually touched.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .errors import ConfigError, NumericError
 
 LOSS_MODES = ("both", "image_only", "patch_only")
 
-_COUNT_LOCK = threading.Lock()
 _EVAL_COUNTS = {"image": 0, "patch": 0}
 
 
 def record_loss_eval(kind: str, count: int = 1) -> None:
-    with _COUNT_LOCK:
-        _EVAL_COUNTS[kind] += count
+    _EVAL_COUNTS[kind] += count
 
 
 def loss_eval_count(kind: str) -> int:
-    with _COUNT_LOCK:
-        return _EVAL_COUNTS[kind]
-
-
-def reset_loss_eval_counts() -> None:
-    with _COUNT_LOCK:
-        for kind in _EVAL_COUNTS:
-            _EVAL_COUNTS[kind] = 0
+    return _EVAL_COUNTS[kind]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -135,11 +135,11 @@ _HEADER_RE = re.compile(r"^P=(\d+)$")
 
 def serialize_mask(mask: PatchMask) -> str:
     """Text form: a ``P=<n>`` header then one 0/1 row per line."""
-    return "\n".join([f"P={mask.grid_size}", *mask_rows(mask)])
+    return "\n".join([f"P={mask.grid_size}", *mask_rows(mask.bits)])
 
 
-def mask_rows(mask: PatchMask) -> list[str]:
-    return ["".join(str(int(v)) for v in row) for row in mask.bits]
+def mask_rows(bits: np.ndarray) -> list[str]:
+    return ["".join(str(int(v)) for v in row) for row in bits]
 
 
 def parse_mask(text: str) -> PatchMask:

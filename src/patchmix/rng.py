@@ -2,8 +2,8 @@
 
 Every stochastic component draws from a stream addressed by a master seed
 plus a tuple key.  Identical addresses always produce identical streams,
-no matter how many worker threads exist or in which order consumers run;
-this is what makes parallel fitness evaluation bit-reproducible.
+no matter in which order consumers run; this is what makes a genome's
+fitness independent of which other genomes were scored before it.
 
 String key parts are hashed with CRC-32 so call sites can use readable
 labels ("epoch", "fitness", ...) without sacrificing stability across

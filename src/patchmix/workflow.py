@@ -2,8 +2,8 @@
 
 1. Train a fitness model on randomly grid-mixed batches (full combined
    objective).
-2. Search mask/pair genomes against the frozen fitness model, scored on
-   a seeded fraction of the validation set.
+2. Search mask/pair genomes against the frozen fitness model, scored
+   from one forward pass of a seeded fraction of the validation set.
 3. Materialize a guided augmented set from the best genome (one sample
    per draw: uniform active slot, one training image per class side).
 4. Train the final model on batches composed of original, randomly
@@ -27,6 +27,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError, FormatError
 from .evolution import (
+    FitnessTable,
     Individual,
     SearchConfig,
     evaluate_fitness,
@@ -279,13 +280,33 @@ def fitness_val_subset(val: Dataset, cfg: SearchConfig) -> Dataset:
     return val.subset(chosen)
 
 
+def run_fitness_search(
+    model: ReferenceModel, val: Dataset, cfg: SearchConfig, grid_size: int, run_dir: Path
+):
+    """Phase 2: search genomes of ``grid_size`` masks against the frozen
+    model, scored from one forward pass of the seeded fitness subset, and
+    write the history and the best genome into ``run_dir``."""
+    table = FitnessTable.build(model, fitness_val_subset(val, cfg), cfg)
+    best, history = run_search(
+        cfg, val.class_count, grid_size,
+        lambda individual, generation: evaluate_fitness(individual, table, generation),
+    )
+    save_history(history, run_dir / SEARCH_HISTORY_FILE)
+    save_individual(best, cfg.resolve_max_active(val.class_count), run_dir / BEST_INDIVIDUAL_FILE)
+    log.info(
+        "phase 2 done: best score %.6f after %d generations; "
+        "%d genomes scored from a table of %d forwarded images",
+        best.fitness, history[-1].generation, table.scored, len(table.terms),
+    )
+    return best, history
+
+
 def run_guided_pipeline(
     train: Dataset,
     val: Dataset,
     train_cfg: TrainConfig,
     search_cfg: SearchConfig,
     run_dir,
-    threads: int = 1,
     ratio: tuple[int, int, int] = DEFAULT_BATCH_RATIO,
 ) -> PipelineResult:
     """Run all four phases, writing artifacts into ``run_dir``."""
@@ -305,21 +326,8 @@ def run_guided_pipeline(
         log.info("phase 1 done: fitness model saved to %s", fitness_path)
 
     # Phase 2: genetic search on a seeded validation fraction.
-    subset = fitness_val_subset(val, search_cfg)
-
-    def fitness_fn(individual: Individual, generation: int) -> float:
-        return evaluate_fitness(individual, fitness_model, subset, search_cfg, generation)
-
-    best, history = run_search(
-        search_cfg, train.class_count, train_cfg.grid_size, fitness_fn, threads
-    )
-    max_active = search_cfg.resolve_max_active(train.class_count)
-    save_history(history, run_dir / SEARCH_HISTORY_FILE)
-    save_individual(best, max_active, run_dir / BEST_INDIVIDUAL_FILE)
-    log.info(
-        "phase 2 done: best score %.6f after %d generations",
-        best.fitness if best.fitness is not None else float("nan"),
-        history[-1].generation,
+    best, history = run_fitness_search(
+        fitness_model, val, search_cfg, train_cfg.grid_size, run_dir
     )
 
     # Phase 3: materialize the guided augmented set.

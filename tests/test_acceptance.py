@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES
+from patchmix import workflow
 from patchmix.cli import main, run_boundary_demo
 from patchmix.data import one_hot, synth_shapes, toy_2d_three_class
 from patchmix.evolution import (
@@ -51,6 +52,7 @@ from patchmix.workflow import (
 )
 
 from test_cli import config_data
+from test_evolution import reference_fitness
 
 
 def criterion(number, description):
@@ -390,24 +392,50 @@ PIPELINE_ARTIFACTS = (
 )
 
 
-@criterion(9, "pipeline artifacts bit-identical across reruns, threads included")
-def test_artifact_determinism(tmp_path):
-    def run(name, threads):
+@criterion(9, "pipeline artifacts bit-identical across reruns and to composite-forward scoring")
+def test_artifact_determinism(tmp_path, monkeypatch):
+    def run(name, **overrides):
         out = tmp_path / name
         cfg_path = tmp_path / f"{name}.json"
-        cfg_path.write_text(json.dumps(config_data(out, threads=threads)))
+        cfg_path.write_text(json.dumps(config_data(out, **overrides)))
         assert main(["pipeline", "--config", str(cfg_path)]) == 0
         return out
 
-    first = run("a", 1)
-    second = run("b", 1)
-    threaded = run("c", 2)
+    first = run("a")
+    second = run("b")
+
+    # The default objective saturates on this config (every genome scores
+    # 1.0); the loss objective ranks genomes, so there the fitness table
+    # must reproduce forwarding every composite to the last bit.
+    scorers = []
+
+    class CompositeForward:
+        """Phase-2 scorer that forwards every composite, in place of the table."""
+
+        terms = ()
+
+        def __init__(self, model, val, cfg):
+            self.args, self.scored = (model, val, cfg), 0
+            scorers.append(self)
+
+        build = classmethod(lambda cls, *args: cls(*args))
+
+    def forward_fitness(individual, scorer, generation):
+        scorer.scored += 1
+        return reference_fitness(individual, *scorer.args, generation)
+
+    loss = {"search": {"objective": "min_lp"}}
+    from_table = run("c-table", **loss)
+    monkeypatch.setattr(workflow, "FitnessTable", CompositeForward)
+    monkeypatch.setattr(workflow, "evaluate_fitness", forward_fitness)
+    forwarded = run("c-forward", **loss)
+    assert len(scorers) == 1 and scorers[0].scored > 0
     for artifact in PIPELINE_ARTIFACTS:
         reference = (first / artifact).read_bytes()
         assert (second / artifact).read_bytes() == reference, artifact
-        assert (threaded / artifact).read_bytes() == reference, artifact
+        assert (forwarded / artifact).read_bytes() == (from_table / artifact).read_bytes(), artifact
     assert (first / "config.json").read_bytes() == (second / "config.json").read_bytes()
-    return "7 artifacts x 3 runs (one with --threads 2)"
+    return f"7 artifacts x 3 runs, and min_lp against {scorers[0].scored} forwarded genomes"
 
 
 @criterion(10, "boundary rasters complete for every method, none matches centroids")

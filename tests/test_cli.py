@@ -58,7 +58,6 @@ def config_data(output_dir, **overrides):
             "seed": 7,
         },
         "output_dir": str(output_dir),
-        "threads": 1,
     }
     for section, values in overrides.items():
         if isinstance(values, dict):
@@ -92,7 +91,6 @@ class TestRunConfig:
         assert cfg.dataset == DatasetConfig()
         assert cfg.train == TrainConfig()
         assert cfg.search == SearchConfig()
-        assert cfg.threads == 1
 
     def test_unknown_root_key_named(self):
         with pytest.raises(ConfigError, match="unknown config key bogus"):
@@ -199,9 +197,13 @@ class TestExitCodes:
         assert main(["search", "--config", str(cfg_path)]) == 2
         assert "run train-random first" in capsys.readouterr().err
 
-    def test_bad_thread_override(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path, tmp_path / "run")
-        assert main(["train-random", "--config", str(cfg_path), "--threads", "0"]) == 2
+    def test_threads_key_is_unknown(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, tmp_path / "run", threads=2)
+        assert main(["pipeline", "--config", str(cfg_path)]) == 2
+        assert "unknown config key threads" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", "--config", str(cfg_path), "--threads", "2"])
+        assert exc.value.code == 2
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         run_dir = tmp_path / "run"

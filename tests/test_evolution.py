@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchmix.data import Dataset, synth_shapes
 from patchmix.errors import ConfigError, FormatError, NumericError
 from patchmix.evolution import (
     OBJECTIVES,
+    FitnessTable,
     GenerationStats,
     Individual,
     SearchConfig,
@@ -32,7 +35,7 @@ from patchmix.evolution import (
     tournament_select,
     transpose_tails,
 )
-from patchmix.losses import log_softmax
+from patchmix.losses import log_softmax, loss_eval_count
 from patchmix.masks import PatchMask
 from patchmix.mixing import patchmix
 from patchmix.model import PARAM_FIELDS, ReferenceModel, forward_batch
@@ -213,6 +216,37 @@ def reference_fitness(individual, model, val, cfg, generation):
     return -score if cfg.objective.startswith("max") else score
 
 
+def table_fitness(individual, model, val, cfg, generation):
+    return evaluate_fitness(individual, FitnessTable.build(model, val, cfg), generation)
+
+
+@st.composite
+def fitness_cases(draw):
+    """A random model, validation set, search config and scoring schedule."""
+    grid = draw(st.sampled_from((1, 2, 4)))
+    class_count = draw(st.integers(2, 4))
+    per_class = draw(st.lists(st.integers(1, 5), min_size=class_count, max_size=class_count))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.permutation(np.repeat(np.arange(class_count), per_class))
+    images = rng.random((len(labels), 8, 8, 2)).astype(np.float32)
+    val = Dataset(images, labels, class_count, "validation")
+    patch_pixels = (8 // grid) ** 2 * 2
+    model = ReferenceModel.initialize(grid, class_count, 6, patch_pixels, rng)
+    cfg = SearchConfig(
+        objective=draw(st.sampled_from(OBJECTIVES)),
+        pairs_per_combo=draw(st.integers(1, 6)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    genomes = []
+    for _ in range(draw(st.integers(1, 3))):
+        head = rng.integers(0, 2, pair_count(class_count), dtype=np.uint8)
+        head[rng.integers(len(head))] = 1
+        masks = rng.integers(0, 2, (len(head), grid, grid), dtype=np.uint8)
+        genomes.append(Individual(head, masks))
+    generations = draw(st.lists(st.integers(0, 30), min_size=1, max_size=4))
+    return model, val, cfg, genomes, generations
+
+
 class TestEvaluateFitness:
     @pytest.mark.parametrize("objective", OBJECTIVES)
     def test_equals_per_sample_reference(self, objective):
@@ -220,13 +254,59 @@ class TestEvaluateFitness:
         val = val.subset(np.flatnonzero(np.arange(len(val)) % 5 != 0))  # unequal classes
         model = ReferenceModel.initialize(4, 4, 8, 48, np.random.default_rng(1))
         cfg = SearchConfig(pairs_per_combo=5, seed=11, objective=objective)
+        table = FitnessTable.build(model, val, cfg)
         rng = np.random.default_rng(4)
         for active in ((0,), (1, 5, 9), (3, 4, 7, 8)):
             ind = make_individual(class_count=4, grid_size=4, active=active, rng=rng)
             for generation in (0, 3):
-                assert evaluate_fitness(ind, model, val, cfg, generation) == (
+                assert evaluate_fitness(ind, table, generation) == (
                     reference_fitness(ind, model, val, cfg, generation)
                 )
+
+    @given(fitness_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_table_equals_composite_forward(self, case):
+        """Scores from the table equal forwarding every composite, exactly.
+
+        The equality rests on the reference encoder being patch-local: a
+        composite's patch has the logits of the source patch it copies.
+        A cross-patch model (the paper's ResNet-50) would break it, and
+        the fitness table with it; this is the test to revisit then.
+        """
+        model, val, cfg, genomes, generations = case
+        table = FitnessTable.build(model, val, cfg)
+        patch_evals = loss_eval_count("patch")
+        for generation in generations:
+            for ind in genomes:
+                assert evaluate_fitness(ind, table, generation) == (
+                    reference_fitness(ind, model, val, cfg, generation)
+                )
+        assert table.scored == len(generations) * len(genomes)
+        composites = sum(len(ind.active_slots()) for ind in genomes) * cfg.pairs_per_combo
+        scored_patches = composites * len(generations) if cfg.objective.endswith("lp") else 0
+        assert loss_eval_count("patch") - patch_evals == scored_patches
+
+    def test_table_chunks_match_one_forward_pass(self):
+        val = synth_shapes(2, 16, 150, seed=5, split="validation")  # 300 > one chunk
+        model = ReferenceModel.initialize(4, 2, 8, 48, np.random.default_rng(2))
+        cfg = SearchConfig(objective="min_lp")
+        patch_logits, _ = forward_batch(model, val.images)
+        own = np.take_along_axis(log_softmax(patch_logits), val.labels[:, None, None], axis=2)
+        table = FitnessTable.build(model, val, cfg)
+        assert len(table.terms) == len(val)
+        assert np.array_equal(table.terms, own[..., 0])
+
+    def test_draws_are_kept_for_one_generation_only(self):
+        val = constant_dataset((0.1, 0.5, 0.9), n_per_class=6)
+        table = FitnessTable.build(mean_detector_model((0.1, 0.5, 0.9)), val, SearchConfig())
+        first = table.slot_terms(1, 0)
+        assert table.slot_terms(1, 0) is first
+        for generation in range(1, 6):
+            for slot in (0, 1, 4):
+                table.slot_terms(slot, generation)
+        assert len(table._drawn) == 3
+        assert table.slot_terms(1, 0) is not first
+        assert np.array_equal(table.slot_terms(1, 0)[0], first[0])
 
     def test_always_correct_stub_scores_one(self, rng):
         # Three constant-brightness classes and a detector stub that gets
@@ -237,7 +317,7 @@ class TestEvaluateFitness:
         cfg = SearchConfig(pairs_per_combo=6, seed=3)
         for active in ((1,), (0, 2), (2, 4)):
             ind = make_individual(active=active, rng=rng)
-            assert evaluate_fitness(ind, model, val, cfg, 0) == 1.0
+            assert table_fitness(ind, model, val, cfg, 0) == 1.0
 
     def test_constant_stub_tracks_mask_popcount(self):
         # A stub that always answers class 0, scored on the (0, 1) pair:
@@ -253,15 +333,15 @@ class TestEvaluateFitness:
         ]:
             ind = make_individual(class_count=2, active=(slot_01,))
             ind.masks[slot_01] = bits.astype(np.uint8)
-            assert evaluate_fitness(ind, model, val, cfg, 0) == expected
+            assert table_fitness(ind, model, val, cfg, 0) == expected
 
     def test_max_objective_flips_sign(self):
         val = constant_dataset((0.2, 0.8))
         model = constant_class_model(class_count=2)
         ind = make_individual(class_count=2, active=(pair_to_index(0, 1, 2),))
         ind.masks[:] = 1
-        lo = evaluate_fitness(ind, model, val, SearchConfig(objective="min_patch_acc"), 0)
-        hi = evaluate_fitness(ind, model, val, SearchConfig(objective="max_patch_acc"), 0)
+        lo = table_fitness(ind, model, val, SearchConfig(objective="min_patch_acc"), 0)
+        hi = table_fitness(ind, model, val, SearchConfig(objective="max_patch_acc"), 0)
         assert lo == 1.0 and hi == -1.0
 
     def test_patch_loss_objective_matches_closed_form(self):
@@ -272,7 +352,7 @@ class TestEvaluateFitness:
         slot_01 = pair_to_index(0, 1, 2)
         ind = make_individual(class_count=2, active=(slot_01,))
         ind.masks[slot_01] = np.array([[1, 0], [0, 0]], dtype=np.uint8)
-        got = evaluate_fitness(
+        got = table_fitness(
             ind, model, val, SearchConfig(objective="min_lp", seed=0), 0
         )
         expected = math.log(1 + math.exp(-1)) + 3 * math.log(1 + math.exp(1))
@@ -284,7 +364,7 @@ class TestEvaluateFitness:
         cfg = SearchConfig(pairs_per_combo=4, seed=7, objective="min_lp")
         a = make_individual(active=(1, 4), rng=np.random.default_rng(0))
         b = Individual(a.head.copy(), a.masks.copy())
-        assert evaluate_fitness(a, model, val, cfg, 3) == evaluate_fitness(
+        assert table_fitness(a, model, val, cfg, 3) == table_fitness(
             b, model, val, cfg, 3
         )
 
@@ -297,7 +377,8 @@ class TestEvaluateFitness:
         model = ReferenceModel.initialize(2, 2, 8, 4, np.random.default_rng(1))
         cfg = SearchConfig(pairs_per_combo=3, seed=7, objective="min_lp")
         ind = make_individual(class_count=2, active=(1,), rng=rng)
-        scores = {evaluate_fitness(ind, model, val, cfg, g) for g in range(4)}
+        table = FitnessTable.build(model, val, cfg)
+        scores = {evaluate_fitness(ind, table, g) for g in range(4)}
         assert len(scores) > 1
 
     def test_no_active_pairs_rejected(self):
@@ -305,21 +386,40 @@ class TestEvaluateFitness:
         model = constant_class_model(class_count=2)
         ind = make_individual(class_count=2, active=())
         with pytest.raises(ConfigError):
-            evaluate_fitness(ind, model, val, SearchConfig(), 0)
+            table_fitness(ind, model, val, SearchConfig(), 0)
 
     def test_missing_class_named_in_error(self):
         val = constant_dataset((0.2, 0.5, 0.8)).subset(np.arange(8))  # drops class 2
         model = mean_detector_model((0.2, 0.5, 0.8))
         ind = make_individual(active=(pair_to_index(1, 2, 3),))
         with pytest.raises(ConfigError, match="class 2"):
-            evaluate_fitness(ind, model, val, SearchConfig(), 0)
+            table_fitness(ind, model, val, SearchConfig(), 0)
 
     def test_class_count_mismatch_rejected(self):
         val = constant_dataset((0.2, 0.8))
         model = constant_class_model(class_count=2)
         ind = make_individual(class_count=3, active=(0,))
         with pytest.raises(ConfigError):
-            evaluate_fitness(ind, model, val, SearchConfig(), 0)
+            table_fitness(ind, model, val, SearchConfig(), 0)
+
+    def test_grid_mismatch_rejected(self):
+        val = constant_dataset((0.2, 0.8))
+        model = constant_class_model(class_count=2)
+        ind = make_individual(class_count=2, grid_size=4, active=(0,))
+        with pytest.raises(ConfigError, match="grid 4 does not match model grid 2"):
+            table_fitness(ind, model, val, SearchConfig(), 0)
+
+    def test_empty_dataset_rejected(self):
+        val = constant_dataset((0.2, 0.8)).subset(np.arange(0))
+        with pytest.raises(ConfigError, match="empty"):
+            FitnessTable.build(constant_class_model(class_count=2), val, SearchConfig())
+
+    def test_non_finite_logits_fail_loss_objectives(self):
+        val = constant_dataset((0.2, 0.8))
+        model = constant_class_model(class_count=2)
+        model.b_patch[:] = np.nan
+        with pytest.raises(NumericError):
+            FitnessTable.build(model, val, SearchConfig(objective="min_lp"))
 
 
 class TestTournament:
@@ -560,21 +660,20 @@ class TestRunSearch:
         assert np.array_equal(a.masks, b.masks)
         assert [h.best for h in hist_a] == [h.best for h in hist_b]
 
-    def test_thread_count_does_not_change_results(self):
-        target = np.eye(4, dtype=np.uint8)
-        cfg = SearchConfig(population_size=24, generations=8, patience=8, seed=31)
-        a, hist_a = run_search(cfg, 1, 4, hamming_fitness(target), threads=1)
-        b, hist_b = run_search(cfg, 1, 4, hamming_fitness(target), threads=4)
-        assert np.array_equal(a.masks, b.masks)
-        assert [h.best for h in hist_a] == [h.best for h in hist_b]
-        assert [h.mean for h in hist_a] == [h.mean for h in hist_b]
-
     def test_fitness_failure_names_generation_and_individual(self):
         def broken(individual, generation):
-            raise ValueError("boom")
+            raise FloatingPointError("boom")
 
         cfg = SearchConfig(population_size=5, generations=2, seed=0)
         with pytest.raises(NumericError, match=r"generation 0, individual \d+"):
+            run_search(cfg, 1, 2, broken)
+
+    def test_programming_error_propagates_unchanged(self):
+        def broken(individual, generation):
+            raise TypeError("bad call")
+
+        cfg = SearchConfig(population_size=5, generations=2, seed=0)
+        with pytest.raises(TypeError, match="^bad call$"):
             run_search(cfg, 1, 2, broken)
 
     def test_config_error_keeps_its_type(self):

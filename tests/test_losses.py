@@ -12,7 +12,6 @@ from patchmix.losses import (
     patch_accuracy,
     patch_loss,
     record_loss_eval,
-    reset_loss_eval_counts,
     softmax,
     total_loss,
 )
@@ -142,17 +141,14 @@ class TestPatchAccuracy:
 
 class TestEvalCounters:
     def test_counts_track_loss_calls(self):
-        reset_loss_eval_counts()
+        image, patch = loss_eval_count("image"), loss_eval_count("patch")
         image_loss(np.zeros(3), np.array([1.0, 0.0, 0.0]))
         image_loss(np.zeros(3), np.array([1.0, 0.0, 0.0]))
         patch_loss(np.zeros((2, 3)), np.array([0, 1]))
-        assert loss_eval_count("image") == 2
-        assert loss_eval_count("patch") == 1
-        reset_loss_eval_counts()
-        assert loss_eval_count("image") == 0
+        assert loss_eval_count("image") - image == 2
+        assert loss_eval_count("patch") - patch == 1
 
     def test_manual_recording(self):
-        reset_loss_eval_counts()
+        patch = loss_eval_count("patch")
         record_loss_eval("patch", 5)
-        assert loss_eval_count("patch") == 5
-        reset_loss_eval_counts()
+        assert loss_eval_count("patch") - patch == 5

@@ -7,8 +7,9 @@ import pytest
 
 from patchmix.data import one_hot, synth_shapes
 from patchmix.errors import ConfigError, FormatError
-from patchmix.evolution import SearchConfig, pair_to_index
-from patchmix.losses import loss_eval_count, reset_loss_eval_counts
+from patchmix import workflow
+from patchmix.evolution import SearchConfig, evaluate_fitness, pair_to_index
+from patchmix.losses import loss_eval_count
 from patchmix.model import TrainConfig, load_model
 from patchmix.rng import RngKey
 from patchmix.workflow import (
@@ -274,10 +275,10 @@ class TestTrainFinal:
         )
         ind = make_individual(active=(1,), rng=np.random.default_rng(2))
         guided = guided_set(ind, small_train, 20, np.random.default_rng(3))
-        reset_loss_eval_counts()
+        image, patch = loss_eval_count("image"), loss_eval_count("patch")
         model, metrics = train_final(small_train, small_val, cfg, guided)
-        assert loss_eval_count("patch") == 0
-        assert loss_eval_count("image") > 0
+        assert loss_eval_count("patch") == patch
+        assert loss_eval_count("image") > image
         assert len(metrics) == 3
 
     def test_empty_guided_ok_when_ratio_skips_it(self, small_train, small_val):
@@ -346,6 +347,25 @@ class TestPipeline:
         np.testing.assert_array_equal(
             first.final_model.w_img, second.final_model.w_img
         )
+
+    def test_phase_two_log_counts_table_images_and_genomes(
+        self, tiny_sets, tiny_cfg, tmp_path_factory, caplog, monkeypatch
+    ):
+        train, val = tiny_sets
+        calls = []
+
+        def counted(individual, table, generation):
+            calls.append(generation)
+            return evaluate_fitness(individual, table, generation)
+
+        monkeypatch.setattr(workflow, "evaluate_fitness", counted)
+        run_dir = tmp_path_factory.mktemp("phase-two-log")
+        with caplog.at_level(logging.INFO, logger="patchmix.workflow"):
+            run_guided_pipeline(train, val, tiny_cfg, SMALL_SEARCH, run_dir)
+        [line] = [r.getMessage() for r in caplog.records if "phase 2 done" in r.getMessage()]
+        images = len(fitness_val_subset(val, SMALL_SEARCH))
+        assert len(calls) >= SMALL_SEARCH.population_size
+        assert f"; {len(calls)} genomes scored from a table of {images} forwarded" in line
 
     def test_fitness_model_checkpoint_matches_result(
         self, tiny_sets, tiny_cfg, tmp_path_factory
