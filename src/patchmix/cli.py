@@ -26,6 +26,7 @@ import numpy as np
 
 from .data import (
     Dataset,
+    _write_atomic,
     load_cifar_binary,
     sniff_and_load,
     synth_shapes,
@@ -160,8 +161,8 @@ def load_run_config(path) -> RunConfig:
 def save_config_snapshot(cfg: RunConfig, run_dir: Path) -> None:
     snapshot = run_config_to_dict(cfg)
     snapshot["output_dir"] = "."
-    (run_dir / CONFIG_SNAPSHOT_FILE).write_text(
-        json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
+    _write_atomic(
+        run_dir / CONFIG_SNAPSHOT_FILE, [json.dumps(snapshot, indent=2, sort_keys=True) + "\n"]
     )
 
 
@@ -341,7 +342,7 @@ def cmd_boundary_demo(args) -> int:
         epochs=args.epochs,
     )
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text("\n".join(rows) + "\n")
+    _write_atomic(out_path, ["\n".join(rows) + "\n"])
     print(f"grid_rows,{len(rows) - 1}")
     return 0
 

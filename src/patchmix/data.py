@@ -19,6 +19,7 @@ Provided sources:
 from __future__ import annotations
 
 import colorsys
+import itertools
 import os
 import struct
 from dataclasses import dataclass
@@ -213,6 +214,22 @@ def toy_2d_three_class(samples_per_class: int, seed: int, split: str = "train") 
     return Dataset(images, np.concatenate(labels), 3, split)
 
 
+def _write_atomic(path, *parts) -> None:
+    """Write the chunks (str or bytes) of the iterables ``parts`` in turn to
+    ``<path>.tmp``, then ``os.replace`` it over ``path``.  A write that
+    raises, even midway, leaves ``path`` as it was and no tmp file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in itertools.chain(*parts):
+                fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_dataset(dataset: Dataset, path) -> None:
     """Write a dataset checkpoint (magic ``PMXD``).
 
@@ -232,10 +249,8 @@ def save_dataset(dataset: Dataset, path) -> None:
         dataset.class_count,
         len(dataset),
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(dataset.labels.astype(np.uint8).tobytes())
-        fh.write(dataset.images.astype("<f4").tobytes())
+    labels = dataset.labels.astype(np.uint8).tobytes()
+    _write_atomic(path, [header, labels, dataset.images.astype("<f4").tobytes()])
 
 
 def load_dataset(path, split: str = "train") -> Dataset:

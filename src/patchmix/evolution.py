@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import losses
-from .data import Dataset
+from .data import Dataset, _write_atomic
 from .errors import ConfigError, FormatError, NumericError
 from .masks import mask_rows, parse_mask_rows
 from .model import ReferenceModel, forward_batch
@@ -628,7 +628,7 @@ def parse_individual(text: str) -> tuple[Individual, int]:
 
 
 def save_individual(individual: Individual, max_active: int, path) -> None:
-    Path(path).write_text(format_individual(individual, max_active) + "\n")
+    _write_atomic(path, [format_individual(individual, max_active) + "\n"])
 
 
 def load_individual(path) -> tuple[Individual, int]:
@@ -645,4 +645,4 @@ def history_csv_lines(history: list[GenerationStats]) -> list[str]:
 
 
 def save_history(history: list[GenerationStats], path) -> None:
-    Path(path).write_text("\n".join(history_csv_lines(history)) + "\n")
+    _write_atomic(path, ["\n".join(history_csv_lines(history)) + "\n"])

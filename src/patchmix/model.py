@@ -11,7 +11,9 @@ embedding:
 Gradients for all parameter blocks and for the input pixels are computed
 analytically, which keeps training, gradient checking, and sign-based
 adversarial probing free of autodiff dependencies.  All parameters and
-intermediate activations are float64.
+intermediate activations are float64.  Only the sign attack and the
+gradient checks form input gradients (:func:`batch_gradients`); training
+stops at parameter gradients and reuses one run's batch-sized buffers.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import losses
-from .data import Dataset, one_hot
+from .data import Dataset, _write_atomic
 from .errors import ConfigError, FormatError, NumericError
 from .masks import sample_random_mask
 from .mixing import MixedBatch, patchmix_batch
@@ -142,15 +144,18 @@ class EpochMetrics:
     val_patch_acc: float
 
 
-def patchify(images: np.ndarray, grid_size: int) -> np.ndarray:
-    """(B, H, W, C) -> (B, P*P, patch_pixels), patches in row-major grid order."""
+def patchify(images: np.ndarray, grid_size: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(B, H, W, C) -> (B, P*P, patch_pixels) in row-major grid order, into ``out`` if given."""
     b, h, w, c = images.shape
     if h % grid_size != 0 or w % grid_size != 0:
         raise ConfigError(f"image {w}x{h} not divisible by grid size {grid_size}")
     ph, pw = h // grid_size, w // grid_size
     x = images.reshape(b, grid_size, ph, grid_size, pw, c)
     x = x.transpose(0, 1, 3, 2, 4, 5)
-    return x.reshape(b, grid_size * grid_size, ph * pw * c)
+    if out is None:
+        return x.reshape(b, grid_size * grid_size, ph * pw * c)
+    np.copyto(out.reshape(x.shape), x)
+    return out
 
 
 def unpatchify(patch_grads: np.ndarray, shape: tuple, grid_size: int) -> np.ndarray:
@@ -162,44 +167,52 @@ def unpatchify(patch_grads: np.ndarray, shape: tuple, grid_size: int) -> np.ndar
     return x.reshape(b, h, w, c)
 
 
-def _forward_arrays(model: ReferenceModel, images64: np.ndarray):
-    patches = patchify(images64, model.grid_size)
+def _scratch(buffers: dict | None, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """A ``shape`` view of ``buffers[name]``, grown to the largest shape asked
+    for (one run's largest batch); a fresh array when ``buffers`` is None."""
+    if buffers is None:
+        return np.empty(shape, dtype)
+    size = int(np.prod(shape))
+    buf = buffers.get(name)
+    if buf is None or buf.size < size:
+        buf = buffers[name] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
+def _forward_arrays(model: ReferenceModel, images: np.ndarray, buffers: dict | None):
+    """Forward pass into ``buffers``; ``patchify`` casts to float64 as it copies."""
+    p = model.grid_size
+    b, h, w, c = images.shape
+    patches = _scratch(buffers, "patches", (b, p * p, (h // p) * (w // p) * c))
+    patches = patchify(images, p, patches)
     if patches.shape[2] != model.patch_pixels:
         raise ConfigError(
             f"model expects {model.patch_pixels} pixels per patch, "
             f"input provides {patches.shape[2]}"
         )
-    pre = patches @ model.w_embed + model.b_embed
-    feats = np.maximum(pre, 0.0)
+    feats = _scratch(buffers, "feats", (b, p * p, model.hidden_dim))
+    np.matmul(patches, model.w_embed, out=feats)
+    feats += model.b_embed
+    np.maximum(feats, 0.0, out=feats)
     mean_feats = feats.mean(axis=1)
     patch_logits = feats @ model.w_patch + model.b_patch
     image_logits = mean_feats @ model.w_img + model.b_img
-    return patches, pre, feats, mean_feats, patch_logits, image_logits
+    return patches, feats, mean_feats, patch_logits, image_logits
 
 
-def forward_batch(model: ReferenceModel, images: np.ndarray):
-    """Return (patch_logits, image_logits) for a stack of images."""
-    out = _forward_arrays(model, np.asarray(images, dtype=np.float64))
-    return out[4], out[5]
+def forward_batch(model: ReferenceModel, images: np.ndarray, buffers: dict | None = None):
+    """Return (patch_logits, image_logits); ``buffers`` as in :func:`backward`."""
+    out = _forward_arrays(model, np.asarray(images), buffers)
+    return out[3], out[4]
 
 
-def batch_gradients(
-    model: ReferenceModel,
-    images: np.ndarray,
-    image_targets: np.ndarray,
-    patch_labels: np.ndarray | None,
-    loss_mode: str,
-):
-    """Mean-over-batch loss with parameter and per-sample input gradients.
-
-    Returns ``(loss, grads, input_grads)`` where ``grads`` maps parameter
-    names to arrays of matching shape and ``input_grads`` has the shape
-    of ``images``.  All gradients are of the mean-over-batch objective.
-    """
+def _gradients(model: ReferenceModel, images, image_targets, patch_labels, loss_mode, buffers):
+    """``(loss, grads, d_pre)`` with ``d_pre`` the gradient of the loss
+    with respect to the pre-activations; ``d_pre`` lives in ``buffers``."""
     if loss_mode not in losses.LOSS_MODES:
         raise ConfigError(f"unknown loss mode {loss_mode!r}")
-    images64 = np.asarray(images, dtype=np.float64)
-    b = images64.shape[0]
+    images = np.asarray(images)
+    b = images.shape[0]
     if b < 1:
         raise ConfigError("empty batch")
     n = model.patch_count
@@ -222,73 +235,81 @@ def batch_gradients(
             f"expected {(b, model.class_count)}"
         )
 
-    patches, pre, feats, mean_feats, patch_logits, image_logits = _forward_arrays(
-        model, images64
+    patches, feats, mean_feats, patch_logits, image_logits = _forward_arrays(
+        model, images, buffers
     )
 
-    # Loss values (per sample, then mean).
-    l_image = np.zeros(b)
-    l_patch = np.zeros(b)
-    d_img = np.zeros_like(image_logits)
-    d_patch = None
+    # Per-sample losses, and the chain rule scaled for the batch mean and the mode.
+    s_img, s_patch = {"both": (0.5 / b, 0.5 / (b * n)), "image_only": (1.0 / b, 0.0),
+                      "patch_only": (0.0, 1.0 / (b * n))}[loss_mode]
+    grads = {name: np.zeros_like(getattr(model, name)) for name in PARAM_FIELDS}
+    d_pre = _scratch(buffers, "d_feats", feats.shape)
+    d_pre.fill(0.0)
+    l_image = l_patch = None
     if need_image:
         img_logp = losses.log_softmax(image_logits)
         l_image = -(image_targets * img_logp).sum(axis=1)
-        d_img = np.exp(img_logp) - image_targets
+        g_img = (np.exp(img_logp) - image_targets) * s_img      # (B, C)
         losses.record_loss_eval("image", b)
+        grads["w_img"] = mean_feats.T @ g_img
+        grads["b_img"] = g_img.sum(axis=0)
+        d_pre += (g_img @ model.w_img.T)[:, None, :] / n
     if need_patch:
         patch_logp = losses.log_softmax(patch_logits)
         picked = np.take_along_axis(patch_logp, patch_labels[..., None], axis=2)
         l_patch = -picked[..., 0].sum(axis=1)
-        d_patch = np.exp(patch_logp)
+        g_patch = np.exp(patch_logp)                            # (B, n, C)
         np.put_along_axis(
-            d_patch,
+            g_patch,
             patch_labels[..., None],
-            np.take_along_axis(d_patch, patch_labels[..., None], axis=2) - 1.0,
+            np.take_along_axis(g_patch, patch_labels[..., None], axis=2) - 1.0,
             axis=2,
         )
+        g_patch *= s_patch
         losses.record_loss_eval("patch", b)
-
-    per_sample = np.array(
-        [losses.combined_loss(li, lp, model.grid_size, loss_mode) for li, lp in zip(l_image, l_patch)]
-    )
-    loss = float(per_sample.mean())
-    if not np.isfinite(loss):
-        raise NumericError(f"non-finite loss {loss}")
-
-    # Chain rule, scaled for the mean over the batch and the loss mode.
-    if loss_mode == "both":
-        s_img, s_patch = 0.5 / b, 0.5 / (b * n)
-    elif loss_mode == "image_only":
-        s_img, s_patch = 1.0 / b, 0.0
-    else:  # patch_only
-        s_img, s_patch = 0.0, 1.0 / (b * n)
-
-    g_img = d_img * s_img                          # (B, C)
-    grads = {name: np.zeros_like(getattr(model, name)) for name in PARAM_FIELDS}
-    d_feats = np.zeros_like(feats)
-    if need_image:
-        grads["w_img"] = mean_feats.T @ g_img
-        grads["b_img"] = g_img.sum(axis=0)
-        d_feats += (g_img @ model.w_img.T)[:, None, :] / n
-    if need_patch and s_patch > 0.0:
-        g_patch = d_patch * s_patch                # (B, n, C)
         grads["w_patch"] = np.tensordot(feats, g_patch, axes=([0, 1], [0, 1]))
         grads["b_patch"] = g_patch.sum(axis=(0, 1))
-        d_feats += g_patch @ model.w_patch.T
-    d_pre = d_feats * (pre > 0.0)
+        d_pre += g_patch @ model.w_patch.T
+    loss = float(losses.combined_loss(l_image, l_patch, model.grid_size, loss_mode).mean())
+    if not np.isfinite(loss):
+        raise NumericError(f"non-finite loss {loss}")
+    # feats > 0 exactly where the pre-activation is, so this is the ReLU gate.
+    d_pre *= np.greater(feats, 0.0, out=_scratch(buffers, "relu_mask", feats.shape, bool))
     grads["w_embed"] = np.tensordot(patches, d_pre, axes=([0, 1], [0, 1]))
     grads["b_embed"] = d_pre.sum(axis=(0, 1))
-    d_patches = d_pre @ model.w_embed.T
-    input_grads = unpatchify(d_patches, images64.shape, model.grid_size)
+    return loss, grads, d_pre
+
+
+def batch_gradients(
+    model: ReferenceModel,
+    images: np.ndarray,
+    image_targets: np.ndarray,
+    patch_labels: np.ndarray | None,
+    loss_mode: str,
+):
+    """Mean-over-batch loss with parameter and per-sample input gradients.
+
+    Returns ``(loss, grads, input_grads)`` where ``grads`` maps parameter
+    names to arrays of matching shape and ``input_grads`` has the shape
+    of ``images``.  All gradients are of the mean-over-batch objective.
+    Training calls :func:`backward`, which skips ``input_grads``.
+    """
+    loss, grads, d_pre = _gradients(model, images, image_targets, patch_labels, loss_mode, None)
+    input_grads = unpatchify(d_pre @ model.w_embed.T, np.shape(images), model.grid_size)
     return loss, grads, input_grads
 
 
-def backward(model: ReferenceModel, batch: MixedBatch, loss_mode: str):
-    """Gradients of the mean loss over a batch of mixed samples."""
-    return batch_gradients(
-        model, batch.images, batch.image_labels, batch.patch_labels, loss_mode
+def backward(model: ReferenceModel, batch: MixedBatch, loss_mode: str, buffers: dict | None = None):
+    """``(loss, grads)`` of the mean loss over a batch of mixed samples.
+
+    No input gradients are formed.  The batch-sized arrays are written into
+    ``buffers``, a scratch dict the caller may keep across steps; the
+    returned arrays never alias it.
+    """
+    loss, grads, _ = _gradients(
+        model, batch.images, batch.image_labels, batch.patch_labels, loss_mode, buffers
     )
+    return loss, grads
 
 
 def cosine_lr(epoch: int, total_epochs: int, lr0: float, eta_min: float = 0.0) -> float:
@@ -332,7 +353,7 @@ def sgd_nesterov_step(
     return model
 
 
-def evaluate_model(model: ReferenceModel, dataset: Dataset, batch_size: int = 256):
+def evaluate_model(model: ReferenceModel, dataset: Dataset, batch_size: int = 256, buffers=None):
     """(top-1 accuracy, patch accuracy) with every patch labeled by the image."""
     if len(dataset) == 0:
         raise ConfigError("cannot evaluate on an empty dataset")
@@ -340,7 +361,7 @@ def evaluate_model(model: ReferenceModel, dataset: Dataset, batch_size: int = 25
     patch_correct = 0
     for start in range(0, len(dataset), batch_size):
         stop = min(start + batch_size, len(dataset))
-        patch_logits, image_logits = forward_batch(model, dataset.images[start:stop])
+        patch_logits, image_logits = forward_batch(model, dataset.images[start:stop], buffers)
         labels = dataset.labels[start:stop]
         correct += int((np.argmax(image_logits, axis=1) == labels).sum())
         patch_preds = np.argmax(patch_logits, axis=2)
@@ -360,9 +381,11 @@ def _train_loop(
     """Shared SGD driver.  ``batch_source(epoch, rng)`` yields sample batches.
 
     The learning-rate schedule spans epochs 0 .. epochs-1 so the final
-    epoch runs exactly at eta_min.
+    epoch runs exactly at eta_min.  All steps and validations share one
+    dict of scratch buffers.
     """
     velocity = init_velocity(model)
+    buffers: dict = {}
     key = RngKey(cfg.seed)
     span = cfg.epochs - 1
     metrics: list[EpochMetrics] = []
@@ -372,14 +395,14 @@ def _train_loop(
         batch_losses = []
         for index, batch in enumerate(batch_source(epoch, rng)):
             try:
-                loss, grads, _ = backward(model, batch, cfg.loss_mode)
+                loss, grads = backward(model, batch, cfg.loss_mode, buffers)
             except NumericError as err:
                 raise NumericError(f"epoch {epoch}, batch {index}: {err}") from err
             sgd_nesterov_step(model, grads, velocity, lr, cfg.momentum, cfg.weight_decay)
             batch_losses.append(loss)
         if not batch_losses:
             raise ConfigError("training produced no batches")
-        top1, patch_acc = evaluate_model(model, val)
+        top1, patch_acc = evaluate_model(model, val, buffers=buffers)
         metrics.append(
             EpochMetrics(epoch, float(lr), float(np.mean(batch_losses)), top1, patch_acc)
         )
@@ -461,7 +484,10 @@ def fgsm_attack_batch(
     """
     if epsilon < 0:
         raise ConfigError(f"epsilon must be non-negative, got {epsilon}")
-    targets = np.stack([one_hot(int(y), model.class_count) for y in labels])
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size and not 0 <= labels.min() <= labels.max() < model.class_count:
+        raise ConfigError(f"label outside [0, {model.class_count})")
+    targets = np.eye(model.class_count)[labels]
     _, _, input_grads = batch_gradients(model, images, targets, None, "image_only")
     adv = images.astype(np.float64) + epsilon * np.sign(input_grads)
     return np.clip(adv, 0.0, 1.0)
@@ -498,10 +524,8 @@ def save_model(model: ReferenceModel, path) -> None:
         model.hidden_dim,
         model.patch_pixels,
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for name in PARAM_FIELDS:
-            fh.write(np.ascontiguousarray(getattr(model, name), dtype="<f8").tobytes())
+    blocks = (np.ascontiguousarray(getattr(model, n), dtype="<f8").tobytes() for n in PARAM_FIELDS)
+    _write_atomic(path, [header], blocks)
 
 
 def load_model(path) -> ReferenceModel:
@@ -556,7 +580,7 @@ def metrics_csv_lines(metrics: Sequence[EpochMetrics]) -> list[str]:
 
 
 def save_metrics(metrics: Sequence[EpochMetrics], path) -> None:
-    Path(path).write_text("\n".join(metrics_csv_lines(metrics)) + "\n")
+    _write_atomic(path, ["\n".join(metrics_csv_lines(metrics)) + "\n"])
 
 
 def load_metrics(path) -> list[EpochMetrics]:

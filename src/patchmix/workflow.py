@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _write_atomic
 from .errors import ConfigError, FormatError
 from .evolution import (
     FitnessTable,
@@ -146,7 +146,7 @@ def save_guided_manifest(recipe: Sequence[tuple[int, int, int]], path) -> None:
     """Text manifest: a count header then one ``slot,i,j`` line per sample."""
     lines = [f"count={len(recipe)}"]
     lines.extend(f"{slot},{i},{j}" for slot, i, j in recipe)
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_atomic(path, ["\n".join(lines) + "\n"])
 
 
 def load_guided_manifest(path) -> list[tuple[int, int, int]]:

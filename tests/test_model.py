@@ -7,7 +7,7 @@ from patchmix.data import Dataset, one_hot, synth_shapes
 from patchmix.errors import ConfigError, FormatError, NumericError
 from patchmix.losses import LOSS_MODES, softmax
 from patchmix.masks import PatchMask, full_mask
-from patchmix.mixing import MixedBatch, patchmix
+from patchmix.mixing import MixedBatch, patchmix, patchmix_batch
 from patchmix.model import (
     PARAM_FIELDS,
     EpochMetrics,
@@ -208,8 +208,8 @@ class TestGradients:
     def test_batch_duplication_keeps_mean_gradient(self, rng):
         model = tiny_model(seed=2)
         batch = mixed_batch(rng)
-        _, grads_once, _ = backward(model, batch, "both")
-        _, grads_twice, _ = backward(model, MixedBatch.concat([batch, batch]), "both")
+        _, grads_once = backward(model, batch, "both")
+        _, grads_twice = backward(model, MixedBatch.concat([batch, batch]), "both")
         for name in PARAM_FIELDS:
             assert np.allclose(grads_once[name], grads_twice[name], atol=1e-12)
 
@@ -226,6 +226,68 @@ class TestGradients:
         batch = mixed_batch(rng)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             backward(model, batch, "both")
+
+
+def random_batch(rng, size, grid_size, class_count=3, side=8, pool=20):
+    """``size`` composites of random images under random grid masks."""
+    images = rng.random((pool, side, side, 3))
+    labels = rng.integers(0, class_count, pool)
+    i, j = rng.integers(0, pool, size), rng.integers(0, pool, size)
+    bits = rng.integers(0, 2, (size, grid_size, grid_size)).astype(np.uint8)
+    return patchmix_batch(images, i, j, labels[i], labels[j], bits, class_count)
+
+
+class TestBufferedStep:
+    """``backward`` with a reused scratch dict against ``batch_gradients``,
+    which forms everything afresh (the reference path)."""
+
+    @pytest.mark.parametrize("grid_size", [1, 2, 4])
+    def test_reused_buffers_match_reference_exactly(self, rng, grid_size):
+        side = 8
+        model = ReferenceModel.initialize(
+            grid_size, 3, 5, (side // grid_size) ** 2 * 3, np.random.default_rng(grid_size)
+        )
+        buffers: dict = {}
+        previous = None
+        for size, mode in zip([100, 37, 100, 37, 100, 100], LOSS_MODES * 2):
+            batch = random_batch(rng, size, grid_size, side=side)
+            loss, grads = backward(model, batch, mode, buffers)
+            ref_loss, ref_grads, _ = batch_gradients(
+                model, batch.images, batch.image_labels, batch.patch_labels, mode
+            )
+            assert loss == ref_loss
+            for name in PARAM_FIELDS:
+                assert np.array_equal(grads[name], ref_grads[name]), (size, mode, name)
+            if previous is not None:
+                old_grads, old_copy = previous
+                for name in PARAM_FIELDS:
+                    assert np.array_equal(old_grads[name], old_copy[name]), (size, mode, name)
+            previous = grads, {name: g.copy() for name, g in grads.items()}
+        assert buffers, "backward never wrote into the scratch dict"
+
+    def test_buffered_forward_and_evaluation_match(self, rng, small_model, small_val):
+        buffers: dict = {}
+        fresh = forward_batch(small_model, small_val.images)
+        assert all(
+            np.array_equal(a, b)
+            for a, b in zip(fresh, forward_batch(small_model, small_val.images, buffers))
+        )
+        reference = evaluate_model(small_model, small_val, batch_size=16)
+        assert evaluate_model(small_model, small_val, batch_size=16, buffers=buffers) == reference
+
+    def test_float32_images_match_their_float64_copy(self, small_model, small_val):
+        images32 = small_val.images[:20]
+        assert images32.dtype == np.float32
+        images64 = images32.astype(np.float64)
+        targets = np.eye(small_model.class_count)[small_val.labels[:20]]
+        for got, want in zip(
+            forward_batch(small_model, images32, {}), forward_batch(small_model, images64)
+        ):
+            assert np.array_equal(got, want)
+        loss32, grads32, input32 = batch_gradients(small_model, images32, targets, None, "image_only")
+        loss64, grads64, input64 = batch_gradients(small_model, images64, targets, None, "image_only")
+        assert loss32 == loss64 and np.array_equal(input32, input64)
+        assert all(np.array_equal(grads32[name], grads64[name]) for name in PARAM_FIELDS)
 
 
 class TestCosineLr:
@@ -369,8 +431,28 @@ class TestFgsm:
         with pytest.raises(ConfigError):
             fgsm_attack_batch(small_model, small_val.images[:1], np.array([0]), -0.1)
 
+    def test_empty_batch_is_a_config_error(self, small_model, small_val):
+        with pytest.raises(ConfigError, match="empty batch"):
+            fgsm_attack_batch(small_model, small_val.images[:0], small_val.labels[:0], 0.1)
+
+    def test_label_outside_class_range_rejected(self, small_model, small_val):
+        for label in (-1, small_model.class_count):
+            with pytest.raises(ConfigError, match="label outside"):
+                fgsm_attack_batch(small_model, small_val.images[:1], np.array([label]), 0.1)
+
 
 class TestModelCheckpoint:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "model.pmxm"
+        save_model(tiny_model(seed=12), path)
+        before = path.read_bytes()
+        broken = tiny_model(seed=13)
+        broken.w_img = np.array([["not a number"]], dtype=object)  # fails after w_embed..b_patch
+        with pytest.raises(ValueError):
+            save_model(broken, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.pmxm"]
+
     def test_roundtrip_bit_exact(self, tmp_path):
         model = tiny_model(seed=12)
         path = tmp_path / "model.pmxm"
