@@ -48,6 +48,7 @@ from .masks import (
     mixing_ratio,
     parse_mask,
     reduce_to_patch_mask,
+    sample_mask_bits,
     sample_random_mask,
     serialize_mask,
 )
@@ -128,6 +129,7 @@ __all__ = [
     "reduce_to_patch_mask",
     "run_guided_pipeline",
     "run_search",
+    "sample_mask_bits",
     "sample_random_mask",
     "save_dataset",
     "save_individual",

@@ -18,6 +18,8 @@ against identical data.
 from __future__ import annotations
 
 import logging
+import math
+import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,9 +59,17 @@ def pair_to_index(i: int, j: int, class_count: int) -> int:
 
 
 def index_to_pair(index: int, class_count: int) -> tuple[int, int]:
+    """Inverse of :func:`pair_to_index`."""
+    index = operator.index(index)
     if not 0 <= index < pair_count(class_count):
         raise ConfigError(f"pair index {index} outside [0, {pair_count(class_count)})")
-    return all_pairs(class_count)[index]
+    # Row i starts at s(i) = i * (2C + 1 - i) / 2; take the largest i with
+    # s(i) <= index from the quadratic's root, which isqrt can overshoot by one.
+    b = 2 * class_count + 1
+    i = (b - math.isqrt(b * b - 8 * index)) // 2
+    if i * (b - i) // 2 > index:
+        i -= 1
+    return i, index - i * (b - i) // 2 + i
 
 
 def class_count_for_pairs(n_pairs: int) -> int:

@@ -4,6 +4,10 @@ A grid mask holds one bit per patch cell.  Expanding it against an image
 of width W and height H (both divisible by the grid size) fills each
 (H/P) x (W/P) pixel region with the corresponding cell bit, so pixel
 (s, t) receives ``bits[s * P // H][t * P // W]``.
+
+Random masks are drawn a batch at a time: :func:`sample_mask_bits` returns
+a (count, P, P) stack from one Beta draw, and :func:`sample_random_mask`
+is its single-mask form on the same stream.
 """
 
 from __future__ import annotations
@@ -77,17 +81,29 @@ class PixelMask:
     __hash__ = None
 
 
-def sample_random_mask(grid_size: int, alpha: float, rng: np.random.Generator) -> PatchMask:
-    """Draw each cell by rounding a Beta(alpha, alpha) sample.
+def sample_mask_bits(
+    count: int, grid_size: int, alpha: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw ``count`` grid masks as one (count, P, P) uint8 stack, each
+    cell a rounded Beta(alpha, alpha) sample.
 
-    With alpha = 1 this is a fair coin per cell.
+    With alpha = 1 this is a fair coin per cell.  Cells are drawn in
+    row-major order, so one call consumes the stream exactly as ``count``
+    consecutive calls of :func:`sample_random_mask` do.
     """
     if grid_size < 1:
         raise ConfigError(f"grid size must be at least 1, got {grid_size}")
     if not alpha > 0:
         raise ConfigError(f"alpha must be positive, got {alpha}")
-    draws = rng.beta(alpha, alpha, size=(grid_size, grid_size))
-    return PatchMask(np.round(draws).astype(np.uint8))
+    if count < 0:
+        raise ConfigError(f"mask count must be non-negative, got {count}")
+    draws = rng.beta(alpha, alpha, size=(count, grid_size, grid_size))
+    return np.round(draws).astype(np.uint8)
+
+
+def sample_random_mask(grid_size: int, alpha: float, rng: np.random.Generator) -> PatchMask:
+    """One mask of :func:`sample_mask_bits`."""
+    return PatchMask(sample_mask_bits(1, grid_size, alpha, rng)[0])
 
 
 def full_mask(grid_size: int, value: int = 1) -> PatchMask:
@@ -95,20 +111,12 @@ def full_mask(grid_size: int, value: int = 1) -> PatchMask:
     return PatchMask(np.full((grid_size, grid_size), value, dtype=np.uint8))
 
 
-def expand_bits(bits: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Repeat each cell of (..., P, P) grid bits over its pixel region,
-    giving (..., height, width)."""
-    p = bits.shape[-1]
-    if width % p != 0 or height % p != 0:
-        raise ConfigError(
-            f"image {width}x{height} not divisible by grid size {p}"
-        )
-    return np.repeat(np.repeat(bits, height // p, axis=-2), width // p, axis=-1)
-
-
 def expand_to_pixel_mask(mask: PatchMask, width: int, height: int) -> PixelMask:
     """Expand grid cells into constant pixel regions."""
-    return PixelMask(expand_bits(mask.bits, width, height))
+    p = mask.grid_size
+    if width % p != 0 or height % p != 0:
+        raise ConfigError(f"image {width}x{height} not divisible by grid size {p}")
+    return PixelMask(np.repeat(np.repeat(mask.bits, height // p, axis=0), width // p, axis=1))
 
 
 def reduce_to_patch_mask(pixel_mask: PixelMask, grid_size: int) -> PatchMask:

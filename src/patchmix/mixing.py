@@ -10,7 +10,8 @@ Three ways to compose two labeled images into one training sample:
   a Gaussian-drawn center (no patch labels).
 
 Training consumes :class:`MixedBatch` stacks; :func:`patchmix_batch`
-composes a whole batch, row for row equal to :func:`patchmix`.
+composes a whole batch, row for row equal to :func:`patchmix`, by copying
+whole grid cells rather than expanding masks to pixels.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .data import one_hot
 from .errors import ConfigError
-from .masks import PatchMask, expand_bits, expand_to_pixel_mask, mixing_ratio
+from .masks import PatchMask, expand_to_pixel_mask, mixing_ratio
 
 
 @dataclass
@@ -116,6 +117,8 @@ def patchmix_batch(
 
     Row k equals ``patchmix(images[i[k]], y_i[k], images[j[k]], y_j[k],
     PatchMask(bits[k]), class_count)``; all-ones bits give identity rows.
+    The images are float64 whatever the source type; each grid cell is
+    copied whole from the source its bit names, with no pixel-level mask.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.max(initial=0) > 1:
@@ -127,10 +130,20 @@ def patchmix_batch(
     labels = np.concatenate([y_i, y_j])
     if len(labels) and (labels.min() < 0 or labels.max() >= class_count):
         raise ConfigError(f"label outside [0, {class_count})")
-    height, width = images.shape[1:3]
-    keep = expand_bits(bits, width, height).astype(bool)[..., None]
-    mixed = np.where(keep, images[i], images[j]).astype(np.float64, copy=False)
-    flat = bits.reshape(len(bits), bits.shape[1] ** 2)
+    height, width, channels = images.shape[1:]
+    p = bits.shape[-1]
+    if width % p != 0 or height % p != 0:
+        raise ConfigError(f"image {width}x{height} not divisible by grid size {p}")
+    # Cell (a, b) of an image is the block [a, :, b] of its
+    # (P, H/P, P, W/P, C) view.  Gather every cell of the batch from the
+    # image that supplies it, then cast the cells into place in one copy.
+    cells = (p, height // p, p, width // p, channels)
+    source = np.where(bits == 1, np.asarray(i)[:, None, None], np.asarray(j)[:, None, None])
+    grid = np.arange(p)
+    picked = images.reshape(len(images), *cells)[source, grid[:, None], :, grid]
+    mixed = np.empty((len(bits), height, width, channels))
+    np.copyto(mixed.reshape(len(bits), *cells), picked.transpose(0, 1, 3, 2, 4, 5))
+    flat = bits.reshape(len(bits), p * p)
     lam = (flat.sum(axis=1) / flat.shape[1])[:, None]
     eye = np.eye(class_count)
     image_labels = lam * eye[y_i] + (1.0 - lam) * eye[y_j]

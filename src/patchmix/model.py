@@ -28,7 +28,7 @@ import numpy as np
 from . import losses
 from .data import Dataset, _write_atomic
 from .errors import ConfigError, FormatError, NumericError
-from .masks import sample_random_mask
+from .masks import sample_mask_bits
 from .mixing import MixedBatch, patchmix_batch
 from .rng import RngKey
 
@@ -453,6 +453,8 @@ def train_random_patchmix(train: Dataset, val: Dataset, cfg: TrainConfig):
     a random partner from the same batch, and composes the pair under a
     fresh random mask (an all-ones mask when the per-sample mix draw
     fails, so mix_probability = 0 reduces to plain classifier training).
+    Each batch draws all its mix decisions in one call, then the masks of
+    the mixed rows in one more.
 
     Returns ``(model, per-epoch metrics)``.
     """
@@ -462,9 +464,8 @@ def train_random_patchmix(train: Dataset, val: Dataset, cfg: TrainConfig):
     def batches(epoch: int, rng: np.random.Generator):
         for idx, partner in _shuffled_pairs(len(train), cfg.batch_size, rng):
             bits = np.ones((len(idx), p, p), dtype=np.uint8)
-            for row in bits:
-                if rng.random() < cfg.mix_probability:
-                    row[:] = sample_random_mask(p, cfg.alpha, rng).bits
+            mixed = rng.random(len(idx)) < cfg.mix_probability
+            bits[mixed] = sample_mask_bits(int(mixed.sum()), p, cfg.alpha, rng)
             yield patchmix_batch(
                 train.images, idx, partner, train.labels[idx], train.labels[partner],
                 bits, train.class_count,

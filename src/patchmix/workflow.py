@@ -5,7 +5,8 @@
 2. Search mask/pair genomes against the frozen fitness model, scored
    from one forward pass of a seeded fraction of the validation set.
 3. Materialize a guided augmented set from the best genome (one sample
-   per draw: uniform active slot, one training image per class side).
+   per recipe entry: uniform active slot, one training image per class
+   side; each of the three is drawn for all entries at once).
 4. Train the final model on batches composed of original, randomly
    mixed, and guided samples — minimizing only the image-level loss.
 
@@ -36,7 +37,7 @@ from .evolution import (
     save_history,
     save_individual,
 )
-from .masks import PatchMask, sample_random_mask
+from .masks import PatchMask, sample_mask_bits
 from .mixing import MixedBatch, patchmix, patchmix_batch
 from .model import (
     EpochMetrics,
@@ -93,28 +94,28 @@ def draw_guided_recipe(
 ) -> list[tuple[int, int, int]]:
     """(slot, image index for the mask-1 class, image index for the other).
 
-    Each draw picks an active slot uniformly, then one training image per
-    class side uniformly.
+    Each entry picks an active slot uniformly, then one training image per
+    class side uniformly.  The slots of all entries are drawn first, then
+    every mask-1 image, then every other image.
     """
     active = individual.active_slots()
     if len(active) == 0:
         raise ConfigError("individual has no active pairs")
     if count < 0:
         raise ConfigError("count must be non-negative")
-    per_class = train.class_indices()
-    for slot in active:
-        ci, cj = index_to_pair(int(slot), train.class_count)
-        for cls in (ci, cj):
-            if len(per_class[cls]) == 0:
-                raise ConfigError(f"training set has no samples of class {cls}")
-    recipe = []
-    for _ in range(count):
-        slot = int(active[rng.integers(len(active))])
-        ci, cj = index_to_pair(slot, train.class_count)
-        i = int(per_class[ci][rng.integers(len(per_class[ci]))])
-        j = int(per_class[cj][rng.integers(len(per_class[cj]))])
-        recipe.append((slot, i, j))
-    return recipe
+    sizes = np.bincount(train.labels, minlength=train.class_count)
+    pairs = np.array([index_to_pair(int(slot), train.class_count) for slot in active])
+    for cls in pairs.reshape(-1):
+        if sizes[cls] == 0:
+            raise ConfigError(f"training set has no samples of class {cls}")
+    # Class c's images are by_class[starts[c] : starts[c] + sizes[c]], ascending.
+    by_class = np.argsort(train.labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    pick = rng.integers(len(active), size=count)
+    ci, cj = pairs[pick, 0], pairs[pick, 1]
+    i = by_class[starts[ci] + rng.integers(sizes[ci])]
+    j = by_class[starts[cj] + rng.integers(sizes[cj])]
+    return list(zip(active[pick].tolist(), i.tolist(), j.tolist()))
 
 
 def materialize_guided(
@@ -244,13 +245,9 @@ def train_final(
     n_batches = math.ceil(len(train) / cfg.batch_size)
 
     def random_mixer(rng: np.random.Generator, count: int) -> MixedBatch:
-        i = np.empty(count, dtype=np.int64)
-        j = np.empty(count, dtype=np.int64)
-        bits = np.empty((count, p, p), dtype=np.uint8)
-        for k in range(count):
-            i[k] = rng.integers(len(train))
-            j[k] = rng.integers(len(train))
-            bits[k] = sample_random_mask(p, cfg.alpha, rng).bits
+        i = rng.integers(len(train), size=count)
+        j = rng.integers(len(train), size=count)
+        bits = sample_mask_bits(count, p, cfg.alpha, rng)
         return patchmix_batch(
             train.images, i, j, train.labels[i], train.labels[j], bits, train.class_count
         )

@@ -13,6 +13,7 @@ from patchmix.masks import (
     mixing_ratio,
     parse_mask,
     reduce_to_patch_mask,
+    sample_mask_bits,
     sample_random_mask,
     serialize_mask,
 )
@@ -74,6 +75,36 @@ class TestSampleRandomMask:
             sample_random_mask(0, 1.0, np.random.default_rng(0))
         with pytest.raises(ConfigError):
             sample_random_mask(4, 0.0, np.random.default_rng(0))
+
+
+class TestSampleMaskBits:
+    def test_single_mask_is_the_first_of_a_batch(self):
+        one = sample_random_mask(4, 1.0, RngKey(3).child("m").generator())
+        stack = sample_mask_bits(1, 4, 1.0, RngKey(3).child("m").generator())
+        assert stack.shape == (1, 4, 4) and stack.dtype == np.uint8
+        np.testing.assert_array_equal(one.bits, stack[0])
+
+    @pytest.mark.parametrize("alpha", [0.4, 1.0, 2.5])
+    def test_one_call_equals_consecutive_single_draws(self, alpha):
+        batched_rng, single_rng = np.random.default_rng(5), np.random.default_rng(5)
+        stack = sample_mask_bits(7, 3, alpha, batched_rng)
+        singles = [sample_random_mask(3, alpha, single_rng).bits for _ in range(7)]
+        np.testing.assert_array_equal(stack, np.stack(singles))
+        # Both generators are left at the same point of the stream.
+        assert batched_rng.random() == single_rng.random()
+
+    def test_zero_count_is_empty(self):
+        rng = np.random.default_rng(0)
+        assert sample_mask_bits(0, 4, 1.0, rng).shape == (0, 4, 4)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    @pytest.mark.parametrize(
+        "count, grid_size, alpha",
+        [(2, 0, 1.0), (2, -1, 1.0), (2, 4, 0.0), (2, 4, -1.0), (-1, 4, 1.0)],
+    )
+    def test_bad_arguments(self, count, grid_size, alpha):
+        with pytest.raises(ConfigError):
+            sample_mask_bits(count, grid_size, alpha, np.random.default_rng(0))
 
 
 class TestExpansion:

@@ -107,13 +107,16 @@ class TestPatchmixBatch:
 
     @pytest.mark.parametrize("grid_size", [1, 2, 4])
     def test_equals_stacked_patchmix(self, rng, grid_size):
-        images = rng.random((10, 8, 8, 3)).astype(np.float32)
-        labels = rng.integers(0, 4, 10)
-        i = rng.integers(0, 10, 25)
-        j = rng.integers(0, 10, 25)
-        bits = rng.integers(0, 2, (25, grid_size, grid_size), dtype=np.uint8)
-        args = (images, i, j, labels[i], labels[j], bits, 4)
-        self.assert_equal_batches(patchmix_batch(*args), stacked_patchmix(*args))
+        # Non-square images catch a swap of the H/P and W/P cell axes.
+        for shape in [(8, 8, 3), (8, 12, 3), (12, 8, 1), (8, 12, 1)]:
+            for dtype in (np.float32, np.float64):
+                images = rng.random((10, *shape)).astype(dtype)
+                labels = rng.integers(0, 4, 10)
+                i = rng.integers(0, 10, 25)
+                j = rng.integers(0, 10, 25)
+                bits = rng.integers(0, 2, (25, grid_size, grid_size), dtype=np.uint8)
+                args = (images, i, j, labels[i], labels[j], bits, 4)
+                self.assert_equal_batches(patchmix_batch(*args), stacked_patchmix(*args))
 
     def test_all_ones_rows_are_identity(self, rng):
         images = rng.random((6, 8, 8, 3)).astype(np.float32)

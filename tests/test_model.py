@@ -6,7 +6,7 @@ import pytest
 from patchmix.data import Dataset, one_hot, synth_shapes
 from patchmix.errors import ConfigError, FormatError, NumericError
 from patchmix.losses import LOSS_MODES, softmax
-from patchmix.masks import PatchMask, full_mask
+from patchmix.masks import PatchMask
 from patchmix.mixing import MixedBatch, patchmix, patchmix_batch
 from patchmix.model import (
     PARAM_FIELDS,
@@ -386,20 +386,21 @@ class TestTraining:
         assert plain_top1 >= mixed_top1 - 0.05
 
     def test_unmixed_mode_consumes_no_mask_draws(self, small_train, small_val, monkeypatch):
-        calls = []
+        rows = []
 
-        def counting_sampler(grid_size, alpha, rng):
-            calls.append(grid_size)
-            return full_mask(grid_size)
+        def counting_sampler(count, grid_size, alpha, rng):
+            rows.append(count)
+            return np.ones((count, grid_size, grid_size), dtype=np.uint8)
 
-        monkeypatch.setattr("patchmix.model.sample_random_mask", counting_sampler)
+        monkeypatch.setattr("patchmix.model.sample_mask_bits", counting_sampler)
         cfg = TrainConfig(epochs=1, batch_size=40, hidden_dim=8, seed=0, mix_probability=0.0)
         train_random_patchmix(small_train, small_val, cfg)
-        assert calls == []
-        # The patch reaches the sampler phase 1 uses: one draw per sample.
+        assert sum(rows) == 0
+        # The patch reaches the sampler phase 1 uses: one mask per sample.
+        rows.clear()
         mixing = dataclasses.replace(cfg, mix_probability=1.0)
         train_random_patchmix(small_train, small_val, mixing)
-        assert len(calls) == len(small_train)
+        assert sum(rows) == len(small_train)
 
     def test_incompatible_grid_rejected(self, small_train, small_val):
         cfg = TrainConfig(epochs=1, grid_size=5)

@@ -97,6 +97,13 @@ class TestGuidedSet:
             assert train.labels[j] == cj
         assert seen_slots == set(active)
 
+    def test_recipe_reaches_every_image_of_each_side(self, train, rng):
+        slot = pair_to_index(0, 2, 3)
+        recipe = draw_guided_recipe(make_individual(active=(slot,)), train, 400, rng)
+        assert all(type(v) is int for entry in recipe for v in entry)
+        assert {i for _, i, _ in recipe} == set(np.flatnonzero(train.labels == 0).tolist())
+        assert {j for _, _, j in recipe} == set(np.flatnonzero(train.labels == 2).tolist())
+
     def test_zero_count_is_empty(self, train, rng):
         ind = make_individual(active=(0,))
         assert draw_guided_recipe(ind, train, 0, rng) == []
