@@ -2,16 +2,19 @@
 
     python3 scripts/bench_pairs.py --label NAME --seeds 601-610 \
         [--parent HEAD] [--claim quickstart.p1_samples_per_s] \
-        [--change "what the change does"] [--seconds 40] [--tmp-dir DIR]
+        [--change "what the change does"] [--tmp-dir DIR]
 
 For every seed S, runs
 
-    python3 perfbench/run.py --workload all --seed S --seconds 40 --trace 0
+    python3 perfbench/run.py --workload all --seed S --trace 0
 
 once in an export of the parent commit and once in the working tree, one
 invocation at a time.  Odd seeds run the parent first and even seeds the
 change first, so a slow stretch of the host does not always land on the
-same side.  Each invocation's last stdout line is its JSON result.
+same side.  The run length is ``perfbench/run.py``'s own default,
+``--seconds 40``, which the report's ``command`` names.  Each invocation's
+last stdout line is its JSON result; exit code 1 with that line (a run
+that failed a check) is kept.
 
 Writes ``BENCH_<label>.json`` at the repository root: for every end-to-end
 metric of ``BENCHMARK.json`` and every workload, both sides' quartiles, the
@@ -62,15 +65,27 @@ def export_tree(ref: str, dest: Path) -> Path:
     return tree
 
 
-def run_bench(tree: Path, seed: int, seconds: float) -> dict:
+def run_bench(tree: Path, seed: int) -> dict:
     """One ``perfbench/run.py --workload all`` invocation in ``tree``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+           "--trace", "0"]
+    return parse_result(subprocess.run(cmd, cwd=tree, capture_output=True, text=True),
+                        f"{tree}: seed {seed}")
+
+
+def parse_result(proc: subprocess.CompletedProcess, what: str) -> dict:
+    """The JSON result on the last stdout line of a finished invocation.
+
+    A crash (exit 2, or no JSON last line, as after an uncaught exception)
+    raises with the exit code and the tail of stderr.
+    """
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode == 2 or not lines:
-        raise RuntimeError(f"{tree}: seed {seed} exited {proc.returncode}\n{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    try:
+        if proc.returncode != 2 and lines:
+            return json.loads(lines[-1])
+    except json.JSONDecodeError:
+        pass
+    raise RuntimeError(f"{what} exited {proc.returncode}\n{proc.stderr[-2000:]}")
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -166,7 +181,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", default="HEAD", help="git ref of the parent (default HEAD)")
     parser.add_argument("--claim", help="claimed metric, e.g. quickstart.p1_samples_per_s")
     parser.add_argument("--change", default="", help="one line on what the change does")
-    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--tmp-dir", type=Path, help="directory for the parent export")
     args = parser.parse_args(argv)
 
@@ -179,15 +193,14 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for side in order:
-                result = run_bench(trees[side], seed, args.seconds)
+                result = run_bench(trees[side], seed)
                 results[side].append(result)
                 print(f"seed {seed} {side}: correct={result['correct']}", file=sys.stderr,
                       flush=True)
     report = {
         "change": args.change,
         "parent": parent_sha,
-        "command": f"python3 perfbench/run.py --workload all --seed S --seconds "
-                   f"{args.seconds:g} --trace 0",
+        "command": "python3 perfbench/run.py --workload all --seed S --seconds 40 --trace 0",
         "pairs": f"seeds {','.join(map(str, args.seeds))}, one parent and one change "
                  "invocation per seed; odd seeds ran the parent first, even seeds the change "
                  "first (scripts/bench_pairs.py)",

@@ -111,11 +111,16 @@ def full_mask(grid_size: int, value: int = 1) -> PatchMask:
     return PatchMask(np.full((grid_size, grid_size), value, dtype=np.uint8))
 
 
+def _check_divisible(width: int, height: int, grid_size: int) -> None:
+    """Reject an image whose sides a ``grid_size`` grid does not split evenly."""
+    if width % grid_size != 0 or height % grid_size != 0:
+        raise ConfigError(f"image {width}x{height} not divisible by grid size {grid_size}")
+
+
 def expand_to_pixel_mask(mask: PatchMask, width: int, height: int) -> PixelMask:
     """Expand grid cells into constant pixel regions."""
     p = mask.grid_size
-    if width % p != 0 or height % p != 0:
-        raise ConfigError(f"image {width}x{height} not divisible by grid size {p}")
+    _check_divisible(width, height, p)
     return PixelMask(np.repeat(np.repeat(mask.bits, height // p, axis=0), width // p, axis=1))
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import one_hot
 from .errors import ConfigError
-from .masks import PatchMask, expand_to_pixel_mask, mixing_ratio
+from .masks import PatchMask, _check_divisible, expand_to_pixel_mask, mixing_ratio
 
 
 @dataclass
@@ -132,8 +132,7 @@ def patchmix_batch(
         raise ConfigError(f"label outside [0, {class_count})")
     height, width, channels = images.shape[1:]
     p = bits.shape[-1]
-    if width % p != 0 or height % p != 0:
-        raise ConfigError(f"image {width}x{height} not divisible by grid size {p}")
+    _check_divisible(width, height, p)
     # Cell (a, b) of an image is the block [a, :, b] of its
     # (P, H/P, P, W/P, C) view.  Gather every cell of the batch from the
     # image that supplies it, then cast the cells into place in one copy.

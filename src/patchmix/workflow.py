@@ -103,13 +103,13 @@ def draw_guided_recipe(
         raise ConfigError("individual has no active pairs")
     if count < 0:
         raise ConfigError("count must be non-negative")
-    sizes = np.bincount(train.labels, minlength=train.class_count)
+    per_class = train.class_indices()
+    sizes = np.array([len(c) for c in per_class])
     pairs = np.array([index_to_pair(int(slot), train.class_count) for slot in active])
     for cls in pairs.reshape(-1):
         if sizes[cls] == 0:
             raise ConfigError(f"training set has no samples of class {cls}")
-    # Class c's images are by_class[starts[c] : starts[c] + sizes[c]], ascending.
-    by_class = np.argsort(train.labels, kind="stable")
+    by_class = np.concatenate(per_class)
     starts = np.cumsum(sizes) - sizes
     pick = rng.integers(len(active), size=count)
     ci, cj = pairs[pick, 0], pairs[pick, 1]

@@ -63,3 +63,24 @@ def test_claim_needs_a_gain_above_the_parent_iqr():
     change = [p + 5.0 for p in parent]
     claim = bench_pairs.claim_result(parent, change, "higher")
     assert claim["change_wins"] == 5 and not claim["met"]
+
+
+def finished(returncode, stdout, stderr=""):
+    return bench_pairs.subprocess.CompletedProcess([], returncode, stdout, stderr)
+
+
+def test_a_run_that_failed_a_check_is_kept():
+    line = json.dumps({"correct": False, "metrics": {}})
+    assert bench_pairs.parse_result(finished(1, f"# summary\n{line}\n"), "run") == {
+        "correct": False, "metrics": {},
+    }
+
+
+@pytest.mark.parametrize(
+    "returncode, stdout",
+    [(1, "# quickstart: 12 runs\n"), (1, ""), (2, '{"correct": true}\n')],
+)
+def test_a_crash_raises_with_its_stderr(returncode, stdout):
+    proc = finished(returncode, stdout, "Traceback ...\nValueError: boom\n")
+    with pytest.raises(RuntimeError, match=rf"exited {returncode}\n(?s:.*)ValueError: boom"):
+        bench_pairs.parse_result(proc, "run")
