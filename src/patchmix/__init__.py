@@ -22,7 +22,6 @@ from .evolution import (
     FitnessTable,
     Individual,
     SearchConfig,
-    all_pairs,
     evaluate_fitness,
     index_to_pair,
     load_individual,
@@ -33,24 +32,15 @@ from .evolution import (
 )
 from .losses import (
     combined_loss,
-    image_loss,
     log_softmax,
-    patch_accuracy,
-    patch_loss,
-    softmax,
     total_loss,
 )
 from .masks import (
     PatchMask,
-    PixelMask,
     expand_to_pixel_mask,
-    full_mask,
     mixing_ratio,
-    parse_mask,
-    reduce_to_patch_mask,
     sample_mask_bits,
     sample_random_mask,
-    serialize_mask,
 )
 from .mixing import MixedBatch, MixedSample, cutmix, mixup, patchmix, patchmix_batch
 from .model import (
@@ -70,7 +60,6 @@ from .model import (
 )
 from .rng import RngKey
 from .workflow import (
-    GuidedPlan,
     PipelineResult,
     ablation_grid,
     run_guided_pipeline,
@@ -84,21 +73,18 @@ __all__ = [
     "Dataset",
     "FitnessTable",
     "FormatError",
-    "GuidedPlan",
     "Individual",
     "MixedBatch",
     "MixedSample",
     "NumericError",
     "PatchMask",
     "PipelineResult",
-    "PixelMask",
     "ReferenceModel",
     "RngKey",
     "SearchConfig",
     "TrainConfig",
     "ablation_grid",
     "adversarial_accuracy",
-    "all_pairs",
     "combined_loss",
     "cosine_lr",
     "cutmix",
@@ -107,8 +93,6 @@ __all__ = [
     "expand_to_pixel_mask",
     "fgsm_attack_batch",
     "forward_batch",
-    "full_mask",
-    "image_loss",
     "index_to_pair",
     "load_cifar_binary",
     "load_dataset",
@@ -121,12 +105,8 @@ __all__ = [
     "one_hot",
     "pair_count",
     "pair_to_index",
-    "parse_mask",
-    "patch_accuracy",
-    "patch_loss",
     "patchmix",
     "patchmix_batch",
-    "reduce_to_patch_mask",
     "run_guided_pipeline",
     "run_search",
     "sample_mask_bits",
@@ -135,10 +115,8 @@ __all__ = [
     "save_individual",
     "save_metrics",
     "save_model",
-    "serialize_mask",
     "sgd_nesterov_step",
     "sniff_and_load",
-    "softmax",
     "synth_shapes",
     "total_loss",
     "toy_2d_three_class",

@@ -253,7 +253,7 @@ def cmd_pipeline(args) -> int:
     result = run_guided_pipeline(train, val, cfg.train, cfg.search, run_dir)
     save_config_snapshot(cfg, run_dir)
     last = result.final_metrics[-1]
-    print(f"best_score,{result.plan.best_individual.fitness!r}")
+    print(f"best_score,{result.best_individual.fitness!r}")
     print(f"val_top1,{last.val_top1!r}")
     return 0
 

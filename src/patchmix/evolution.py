@@ -48,10 +48,6 @@ def pair_count(class_count: int) -> int:
     return class_count * (class_count + 1) // 2
 
 
-def all_pairs(class_count: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(class_count) for j in range(i, class_count)]
-
-
 def pair_to_index(i: int, j: int, class_count: int) -> int:
     if not 0 <= i <= j < class_count:
         raise ConfigError(f"bad class pair ({i}, {j}) for {class_count} classes")
@@ -170,6 +166,13 @@ class SearchConfig:
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 
+    def forced_slots(self, class_count: int) -> np.ndarray:
+        """Slots every genome keeps active: the same-class pairs under
+        ``force_same_class``, else none."""
+        if self.force_same_class:
+            return same_class_slots(class_count)
+        return np.empty(0, np.int64)
+
     def resolve_max_active(self, class_count: int) -> int:
         limit = self.max_active_pairs if self.max_active_pairs is not None else class_count
         if limit > pair_count(class_count):
@@ -191,7 +194,7 @@ def init_population(
     active slots per genome (forced same-class slots counted within it)."""
     n_pairs = pair_count(class_count)
     limit = cfg.resolve_max_active(class_count)
-    forced = same_class_slots(class_count) if cfg.force_same_class else np.empty(0, np.int64)
+    forced = cfg.forced_slots(class_count)
     candidates = np.setdiff1d(np.arange(n_pairs), forced)
     population = []
     for _ in range(cfg.population_size):
@@ -233,6 +236,10 @@ class FitnessTable:
         """Forward ``val`` once, ``TABLE_CHUNK`` images at a time."""
         if len(val) == 0:
             raise ConfigError("cannot build a fitness table from an empty dataset")
+        if model.class_count != val.class_count:
+            raise ConfigError(
+                f"model scores {model.class_count} classes, dataset has {val.class_count}"
+            )
         patch_logits = np.concatenate([
             forward_batch(model, val.images[start : start + TABLE_CHUNK])[0]
             for start in range(0, len(val), TABLE_CHUNK)
@@ -374,10 +381,7 @@ def flip_heads(
 ) -> Individual:
     """Redraw which non-forced slots are active, preserving their count."""
     out = individual.copy()
-    class_count = out.class_count
-    forced = (
-        same_class_slots(class_count) if cfg.force_same_class else np.empty(0, np.int64)
-    )
+    forced = cfg.forced_slots(out.class_count)
     candidates = np.setdiff1d(np.arange(out.n_pairs), forced)
     movable = np.setdiff1d(out.active_slots(), forced)
     head = np.zeros_like(out.head)
@@ -431,9 +435,7 @@ def repair(
     out = individual.copy()
     class_count = out.class_count
     limit = cfg.resolve_max_active(class_count)
-    forced = (
-        same_class_slots(class_count) if cfg.force_same_class else np.empty(0, np.int64)
-    )
+    forced = cfg.forced_slots(class_count)
     changed = False
     if len(forced) and not out.head[forced].all():
         out.head[forced] = 1

@@ -94,8 +94,7 @@ def patchmix(
     """
     _check_pair(x_i, x_j)
     height, width = x_i.shape[:2]
-    pixel = expand_to_pixel_mask(mask, width, height)
-    keep = pixel.bits.astype(bool)[:, :, None]
+    keep = expand_to_pixel_mask(mask, width, height).astype(bool)[:, :, None]
     image = np.where(keep, x_i, x_j).astype(np.float64)
     lam = mixing_ratio(mask)
     image_label = lam * one_hot(y_i, class_count) + (1.0 - lam) * one_hot(y_j, class_count)

@@ -28,7 +28,7 @@ import numpy as np
 from . import losses
 from .data import Dataset, _write_atomic
 from .errors import ConfigError, FormatError, NumericError
-from .masks import sample_mask_bits
+from .masks import _check_divisible, sample_mask_bits
 from .mixing import MixedBatch, patchmix_batch
 from .rng import RngKey
 
@@ -147,8 +147,7 @@ class EpochMetrics:
 def patchify(images: np.ndarray, grid_size: int, out: np.ndarray | None = None) -> np.ndarray:
     """(B, H, W, C) -> (B, P*P, patch_pixels) in row-major grid order, into ``out`` if given."""
     b, h, w, c = images.shape
-    if h % grid_size != 0 or w % grid_size != 0:
-        raise ConfigError(f"image {w}x{h} not divisible by grid size {grid_size}")
+    _check_divisible(w, h, grid_size)
     ph, pw = h // grid_size, w // grid_size
     x = images.reshape(b, grid_size, ph, grid_size, pw, c)
     x = x.transpose(0, 1, 3, 2, 4, 5)
@@ -417,21 +416,20 @@ def _check_train_inputs(train: Dataset, val: Dataset, cfg: TrainConfig) -> None:
         raise ConfigError("train and validation image shapes differ")
     if train.class_count != val.class_count:
         raise ConfigError("train and validation class counts differ")
-    if train.height % cfg.grid_size or train.width % cfg.grid_size:
-        raise ConfigError(
-            f"images {train.width}x{train.height} not divisible by grid size {cfg.grid_size}"
-        )
+    _check_divisible(train.width, train.height, cfg.grid_size)
+
+
+def _model_dims(train: Dataset, cfg: TrainConfig) -> tuple[int, int, int, int]:
+    """(grid_size, class_count, hidden_dim, patch_pixels) of a model that
+    ``cfg`` trains on ``train``."""
+    p = cfg.grid_size
+    ppc = (train.height // p) * (train.width // p) * train.channels
+    return p, train.class_count, cfg.hidden_dim, ppc
 
 
 def _initial_model(train: Dataset, cfg: TrainConfig, stream_tag: str) -> ReferenceModel:
-    p = cfg.grid_size
-    ppc = (train.height // p) * (train.width // p) * train.channels
     return ReferenceModel.initialize(
-        p,
-        train.class_count,
-        cfg.hidden_dim,
-        ppc,
-        RngKey(cfg.seed).child(stream_tag, "init").generator(),
+        *_model_dims(train, cfg), RngKey(cfg.seed).child(stream_tag, "init").generator()
     )
 
 

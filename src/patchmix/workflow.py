@@ -12,7 +12,8 @@
 
 Each phase writes its artifact into the run directory; re-running with
 an existing phase-1 checkpoint skips phase 1 and produces identical
-downstream results for the same seeds.
+downstream results for the same seeds.  A checkpoint whose model shape
+differs from the one the config would train is refused, not reused.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .model import (
     TrainConfig,
     _check_train_inputs,
     _initial_model,
+    _model_dims,
     _train_loop,
     load_model,
     save_metrics,
@@ -67,22 +69,10 @@ DEFAULT_BATCH_RATIO = (1, 1, 1)
 
 
 @dataclass
-class GuidedPlan:
-    """Search outcome handed from phase 2 to phases 3 and 4."""
-
-    best_individual: Individual
-    sampling_weight: float = 1.0 / 3.0  # guided share of a composed batch
-
-    def __post_init__(self):
-        if not 0.0 <= self.sampling_weight <= 1.0:
-            raise ConfigError("sampling_weight must lie in [0, 1]")
-
-
-@dataclass
 class PipelineResult:
     fitness_model: ReferenceModel
     fitness_metrics: list[EpochMetrics] | None
-    plan: GuidedPlan
+    best_individual: Individual
     history: list
     final_model: ReferenceModel
     final_metrics: list[EpochMetrics]
@@ -315,6 +305,17 @@ def run_guided_pipeline(
     fitness_metrics: list[EpochMetrics] | None = None
     if fitness_path.exists():
         fitness_model = load_model(fitness_path)
+        found = (
+            fitness_model.grid_size, fitness_model.class_count,
+            fitness_model.hidden_dim, fitness_model.patch_pixels,
+        )
+        wanted = _model_dims(train, train_cfg)
+        if found != wanted:
+            raise ConfigError(
+                f"{fitness_path} holds a model with (grid_size, class_count, hidden_dim, "
+                f"patch_pixels) = {found}, but the config asks for {wanted}; remove it "
+                "or choose another output_dir"
+            )
         log.info("phase 1 skipped: reusing fitness model checkpoint %s", fitness_path)
     else:
         fitness_model, fitness_metrics = train_random_patchmix(train, val, train_cfg)
@@ -341,11 +342,10 @@ def run_guided_pipeline(
     save_metrics(final_metrics, run_dir / FINAL_METRICS_FILE)
     log.info("phase 4 done: final model saved to %s", run_dir / FINAL_MODEL_FILE)
 
-    guided_share = ratio[2] / sum(ratio)
     return PipelineResult(
         fitness_model=fitness_model,
         fitness_metrics=fitness_metrics,
-        plan=GuidedPlan(best, guided_share),
+        best_individual=best,
         history=history,
         final_model=final_model,
         final_metrics=final_metrics,

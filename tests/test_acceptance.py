@@ -27,14 +27,16 @@ from patchmix.evolution import (
     transpose_tails,
 )
 from patchmix.evolution import Individual, repair
-from patchmix.losses import combined_loss, image_loss, patch_loss
+from patchmix.losses import combined_loss
 from patchmix.masks import PatchMask, expand_to_pixel_mask, mixing_ratio, sample_random_mask
-from patchmix.mixing import patchmix
+from patchmix.mixing import MixedBatch, patchmix, patchmix_batch
 from patchmix.model import (
     ReferenceModel,
     TrainConfig,
     adversarial_accuracy,
+    backward,
     batch_gradients,
+    forward_batch,
     train_random_patchmix,
 )
 from patchmix.workflow import (
@@ -116,42 +118,64 @@ def test_equation_suite():
         np.testing.assert_array_equal(
             sample.patch_labels, np.where(bits.ravel() == 1, y_i, y_j)
         )
-        cases += 1
-
-    # Image-level soft-target cross-entropy.
-    for _ in range(250):
-        classes = int(rng.integers(2, 11))
-        logits = rng.uniform(-10, 10, classes)
-        target = rng.dirichlet(np.ones(classes))
-        assert abs(image_loss(logits, target) - oracle_cross_entropy(logits, target)) <= 1e-9
-        cases += 1
-
-    # Patch-level loss: a SUM of per-patch one-hot cross-entropies.
-    for _ in range(250):
-        p = int(rng.integers(1, 5))
-        classes = int(rng.integers(2, 7))
-        logits = rng.uniform(-10, 10, (p * p, classes))
-        labels = rng.integers(0, classes, p * p)
-        expected = sum(
-            oracle_cross_entropy(row, one_hot(int(lab), classes))
-            for row, lab in zip(logits, labels)
+        # The batched composer training runs gives the same row.
+        row = patchmix_batch(
+            np.stack([x_i, x_j]), [0], [1], [y_i], [y_j], bits[None], classes
         )
-        assert abs(patch_loss(logits, labels) - expected) <= 1e-9
+        np.testing.assert_array_equal(row.images[0], sample.image)
+        np.testing.assert_array_equal(row.image_labels[0], sample.image_label)
+        np.testing.assert_array_equal(row.patch_labels[0], sample.patch_labels)
         cases += 1
 
-    # Combined objective, all three modes.
-    for _ in range(250):
-        l_img = float(rng.uniform(0, 20))
-        l_patch = float(rng.uniform(0, 200))
-        p = int(rng.choice([1, 2, 4, 8]))
-        assert abs(combined_loss(l_img, l_patch, p, "both") - (l_img + l_patch / p**2) / 2) <= 1e-9
-        assert abs(combined_loss(l_img, l_patch, p, "image_only") - l_img) <= 1e-9
-        assert abs(combined_loss(l_img, l_patch, p, "patch_only") - l_patch / p**2) <= 1e-9
+    # The training loss, as model.backward computes it: the image-level
+    # soft-target cross-entropy, the patch-level SUM of one-hot
+    # cross-entropies, and their combination in all three modes, against the
+    # oracle on the forward_batch logits.  Each case checks every single row
+    # and the whole batch, whose loss is the mean over its rows.
+    worst = 0.0
+    for _ in range(750):
+        p = int(rng.integers(1, 5))
+        classes = int(rng.integers(2, 11))
+        rows = int(rng.integers(1, 5))
+        model = ReferenceModel.initialize(p, classes, 6, 4, rng)  # 2x2-pixel patches
+        # Scaled heads: the logits of a sample span about 2 to 30 units.
+        model.w_patch *= rng.uniform(1, 10)
+        model.w_img *= rng.uniform(1, 10)
+        batch = MixedBatch(
+            rng.random((rows, 2 * p, 2 * p, 1)),
+            rng.dirichlet(np.ones(classes), size=rows),
+            rng.integers(0, classes, (rows, p * p)),
+        )
+        patch_logits, image_logits = forward_batch(model, batch.images)
+        l_img = np.array([
+            oracle_cross_entropy(logits, target)
+            for logits, target in zip(image_logits, batch.image_labels)
+        ])
+        l_patch = np.array([
+            sum(
+                oracle_cross_entropy(logits, one_hot(int(label), classes))
+                for logits, label in zip(sample_logits, labels)
+            )
+            for sample_logits, labels in zip(patch_logits, batch.patch_labels)
+        ])
+        oracle = {
+            "image_only": l_img,
+            "patch_only": l_patch / p**2,
+            "both": (l_img + l_patch / p**2) / 2,
+        }
+        for mode, expected in oracle.items():
+            for r in range(rows):
+                loss, _ = backward(model, batch.take([r]), mode)
+                assert abs(loss - expected[r]) <= 1e-9
+                worst = max(worst, abs(loss - expected[r]))
+            loss, _ = backward(model, batch, mode)
+            assert abs(loss - expected.mean()) <= 1e-9
+            worst = max(worst, abs(loss - expected.mean()))
         cases += 1
 
     assert combined_loss(2.0, 32.0, 4, "both") == 2.0  # worked example, exact
     assert cases >= 1000
-    return f"{cases} randomized cases"
+    return f"{cases} randomized cases, worst loss error {worst:.1e}"
 
 
 @criterion(2, "mask pixel expansion: popcount scaling and region constancy on 1000 masks")
@@ -163,8 +187,8 @@ def test_mask_pixel_consistency():
         mask = sample_random_mask(p, 1.0, rng)
         pixel = expand_to_pixel_mask(mask, width, height)
         block_h, block_w = height // p, width // p
-        assert int(pixel.bits.sum()) == int(mask.bits.sum()) * block_h * block_w
-        regions = pixel.bits.reshape(p, block_h, p, block_w)
+        assert int(pixel.sum()) == int(mask.bits.sum()) * block_h * block_w
+        regions = pixel.reshape(p, block_h, p, block_w)
         for r in range(p):
             for c in range(p):
                 region = regions[r, :, c, :]

@@ -331,6 +331,53 @@ class TestPhaseCommands:
         assert "best_score," in out and "val_top1," in out
 
 
+class TestResume:
+    """A rerun into a run directory reuses its phase-1 checkpoint only when
+    the config would train a model of the same shape."""
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"train": {"hidden_dim": 32}},
+            {"dataset": {"class_count": 4}},
+            {"train": {"grid_size": 4}},
+        ],
+        ids=["hidden_dim", "class_count", "grid_size"],
+    )
+    def test_mismatched_checkpoint_refused(self, tmp_path, capsys, change):
+        run_dir = tmp_path / "run"
+        assert main(["train-random", "--config", str(write_config(tmp_path, run_dir))]) == 0
+        checkpoint = (run_dir / FITNESS_MODEL_FILE).read_bytes()
+        capsys.readouterr()
+        cfg_path = write_config(tmp_path, run_dir, **change)
+        assert main(["pipeline", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert "but the config asks for" in captured.err
+        assert captured.out == ""
+        assert (run_dir / FITNESS_MODEL_FILE).read_bytes() == checkpoint
+        assert not (run_dir / FINAL_MODEL_FILE).exists()
+
+    def test_matching_checkpoint_skips_phase_one(self, tmp_path, capsys, caplog):
+        run_dir = tmp_path / "run"
+        cfg_path = write_config(tmp_path, run_dir)
+        assert main(["train-random", "--config", str(cfg_path)]) == 0
+        checkpoint = (run_dir / FITNESS_MODEL_FILE).read_bytes()
+        with caplog.at_level("INFO", logger="patchmix.workflow"):
+            assert main(["pipeline", "--config", str(cfg_path)]) == 0
+        assert any("phase 1 skipped" in r.getMessage() for r in caplog.records)
+        assert (run_dir / FITNESS_MODEL_FILE).read_bytes() == checkpoint
+        assert (run_dir / FINAL_MODEL_FILE).exists()
+
+    def test_search_refuses_other_class_count(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["train-random", "--config", str(write_config(tmp_path, run_dir))]) == 0
+        capsys.readouterr()
+        cfg_path = write_config(tmp_path, run_dir, dataset={"class_count": 4})
+        assert main(["search", "--config", str(cfg_path)]) == 2
+        assert "model scores 3 classes, dataset has 4" in capsys.readouterr().err
+        assert not (run_dir / BEST_INDIVIDUAL_FILE).exists()
+
+
 class TestEvalCommand:
     @pytest.fixture()
     def trained_run(self, tmp_path, capsys):

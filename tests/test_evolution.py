@@ -14,7 +14,6 @@ from patchmix.evolution import (
     GenerationStats,
     Individual,
     SearchConfig,
-    all_pairs,
     class_count_for_pairs,
     crossover,
     evaluate_fitness,
@@ -105,14 +104,15 @@ def constant_dataset(levels, n_per_class=4, side=4):
 class TestPairIndexing:
     def test_bijection(self):
         for c in range(1, 17):
-            pairs = all_pairs(c)
+            pairs = [(i, j) for i in range(c) for j in range(i, c)]
             assert len(pairs) == pair_count(c) == c * (c + 1) // 2
             for k, (i, j) in enumerate(pairs):
                 assert pair_to_index(i, j, c) == k
                 assert index_to_pair(k, c) == (i, j)
 
     def test_row_major_upper_triangular(self):
-        assert all_pairs(3) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+        pairs = [index_to_pair(k, 3) for k in range(pair_count(3))]
+        assert pairs == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
 
     def test_class_count_recovery(self):
         for c in (1, 2, 3, 7):
@@ -401,6 +401,15 @@ class TestEvaluateFitness:
         ind = make_individual(class_count=3, active=(0,))
         with pytest.raises(ConfigError):
             table_fitness(ind, model, val, SearchConfig(), 0)
+
+    @pytest.mark.parametrize("model_classes", [2, 4])
+    def test_model_class_count_mismatch_rejected(self, model_classes):
+        # A model of another class count would score the patches of a
+        # class it has no logit for, or never predict one of the classes.
+        val = constant_dataset((0.2, 0.5, 0.8))
+        model = constant_class_model(class_count=model_classes)
+        with pytest.raises(ConfigError, match=f"model scores {model_classes} classes"):
+            FitnessTable.build(model, val, SearchConfig())
 
     def test_grid_mismatch_rejected(self):
         val = constant_dataset((0.2, 0.8))

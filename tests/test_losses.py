@@ -1,20 +1,86 @@
+"""The loss terms as the pipeline computes them.
+
+Training computes its losses inside ``model.backward``, so the cross-entropy
+tests run ``backward`` on models built to output chosen logits, and the
+patch-accuracy tests run ``model.evaluate_model``.
+"""
+
 import math
 
 import numpy as np
 import pytest
 
+from patchmix.data import Dataset
 from patchmix.errors import ConfigError, NumericError
 from patchmix.losses import (
     combined_loss,
-    image_loss,
     log_softmax,
     loss_eval_count,
-    patch_accuracy,
-    patch_loss,
     record_loss_eval,
-    softmax,
     total_loss,
 )
+from patchmix.mixing import MixedBatch
+from patchmix.model import ReferenceModel, backward, evaluate_model
+
+
+def softmax(logits):
+    return np.exp(log_softmax(logits))
+
+
+def logit_model(grid_size, unit_logits, image_logits):
+    """A model that gives a patch whose pixels are the m-th unit vector the
+    patch logits ``unit_logits[m]``, and every image the ``image_logits``.
+
+    The encoder is the identity, the patch head's weights are the unit
+    logits, and the image head has zero weights and the image logits as
+    its bias, so both heads output the chosen logits exactly.
+    """
+    unit_logits = np.asarray(unit_logits, dtype=np.float64)
+    units, classes = unit_logits.shape
+    model = ReferenceModel.initialize(grid_size, classes, units, units, np.random.default_rng(0))
+    model.w_embed[:] = np.eye(units)
+    model.w_patch[:] = unit_logits
+    model.w_img[:] = 0.0
+    model.b_img[:] = image_logits
+    return model
+
+
+def sample_loss(loss_mode, patch_logits, image_logits, target, patch_labels):
+    """``backward``'s loss for one sample with these (P^2, C) patch logits
+    and (C,) image logits: patch n of the image is the n-th unit vector."""
+    n = len(patch_logits)
+    p = math.isqrt(n)
+    model = logit_model(p, patch_logits, image_logits)
+    labels = None if patch_labels is None else np.asarray(patch_labels)[None]
+    batch = MixedBatch(
+        np.eye(n).reshape(1, p, p, n), np.asarray(target, dtype=np.float64)[None], labels
+    )
+    loss, _ = backward(model, batch, loss_mode)
+    return loss
+
+
+def image_loss(image_logits, target):
+    """Soft-target image cross-entropy: ``backward`` in image-only mode."""
+    classes = len(image_logits)
+    return sample_loss("image_only", np.zeros((1, classes)), image_logits, target, None)
+
+
+def patch_loss(patch_logits, patch_labels):
+    """Summed patch cross-entropy: ``backward`` in patch-only mode, which
+    divides the sum by the patch count."""
+    n, classes = np.shape(patch_logits)
+    uniform = np.full(classes, 1.0 / classes)
+    return n * sample_loss("patch_only", patch_logits, np.zeros(classes), uniform, patch_labels)
+
+
+def patch_accuracy(patch_logits, patch_labels):
+    """``evaluate_model``'s patch accuracy on single-patch images, image k
+    with patch logits ``patch_logits[k]`` and label ``patch_labels[k]``."""
+    count, classes = np.shape(patch_logits)
+    model = logit_model(1, patch_logits, np.zeros(classes))
+    images = np.eye(count).reshape(count, 1, 1, count)
+    _, patch_acc = evaluate_model(model, Dataset(images, patch_labels, classes))
+    return patch_acc
 
 
 class TestSoftmax:
@@ -89,8 +155,8 @@ class TestPatchLoss:
         assert four == pytest.approx(4 * one, abs=1e-12)
 
     def test_label_out_of_range_rejected(self):
-        with pytest.raises(ConfigError):
-            patch_loss(np.zeros((2, 3)), np.array([0, 3]))
+        with pytest.raises(ConfigError, match="patch label outside"):
+            patch_loss(np.zeros((4, 3)), np.array([0, 3, 0, 0]))
 
     def test_non_negative(self, rng):
         logits = rng.normal(size=(9, 4))
@@ -144,7 +210,7 @@ class TestEvalCounters:
         image, patch = loss_eval_count("image"), loss_eval_count("patch")
         image_loss(np.zeros(3), np.array([1.0, 0.0, 0.0]))
         image_loss(np.zeros(3), np.array([1.0, 0.0, 0.0]))
-        patch_loss(np.zeros((2, 3)), np.array([0, 1]))
+        patch_loss(np.zeros((4, 3)), np.array([0, 1, 2, 0]))
         assert loss_eval_count("image") - image == 2
         assert loss_eval_count("patch") - patch == 1
 

@@ -4,18 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patchmix.errors import ConfigError, FormatError
+from patchmix.evolution import Individual, format_individual, parse_individual
 from patchmix.masks import (
     PatchMask,
-    PixelMask,
-    complement,
     expand_to_pixel_mask,
-    full_mask,
     mixing_ratio,
-    parse_mask,
-    reduce_to_patch_mask,
     sample_mask_bits,
     sample_random_mask,
-    serialize_mask,
 )
 from patchmix.rng import RngKey
 
@@ -41,7 +36,7 @@ class TestPatchMask:
             PatchMask(np.zeros((2, 3), dtype=np.uint8))
 
     def test_bits_are_read_only(self):
-        mask = full_mask(2)
+        mask = PatchMask(np.ones((2, 2), dtype=np.uint8))
         with pytest.raises(ValueError):
             mask.bits[0, 0] = 0
 
@@ -49,7 +44,7 @@ class TestPatchMask:
         a = PatchMask(np.array([[1, 0], [0, 1]], dtype=np.uint8))
         b = PatchMask(np.array([[1, 0], [0, 1]], dtype=np.uint8))
         assert a == b
-        assert a != complement(b)
+        assert a != PatchMask(1 - b.bits)
 
 
 class TestSampleRandomMask:
@@ -109,45 +104,47 @@ class TestSampleMaskBits:
 
 class TestExpansion:
     def test_all_ones_expands_to_all_ones(self):
-        pixel = expand_to_pixel_mask(full_mask(4), 32, 32)
-        assert pixel.bits.shape == (32, 32)
-        assert pixel.bits.all()
+        pixel = expand_to_pixel_mask(PatchMask(np.ones((4, 4), dtype=np.uint8)), 32, 32)
+        assert pixel.shape == (32, 32) and pixel.dtype == np.uint8
+        assert pixel.all()
 
     def test_single_bit_fills_one_region(self):
         bits = np.zeros((4, 4), dtype=np.uint8)
         bits[0, 0] = 1
         pixel = expand_to_pixel_mask(PatchMask(bits), 32, 32)
-        assert pixel.bits[:8, :8].all()
-        assert pixel.bits.sum() == 64
+        assert pixel[:8, :8].all()
+        assert pixel.sum() == 64
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ConfigError):
-            expand_to_pixel_mask(full_mask(4), 30, 32)
+            expand_to_pixel_mask(PatchMask(np.ones((4, 4), dtype=np.uint8)), 30, 32)
 
     def test_rectangular_images_supported(self):
         bits = np.array([[1, 0], [0, 0]], dtype=np.uint8)
         pixel = expand_to_pixel_mask(PatchMask(bits), 8, 4)
-        assert pixel.bits.shape == (4, 8)
-        assert pixel.bits[:2, :4].all() and pixel.bits.sum() == 8
+        assert pixel.shape == (4, 8)
+        assert pixel[:2, :4].all() and pixel.sum() == 8
 
     def test_reduce_recovers_original(self, rng):
         for p in (2, 4, 8):
             mask = random_mask(p, rng)
             pixel = expand_to_pixel_mask(mask, 32, 32)
-            assert reduce_to_patch_mask(pixel, p) == mask
+            # Majority vote over each patch region.
+            regions = pixel.reshape(p, 32 // p, p, 32 // p).mean(axis=(1, 3))
+            assert PatchMask((regions > 0.5).astype(np.uint8)) == mask
 
     def test_popcount_scales_by_region_area(self, rng):
         mask = random_mask(4, rng)
         pixel = expand_to_pixel_mask(mask, 32, 16)
-        assert pixel.bits.sum() == mask.popcount() * (32 // 4) * (16 // 4)
+        assert pixel.sum() == mask.popcount() * (32 // 4) * (16 // 4)
 
 
 class TestMixingRatio:
     def test_all_ones(self):
-        assert mixing_ratio(full_mask(4)) == 1.0
+        assert mixing_ratio(PatchMask(np.ones((4, 4), dtype=np.uint8))) == 1.0
 
     def test_all_zeros(self):
-        assert mixing_ratio(full_mask(4, value=0)) == 0.0
+        assert mixing_ratio(PatchMask(np.zeros((4, 4), dtype=np.uint8))) == 0.0
 
     def test_five_of_sixteen(self):
         bits = np.zeros((4, 4), dtype=np.uint8)
@@ -157,18 +154,34 @@ class TestMixingRatio:
     @given(masks_strategy)
     @settings(max_examples=50, deadline=None)
     def test_complement_ratios_sum_to_one(self, mask):
-        assert mixing_ratio(mask) + mixing_ratio(complement(mask)) == 1.0
+        assert mixing_ratio(mask) + mixing_ratio(PatchMask(1 - mask.bits)) == 1.0
+
+
+# Masks are stored as rows of the genome file; a one-class genome holds
+# exactly one slot, (0, 0), so its text is this header and the mask rows.
+GENOME_HEAD = "C=1 P={p} N=1\n1\n(0,0)"
+
+
+def mask_text(mask):
+    """The genome text of a one-class genome whose only slot holds ``mask``."""
+    return format_individual(Individual(np.ones(1), mask.bits[None]), 1)
+
+
+def parse_mask(text):
+    """The mask of a one-class genome text."""
+    individual, _ = parse_individual(text)
+    return PatchMask(individual.masks[0])
 
 
 class TestSerialization:
     def test_format_example(self):
         mask = PatchMask(np.array([[1, 0], [0, 1]], dtype=np.uint8))
-        assert serialize_mask(mask) == "P=2\n10\n01"
+        assert mask_text(mask) == GENOME_HEAD.format(p=2) + "\n10\n01"
 
     @given(masks_strategy)
     @settings(max_examples=50, deadline=None)
     def test_roundtrip(self, mask):
-        assert parse_mask(serialize_mask(mask)) == mask
+        assert parse_mask(mask_text(mask)) == mask
 
     @pytest.mark.parametrize(
         "text",
@@ -183,9 +196,4 @@ class TestSerialization:
     )
     def test_malformed_rejected(self, text):
         with pytest.raises(FormatError):
-            parse_mask(text)
-
-
-def test_pixel_mask_validates_bits():
-    with pytest.raises(ConfigError):
-        PixelMask(np.array([[0, 3]]))
+            parse_mask(text.replace("P=2", GENOME_HEAD.format(p=2)))

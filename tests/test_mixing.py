@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patchmix.errors import ConfigError
-from patchmix.masks import PatchMask, complement, full_mask
+from patchmix.masks import PatchMask
 from patchmix.mixing import MixedBatch, cutmix, mixup, patchmix, patchmix_batch
 from patchmix.rng import RngKey
 
@@ -19,7 +19,7 @@ def pair(rng):
 class TestPatchmix:
     def test_all_ones_mask_is_identity(self, pair):
         x_i, x_j = pair
-        out = patchmix(x_i, 0, x_j, 1, full_mask(4), 3)
+        out = patchmix(x_i, 0, x_j, 1, PatchMask(np.ones((4, 4), dtype=np.uint8)), 3)
         assert np.array_equal(out.image, x_i)
         assert out.image_label.tolist() == [1.0, 0.0, 0.0]
         assert (out.patch_labels == 0).all()
@@ -27,7 +27,7 @@ class TestPatchmix:
 
     def test_all_zeros_mask_takes_partner(self, pair):
         x_i, x_j = pair
-        out = patchmix(x_i, 0, x_j, 1, full_mask(4, value=0), 3)
+        out = patchmix(x_i, 0, x_j, 1, PatchMask(np.zeros((4, 4), dtype=np.uint8)), 3)
         assert np.array_equal(out.image, x_j)
         assert out.lam == 0.0
 
@@ -69,7 +69,7 @@ class TestPatchmix:
         bits = (mask_id >> np.arange(16)) & 1
         mask = PatchMask(bits.reshape(4, 4).astype(np.uint8))
         a = patchmix(x_i, 0, x_j, 1, mask, 2)
-        b = patchmix(x_j, 1, x_i, 0, complement(mask), 2)
+        b = patchmix(x_j, 1, x_i, 0, PatchMask(1 - mask.bits), 2)
         assert np.array_equal(a.image, b.image)
         assert np.array_equal(a.image_label, b.image_label)
 
@@ -81,7 +81,8 @@ class TestPatchmix:
 
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ConfigError):
-            patchmix(rng.random((8, 8, 3)), 0, rng.random((4, 4, 3)), 1, full_mask(4), 2)
+            ones = PatchMask(np.ones((4, 4), dtype=np.uint8))
+            patchmix(rng.random((8, 8, 3)), 0, rng.random((4, 4, 3)), 1, ones, 2)
 
 
 def stacked_patchmix(images, i, j, y_i, y_j, bits, class_count):

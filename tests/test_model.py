@@ -5,7 +5,7 @@ import pytest
 
 from patchmix.data import Dataset, one_hot, synth_shapes
 from patchmix.errors import ConfigError, FormatError, NumericError
-from patchmix.losses import LOSS_MODES, softmax
+from patchmix.losses import LOSS_MODES, log_softmax
 from patchmix.masks import PatchMask
 from patchmix.mixing import MixedBatch, patchmix, patchmix_batch
 from patchmix.model import (
@@ -98,7 +98,7 @@ class TestForward:
         )
         assert np.array_equal(patch_logits[0], np.zeros((4, 3)))
         assert np.array_equal(image_logits[0], np.zeros(3))
-        assert np.allclose(softmax(image_logits[0]), 1 / 3)
+        assert np.allclose(np.exp(log_softmax(image_logits[0])), 1 / 3)
 
     def test_patch_rows_follow_mask_order(self):
         # Identity embedding; class-0 logit = sum of patch pixels.  Mixing
@@ -198,7 +198,7 @@ class TestGradients:
         model = tiny_model(seed=8)
         images = rng.random((2, 4, 4, 1))
         _, image_logits = forward_batch(model, images)
-        targets = np.stack([softmax(row) for row in image_logits])
+        targets = np.exp(log_softmax(image_logits))
         _, grads, input_grads = batch_gradients(
             model, images, targets, None, "image_only"
         )

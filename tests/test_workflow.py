@@ -21,7 +21,6 @@ from patchmix.workflow import (
     GUIDED_MANIFEST_FILE,
     SEARCH_HISTORY_FILE,
     AblationRow,
-    GuidedPlan,
     ablation_csv_lines,
     ablation_grid,
     draw_guided_recipe,
@@ -66,14 +65,6 @@ class TestSplitBatch:
     def test_bad_ratio_rejected(self, ratio):
         with pytest.raises(ConfigError):
             split_batch(10, ratio)
-
-
-class TestGuidedPlan:
-    def test_weight_range_enforced(self):
-        GuidedPlan(make_individual(), 0.0)
-        GuidedPlan(make_individual(), 1.0)
-        with pytest.raises(ConfigError):
-            GuidedPlan(make_individual(), 1.5)
 
 
 class TestGuidedSet:
@@ -330,7 +321,7 @@ class TestPipeline:
             FINAL_METRICS_FILE,
         ):
             assert (run_dir / name).exists(), name
-        assert result.plan.best_individual.fitness is not None
+        assert result.best_individual.fitness is not None
         assert len(result.final_metrics) == tiny_cfg.epochs
         assert result.fitness_metrics is not None
         # Guided manifest covers one draw per training image.
@@ -383,14 +374,6 @@ class TestPipeline:
         loaded = load_model(run_dir / FITNESS_MODEL_FILE)
         np.testing.assert_array_equal(loaded.w_embed, result.fitness_model.w_embed)
         np.testing.assert_array_equal(loaded.b_img, result.fitness_model.b_img)
-
-    def test_guided_share_recorded(self, tiny_sets, tiny_cfg, tmp_path_factory):
-        train, val = tiny_sets
-        run_dir = tmp_path_factory.mktemp("share")
-        result = run_guided_pipeline(
-            train, val, tiny_cfg, SMALL_SEARCH, run_dir, ratio=(2, 1, 1)
-        )
-        assert result.plan.sampling_weight == 0.25
 
 
 class TestAblation:
