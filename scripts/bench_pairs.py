@@ -21,7 +21,8 @@ metric of ``BENCHMARK.json`` and every workload, both sides' quartiles, the
 pairs the change wins and ties, the median change, each side's IQR over
 median, and whether the change's median stays within the metric's bound.
 With ``--claim`` it also applies the claim rule: the change wins at least
-nine in ten pairs and its median gain exceeds the parent's IQR.
+nine in ten pairs and its median gain exceeds the parent's IQR.  A claim
+that names no workload's end-to-end metric is refused before any run.
 
 The parent is exported with ``git archive`` into a temporary directory
 (under ``--tmp-dir`` if given), so the repository gains no worktree entry
@@ -129,6 +130,13 @@ def claim_result(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def claimable(benchmark: dict) -> list[str]:
+    """Every ``<workload>.<metric>`` a claim may name: each workload's
+    end-to-end metrics in ``BENCHMARK.json``."""
+    return [f"{w['name']}.{m['name']}" for w in benchmark["workloads"]
+            for m in benchmark["end_to_end"]]
+
+
 def summarize(results: dict, metrics: list[dict], claim: str | None) -> dict:
     """``results[side]`` is the list of JSON results, one per seed, in seed order."""
     end_to_end = {}
@@ -184,7 +192,11 @@ def main(argv=None) -> int:
     parser.add_argument("--tmp-dir", type=Path, help="directory for the parent export")
     args = parser.parse_args(argv)
 
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.claim and args.claim not in claimable(benchmark):
+        parser.error(f"--claim {args.claim!r} is not <workload>.<metric> of BENCHMARK.json; "
+                     f"choose one of: {', '.join(claimable(benchmark))}")
+    metrics = benchmark["end_to_end"]
     parent_sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent],
                                 check=True, capture_output=True, text=True).stdout.strip()
     results: dict[str, list[dict]] = {"parent": [], "change": []}

@@ -44,6 +44,7 @@ from .model import (
     evaluate_model,
     forward_batch,
     load_model,
+    patchify,
     save_metrics,
     save_model,
     train_random_patchmix,
@@ -309,7 +310,7 @@ def _demo_train(method: str, train: Dataset, val: Dataset, cfg: TrainConfig):
                     else:
                         samples.append(cutmix(xi, yi, xj, yj, rng, 1, 1, train.class_count))
                 yield MixedBatch(
-                    np.stack([s.image for s in samples]),
+                    patchify(np.stack([s.image for s in samples]), image_cfg.grid_size),
                     np.stack([s.image_label for s in samples]),
                     None,
                 )

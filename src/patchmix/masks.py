@@ -59,9 +59,11 @@ def sample_mask_bits(
     """Draw ``count`` grid masks as one (count, P, P) uint8 stack, each
     cell a rounded Beta(alpha, alpha) sample.
 
-    With alpha = 1 this is a fair coin per cell.  Cells are drawn in
-    row-major order, so one call consumes the stream exactly as ``count``
-    consecutive calls of :func:`sample_random_mask` do.
+    Beta(alpha, alpha) is symmetric about 1/2, so every cell is a fair coin
+    for every alpha: alpha changes only which bits a given stream yields,
+    not the mask density.  Cells are drawn in row-major order, so one call
+    consumes the stream exactly as ``count`` consecutive calls of
+    :func:`sample_random_mask` do.
     """
     if grid_size < 1:
         raise ConfigError(f"grid size must be at least 1, got {grid_size}")

@@ -9,15 +9,16 @@ Three ways to compose two labeled images into one training sample:
 * rectangle transplant — a fixed-size crop of the second image pasted at
   a Gaussian-drawn center (no patch labels).
 
-Training consumes :class:`MixedBatch` stacks; :func:`patchmix_batch`
-composes a whole batch, row for row equal to :func:`patchmix`, by copying
-whole grid cells rather than expanding masks to pixels.
+Training consumes :class:`MixedBatch` patch matrices, the (B, P*P,
+patch_pixels) layout the model's encoder reads.  :func:`patchmix_batch`
+composes a whole batch straight into that layout, row for row equal to
+``model.patchify`` of :func:`patchmix`'s image, by copying whole grid
+cells rather than expanding masks to pixels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -42,33 +43,19 @@ class MixedSample:
 
 @dataclass
 class MixedBatch:
-    """A stack of composed training samples, one row per sample.
+    """A batch of composed training samples as patch matrices, one row per
+    sample.
 
     ``patch_labels`` is None when the composition does not align with the
     patch grid (blending, rectangle transplant).
     """
 
-    images: np.ndarray               # (B, H, W, C); float64 from the composers
+    patches: np.ndarray              # (B, P*P, patch_pixels); float64 from the composers
     image_labels: np.ndarray         # (B, class_count) float64, rows sum to 1
     patch_labels: np.ndarray | None  # (B, P*P) int64, row-major grid order
 
     def __len__(self) -> int:
-        return len(self.images)
-
-    def take(self, rows) -> "MixedBatch":
-        """The rows at ``rows``, in that order."""
-        patch = None if self.patch_labels is None else self.patch_labels[rows]
-        return MixedBatch(self.images[rows], self.image_labels[rows], patch)
-
-    @classmethod
-    def concat(cls, batches: Sequence["MixedBatch"]) -> "MixedBatch":
-        """Rows of every batch in order; patch labels only if all have them."""
-        patch = [b.patch_labels for b in batches]
-        return cls(
-            np.concatenate([b.images for b in batches]),
-            np.concatenate([b.image_labels for b in batches]),
-            None if any(p is None for p in patch) else np.concatenate(patch),
-        )
+        return len(self.patches)
 
 
 def _check_pair(x_i: np.ndarray, x_j: np.ndarray) -> None:
@@ -110,14 +97,17 @@ def patchmix_batch(
     y_j: np.ndarray,
     bits: np.ndarray,
     class_count: int,
+    out: np.ndarray | None = None,
 ) -> MixedBatch:
     """Compose ``images[i[k]]`` and ``images[j[k]]`` under the grid mask
-    ``bits[k]`` for every row k of a batch.
+    ``bits[k]`` for every row k of a batch, as patch matrices.
 
-    Row k equals ``patchmix(images[i[k]], y_i[k], images[j[k]], y_j[k],
-    PatchMask(bits[k]), class_count)``; all-ones bits give identity rows.
-    The images are float64 whatever the source type; each grid cell is
-    copied whole from the source its bit names, with no pixel-level mask.
+    Row k of the patches equals ``model.patchify`` of ``patchmix(images[i[k]],
+    y_i[k], images[j[k]], y_j[k], PatchMask(bits[k]), class_count).image``;
+    its labels equal that sample's.  All-ones bits give identity rows.  The
+    patches are float64 whatever the source type, written into ``out`` (a
+    (B, P*P, patch_pixels) float64 array) if given; each grid cell is copied
+    whole from the source its bit names, with no pixel-level mask.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.max(initial=0) > 1:
@@ -130,23 +120,27 @@ def patchmix_batch(
     if len(labels) and (labels.min() < 0 or labels.max() >= class_count):
         raise ConfigError(f"label outside [0, {class_count})")
     height, width, channels = images.shape[1:]
-    p = bits.shape[-1]
+    b, p = len(bits), bits.shape[-1]
     _check_divisible(width, height, p)
-    # Cell (a, b) of an image is the block [a, :, b] of its
-    # (P, H/P, P, W/P, C) view.  Gather every cell of the batch from the
-    # image that supplies it, then cast the cells into place in one copy.
-    cells = (p, height // p, p, width // p, channels)
+    # Row r of the (N*H*P, W/P*C) view of the sources is one pixel row of
+    # one cell: image r // (H*P), pixel row (r // P) % H, grid column r % P.
+    # List the rows of every patch of the batch, in patch order, from the
+    # image its bit names; one gather then yields the patch matrix.
+    ph, pw = height // p, width // p
     source = np.where(bits == 1, np.asarray(i)[:, None, None], np.asarray(j)[:, None, None])
     grid = np.arange(p)
-    picked = images.reshape(len(images), *cells)[source, grid[:, None], :, grid]
-    mixed = np.empty((len(bits), height, width, channels))
-    np.copyto(mixed.reshape(len(bits), *cells), picked.transpose(0, 1, 3, 2, 4, 5))
-    flat = bits.reshape(len(bits), p * p)
+    rows = source[..., None] * (height * p) + (grid[:, None, None] * ph + np.arange(ph)) * p
+    rows += grid[:, None]
+    picked = np.take(images.reshape(-1, pw * channels), rows.reshape(-1), axis=0)
+    if out is None:
+        out = np.empty((b, p * p, ph * pw * channels))
+    np.copyto(out.reshape(picked.shape), picked)
+    flat = bits.reshape(b, p * p)
     lam = (flat.sum(axis=1) / flat.shape[1])[:, None]
     eye = np.eye(class_count)
     image_labels = lam * eye[y_i] + (1.0 - lam) * eye[y_j]
     patch_labels = np.where(flat == 1, y_i[:, None], y_j[:, None])
-    return MixedBatch(mixed, image_labels, patch_labels)
+    return MixedBatch(out, image_labels, patch_labels)
 
 
 def mixup(

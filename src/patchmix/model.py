@@ -11,9 +11,15 @@ embedding:
 Gradients for all parameter blocks and for the input pixels are computed
 analytically, which keeps training, gradient checking, and sign-based
 adversarial probing free of autodiff dependencies.  All parameters and
-intermediate activations are float64.  Only the sign attack and the
-gradient checks form input gradients (:func:`batch_gradients`); training
-stops at parameter gradients and reuses one run's batch-sized buffers.
+intermediate activations are float64.
+
+Training reads each batch as the (B, P*P, patch_pixels) patch matrix that
+``mixing.patchmix_batch`` composes (:func:`backward`), so no image-layout
+copy is made.  :func:`forward_batch` and :func:`batch_gradients` take
+(B, H, W, C) images and :func:`patchify` them first.  Only the sign attack
+and the gradient checks form input gradients (:func:`batch_gradients`);
+training stops at parameter gradients and reuses one run's batch-sized
+buffers.
 """
 
 from __future__ import annotations
@@ -178,40 +184,52 @@ def _scratch(buffers: dict | None, name: str, shape: tuple, dtype=np.float64) ->
     return buf[:size].reshape(shape)
 
 
-def _forward_arrays(model: ReferenceModel, images: np.ndarray, buffers: dict | None):
-    """Forward pass into ``buffers``; ``patchify`` casts to float64 as it copies."""
-    p = model.grid_size
-    b, h, w, c = images.shape
-    patches = _scratch(buffers, "patches", (b, p * p, (h // p) * (w // p) * c))
-    patches = patchify(images, p, patches)
+def _forward_arrays(model: ReferenceModel, patches: np.ndarray, buffers: dict | None):
+    """Forward pass of a (B, P*P, patch_pixels) float64 patch matrix, into ``buffers``."""
+    if patches.ndim != 3 or patches.shape[1] != model.patch_count:
+        raise ConfigError(
+            f"model expects {model.patch_count} patches per sample, "
+            f"input has shape {patches.shape}"
+        )
     if patches.shape[2] != model.patch_pixels:
         raise ConfigError(
             f"model expects {model.patch_pixels} pixels per patch, "
             f"input provides {patches.shape[2]}"
         )
-    feats = _scratch(buffers, "feats", (b, p * p, model.hidden_dim))
+    feats = _scratch(buffers, "feats", (len(patches), model.patch_count, model.hidden_dim))
     np.matmul(patches, model.w_embed, out=feats)
     feats += model.b_embed
     np.maximum(feats, 0.0, out=feats)
     mean_feats = feats.mean(axis=1)
     patch_logits = feats @ model.w_patch + model.b_patch
     image_logits = mean_feats @ model.w_img + model.b_img
-    return patches, feats, mean_feats, patch_logits, image_logits
+    return feats, mean_feats, patch_logits, image_logits
+
+
+def _patchify_scratch(model: ReferenceModel, images, buffers: dict | None) -> np.ndarray:
+    """``images`` as a float64 patch matrix in ``buffers``; ``patchify`` casts as it copies."""
+    images = np.asarray(images)
+    b, h, w, c = images.shape
+    p = model.grid_size
+    out = _scratch(buffers, "patches", (b, p * p, (h // p) * (w // p) * c))
+    return patchify(images, p, out)
 
 
 def forward_batch(model: ReferenceModel, images: np.ndarray, buffers: dict | None = None):
-    """Return (patch_logits, image_logits); ``buffers`` as in :func:`backward`."""
-    out = _forward_arrays(model, np.asarray(images), buffers)
-    return out[3], out[4]
+    """Return (patch_logits, image_logits) of (B, H, W, C) images;
+    ``buffers`` as in :func:`backward`."""
+    out = _forward_arrays(model, _patchify_scratch(model, images, buffers), buffers)
+    return out[2], out[3]
 
 
-def _gradients(model: ReferenceModel, images, image_targets, patch_labels, loss_mode, buffers):
-    """``(loss, grads, d_pre)`` with ``d_pre`` the gradient of the loss
-    with respect to the pre-activations; ``d_pre`` lives in ``buffers``."""
+def _gradients(model: ReferenceModel, patches, image_targets, patch_labels, loss_mode, buffers):
+    """``(loss, grads, d_pre)`` of a patch matrix, with ``d_pre`` the
+    gradient of the loss with respect to the pre-activations; ``d_pre``
+    lives in ``buffers``."""
     if loss_mode not in losses.LOSS_MODES:
         raise ConfigError(f"unknown loss mode {loss_mode!r}")
-    images = np.asarray(images)
-    b = images.shape[0]
+    patches = np.asarray(patches)
+    b = patches.shape[0]
     if b < 1:
         raise ConfigError("empty batch")
     n = model.patch_count
@@ -234,9 +252,7 @@ def _gradients(model: ReferenceModel, images, image_targets, patch_labels, loss_
             f"expected {(b, model.class_count)}"
         )
 
-    patches, feats, mean_feats, patch_logits, image_logits = _forward_arrays(
-        model, images, buffers
-    )
+    feats, mean_feats, patch_logits, image_logits = _forward_arrays(model, patches, buffers)
 
     # Per-sample losses, and the chain rule scaled for the batch mean and the mode.
     s_img, s_patch = {"both": (0.5 / b, 0.5 / (b * n)), "image_only": (1.0 / b, 0.0),
@@ -293,20 +309,22 @@ def batch_gradients(
     of ``images``.  All gradients are of the mean-over-batch objective.
     Training calls :func:`backward`, which skips ``input_grads``.
     """
-    loss, grads, d_pre = _gradients(model, images, image_targets, patch_labels, loss_mode, None)
+    patches = _patchify_scratch(model, images, None)
+    loss, grads, d_pre = _gradients(model, patches, image_targets, patch_labels, loss_mode, None)
     input_grads = unpatchify(d_pre @ model.w_embed.T, np.shape(images), model.grid_size)
     return loss, grads, input_grads
 
 
 def backward(model: ReferenceModel, batch: MixedBatch, loss_mode: str, buffers: dict | None = None):
-    """``(loss, grads)`` of the mean loss over a batch of mixed samples.
+    """``(loss, grads)`` of the mean loss over a batch of mixed samples,
+    read from its patch matrix.
 
     No input gradients are formed.  The batch-sized arrays are written into
     ``buffers``, a scratch dict the caller may keep across steps; the
     returned arrays never alias it.
     """
     loss, grads, _ = _gradients(
-        model, batch.images, batch.image_labels, batch.patch_labels, loss_mode, buffers
+        model, batch.patches, batch.image_labels, batch.patch_labels, loss_mode, buffers
     )
     return loss, grads
 

@@ -6,9 +6,14 @@
    from one forward pass of a seeded fraction of the validation set.
 3. Materialize a guided augmented set from the best genome (one sample
    per recipe entry: uniform active slot, one training image per class
-   side; each of the three is drawn for all entries at once).
+   side; each of the three is drawn for all entries at once), stored as
+   float32 patch matrices.  The genome must have the dataset's class
+   count, and every entry must name an active slot and training images
+   of that slot's classes.
 4. Train the final model on batches composed of original, randomly
    mixed, and guided samples — minimizing only the image-level loss.
+   Each batch is one patch matrix: the original and random rows composed
+   in one call, the guided rows cast into its tail.
 
 Each phase writes its artifact into the run directory; re-running with
 an existing phase-1 checkpoint skips phase 1 and produces identical
@@ -49,6 +54,7 @@ from .model import (
     _model_dims,
     _train_loop,
     load_model,
+    patchify,
     save_metrics,
     save_model,
     train_random_patchmix,
@@ -79,6 +85,15 @@ class PipelineResult:
     run_dir: Path
 
 
+def _check_genome_classes(individual: Individual, train: Dataset) -> None:
+    """Reject a genome whose slots name class pairs of another class count."""
+    if individual.class_count != train.class_count:
+        raise ConfigError(
+            f"genome has {individual.class_count} classes, but the training set "
+            f"has {train.class_count}"
+        )
+
+
 def draw_guided_recipe(
     individual: Individual, train: Dataset, count: int, rng: np.random.Generator
 ) -> list[tuple[int, int, int]]:
@@ -88,6 +103,7 @@ def draw_guided_recipe(
     class side uniformly.  The slots of all entries are drawn first, then
     every mask-1 image, then every other image.
     """
+    _check_genome_classes(individual, train)
     active = individual.active_slots()
     if len(active) == 0:
         raise ConfigError("individual has no active pairs")
@@ -108,26 +124,57 @@ def draw_guided_recipe(
     return list(zip(active[pick].tolist(), i.tolist(), j.tolist()))
 
 
+def _check_recipe(individual: Individual, train: Dataset, recipe: np.ndarray) -> None:
+    """Reject the first entry whose slot is inactive, whose image index lies
+    outside the training set, or whose image is not of its side's class."""
+    slot, i, j = recipe.T
+    bad_slot = ~np.isin(slot, individual.active_slots())
+    bad_image = (np.minimum(i, j) < 0) | (np.maximum(i, j) >= len(train))
+    ok = ~(bad_slot | bad_image)
+    pairs = np.array([index_to_pair(s, train.class_count) for s in range(individual.n_pairs)])
+    side = pairs[slot[ok]]
+    bad_class = np.zeros(len(recipe), dtype=bool)
+    bad_class[ok] = (train.labels[i[ok]] != side[:, 0]) | (train.labels[j[ok]] != side[:, 1])
+    problems = np.stack([bad_slot, bad_image, bad_class])
+    if problems.any():
+        k = int(np.argmax(problems.any(axis=0)))
+        what = (
+            "its slot is not active in the genome",
+            f"an image index lies outside [0, {len(train)})",
+            "an image is not of its side's class in the slot's pair",
+        )[int(np.argmax(problems[:, k]))]
+        entry = ",".join(str(v) for v in recipe[k])
+        raise ConfigError(f"guided set entry {k} ({entry}): {what}")
+
+
 def materialize_guided(
     individual: Individual, train: Dataset, recipe: Sequence[tuple[int, int, int]]
 ) -> MixedBatch:
-    """The guided set of a recipe, one row per ``(slot, i, j)`` entry.
+    """The guided set of a recipe as patch matrices, one row per
+    ``(slot, i, j)`` entry, each composed by one :func:`patchmix` call.
 
-    Images keep the dataset's float32 storage type: a composition only
+    The entries are checked against the genome and the training set first.
+    Patches keep the dataset's float32 storage type: a composition only
     selects source pixels, so this is lossless and halves the set.
     """
-    n, c = len(recipe), train.class_count
+    _check_genome_classes(individual, train)
+    entries = np.asarray(recipe, dtype=np.int64).reshape(len(recipe), 3)
+    _check_recipe(individual, train, entries)
+    n, c, p = len(entries), train.class_count, individual.grid_size
+    height, width, channels = train.images.shape[1:]
     guided = MixedBatch(
-        np.empty((n, *train.images.shape[1:]), dtype=train.images.dtype),
+        np.empty((n, p * p, (height // p) * (width // p) * channels), dtype=train.images.dtype),
         np.empty((n, c)),
-        np.empty((n, individual.grid_size**2), dtype=np.int64),
+        np.empty((n, p * p), dtype=np.int64),
     )
-    for row, (slot, i, j) in enumerate(recipe):
-        ci, cj = index_to_pair(int(slot), c)
-        sample = patchmix(
-            train.images[i], ci, train.images[j], cj, PatchMask(individual.masks[slot]), c
-        )
-        guided.images[row] = sample.image
+    slots = {
+        slot: (PatchMask(individual.masks[slot]), index_to_pair(slot, c))
+        for slot in np.unique(entries[:, 0]).tolist()
+    }
+    for row, (slot, i, j) in enumerate(entries.tolist()):
+        mask, (ci, cj) = slots[slot]
+        sample = patchmix(train.images[i], ci, train.images[j], cj, mask, c)
+        patchify(sample.image[None], p, guided.patches[row : row + 1])
         guided.image_labels[row] = sample.image_label
         guided.patch_labels[row] = sample.patch_labels
     return guided
@@ -152,10 +199,11 @@ def load_guided_manifest(path) -> list[tuple[int, int, int]]:
         raise FormatError(f"{path}: expected {count} entries, found {len(lines) - 1}")
     recipe = []
     for line in lines[1:]:
-        parts = line.strip().split(",")
-        if len(parts) != 3:
-            raise FormatError(f"{path}: bad manifest line {line!r}")
-        recipe.append(tuple(int(p) for p in parts))
+        try:  # a field count other than three raises ValueError too
+            slot, i, j = (int(p) for p in line.strip().split(","))
+        except ValueError as err:
+            raise FormatError(f"{path}: bad manifest line {line!r}") from err
+        recipe.append((slot, i, j))
     return recipe
 
 
@@ -192,34 +240,47 @@ def guided_batch_composer(
     rng: np.random.Generator,
     grid_size: int,
 ) -> Iterable[MixedBatch]:
-    """Yield batches of original : randomly-mixed : guided samples.
+    """Yield batches of original : randomly-mixed : guided samples, each a
+    fresh patch matrix.
 
     Originals cycle through epoch-shuffled training permutations; guided
     rows cycle through shuffled guided-set permutations;
-    ``random_mixer(rng, count)`` supplies a batch of fresh randomly mixed
-    samples.  An empty sequence stands for an empty guided set.
+    ``random_mixer(rng, count)`` supplies the ``(i, j, bits)`` of a batch's
+    randomly mixed rows.  The original and random rows are composed in one
+    :func:`patchmix_batch` call, the guided rows cast into the tail.  An
+    empty sequence stands for an empty guided set.
     """
     n_original, n_random, n_guided = split_batch(batch_size, ratio)
     if n_guided and not len(guided_set):
         raise ConfigError("batch ratio requires guided samples but the set is empty")
     if len(train) == 0:
         raise ConfigError("empty training set")
+    ppc = (train.height // grid_size) * (train.width // grid_size) * train.channels
     originals = _cycled_order(len(train), rng)
     guided_order = _cycled_order(len(guided_set), rng)
     ones = np.ones((n_original, grid_size, grid_size), dtype=np.uint8)
+    n_mixed = n_original + n_random
     for _ in range(batches):
-        idx = _take(originals, n_original)
-        parts = [
-            patchmix_batch(
-                train.images, idx, idx, train.labels[idx], train.labels[idx],
-                ones, train.class_count,
-            )
-        ]
+        i = j = _take(originals, n_original)
+        bits = ones
         if n_random:
-            parts.append(random_mixer(rng, n_random))
+            r_i, r_j, r_bits = random_mixer(rng, n_random)
+            i, j = np.concatenate([i, r_i]), np.concatenate([j, r_j])
+            bits = np.concatenate([ones, r_bits])
+        patches = np.empty((batch_size, grid_size**2, ppc))
+        batch = patchmix_batch(
+            train.images, i, j, train.labels[i], train.labels[j], bits, train.class_count,
+            out=patches[:n_mixed],
+        )
         if n_guided:
-            parts.append(guided_set.take(_take(guided_order, n_guided)))
-        yield MixedBatch.concat(parts)
+            rows = _take(guided_order, n_guided)
+            patches[n_mixed:] = guided_set.patches[rows]
+            batch = MixedBatch(
+                patches,
+                np.concatenate([batch.image_labels, guided_set.image_labels[rows]]),
+                np.concatenate([batch.patch_labels, guided_set.patch_labels[rows]]),
+            )
+        yield batch
 
 
 def train_final(
@@ -232,15 +293,17 @@ def train_final(
     """Phase-4 trainer: composed batches, image-level objective only."""
     _check_train_inputs(train, val, cfg)
     p = cfg.grid_size
+    if len(guided_set) and guided_set.patches.shape[1] != p * p:
+        raise ConfigError(
+            f"guided set has grid size {math.isqrt(guided_set.patches.shape[1])}, "
+            f"but train.grid_size is {p}"
+        )
     n_batches = math.ceil(len(train) / cfg.batch_size)
 
-    def random_mixer(rng: np.random.Generator, count: int) -> MixedBatch:
+    def random_mixer(rng: np.random.Generator, count: int):
         i = rng.integers(len(train), size=count)
         j = rng.integers(len(train), size=count)
-        bits = sample_mask_bits(count, p, cfg.alpha, rng)
-        return patchmix_batch(
-            train.images, i, j, train.labels[i], train.labels[j], bits, train.class_count
-        )
+        return i, j, sample_mask_bits(count, p, cfg.alpha, rng)
 
     def batches(epoch: int, rng: np.random.Generator):
         yield from guided_batch_composer(

@@ -37,6 +37,7 @@ from patchmix.model import (
     backward,
     batch_gradients,
     forward_batch,
+    patchify,
     train_random_patchmix,
 )
 from patchmix.workflow import (
@@ -118,11 +119,11 @@ def test_equation_suite():
         np.testing.assert_array_equal(
             sample.patch_labels, np.where(bits.ravel() == 1, y_i, y_j)
         )
-        # The batched composer training runs gives the same row.
+        # The batched composer training runs gives the same row, as patches.
         row = patchmix_batch(
             np.stack([x_i, x_j]), [0], [1], [y_i], [y_j], bits[None], classes
         )
-        np.testing.assert_array_equal(row.images[0], sample.image)
+        np.testing.assert_array_equal(row.patches, patchify(sample.image[None], p))
         np.testing.assert_array_equal(row.image_labels[0], sample.image_label)
         np.testing.assert_array_equal(row.patch_labels[0], sample.patch_labels)
         cases += 1
@@ -141,12 +142,13 @@ def test_equation_suite():
         # Scaled heads: the logits of a sample span about 2 to 30 units.
         model.w_patch *= rng.uniform(1, 10)
         model.w_img *= rng.uniform(1, 10)
+        images = rng.random((rows, 2 * p, 2 * p, 1))
         batch = MixedBatch(
-            rng.random((rows, 2 * p, 2 * p, 1)),
+            patchify(images, p),
             rng.dirichlet(np.ones(classes), size=rows),
             rng.integers(0, classes, (rows, p * p)),
         )
-        patch_logits, image_logits = forward_batch(model, batch.images)
+        patch_logits, image_logits = forward_batch(model, images)
         l_img = np.array([
             oracle_cross_entropy(logits, target)
             for logits, target in zip(image_logits, batch.image_labels)
@@ -165,7 +167,11 @@ def test_equation_suite():
         }
         for mode, expected in oracle.items():
             for r in range(rows):
-                loss, _ = backward(model, batch.take([r]), mode)
+                single = MixedBatch(
+                    batch.patches[r : r + 1], batch.image_labels[r : r + 1],
+                    batch.patch_labels[r : r + 1],
+                )
+                loss, _ = backward(model, single, mode)
                 assert abs(loss - expected[r]) <= 1e-9
                 worst = max(worst, abs(loss - expected[r]))
             loss, _ = backward(model, batch, mode)

@@ -84,3 +84,25 @@ def test_a_crash_raises_with_its_stderr(returncode, stdout):
     proc = finished(returncode, stdout, "Traceback ...\nValueError: boom\n")
     with pytest.raises(RuntimeError, match=rf"exited {returncode}\n(?s:.*)ValueError: boom"):
         bench_pairs.parse_result(proc, "run")
+
+
+def test_claim_is_checked_before_any_run(monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("a run started before the claim was checked")
+
+    monkeypatch.setattr(bench_pairs, "export_tree", no_run)
+    monkeypatch.setattr(bench_pairs, "run_bench", no_run)
+    typo = "cifar_search.guided_train_sample_per_s"
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--label", "x", "--seeds", "1-10", "--claim", typo])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert repr(typo) in err and "cifar_search.guided_train_samples_per_s" in err
+
+
+def test_claimable_names_every_workload_metric():
+    benchmark = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())
+    names = bench_pairs.claimable(benchmark)
+    assert len(names) == len(benchmark["workloads"]) * len(benchmark["end_to_end"])
+    assert "cifar_search.guided_train_samples_per_s" in names
+    assert "quickstart.pipeline_s" in names

@@ -378,6 +378,54 @@ class TestResume:
         assert not (run_dir / BEST_INDIVIDUAL_FILE).exists()
 
 
+class TestGuidedInputs:
+    """``generate`` and ``train-guided`` refuse a genome or manifest that
+    does not fit the configured dataset and grid, with exit code 2."""
+
+    @pytest.fixture()
+    def run_dir(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["pipeline", "--config", str(write_config(tmp_path, run_dir))]) == 0
+        capsys.readouterr()
+        return run_dir
+
+    def test_genome_of_another_class_count_refused(self, tmp_path, capsys, run_dir):
+        manifest = (run_dir / GUIDED_MANIFEST_FILE).read_bytes()
+        cfg_path = write_config(tmp_path, run_dir, dataset={"class_count": 4})
+        for command in ("generate", "train-guided"):
+            assert main([command, "--config", str(cfg_path)]) == 2
+            captured = capsys.readouterr()
+            assert "genome has 3 classes, but the training set has 4" in captured.err
+            assert captured.out == ""
+        assert (run_dir / GUIDED_MANIFEST_FILE).read_bytes() == manifest
+
+    def test_train_guided_refuses_another_grid(self, tmp_path, capsys, run_dir):
+        final = (run_dir / FINAL_MODEL_FILE).read_bytes()
+        cfg_path = write_config(tmp_path, run_dir, train={"grid_size": 4})
+        assert main(["train-guided", "--config", str(cfg_path)]) == 2
+        assert "guided set has grid size 2, but train.grid_size is 4" in capsys.readouterr().err
+        assert (run_dir / FINAL_MODEL_FILE).read_bytes() == final
+
+    def test_train_guided_refuses_a_bad_manifest_entry(self, tmp_path, capsys, run_dir):
+        path = run_dir / GUIDED_MANIFEST_FILE
+        lines = path.read_text().splitlines()
+        slot, i, _ = lines[3].split(",")
+        lines[3] = f"{slot},{i},-1"
+        path.write_text("\n".join(lines) + "\n")
+        cfg_path = write_config(tmp_path, run_dir)
+        assert main(["train-guided", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"guided set entry 2 ({slot},{i},-1): an image index lies outside [0, 45)" in err
+
+    def test_train_guided_refuses_a_non_integer_manifest_field(self, tmp_path, capsys, run_dir):
+        path = run_dir / GUIDED_MANIFEST_FILE
+        lines = path.read_text().splitlines()
+        lines[1] = "0,3,x"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["train-guided", "--config", str(write_config(tmp_path, run_dir))]) == 2
+        assert "bad manifest line '0,3,x'" in capsys.readouterr().err
+
+
 class TestEvalCommand:
     @pytest.fixture()
     def trained_run(self, tmp_path, capsys):

@@ -47,14 +47,12 @@ def logit_model(grid_size, unit_logits, image_logits):
 
 def sample_loss(loss_mode, patch_logits, image_logits, target, patch_labels):
     """``backward``'s loss for one sample with these (P^2, C) patch logits
-    and (C,) image logits: patch n of the image is the n-th unit vector."""
+    and (C,) image logits: patch n of the sample is the n-th unit vector."""
     n = len(patch_logits)
     p = math.isqrt(n)
     model = logit_model(p, patch_logits, image_logits)
     labels = None if patch_labels is None else np.asarray(patch_labels)[None]
-    batch = MixedBatch(
-        np.eye(n).reshape(1, p, p, n), np.asarray(target, dtype=np.float64)[None], labels
-    )
+    batch = MixedBatch(np.eye(n)[None], np.asarray(target, dtype=np.float64)[None], labels)
     loss, _ = backward(model, batch, loss_mode)
     return loss
 

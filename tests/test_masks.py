@@ -88,6 +88,17 @@ class TestSampleMaskBits:
         # Both generators are left at the same point of the stream.
         assert batched_rng.random() == single_rng.random()
 
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, 10.0])
+    def test_every_alpha_gives_a_fair_coin_per_cell(self, alpha):
+        # Beta(alpha, alpha) is symmetric about 1/2, so rounding it keeps a
+        # cell with probability 1/2 whatever alpha is, independently per cell.
+        bits = sample_mask_bits(10_000, 4, alpha, RngKey(11).child("keep").generator())
+        cells = bits.size
+        assert abs(bits.mean() - 0.5) <= 4 * np.sqrt(0.25 / cells)
+        # Per-mask density has the binomial variance p(1 - p) / P^2.
+        density = bits.reshape(len(bits), -1).mean(axis=1)
+        assert density.var(ddof=1) / (0.25 / 16) == pytest.approx(1.0, abs=0.1)
+
     def test_zero_count_is_empty(self):
         rng = np.random.default_rng(0)
         assert sample_mask_bits(0, 4, 1.0, rng).shape == (0, 4, 4)

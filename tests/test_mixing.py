@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from patchmix.errors import ConfigError
 from patchmix.masks import PatchMask
 from patchmix.mixing import MixedBatch, cutmix, mixup, patchmix, patchmix_batch
+from patchmix.model import patchify
 from patchmix.rng import RngKey
 
 
@@ -86,13 +87,13 @@ class TestPatchmix:
 
 
 def stacked_patchmix(images, i, j, y_i, y_j, bits, class_count):
-    """Reference: per-sample patchmix, one row at a time, stacked."""
+    """Reference: per-sample patchmix, one row at a time, stacked and patchified."""
     samples = [
         patchmix(images[a], int(ya), images[b], int(yb), PatchMask(m), class_count)
         for a, b, ya, yb, m in zip(i, j, y_i, y_j, bits)
     ]
     return MixedBatch(
-        np.stack([s.image for s in samples]),
+        patchify(np.stack([s.image for s in samples]), bits.shape[-1]),
         np.stack([s.image_label for s in samples]),
         np.stack([s.patch_labels for s in samples]),
     )
@@ -100,16 +101,16 @@ def stacked_patchmix(images, i, j, y_i, y_j, bits, class_count):
 
 class TestPatchmixBatch:
     def assert_equal_batches(self, got, want):
-        assert got.images.dtype == want.images.dtype == np.float64
+        assert got.patches.dtype == want.patches.dtype == np.float64
         assert got.patch_labels.dtype == want.patch_labels.dtype == np.int64
-        np.testing.assert_array_equal(got.images, want.images)
+        np.testing.assert_array_equal(got.patches, want.patches)
         np.testing.assert_array_equal(got.image_labels, want.image_labels)
         np.testing.assert_array_equal(got.patch_labels, want.patch_labels)
 
     @pytest.mark.parametrize("grid_size", [1, 2, 4])
     def test_equals_stacked_patchmix(self, rng, grid_size):
         # Non-square images catch a swap of the H/P and W/P cell axes.
-        for shape in [(8, 8, 3), (8, 12, 3), (12, 8, 1), (8, 12, 1)]:
+        for shape in [(h, w, c) for h, w in [(8, 8), (8, 12), (12, 8)] for c in (1, 3)]:
             for dtype in (np.float32, np.float64):
                 images = rng.random((10, *shape)).astype(dtype)
                 labels = rng.integers(0, 4, 10)
@@ -127,7 +128,7 @@ class TestPatchmixBatch:
         args = (images, idx, idx, labels[idx], labels[idx], bits, 3)
         out = patchmix_batch(*args)
         self.assert_equal_batches(out, stacked_patchmix(*args))
-        np.testing.assert_array_equal(out.images, images[idx].astype(np.float64))
+        np.testing.assert_array_equal(out.patches, patchify(images[idx].astype(np.float64), 4))
         np.testing.assert_array_equal(out.image_labels, np.eye(3)[labels[idx]])
         np.testing.assert_array_equal(out.patch_labels, np.repeat(labels[idx][:, None], 16, 1))
 
@@ -136,7 +137,7 @@ class TestPatchmixBatch:
         none = np.empty(0, dtype=np.int64)
         out = patchmix_batch(images, none, none, none, none, np.empty((0, 2, 2)), 3)
         assert len(out) == 0
-        assert out.images.shape == (0, 8, 8, 3)
+        assert out.patches.shape == (0, 4, 48)
         assert out.image_labels.shape == (0, 3)
         assert out.patch_labels.shape == (0, 4)
 
@@ -154,16 +155,17 @@ class TestPatchmixBatch:
         with pytest.raises(ConfigError, match=error):
             patchmix_batch(images, rows, rows, np.array(labels), np.array(labels), bits, 3)
 
-    def test_take_and_concat_keep_rows(self, rng):
-        images = rng.random((4, 4, 4, 1))
-        rows = np.arange(4)
-        bits = rng.integers(0, 2, (4, 2, 2), dtype=np.uint8)
-        batch = patchmix_batch(images, rows, rows[::-1], rows % 2, rows % 3, bits, 3)
-        again = MixedBatch.concat([batch.take([2, 3]), batch.take([0, 1])])
-        self.assert_equal_batches(again, batch.take([2, 3, 0, 1]))
-        blend = mixup(images[0], 0, images[1], 1, 0.5, 3)
-        blended = MixedBatch(blend.image[None], blend.image_label[None], None)
-        assert MixedBatch.concat([batch, blended]).patch_labels is None
+    def test_out_slice_writes_only_its_rows(self, rng):
+        for dtype in (np.float32, np.float64):
+            images = rng.random((4, 8, 12, 3)).astype(dtype)
+            rows = np.arange(4)
+            bits = rng.integers(0, 2, (4, 2, 2), dtype=np.uint8)
+            args = (images, rows, rows[::-1], rows % 2, rows % 3, bits, 3)
+            buffer = np.full((7, 4, 72), -1.0)
+            out = patchmix_batch(*args, out=buffer[2:6])
+            assert np.shares_memory(out.patches, buffer)
+            self.assert_equal_batches(out, stacked_patchmix(*args))
+            assert (buffer[:2] == -1.0).all() and (buffer[6:] == -1.0).all()
 
 
 class TestMixup:

@@ -48,6 +48,8 @@ def zero_model(**kwargs):
 
 
 def mixed_batch(rng, n=3, grid_size=2, class_count=3, side=4):
+    """``(images, batch)``: ``n`` per-sample composites, and the batch of
+    their patch matrices that ``backward`` reads."""
     samples = []
     for _ in range(n):
         mask = PatchMask(rng.integers(0, 2, (grid_size, grid_size), dtype=np.uint8))
@@ -61,8 +63,9 @@ def mixed_batch(rng, n=3, grid_size=2, class_count=3, side=4):
                 class_count,
             )
         )
-    return MixedBatch(
-        np.stack([s.image for s in samples]),
+    images = np.stack([s.image for s in samples])
+    return images, MixedBatch(
+        patchify(images, grid_size),
         np.stack([s.image_label for s in samples]),
         np.stack([s.patch_labels for s in samples]),
     )
@@ -165,8 +168,7 @@ class TestGradients:
     def test_matches_finite_differences(self, loss_mode):
         rng = np.random.default_rng(99)
         model = tiny_model(seed=4)
-        batch = mixed_batch(rng)
-        images = batch.images
+        images, batch = mixed_batch(rng)
         targets = batch.image_labels
         patch_labels = batch.patch_labels
 
@@ -207,9 +209,12 @@ class TestGradients:
 
     def test_batch_duplication_keeps_mean_gradient(self, rng):
         model = tiny_model(seed=2)
-        batch = mixed_batch(rng)
+        _, batch = mixed_batch(rng)
         _, grads_once = backward(model, batch, "both")
-        _, grads_twice = backward(model, MixedBatch.concat([batch, batch]), "both")
+        twice = MixedBatch(
+            *(np.concatenate([a, a]) for a in (batch.patches, batch.image_labels, batch.patch_labels))
+        )
+        _, grads_twice = backward(model, twice, "both")
         for name in PARAM_FIELDS:
             assert np.allclose(grads_once[name], grads_twice[name], atol=1e-12)
 
@@ -220,10 +225,21 @@ class TestGradients:
         with pytest.raises(ConfigError):
             batch_gradients(model, images, targets, None, "both")
 
+    @pytest.mark.parametrize(
+        "shape, error", [((3, 9, 4), "4 patches per sample"), ((3, 4, 3), "4 pixels per patch")]
+    )
+    def test_wrong_patch_matrix_rejected(self, rng, shape, error):
+        model = tiny_model()  # grid 2: 4 patches of 4 pixels
+        batch = MixedBatch(
+            rng.random(shape), np.eye(3)[[0, 1, 2]], rng.integers(0, 3, (3, shape[1]))
+        )
+        with pytest.raises(ConfigError, match=error):
+            backward(model, batch, "image_only")
+
     def test_non_finite_weights_raise(self, rng):
         model = tiny_model()
         model.w_img[0, 0] = np.inf
-        batch = mixed_batch(rng)
+        _, batch = mixed_batch(rng)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             backward(model, batch, "both")
 
@@ -252,8 +268,9 @@ class TestBufferedStep:
         for size, mode in zip([100, 37, 100, 37, 100, 100], LOSS_MODES * 2):
             batch = random_batch(rng, size, grid_size, side=side)
             loss, grads = backward(model, batch, mode, buffers)
+            images = unpatchify(batch.patches, (size, side, side, 3), grid_size)
             ref_loss, ref_grads, _ = batch_gradients(
-                model, batch.images, batch.image_labels, batch.patch_labels, mode
+                model, images, batch.image_labels, batch.patch_labels, mode
             )
             assert loss == ref_loss
             for name in PARAM_FIELDS:

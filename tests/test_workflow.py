@@ -8,9 +8,11 @@ import pytest
 from patchmix.data import one_hot, synth_shapes
 from patchmix.errors import ConfigError, FormatError
 from patchmix import workflow
-from patchmix.evolution import SearchConfig, evaluate_fitness, pair_to_index
+from patchmix.evolution import SearchConfig, evaluate_fitness, index_to_pair, pair_to_index
+from patchmix.masks import PatchMask
+from patchmix.mixing import patchmix, patchmix_batch
 from patchmix.losses import loss_eval_count
-from patchmix.model import TrainConfig, load_model
+from patchmix.model import TrainConfig, load_model, patchify
 from patchmix.rng import RngKey
 from patchmix.workflow import (
     BEST_INDIVIDUAL_FILE,
@@ -126,17 +128,68 @@ class TestGuidedSet:
         # lam, the weight of the first (class-0) source, is 0.5.
         assert guided.image_labels[0, 0] == 0.5
         assert np.allclose(guided.image_labels[0], [0.5, 0.0, 0.5])
-        # Top half of the image comes from the class-0 source.
-        np.testing.assert_array_equal(guided.images[0, :8], train.images[i][:8])
-        np.testing.assert_array_equal(guided.images[0, 8:], train.images[j][8:])
+        # The top row of patches comes from the class-0 source, stored as
+        # the dataset's float32 patches.
+        assert guided.patches.dtype == train.images.dtype == np.float32
+        np.testing.assert_array_equal(guided.patches[0, :2], patchify(train.images[[i]], 2)[0, :2])
+        np.testing.assert_array_equal(guided.patches[0, 2:], patchify(train.images[[j]], 2)[0, 2:])
         assert guided.patch_labels[0].tolist() == [0, 0, 2, 2]
+
+    def test_materialize_equals_patchified_patchmix(self, train, rng):
+        ind = make_individual(active=(0, 1, 4), grid_size=4, rng=np.random.default_rng(5))
+        recipe = draw_guided_recipe(ind, train, 30, rng)
+        guided = materialize_guided(ind, train, recipe)
+        for row, (slot, i, j) in enumerate(recipe):
+            ci, cj = index_to_pair(slot, 3)
+            sample = patchmix(
+                train.images[i], ci, train.images[j], cj, PatchMask(ind.masks[slot]), 3
+            )
+            np.testing.assert_array_equal(guided.patches[row], patchify(sample.image[None], 4)[0])
+            np.testing.assert_array_equal(guided.image_labels[row], sample.image_label)
+            np.testing.assert_array_equal(guided.patch_labels[row], sample.patch_labels)
+
+    @pytest.mark.parametrize("genome_classes", [2, 4])
+    def test_genome_of_another_class_count_rejected(self, train, rng, genome_classes):
+        ind = make_individual(class_count=genome_classes, active=(0,))
+        with pytest.raises(ConfigError, match=f"genome has {genome_classes} classes"):
+            draw_guided_recipe(ind, train, 4, rng)
+        with pytest.raises(ConfigError, match=f"genome has {genome_classes} classes"):
+            materialize_guided(ind, train, [(0, 0, 0)])
+
+    @pytest.mark.parametrize(
+        "entry, error",
+        [
+            ((1, 0, 0), "its slot is not active"),
+            ((9, 0, 0), "its slot is not active"),
+            ((0, -1, 0), r"an image index lies outside \[0, 30\)"),
+            ((0, 0, 30), r"an image index lies outside \[0, 30\)"),
+            ((0, 0, 10), "an image is not of its side's class"),
+            ((0, 10, 0), "an image is not of its side's class"),
+        ],
+    )
+    def test_bad_manifest_entry_named(self, train, entry, error):
+        # Slot 0 pairs class 0 with itself; images 0-9 are class 0, 10-19 class 1.
+        assert train.labels[[0, 9, 10]].tolist() == [0, 0, 1]
+        ind = make_individual(active=(0,))
+        named = f"entry 1 \\({','.join(map(str, entry))}\\): "
+        with pytest.raises(ConfigError, match=named + error):
+            materialize_guided(ind, train, [(0, 9, 0), entry])
+
+    def test_first_bad_entry_is_the_one_named(self, train):
+        ind = make_individual(active=(0,))
+        with pytest.raises(ConfigError, match=r"entry 1 \(0,0,10\): an image is not"):
+            materialize_guided(ind, train, [(0, 9, 0), (0, 0, 10), (1, 0, 0)])
+
+    def test_empty_recipe_gives_an_empty_set(self, train):
+        guided = materialize_guided(make_individual(active=(0,)), train, [])
+        assert len(guided) == 0 and guided.patches.shape == (0, 4, 192)
 
     def test_generate_is_deterministic(self, train):
         ind = make_individual(active=(1,), rng=np.random.default_rng(3))
         a = guided_set(ind, train, 12, np.random.default_rng(7))
         b = guided_set(ind, train, 12, np.random.default_rng(7))
         assert len(a) == len(b) == 12
-        np.testing.assert_array_equal(a.images, b.images)
+        np.testing.assert_array_equal(a.patches, b.patches)
         np.testing.assert_array_equal(a.image_labels, b.image_labels)
 
 
@@ -167,7 +220,7 @@ class TestManifest:
     def test_malformed_rejected(self, tmp_path, text):
         path = tmp_path / "guided_set.txt"
         path.write_text(text)
-        with pytest.raises((FormatError, ValueError)):
+        with pytest.raises(FormatError):
             load_guided_manifest(path)
 
 
@@ -187,9 +240,9 @@ class TestBatchComposer:
         seen = set()
         for batch in batches:
             assert len(batch) == 6
-            assert batch.images.dtype == np.float64
+            assert batch.patches.dtype == np.float64
             for image, image_label, patch_labels in zip(
-                batch.images, batch.image_labels, batch.patch_labels
+                batch.patches, batch.image_labels, batch.patch_labels
             ):
                 label = int(np.argmax(image_label))
                 # lam, the weight of the first source, is 1.
@@ -208,25 +261,75 @@ class TestBatchComposer:
                 train, self.null_mixer, guided, (0, 0, 1), 3, 2, rng, 2
             )
         )
-        source = {image.astype(np.float64).tobytes() for image in guided.images}
+        source = {row.astype(np.float64).tobytes() for row in guided.patches}
         for batch in batches:
             assert len(batch) == 3
-            for image in batch.images:
-                assert image.tobytes() in source
+            for row in batch.patches:
+                assert row.tobytes() in source
 
     def test_random_share_uses_mixer(self, train, rng):
         calls = []
 
         def mixer(mix_rng, count):
-            calls.append(count)
-            # reuse guided-style samples as a stand-in
-            return guided_set(make_individual(active=(0,)), train, count, mix_rng)
+            i = mix_rng.integers(len(train), size=count)
+            j = mix_rng.integers(len(train), size=count)
+            calls.append((i, j))
+            return i, j, np.zeros((count, 2, 2), dtype=np.uint8)
 
         batches = list(
             guided_batch_composer(train, mixer, [], (1, 1, 0), 8, 2, rng, 2)
         )
-        assert calls == [4, 4]
+        assert [len(i) for i, _ in calls] == [4, 4]
         assert all(len(b) == 8 for b in batches)
+        # All-zero masks: each random row is its second source whole.
+        for batch, (_, j) in zip(batches, calls):
+            np.testing.assert_array_equal(batch.patches[4:], patchify(train.images[j], 2))
+            np.testing.assert_array_equal(batch.image_labels[4:], np.eye(3)[train.labels[j]])
+
+    @pytest.mark.parametrize("ratio, batch_size", [((1, 1, 1), 10), ((0, 0, 1), 4), ((2, 0, 1), 7)])
+    def test_one_matrix_equals_parts_stacked(self, train, ratio, batch_size):
+        """Each batch equals its original, random and guided rows composed
+        separately, in the same draw order, and stacked."""
+        ind = make_individual(active=(0, 4), rng=np.random.default_rng(2))
+        guided = guided_set(ind, train, 7, np.random.default_rng(3))
+
+        def mixer(mix_rng, count):
+            i = mix_rng.integers(len(train), size=count)
+            j = mix_rng.integers(len(train), size=count)
+            return i, j, mix_rng.integers(0, 2, (count, 2, 2), dtype=np.uint8)
+
+        def parts_stacked(rng):
+            n_original, n_random, n_guided = split_batch(batch_size, ratio)
+            originals = workflow._cycled_order(len(train), rng)
+            guided_order = workflow._cycled_order(len(guided), rng)
+            for _ in range(3):
+                idx = workflow._take(originals, n_original)
+                ones = np.ones((n_original, 2, 2), dtype=np.uint8)
+                i, j, bits = mixer(rng, n_random)
+                rows = workflow._take(guided_order, n_guided)
+                parts = [
+                    patchmix_batch(train.images, idx, idx, train.labels[idx],
+                                   train.labels[idx], ones, 3),
+                    patchmix_batch(train.images, i, j, train.labels[i], train.labels[j], bits, 3),
+                ]
+                yield [
+                    np.concatenate([parts[0].patches, parts[1].patches,
+                                    guided.patches[rows].astype(np.float64)]),
+                    np.concatenate([parts[0].image_labels, parts[1].image_labels,
+                                    guided.image_labels[rows]]),
+                    np.concatenate([parts[0].patch_labels, parts[1].patch_labels,
+                                    guided.patch_labels[rows]]),
+                ]
+
+        got = guided_batch_composer(
+            train, mixer, guided, ratio, batch_size, 3, np.random.default_rng(9), 2
+        )
+        want = parts_stacked(np.random.default_rng(9))
+        for batch, (patches, image_labels, patch_labels) in zip(got, want, strict=True):
+            assert batch.patches.dtype == np.float64
+            np.testing.assert_array_equal(batch.patches, patches)
+            np.testing.assert_array_equal(batch.image_labels, image_labels)
+            np.testing.assert_array_equal(batch.patch_labels, patch_labels)
 
     def test_guided_needed_but_missing(self, train, rng):
         with pytest.raises(ConfigError, match="guided"):
