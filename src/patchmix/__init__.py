@@ -30,11 +30,7 @@ from .evolution import (
     run_search,
     save_individual,
 )
-from .losses import (
-    combined_loss,
-    log_softmax,
-    total_loss,
-)
+from .losses import combined_loss, log_softmax
 from .masks import (
     PatchMask,
     expand_to_pixel_mask,
@@ -118,7 +114,6 @@ __all__ = [
     "sgd_nesterov_step",
     "sniff_and_load",
     "synth_shapes",
-    "total_loss",
     "toy_2d_three_class",
     "train_final",
     "train_random_patchmix",

@@ -27,7 +27,6 @@ import numpy as np
 from .data import (
     Dataset,
     _write_atomic,
-    load_cifar_binary,
     sniff_and_load,
     synth_shapes,
     toy_2d_three_class,
@@ -71,6 +70,8 @@ log = logging.getLogger("patchmix.cli")
 DATASET_KINDS = ("synth", "cifar", "toy")
 DEMO_METHODS = ("none", "mixup", "cutmix", "patchmix", "guided")
 GRID_RESOLUTION = 200
+# The demo's mixup blend weight is Beta(MIXUP_BETA, MIXUP_BETA), i.e. uniform.
+MIXUP_BETA = 1.0
 CONFIG_SNAPSHOT_FILE = "config.json"
 
 
@@ -171,14 +172,14 @@ def build_datasets(dc: DatasetConfig) -> tuple[Dataset, Dataset]:
     dc.validate()
     val_seed = dc.val_seed if dc.val_seed is not None else dc.seed + 1
     if dc.kind == "synth":
-        train = synth_shapes(dc.class_count, dc.image_size, dc.train_per_class, dc.seed, "train")
-        val = synth_shapes(dc.class_count, dc.image_size, dc.val_per_class, val_seed, "validation")
+        train = synth_shapes(dc.class_count, dc.image_size, dc.train_per_class, dc.seed)
+        val = synth_shapes(dc.class_count, dc.image_size, dc.val_per_class, val_seed)
     elif dc.kind == "toy":
-        train = toy_2d_three_class(dc.train_per_class, dc.seed, "train")
-        val = toy_2d_three_class(dc.val_per_class, val_seed, "validation")
-    else:
-        train = load_cifar_binary(dc.train_path, "train")
-        val = load_cifar_binary(dc.val_path, "validation")
+        train = toy_2d_three_class(dc.train_per_class, dc.seed)
+        val = toy_2d_three_class(dc.val_per_class, val_seed)
+    else:  # a CIFAR binary batch or a .pmxd dataset file, each path on its own
+        train = sniff_and_load(dc.train_path)
+        val = sniff_and_load(dc.val_path)
     return train, val
 
 
@@ -305,7 +306,7 @@ def _demo_train(method: str, train: Dataset, val: Dataset, cfg: TrainConfig):
                     xi, yi = train.images[i], int(train.labels[i])
                     xj, yj = train.images[j], int(train.labels[j])
                     if method == "mixup":
-                        lam = float(rng.beta(image_cfg.alpha, image_cfg.alpha))
+                        lam = float(rng.beta(MIXUP_BETA, MIXUP_BETA))
                         samples.append(mixup(xi, yi, xj, yj, lam, train.class_count))
                     else:
                         samples.append(cutmix(xi, yi, xj, yj, rng, 1, 1, train.class_count))
@@ -361,8 +362,8 @@ def run_boundary_demo(
     """
     if method not in DEMO_METHODS:
         raise ConfigError(f"method must be one of {DEMO_METHODS}, got {method!r}")
-    train = toy_2d_three_class(samples_per_class, seed, "train")
-    val = toy_2d_three_class(max(20, samples_per_class // 4), seed + 1, "validation")
+    train = toy_2d_three_class(samples_per_class, seed)
+    val = toy_2d_three_class(max(20, samples_per_class // 4), seed + 1)
     cfg = TrainConfig(epochs=epochs, grid_size=1, hidden_dim=32, seed=seed)
     model = _demo_train(method, train, val, cfg)
 

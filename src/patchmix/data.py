@@ -39,8 +39,6 @@ DATASET_VERSION = 1
 # magic, version, width, height, channels, class_count, sample count
 _HEADER = struct.Struct("<4sIIIIII")
 
-SPLITS = ("train", "validation")
-
 
 @dataclass
 class Dataset:
@@ -49,7 +47,6 @@ class Dataset:
     images: np.ndarray
     labels: np.ndarray
     class_count: int
-    split: str = "train"
 
     def __post_init__(self):
         self.images = np.ascontiguousarray(self.images, dtype=np.float32)
@@ -74,8 +71,6 @@ class Dataset:
                 raise ConfigError("pixel values must be finite")
             if self.images.min() < 0.0 or self.images.max() > 1.0:
                 raise ConfigError("pixel values must lie in [0, 1]")
-        if self.split not in SPLITS:
-            raise ConfigError(f"unknown split {self.split!r}")
 
     def __len__(self) -> int:
         return len(self.images)
@@ -96,13 +91,8 @@ class Dataset:
         """Indices of every sample, grouped by class."""
         return [np.flatnonzero(self.labels == c) for c in range(self.class_count)]
 
-    def subset(self, indices, split: str | None = None) -> "Dataset":
-        return Dataset(
-            self.images[indices],
-            self.labels[indices],
-            self.class_count,
-            self.split if split is None else split,
-        )
+    def subset(self, indices) -> "Dataset":
+        return Dataset(self.images[indices], self.labels[indices], self.class_count)
 
 
 def one_hot(label: int, class_count: int) -> np.ndarray:
@@ -115,7 +105,7 @@ def one_hot(label: int, class_count: int) -> np.ndarray:
     return vec
 
 
-def load_cifar_binary(path, split: str = "train") -> Dataset:
+def load_cifar_binary(path) -> Dataset:
     """Read a CIFAR binary batch file.
 
     Records are 3073 bytes: one label byte followed by 3072 bytes of
@@ -136,7 +126,7 @@ def load_cifar_binary(path, split: str = "train") -> Dataset:
         )
     planes = records[:, 1:].reshape(n, 3, CIFAR_SIDE, CIFAR_SIDE)
     images = planes.transpose(0, 2, 3, 1).astype(np.float32) / np.float32(255.0)
-    return Dataset(images, labels, CIFAR_CLASS_COUNT, split)
+    return Dataset(images, labels, CIFAR_CLASS_COUNT)
 
 
 def synth_shapes(
@@ -144,7 +134,6 @@ def synth_shapes(
     image_size: int,
     samples_per_class: int,
     seed: int,
-    split: str = "train",
 ) -> Dataset:
     """Deterministic texture-classed synthetic images.
 
@@ -187,7 +176,6 @@ def synth_shapes(
         images.reshape(-1, image_size, image_size, 3),
         np.repeat(np.arange(class_count), samples_per_class),
         class_count,
-        split,
     )
 
 
@@ -195,7 +183,7 @@ TOY_MEANS = ((0.25, 0.25), (0.75, 0.25), (0.5, 0.75))
 TOY_STD = 0.06
 
 
-def toy_2d_three_class(samples_per_class: int, seed: int, split: str = "train") -> Dataset:
+def toy_2d_three_class(samples_per_class: int, seed: int) -> Dataset:
     """Three well-separated Gaussian clusters inside the unit square.
 
     Cluster means are pairwise linearly separable by construction.  Each
@@ -211,7 +199,7 @@ def toy_2d_three_class(samples_per_class: int, seed: int, split: str = "train") 
         feats.append(np.clip(pts, 0.0, 1.0))
         labels.append(np.full(samples_per_class, k, dtype=np.int64))
     images = np.concatenate(feats).reshape(-1, 1, 2, 1).astype(np.float32)
-    return Dataset(images, np.concatenate(labels), 3, split)
+    return Dataset(images, np.concatenate(labels), 3)
 
 
 def _write_atomic(path, *parts) -> None:
@@ -253,7 +241,7 @@ def save_dataset(dataset: Dataset, path) -> None:
     _write_atomic(path, [header, labels, dataset.images.astype("<f4").tobytes()])
 
 
-def load_dataset(path, split: str = "train") -> Dataset:
+def load_dataset(path) -> Dataset:
     """Read a dataset checkpoint written by :func:`save_dataset`."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
@@ -270,16 +258,16 @@ def load_dataset(path, split: str = "train") -> Dataset:
     labels = np.frombuffer(raw, np.uint8, count=count, offset=_HEADER.size).astype(np.int64)
     pixels = np.frombuffer(raw, "<f4", count=pixel_count, offset=_HEADER.size + count)
     images = pixels.reshape(count, height, width, channels).copy()
-    return Dataset(images, labels, class_count, split)
+    return Dataset(images, labels, class_count)
 
 
-def sniff_and_load(path, split: str = "validation") -> Dataset:
+def sniff_and_load(path) -> Dataset:
     """Load either a dataset checkpoint or a CIFAR binary batch."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == DATASET_MAGIC:
-        return load_dataset(path, split)
+        return load_dataset(path)
     size = os.path.getsize(path)
     if size > 0 and size % CIFAR_RECORD_BYTES == 0:
-        return load_cifar_binary(path, split)
+        return load_cifar_binary(path)
     raise FormatError(f"{path}: not a dataset checkpoint or CIFAR binary batch")

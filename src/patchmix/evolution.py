@@ -30,7 +30,7 @@ import numpy as np
 from . import losses
 from .data import Dataset, _write_atomic
 from .errors import ConfigError, FormatError, NumericError
-from .masks import mask_rows, parse_mask_rows
+from .masks import mask_rows, parse_mask_rows, sample_mask_bits
 from .model import ReferenceModel, forward_batch
 from .rng import RngKey
 
@@ -190,8 +190,9 @@ class SearchConfig:
 def init_population(
     cfg: SearchConfig, class_count: int, grid_size: int, rng: np.random.Generator
 ) -> list[Individual]:
-    """Uniformly random masks everywhere; exactly the allowed number of
-    active slots per genome (forced same-class slots counted within it)."""
+    """Fair-coin masks everywhere, one :func:`masks.sample_mask_bits` call of
+    all slots per genome; exactly the allowed number of active slots per
+    genome (forced same-class slots counted within it)."""
     n_pairs = pair_count(class_count)
     limit = cfg.resolve_max_active(class_count)
     forced = cfg.forced_slots(class_count)
@@ -203,8 +204,7 @@ def init_population(
         extra = limit - len(forced)
         if extra:
             head[rng.choice(candidates, size=extra, replace=False)] = 1
-        masks = rng.integers(0, 2, size=(n_pairs, grid_size, grid_size), dtype=np.uint8)
-        population.append(Individual(head, masks))
+        population.append(Individual(head, sample_mask_bits(n_pairs, grid_size, rng)))
     return population
 
 
@@ -393,13 +393,12 @@ def flip_heads(
     return out
 
 
-def random_tails(
-    individual: Individual, rng: np.random.Generator, flip_prob: float = RANDOM_TAIL_FLIP_PROB
-) -> Individual:
-    """Flip each active-mask bit independently with the given probability."""
+def random_tails(individual: Individual, rng: np.random.Generator) -> Individual:
+    """Flip each active-mask bit independently with probability
+    ``RANDOM_TAIL_FLIP_PROB``."""
     out = individual.copy()
     active = out.active_slots()
-    flips = rng.random(out.masks[active].shape) < flip_prob
+    flips = rng.random(out.masks[active].shape) < RANDOM_TAIL_FLIP_PROB
     out.masks[active] = np.where(flips, 1 - out.masks[active], out.masks[active])
     out.fitness = None
     return out

@@ -46,21 +46,15 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def total_loss(l_image: float, l_patch: float, grid_size: int) -> float:
-    """Combined objective: (image + patch / P^2) / 2."""
-    if grid_size < 1:
-        raise ConfigError(f"grid size must be at least 1, got {grid_size}")
-    return (l_image + l_patch / grid_size**2) / 2.0
-
-
 def combined_loss(l_image: float, l_patch: float, grid_size: int, loss_mode: str) -> float:
-    """Apply the ablation mode; "both" gives the full combined objective."""
-    if loss_mode == "both":
-        return total_loss(l_image, l_patch, grid_size)
+    """Apply the ablation mode; "both" gives the full combined objective,
+    (image + patch / P^2) / 2."""
+    if loss_mode not in LOSS_MODES:
+        raise ConfigError(f"unknown loss mode {loss_mode!r}")
     if loss_mode == "image_only":
         return l_image
+    if grid_size < 1:
+        raise ConfigError(f"grid size must be at least 1, got {grid_size}")
     if loss_mode == "patch_only":
-        if grid_size < 1:
-            raise ConfigError(f"grid size must be at least 1, got {grid_size}")
         return l_patch / grid_size**2
-    raise ConfigError(f"unknown loss mode {loss_mode!r}")
+    return (l_image + l_patch / grid_size**2) / 2.0

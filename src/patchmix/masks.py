@@ -7,8 +7,10 @@ of width W and height H (both divisible by the grid size) fills each
 returns that (H, W) uint8 array, which per-sample ``mixing.patchmix`` reads.
 
 Random masks are drawn a batch at a time: :func:`sample_mask_bits` returns
-a (count, P, P) stack from one Beta draw, and :func:`sample_random_mask`
-is its single-mask form on the same stream.
+a (count, P, P) stack of fair-coin cells from one ``rng.random`` call, and
+:func:`sample_random_mask` is its single-mask form on the same stream.
+Training (phases 1 and 4) and the search's initial population draw every
+random mask through it.
 
 In the genome file a mask is P lines of 0/1 characters, one per grid row
 (:func:`mask_rows` / :func:`parse_mask_rows`).
@@ -53,31 +55,24 @@ class PatchMask:
     __hash__ = None
 
 
-def sample_mask_bits(
-    count: int, grid_size: int, alpha: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw ``count`` grid masks as one (count, P, P) uint8 stack, each
-    cell a rounded Beta(alpha, alpha) sample.
+def sample_mask_bits(count: int, grid_size: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``count`` grid masks as one (count, P, P) uint8 stack, each cell
+    an independent fair coin.
 
-    Beta(alpha, alpha) is symmetric about 1/2, so every cell is a fair coin
-    for every alpha: alpha changes only which bits a given stream yields,
-    not the mask density.  Cells are drawn in row-major order, so one call
+    Cells are drawn in row-major order, one float each, so one call
     consumes the stream exactly as ``count`` consecutive calls of
     :func:`sample_random_mask` do.
     """
     if grid_size < 1:
         raise ConfigError(f"grid size must be at least 1, got {grid_size}")
-    if not alpha > 0:
-        raise ConfigError(f"alpha must be positive, got {alpha}")
     if count < 0:
         raise ConfigError(f"mask count must be non-negative, got {count}")
-    draws = rng.beta(alpha, alpha, size=(count, grid_size, grid_size))
-    return np.round(draws).astype(np.uint8)
+    return (rng.random((count, grid_size, grid_size)) < 0.5).astype(np.uint8)
 
 
-def sample_random_mask(grid_size: int, alpha: float, rng: np.random.Generator) -> PatchMask:
+def sample_random_mask(grid_size: int, rng: np.random.Generator) -> PatchMask:
     """One mask of :func:`sample_mask_bits`."""
-    return PatchMask(sample_mask_bits(1, grid_size, alpha, rng)[0])
+    return PatchMask(sample_mask_bits(1, grid_size, rng)[0])
 
 
 def _check_divisible(width: int, height: int, grid_size: int) -> None:

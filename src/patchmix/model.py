@@ -25,7 +25,7 @@ buffers.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -88,12 +88,6 @@ class ReferenceModel:
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_FIELDS}
 
-    def copy(self) -> "ReferenceModel":
-        kwargs = {f.name: getattr(self, f.name) for f in fields(self)}
-        for name in PARAM_FIELDS:
-            kwargs[name] = kwargs[name].copy()
-        return ReferenceModel(**kwargs)
-
     @property
     def patch_count(self) -> int:
         return self.grid_size**2
@@ -106,7 +100,6 @@ class TrainConfig:
     lr0: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 0.0005
-    alpha: float = 1.0
     grid_size: int = 4
     eta_min: float = 0.0
     loss_mode: str = "both"
@@ -125,8 +118,6 @@ class TrainConfig:
             raise ConfigError("momentum must lie in [0, 1)")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be non-negative")
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
         if self.grid_size < 1:
             raise ConfigError("grid_size must be at least 1")
         if self.eta_min < 0 or self.eta_min > self.lr0:
@@ -481,7 +472,7 @@ def train_random_patchmix(train: Dataset, val: Dataset, cfg: TrainConfig):
         for idx, partner in _shuffled_pairs(len(train), cfg.batch_size, rng):
             bits = np.ones((len(idx), p, p), dtype=np.uint8)
             mixed = rng.random(len(idx)) < cfg.mix_probability
-            bits[mixed] = sample_mask_bits(int(mixed.sum()), p, cfg.alpha, rng)
+            bits[mixed] = sample_mask_bits(int(mixed.sum()), p, rng)
             yield patchmix_batch(
                 train.images, idx, partner, train.labels[idx], train.labels[partner],
                 bits, train.class_count,

@@ -303,7 +303,7 @@ def train_final(
     def random_mixer(rng: np.random.Generator, count: int):
         i = rng.integers(len(train), size=count)
         j = rng.integers(len(train), size=count)
-        return i, j, sample_mask_bits(count, p, cfg.alpha, rng)
+        return i, j, sample_mask_bits(count, p, rng)
 
     def batches(epoch: int, rng: np.random.Generator):
         yield from guided_batch_composer(
@@ -357,7 +357,6 @@ def run_guided_pipeline(
     train_cfg: TrainConfig,
     search_cfg: SearchConfig,
     run_dir,
-    ratio: tuple[int, int, int] = DEFAULT_BATCH_RATIO,
 ) -> PipelineResult:
     """Run all four phases, writing artifacts into ``run_dir``."""
     run_dir = Path(run_dir)
@@ -400,7 +399,7 @@ def run_guided_pipeline(
 
     # Phase 4: final model, image-level objective only.
     final_cfg = replace(train_cfg, loss_mode="image_only")
-    final_model, final_metrics = train_final(train, val, final_cfg, guided_set, ratio)
+    final_model, final_metrics = train_final(train, val, final_cfg, guided_set)
     save_model(final_model, run_dir / FINAL_MODEL_FILE)
     save_metrics(final_metrics, run_dir / FINAL_METRICS_FILE)
     log.info("phase 4 done: final model saved to %s", run_dir / FINAL_MODEL_FILE)

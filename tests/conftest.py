@@ -18,12 +18,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="session")
 def small_train():
-    return synth_shapes(3, 16, 40, 11, "train")
+    return synth_shapes(3, 16, 40, 11)
 
 
 @pytest.fixture(scope="session")
 def small_val():
-    return synth_shapes(3, 16, 15, 12, "validation")
+    return synth_shapes(3, 16, 15, 12)
 
 
 @pytest.fixture(scope="session")

@@ -190,7 +190,7 @@ def test_mask_pixel_consistency():
     height = width = 16
     for i in range(1000):
         p = (2, 4, 8)[i % 3]
-        mask = sample_random_mask(p, 1.0, rng)
+        mask = sample_random_mask(p, rng)
         pixel = expand_to_pixel_mask(mask, width, height)
         block_h, block_w = height // p, width // p
         assert int(pixel.sum()) == int(mask.bits.sum()) * block_h * block_w
@@ -339,8 +339,8 @@ def test_search_oracle_equivalence():
 
 @pytest.fixture(scope="module")
 def toy_training():
-    train = synth_shapes(3, 16, 200, 1, "train")
-    val = synth_shapes(3, 16, 50, 2, "validation")
+    train = synth_shapes(3, 16, 200, 1)
+    val = synth_shapes(3, 16, 50, 2)
     cfg = TrainConfig(epochs=60, seed=0)
     start = time.monotonic()
     model, metrics = train_random_patchmix(train, val, cfg)
@@ -357,8 +357,8 @@ def test_end_to_end_toy_training(toy_training, tmp_path_factory):
 
     # Directional comparison over 5 seeds at reduced scale: full guided
     # pipeline versus the same final trainer without guided samples.
-    train = synth_shapes(3, 16, 60, 11, "train")
-    val = synth_shapes(3, 16, 25, 12, "validation")
+    train = synth_shapes(3, 16, 60, 11)
+    val = synth_shapes(3, 16, 25, 12)
     guided_scores, baseline_scores = [], []
     for seed in range(5):
         cfg = TrainConfig(epochs=15, batch_size=60, hidden_dim=32, seed=seed)
@@ -393,8 +393,8 @@ def test_fgsm_monotonicity(toy_training):
 
 @criterion(8, "ablation harness emits the full 9-row grid")
 def test_ablation_harness():
-    train = synth_shapes(3, 16, 20, 31, "train")
-    val = synth_shapes(3, 16, 8, 32, "validation")
+    train = synth_shapes(3, 16, 20, 31)
+    val = synth_shapes(3, 16, 8, 32)
     cfg = TrainConfig(epochs=3, batch_size=60, hidden_dim=16, seed=7)
     rows = ablation_grid(train, val, cfg)  # (2, 4, 8) x three loss modes
     assert len(rows) == 9
@@ -470,7 +470,7 @@ def test_artifact_determinism(tmp_path, monkeypatch):
 
 @criterion(10, "boundary rasters complete for every method, none matches centroids")
 def test_boundary_demo(tmp_path):
-    raw = toy_2d_three_class(100, 0, "train")
+    raw = toy_2d_three_class(100, 0)
     feats = raw.images.reshape(len(raw), 2).astype(np.float64)
     centroids = np.stack([feats[raw.labels == c].mean(axis=0) for c in range(3)])
 

@@ -145,8 +145,8 @@ class TestBuildDatasets:
         train, val = build_datasets(
             DatasetConfig(train_per_class=15, val_per_class=6, seed=3)
         )
-        assert len(train) == 45 and train.split == "train"
-        assert len(val) == 18 and val.split == "validation"
+        assert len(train) == 45
+        assert len(val) == 18
 
     def test_toy_layout(self):
         train, val = build_datasets(
@@ -173,6 +173,23 @@ class TestBuildDatasets:
         )
         assert train.images.shape == (4, 32, 32, 3)
         assert val.class_count == 10
+
+    def test_cifar_kind_reads_dataset_files(self, tmp_path, capsys):
+        train, val = build_datasets(DatasetConfig(train_per_class=15, val_per_class=6, seed=3))
+        save_dataset(train, tmp_path / "train.pmxd")
+        save_dataset(val, tmp_path / "val.pmxd")
+        dataset = {
+            "kind": "cifar",
+            "train_path": str(tmp_path / "train.pmxd"),
+            "val_path": str(tmp_path / "val.pmxd"),
+        }
+        cfg_path = write_config(tmp_path, tmp_path / "run", dataset=dataset)
+        assert main(["train-random", "--config", str(cfg_path)]) == 0
+        loaded = build_datasets(DatasetConfig(**dataset))
+        for got, saved in zip(loaded, (train, val)):
+            assert got.images.tobytes() == saved.images.tobytes()
+            np.testing.assert_array_equal(got.labels, saved.labels)
+            assert got.class_count == 3
 
 
 class TestExitCodes:
@@ -204,6 +221,11 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["pipeline", "--config", str(cfg_path), "--threads", "2"])
         assert exc.value.code == 2
+
+    def test_alpha_key_is_unknown(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, tmp_path / "run", train={"alpha": 1.0})
+        assert main(["pipeline", "--config", str(cfg_path)]) == 2
+        assert "unknown config key train.alpha" in capsys.readouterr().err
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -472,7 +494,7 @@ class TestEvalCommand:
         n, classes = 400, 4
         images = rng.random((n, 8, 8, 1), dtype=np.float64).astype(np.float32)
         labels = rng.integers(0, classes, n).astype(np.int64)
-        dataset = Dataset(images, labels, classes, "validation")
+        dataset = Dataset(images, labels, classes)
         dataset_path = tmp_path / "chance.pmxd"
         save_dataset(dataset, dataset_path)
         model = ReferenceModel.initialize(2, classes, 16, 16, np.random.default_rng(5))

@@ -52,10 +52,6 @@ class TestDataset:
         with pytest.raises(ConfigError):
             Dataset(bad, np.array([0]), 2)
 
-    def test_unknown_split_rejected(self):
-        with pytest.raises(ConfigError):
-            Dataset(np.zeros((1, 4, 4, 1)), np.array([0]), 2, split="test")
-
     def test_class_indices_partition(self):
         ds = Dataset(np.zeros((5, 4, 4, 1)), np.array([1, 0, 1, 2, 0]), 3)
         groups = ds.class_indices()
@@ -184,7 +180,7 @@ class TestDatasetCheckpoint:
         ds = synth_shapes(3, 16, 4, 9)
         path = tmp_path / "ds.pmxd"
         save_dataset(ds, path)
-        back = load_dataset(path, split="train")
+        back = load_dataset(path)
         assert back.images.tobytes() == ds.images.tobytes()
         assert np.array_equal(back.labels, ds.labels)
         assert back.class_count == ds.class_count

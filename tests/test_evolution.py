@@ -35,7 +35,7 @@ from patchmix.evolution import (
     transpose_tails,
 )
 from patchmix.losses import log_softmax, loss_eval_count
-from patchmix.masks import PatchMask
+from patchmix.masks import PatchMask, sample_mask_bits
 from patchmix.mixing import patchmix
 from patchmix.model import PARAM_FIELDS, ReferenceModel, forward_batch
 from patchmix.rng import RngKey
@@ -96,9 +96,7 @@ def constant_dataset(levels, n_per_class=4, side=4):
     for k, v in enumerate(levels):
         images.append(np.full((n_per_class, side, side, 1), v, dtype=np.float32))
         labels.append(np.full(n_per_class, k, dtype=np.int64))
-    return Dataset(
-        np.concatenate(images), np.concatenate(labels), len(levels), "validation"
-    )
+    return Dataset(np.concatenate(images), np.concatenate(labels), len(levels))
 
 
 class TestPairIndexing:
@@ -189,6 +187,24 @@ class TestInitPopulation:
             assert np.array_equal(x.head, y.head)
             assert np.array_equal(x.masks, y.masks)
 
+    def test_masks_come_from_the_shared_sampler(self, monkeypatch):
+        calls = []
+
+        def recording_sampler(count, grid_size, rng):
+            calls.append((count, grid_size))
+            return sample_mask_bits(count, grid_size, rng)
+
+        monkeypatch.setattr("patchmix.evolution.sample_mask_bits", recording_sampler)
+        cfg = SearchConfig(population_size=6, seed=1)
+        population = init_population(cfg, 3, 2, np.random.default_rng(4))
+        n = pair_count(3)
+        assert calls == [(n, 2)] * 6  # one call of every slot's mask per genome
+        # Each genome's masks are the sampler's draw right after its head draw.
+        rng = np.random.default_rng(4)
+        for ind in population:
+            rng.choice(np.arange(n), size=cfg.resolve_max_active(3), replace=False)
+            np.testing.assert_array_equal(ind.masks, sample_mask_bits(n, 2, rng))
+
 
 def reference_fitness(individual, model, val, cfg, generation):
     """evaluate_fitness rebuilt from per-sample patchmix and forward_batch."""
@@ -229,7 +245,7 @@ def fitness_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     labels = rng.permutation(np.repeat(np.arange(class_count), per_class))
     images = rng.random((len(labels), 8, 8, 2)).astype(np.float32)
-    val = Dataset(images, labels, class_count, "validation")
+    val = Dataset(images, labels, class_count)
     patch_pixels = (8 // grid) ** 2 * 2
     model = ReferenceModel.initialize(grid, class_count, 6, patch_pixels, rng)
     cfg = SearchConfig(
@@ -250,7 +266,7 @@ def fitness_cases(draw):
 class TestEvaluateFitness:
     @pytest.mark.parametrize("objective", OBJECTIVES)
     def test_equals_per_sample_reference(self, objective):
-        val = synth_shapes(4, 16, 7, seed=3, split="validation")
+        val = synth_shapes(4, 16, 7, seed=3)
         val = val.subset(np.flatnonzero(np.arange(len(val)) % 5 != 0))  # unequal classes
         model = ReferenceModel.initialize(4, 4, 8, 48, np.random.default_rng(1))
         cfg = SearchConfig(pairs_per_combo=5, seed=11, objective=objective)
@@ -287,7 +303,7 @@ class TestEvaluateFitness:
         assert loss_eval_count("patch") - patch_evals == scored_patches
 
     def test_table_chunks_match_one_forward_pass(self):
-        val = synth_shapes(2, 16, 150, seed=5, split="validation")  # 300 > one chunk
+        val = synth_shapes(2, 16, 150, seed=5)  # 300 > one chunk
         model = ReferenceModel.initialize(4, 2, 8, 48, np.random.default_rng(2))
         cfg = SearchConfig(objective="min_lp")
         patch_logits, _ = forward_batch(model, val.images)
@@ -373,7 +389,7 @@ class TestEvaluateFitness:
         rng = np.random.default_rng(5)
         images = np.clip(rng.random((40, 4, 4, 1)), 0, 1).astype(np.float32)
         labels = (np.arange(40) % 2).astype(np.int64)
-        val = Dataset(images, labels, 2, "validation")
+        val = Dataset(images, labels, 2)
         model = ReferenceModel.initialize(2, 2, 8, 4, np.random.default_rng(1))
         cfg = SearchConfig(pairs_per_combo=3, seed=7, objective="min_lp")
         ind = make_individual(class_count=2, active=(1,), rng=rng)

@@ -17,7 +17,6 @@ from patchmix.losses import (
     log_softmax,
     loss_eval_count,
     record_loss_eval,
-    total_loss,
 )
 from patchmix.mixing import MixedBatch
 from patchmix.model import ReferenceModel, backward, evaluate_model
@@ -165,13 +164,13 @@ class TestPatchLoss:
 class TestTotalLoss:
     def test_worked_example(self):
         # (2.0 + 32.0/16) / 2 = 2.0 with a 4x4 grid.
-        assert total_loss(2.0, 32.0, 4) == 2.0
+        assert combined_loss(2.0, 32.0, 4, "both") == 2.0
 
     def test_zero_patch_term(self):
-        assert total_loss(3.0, 0.0, 4) == 1.5
+        assert combined_loss(3.0, 0.0, 4, "both") == 1.5
 
     def test_single_patch_grid_averages_the_terms(self):
-        assert total_loss(1.25, 1.25, 1) == 1.25
+        assert combined_loss(1.25, 1.25, 1, "both") == 1.25
 
     def test_ablation_modes(self):
         assert combined_loss(2.0, 32.0, 4, "both") == 2.0

@@ -405,7 +405,7 @@ class TestTraining:
     def test_unmixed_mode_consumes_no_mask_draws(self, small_train, small_val, monkeypatch):
         rows = []
 
-        def counting_sampler(count, grid_size, alpha, rng):
+        def counting_sampler(count, grid_size, rng):
             rows.append(count)
             return np.ones((count, grid_size, grid_size), dtype=np.uint8)
 
@@ -425,7 +425,7 @@ class TestTraining:
             train_random_patchmix(small_train, small_val, cfg)
 
     def test_class_count_mismatch_rejected(self, small_train):
-        other = synth_shapes(4, 16, 3, 0, "validation")
+        other = synth_shapes(4, 16, 3, 0)
         with pytest.raises(ConfigError):
             train_random_patchmix(small_train, other, TrainConfig(epochs=1))
 

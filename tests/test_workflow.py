@@ -72,7 +72,7 @@ class TestSplitBatch:
 class TestGuidedSet:
     @pytest.fixture()
     def train(self):
-        return synth_shapes(3, 16, 10, seed=2, split="train")
+        return synth_shapes(3, 16, 10, seed=2)
 
     def test_recipe_draws_from_active_slots(self, train, rng):
         active = (pair_to_index(0, 1, 3), pair_to_index(1, 2, 3))
@@ -227,7 +227,7 @@ class TestManifest:
 class TestBatchComposer:
     @pytest.fixture()
     def train(self):
-        return synth_shapes(3, 16, 6, seed=4, split="train")
+        return synth_shapes(3, 16, 6, seed=4)
 
     def null_mixer(self, rng, count):
         raise AssertionError("random mixer should not be called")
@@ -342,7 +342,7 @@ class TestBatchComposer:
 
 class TestFitnessValSubset:
     def test_stratified_and_sorted(self):
-        val = synth_shapes(3, 16, 20, seed=9, split="validation")
+        val = synth_shapes(3, 16, 20, seed=9)
         subset = fitness_val_subset(val, SearchConfig(val_fraction=0.25, seed=3))
         assert len(subset) == 15
         for indices in subset.class_indices():
@@ -352,18 +352,18 @@ class TestFitnessValSubset:
         np.testing.assert_array_equal(subset.images, again.images)
 
     def test_takes_at_least_one_per_class(self):
-        val = synth_shapes(4, 16, 3, seed=9, split="validation")
+        val = synth_shapes(4, 16, 3, seed=9)
         subset = fitness_val_subset(val, SearchConfig(val_fraction=0.05))
         counts = [len(ix) for ix in subset.class_indices()]
         assert counts == [1, 1, 1, 1]
 
     def test_ceil_rounding(self):
-        val = synth_shapes(2, 16, 10, seed=9, split="validation")
+        val = synth_shapes(2, 16, 10, seed=9)
         subset = fitness_val_subset(val, SearchConfig(val_fraction=0.25))
         assert len(subset) == 2 * math.ceil(2.5)
 
     def test_empty_rejected(self):
-        val = synth_shapes(2, 16, 4, seed=9, split="validation")
+        val = synth_shapes(2, 16, 4, seed=9)
         with pytest.raises(ConfigError):
             fitness_val_subset(val.subset(np.array([], dtype=np.int64)), SearchConfig())
 
@@ -399,8 +399,8 @@ class TestTrainFinal:
 
 @pytest.fixture(scope="module")
 def tiny_sets():
-    train = synth_shapes(3, 16, 20, seed=21, split="train")
-    val = synth_shapes(3, 16, 8, seed=22, split="validation")
+    train = synth_shapes(3, 16, 20, seed=21)
+    val = synth_shapes(3, 16, 8, seed=22)
     return train, val
 
 
