@@ -95,6 +95,10 @@ class DatasetConfig:
                 raise ConfigError("missing config key dataset.train_path (required for cifar)")
             if not self.val_path:
                 raise ConfigError("missing config key dataset.val_path (required for cifar)")
+        if self.kind == "toy" and self.class_count != 3:
+            raise ConfigError(
+                f"dataset.class_count must be 3 for kind 'toy', got {self.class_count}"
+            )
 
 
 @dataclass

@@ -91,6 +91,22 @@ class Dataset:
         """Indices of every sample, grouped by class."""
         return [np.flatnonzero(self.labels == c) for c in range(self.class_count)]
 
+    def draw_of_class(
+        self, classes: np.ndarray, rng: np.random.Generator, name: str
+    ) -> np.ndarray:
+        """Index of one uniformly drawn sample of each entry's class, shaped
+        like ``classes``, from one ``rng.integers`` call.  A class named in
+        ``classes`` that has no samples is rejected; ``name`` names the set
+        in the error."""
+        per_class = self.class_indices()
+        sizes = np.array([len(c) for c in per_class])
+        empty = np.setdiff1d(classes, np.flatnonzero(sizes))
+        if len(empty):
+            raise ConfigError(f"{name} has no samples of class {empty[0]}")
+        by_class = np.concatenate(per_class)
+        starts = np.cumsum(sizes) - sizes
+        return by_class[starts[classes] + rng.integers(sizes[classes])]
+
     def subset(self, indices) -> "Dataset":
         return Dataset(self.images[indices], self.labels[indices], self.class_count)
 

@@ -10,9 +10,9 @@ validation images per active pair and averaging a patch-level metric;
 "max" objectives are sign-flipped so that lower always means fitter.
 The metric is read from a table of per-patch terms built by one forward
 pass of the validation images, which is exact because the reference
-encoder is patch-local.  The image pairs drawn for a slot depend only on
-(seed, generation, slot), so every individual in a generation is scored
-against identical data.
+encoder is patch-local.  The image pairs of every slot are drawn once per
+run, from a stream keyed by the search seed alone, so every genome of
+every generation is scored against identical data.
 """
 
 from __future__ import annotations
@@ -209,7 +209,8 @@ def init_population(
 
 
 class FitnessTable:
-    """Per-patch fitness terms of the validation images, from one forward pass.
+    """Per-patch fitness terms of the validation images, from one forward
+    pass, and the one evaluation set every genome of a run is scored on.
 
     The reference encoder is patch-local: patch n of a composite has the
     logits of patch n of the image that supplied it, and its label is that
@@ -218,28 +219,37 @@ class FitnessTable:
     k's class (accuracy objectives), or that class's log-probability
     (loss objectives).  A cross-patch encoder would break this shortcut.
 
-    The table also keeps the terms of the image pairs drawn for each slot
-    in the current generation; moving to another generation drops them.
+    The evaluation set is drawn once, when the table is built: for every
+    pair slot, ``pairs_per_combo`` images of the slot's first class
+    (``first``, shown where a mask bit is 1), then as many of its second
+    class (``second``), each side by one :meth:`Dataset.draw_of_class` call
+    on the stream ``RngKey(seed).child("fitness")``.  A genome's score
+    therefore depends on the genome alone, not on when it was scored.
     """
 
-    def __init__(self, terms: np.ndarray, val: Dataset, grid_size: int, cfg: SearchConfig):
+    def __init__(self, terms, first, second, grid_size: int, cfg: SearchConfig):
         self.terms = terms                  # (N, P*P) bool or float64
-        self.per_class = val.class_indices()
+        self.first = first                  # (n_pairs, pairs_per_combo) mask-1 images
+        self.second = second                # (n_pairs, pairs_per_combo) mask-0 images
         self.grid_size = grid_size
         self.cfg = cfg
         self.scored = 0                     # genomes scored so far
-        self._generation: int | None = None
-        self._drawn: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def build(cls, model: ReferenceModel, val: Dataset, cfg: SearchConfig) -> "FitnessTable":
-        """Forward ``val`` once, ``TABLE_CHUNK`` images at a time."""
+        """Draw the evaluation set, then forward ``val`` once, ``TABLE_CHUNK``
+        images at a time."""
         if len(val) == 0:
             raise ConfigError("cannot build a fitness table from an empty dataset")
         if model.class_count != val.class_count:
             raise ConfigError(
                 f"model scores {model.class_count} classes, dataset has {val.class_count}"
             )
+        ci, cj = np.triu_indices(val.class_count)  # the class pair of every slot
+        shape = (len(ci), cfg.pairs_per_combo)
+        rng = RngKey(cfg.seed).child("fitness").generator()
+        first = val.draw_of_class(np.broadcast_to(ci[:, None], shape), rng, "validation set")
+        second = val.draw_of_class(np.broadcast_to(cj[:, None], shape), rng, "validation set")
         patch_logits = np.concatenate([
             forward_batch(model, val.images[start : start + TABLE_CHUNK])[0]
             for start in range(0, len(val), TABLE_CHUNK)
@@ -250,57 +260,33 @@ class FitnessTable:
         else:
             logp = losses.log_softmax(patch_logits)
             terms = np.take_along_axis(logp, own[..., None], axis=2)[..., 0]
-        return cls(terms, val, model.grid_size, cfg)
-
-    def slot_terms(self, slot: int, generation: int) -> tuple[np.ndarray, np.ndarray]:
-        """Terms of the mask-1 and the mask-0 images drawn for ``slot``.
-
-        The stream keyed by (seed, generation, slot) draws
-        ``pairs_per_combo`` images of each class of the slot's pair.
-        """
-        if generation != self._generation:
-            self._generation = generation
-            self._drawn.clear()
-        if slot not in self._drawn:
-            ci, cj = index_to_pair(slot, len(self.per_class))
-            for c in (ci, cj):
-                if len(self.per_class[c]) == 0:
-                    raise ConfigError(f"validation set has no samples of class {c}")
-            srng = RngKey(self.cfg.seed).child("fitness", generation, slot).generator()
-            ii = srng.choice(self.per_class[ci], size=self.cfg.pairs_per_combo)
-            jj = srng.choice(self.per_class[cj], size=self.cfg.pairs_per_combo)
-            self._drawn[slot] = self.terms[ii], self.terms[jj]
-        return self._drawn[slot]
+        return cls(terms, first, second, model.grid_size, cfg)
 
 
-def evaluate_fitness(individual: Individual, table: FitnessTable, generation: int) -> float:
+def evaluate_fitness(individual: Individual, table: FitnessTable) -> float:
     """Score a genome against the fitness table; lower is fitter.
 
-    Every active slot contributes ``pairs_per_combo`` composites, each
+    Every active slot contributes its ``pairs_per_combo`` composites, each
     patch taking the term of the image its mask bit selects.  The score
     is the mean of a per-composite metric, exactly as if the composites
-    had been forwarded, so identical genomes in the same generation always
-    receive identical scores.
+    had been forwarded, so a genome gets the same score whenever it is
+    scored.
     """
     active = individual.active_slots()
     if len(active) == 0:
         raise ConfigError("individual has no active pairs")
-    if individual.class_count != len(table.per_class):
+    if individual.n_pairs != len(table.first):
         raise ConfigError(
             f"genome covers {individual.class_count} classes, "
-            f"dataset has {len(table.per_class)}"
+            f"dataset has {class_count_for_pairs(len(table.first))}"
         )
     if individual.grid_size != table.grid_size:
         raise ConfigError(
             f"genome grid {individual.grid_size} does not match model grid {table.grid_size}"
         )
-    drawn = [table.slot_terms(int(slot), generation) for slot in active]
-    bits = np.repeat(
-        individual.masks[active].reshape(len(active), -1), table.cfg.pairs_per_combo, axis=0
-    )
-    kept = np.where(
-        bits, np.concatenate([a for a, _ in drawn]), np.concatenate([b for _, b in drawn])
-    )
+    bits = individual.masks[active].reshape(len(active), 1, -1)
+    kept = np.where(bits, table.terms[table.first[active]], table.terms[table.second[active]])
+    kept = kept.reshape(-1, bits.shape[2])  # one row per composite, slot by slot
     objective = table.cfg.objective
     if objective.endswith("patch_acc"):
         metric = kept.mean(axis=1)
@@ -464,7 +450,7 @@ class GenerationStats:
     census: list[tuple[tuple[int, int], int]] = field(default_factory=list)
 
 
-FitnessFn = Callable[[Individual, int], float]
+FitnessFn = Callable[[Individual], float]
 
 
 def _evaluate_population(
@@ -480,7 +466,7 @@ def _evaluate_population(
             continue
         where = f"generation {generation}, individual {index}"
         try:
-            value = float(fitness_fn(individual, generation))
+            value = float(fitness_fn(individual))
         except (ConfigError, FormatError) as err:
             raise type(err)(f"{where}: {err}") from err
         except ArithmeticError as err:

@@ -100,8 +100,8 @@ def draw_guided_recipe(
     """(slot, image index for the mask-1 class, image index for the other).
 
     Each entry picks an active slot uniformly, then one training image per
-    class side uniformly.  The slots of all entries are drawn first, then
-    every mask-1 image, then every other image.
+    class side uniformly (:meth:`Dataset.draw_of_class`).  The slots of all
+    entries are drawn first, then every mask-1 image, then every other image.
     """
     _check_genome_classes(individual, train)
     active = individual.active_slots()
@@ -109,18 +109,10 @@ def draw_guided_recipe(
         raise ConfigError("individual has no active pairs")
     if count < 0:
         raise ConfigError("count must be non-negative")
-    per_class = train.class_indices()
-    sizes = np.array([len(c) for c in per_class])
     pairs = np.array([index_to_pair(int(slot), train.class_count) for slot in active])
-    for cls in pairs.reshape(-1):
-        if sizes[cls] == 0:
-            raise ConfigError(f"training set has no samples of class {cls}")
-    by_class = np.concatenate(per_class)
-    starts = np.cumsum(sizes) - sizes
     pick = rng.integers(len(active), size=count)
-    ci, cj = pairs[pick, 0], pairs[pick, 1]
-    i = by_class[starts[ci] + rng.integers(sizes[ci])]
-    j = by_class[starts[cj] + rng.integers(sizes[cj])]
+    i = train.draw_of_class(pairs[pick, 0], rng, "training set")
+    j = train.draw_of_class(pairs[pick, 1], rng, "training set")
     return list(zip(active[pick].tolist(), i.tolist(), j.tolist()))
 
 
@@ -339,7 +331,7 @@ def run_fitness_search(
     table = FitnessTable.build(model, fitness_val_subset(val, cfg), cfg)
     best, history = run_search(
         cfg, val.class_count, grid_size,
-        lambda individual, generation: evaluate_fitness(individual, table, generation),
+        lambda individual: evaluate_fitness(individual, table),
     )
     save_history(history, run_dir / SEARCH_HISTORY_FILE)
     save_individual(best, cfg.resolve_max_active(val.class_count), run_dir / BEST_INDIVIDUAL_FILE)

@@ -300,7 +300,7 @@ def test_search_oracle_equivalence():
     best_id = int(np.argmin(table))
     weights = np.array([8, 4, 2, 1])
 
-    def table_fitness(individual, generation):
+    def table_fitness(individual):
         slot = individual.active_slots()[0]
         return float(table[int(individual.masks[slot].ravel() @ weights)])
 
@@ -318,7 +318,7 @@ def test_search_oracle_equivalence():
     # (b) hidden 4x4 target, Hamming distance fitness, population 100.
     target = (np.indices((4, 4)).sum(axis=0) % 2).astype(np.uint8)
 
-    def hamming(individual, generation):
+    def hamming(individual):
         slot = individual.active_slots()[0]
         return float((individual.masks[slot] != target).sum())
 
@@ -450,9 +450,9 @@ def test_artifact_determinism(tmp_path, monkeypatch):
 
         build = classmethod(lambda cls, *args: cls(*args))
 
-    def forward_fitness(individual, scorer, generation):
+    def forward_fitness(individual, scorer):
         scorer.scored += 1
-        return reference_fitness(individual, *scorer.args, generation)
+        return reference_fitness(individual, *scorer.args)
 
     loss = {"search": {"objective": "min_lp"}}
     from_table = run("c-table", **loss)

@@ -222,6 +222,13 @@ class TestExitCodes:
             main(["pipeline", "--config", str(cfg_path), "--threads", "2"])
         assert exc.value.code == 2
 
+    def test_toy_class_count_other_than_three_rejected(self, tmp_path, capsys):
+        toy = {"kind": "toy", "class_count": 5, "train_per_class": 10, "val_per_class": 5}
+        cfg_path = write_config(tmp_path, tmp_path / "run", dataset=toy, train={"grid_size": 1})
+        assert main(["pipeline", "--config", str(cfg_path)]) == 2
+        assert "dataset.class_count must be 3 for kind 'toy'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_alpha_key_is_unknown(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, tmp_path / "run", train={"alpha": 1.0})
         assert main(["pipeline", "--config", str(cfg_path)]) == 2

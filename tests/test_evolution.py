@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,16 +207,30 @@ class TestInitPopulation:
             np.testing.assert_array_equal(ind.masks, sample_mask_bits(n, 2, rng))
 
 
-def reference_fitness(individual, model, val, cfg, generation):
-    """evaluate_fitness rebuilt from per-sample patchmix and forward_batch."""
-    key = RngKey(cfg.seed).child("fitness", generation)
+def reference_fitness(individual, model, val, cfg):
+    """evaluate_fitness rebuilt from the documented once-per-run draw,
+    per-sample patchmix and forward_batch.
+
+    The stream ``RngKey(seed).child("fitness")`` draws, for every slot and
+    composite, the position of the mask-1 image within its class in one
+    ``integers`` call, then the mask-0 image's position in a second call.
+    """
+    rng = RngKey(cfg.seed).child("fitness").generator()
     per_class = val.class_indices()
+    sizes = np.array([len(ix) for ix in per_class])
+    pairs = [index_to_pair(k, val.class_count) for k in range(pair_count(val.class_count))]
+    drawn = []
+    for side in (0, 1):
+        classes = np.array([[pair[side]] * cfg.pairs_per_combo for pair in pairs])
+        positions = rng.integers(sizes[classes])
+        drawn.append([
+            [per_class[c][k] for c, k in zip(row_classes, row_positions)]
+            for row_classes, row_positions in zip(classes, positions)
+        ])
     samples = []
     for slot in individual.active_slots():
-        ci, cj = index_to_pair(int(slot), val.class_count)
-        srng = key.child(int(slot)).generator()
-        ii = srng.choice(per_class[ci], size=cfg.pairs_per_combo)
-        jj = srng.choice(per_class[cj], size=cfg.pairs_per_combo)
+        ci, cj = pairs[slot]
+        ii, jj = drawn[0][slot], drawn[1][slot]
         mask = PatchMask(individual.masks[slot])
         for a, b in zip(ii, jj):
             samples.append(
@@ -232,13 +247,13 @@ def reference_fitness(individual, model, val, cfg, generation):
     return -score if cfg.objective.startswith("max") else score
 
 
-def table_fitness(individual, model, val, cfg, generation):
-    return evaluate_fitness(individual, FitnessTable.build(model, val, cfg), generation)
+def table_fitness(individual, model, val, cfg):
+    return evaluate_fitness(individual, FitnessTable.build(model, val, cfg))
 
 
 @st.composite
 def fitness_cases(draw):
-    """A random model, validation set, search config and scoring schedule."""
+    """A random model, validation set, search config and genomes."""
     grid = draw(st.sampled_from((1, 2, 4)))
     class_count = draw(st.integers(2, 4))
     per_class = draw(st.lists(st.integers(1, 5), min_size=class_count, max_size=class_count))
@@ -259,8 +274,7 @@ def fitness_cases(draw):
         head[rng.integers(len(head))] = 1
         masks = rng.integers(0, 2, (len(head), grid, grid), dtype=np.uint8)
         genomes.append(Individual(head, masks))
-    generations = draw(st.lists(st.integers(0, 30), min_size=1, max_size=4))
-    return model, val, cfg, genomes, generations
+    return model, val, cfg, genomes
 
 
 class TestEvaluateFitness:
@@ -274,10 +288,7 @@ class TestEvaluateFitness:
         rng = np.random.default_rng(4)
         for active in ((0,), (1, 5, 9), (3, 4, 7, 8)):
             ind = make_individual(class_count=4, grid_size=4, active=active, rng=rng)
-            for generation in (0, 3):
-                assert evaluate_fitness(ind, table, generation) == (
-                    reference_fitness(ind, model, val, cfg, generation)
-                )
+            assert evaluate_fitness(ind, table) == reference_fitness(ind, model, val, cfg)
 
     @given(fitness_cases())
     @settings(max_examples=60, deadline=None)
@@ -289,17 +300,14 @@ class TestEvaluateFitness:
         A cross-patch model (the paper's ResNet-50) would break it, and
         the fitness table with it; this is the test to revisit then.
         """
-        model, val, cfg, genomes, generations = case
+        model, val, cfg, genomes = case
         table = FitnessTable.build(model, val, cfg)
         patch_evals = loss_eval_count("patch")
-        for generation in generations:
-            for ind in genomes:
-                assert evaluate_fitness(ind, table, generation) == (
-                    reference_fitness(ind, model, val, cfg, generation)
-                )
-        assert table.scored == len(generations) * len(genomes)
+        for ind in genomes:
+            assert evaluate_fitness(ind, table) == reference_fitness(ind, model, val, cfg)
+        assert table.scored == len(genomes)
         composites = sum(len(ind.active_slots()) for ind in genomes) * cfg.pairs_per_combo
-        scored_patches = composites * len(generations) if cfg.objective.endswith("lp") else 0
+        scored_patches = composites if cfg.objective.endswith("lp") else 0
         assert loss_eval_count("patch") - patch_evals == scored_patches
 
     def test_table_chunks_match_one_forward_pass(self):
@@ -312,18 +320,6 @@ class TestEvaluateFitness:
         assert len(table.terms) == len(val)
         assert np.array_equal(table.terms, own[..., 0])
 
-    def test_draws_are_kept_for_one_generation_only(self):
-        val = constant_dataset((0.1, 0.5, 0.9), n_per_class=6)
-        table = FitnessTable.build(mean_detector_model((0.1, 0.5, 0.9)), val, SearchConfig())
-        first = table.slot_terms(1, 0)
-        assert table.slot_terms(1, 0) is first
-        for generation in range(1, 6):
-            for slot in (0, 1, 4):
-                table.slot_terms(slot, generation)
-        assert len(table._drawn) == 3
-        assert table.slot_terms(1, 0) is not first
-        assert np.array_equal(table.slot_terms(1, 0)[0], first[0])
-
     def test_always_correct_stub_scores_one(self, rng):
         # Three constant-brightness classes and a detector stub that gets
         # every patch right: minimizing patch accuracy bottoms out at 1.
@@ -333,7 +329,7 @@ class TestEvaluateFitness:
         cfg = SearchConfig(pairs_per_combo=6, seed=3)
         for active in ((1,), (0, 2), (2, 4)):
             ind = make_individual(active=active, rng=rng)
-            assert table_fitness(ind, model, val, cfg, 0) == 1.0
+            assert table_fitness(ind, model, val, cfg) == 1.0
 
     def test_constant_stub_tracks_mask_popcount(self):
         # A stub that always answers class 0, scored on the (0, 1) pair:
@@ -349,15 +345,15 @@ class TestEvaluateFitness:
         ]:
             ind = make_individual(class_count=2, active=(slot_01,))
             ind.masks[slot_01] = bits.astype(np.uint8)
-            assert table_fitness(ind, model, val, cfg, 0) == expected
+            assert table_fitness(ind, model, val, cfg) == expected
 
     def test_max_objective_flips_sign(self):
         val = constant_dataset((0.2, 0.8))
         model = constant_class_model(class_count=2)
         ind = make_individual(class_count=2, active=(pair_to_index(0, 1, 2),))
         ind.masks[:] = 1
-        lo = table_fitness(ind, model, val, SearchConfig(objective="min_patch_acc"), 0)
-        hi = table_fitness(ind, model, val, SearchConfig(objective="max_patch_acc"), 0)
+        lo = table_fitness(ind, model, val, SearchConfig(objective="min_patch_acc"))
+        hi = table_fitness(ind, model, val, SearchConfig(objective="max_patch_acc"))
         assert lo == 1.0 and hi == -1.0
 
     def test_patch_loss_objective_matches_closed_form(self):
@@ -368,9 +364,7 @@ class TestEvaluateFitness:
         slot_01 = pair_to_index(0, 1, 2)
         ind = make_individual(class_count=2, active=(slot_01,))
         ind.masks[slot_01] = np.array([[1, 0], [0, 0]], dtype=np.uint8)
-        got = table_fitness(
-            ind, model, val, SearchConfig(objective="min_lp", seed=0), 0
-        )
+        got = table_fitness(ind, model, val, SearchConfig(objective="min_lp", seed=0))
         expected = math.log(1 + math.exp(-1)) + 3 * math.log(1 + math.exp(1))
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -380,43 +374,47 @@ class TestEvaluateFitness:
         cfg = SearchConfig(pairs_per_combo=4, seed=7, objective="min_lp")
         a = make_individual(active=(1, 4), rng=np.random.default_rng(0))
         b = Individual(a.head.copy(), a.masks.copy())
-        assert table_fitness(a, model, val, cfg, 3) == table_fitness(
-            b, model, val, cfg, 3
-        )
+        assert table_fitness(a, model, val, cfg) == table_fitness(b, model, val, cfg)
 
-    def test_generations_draw_different_pairs(self):
-        # Unequal class sizes make the drawn pairs visible in the score.
+    def test_scores_do_not_depend_on_genomes_scored_before(self):
+        # Random images make the drawn pairs visible in the score.
         rng = np.random.default_rng(5)
-        images = np.clip(rng.random((40, 4, 4, 1)), 0, 1).astype(np.float32)
-        labels = (np.arange(40) % 2).astype(np.int64)
-        val = Dataset(images, labels, 2)
+        images = rng.random((40, 4, 4, 1)).astype(np.float32)
+        val = Dataset(images, (np.arange(40) % 2).astype(np.int64), 2)
         model = ReferenceModel.initialize(2, 2, 8, 4, np.random.default_rng(1))
         cfg = SearchConfig(pairs_per_combo=3, seed=7, objective="min_lp")
-        ind = make_individual(class_count=2, active=(1,), rng=rng)
-        table = FitnessTable.build(model, val, cfg)
-        scores = {evaluate_fitness(ind, table, g) for g in range(4)}
-        assert len(scores) > 1
+        probe = make_individual(class_count=2, active=(1,), rng=rng)
+        fresh = FitnessTable.build(model, val, cfg)
+        busy = FitnessTable.build(model, val, cfg)
+        for _ in range(50):
+            evaluate_fitness(make_individual(class_count=2, active=(0, 1, 2), rng=rng), busy)
+        assert evaluate_fitness(probe, busy) == evaluate_fitness(probe, fresh)
+        assert np.array_equal(busy.first, fresh.first)
+        assert np.array_equal(busy.second, fresh.second)
+        # Another seed draws other pairs, and the score shows it.
+        other = FitnessTable.build(model, val, replace(cfg, seed=8))
+        assert evaluate_fitness(probe, other) != evaluate_fitness(probe, fresh)
 
     def test_no_active_pairs_rejected(self):
         val = constant_dataset((0.2, 0.8))
         model = constant_class_model(class_count=2)
         ind = make_individual(class_count=2, active=())
         with pytest.raises(ConfigError):
-            table_fitness(ind, model, val, SearchConfig(), 0)
+            table_fitness(ind, model, val, SearchConfig())
 
     def test_missing_class_named_in_error(self):
         val = constant_dataset((0.2, 0.5, 0.8)).subset(np.arange(8))  # drops class 2
         model = mean_detector_model((0.2, 0.5, 0.8))
         ind = make_individual(active=(pair_to_index(1, 2, 3),))
         with pytest.raises(ConfigError, match="class 2"):
-            table_fitness(ind, model, val, SearchConfig(), 0)
+            table_fitness(ind, model, val, SearchConfig())
 
     def test_class_count_mismatch_rejected(self):
         val = constant_dataset((0.2, 0.8))
         model = constant_class_model(class_count=2)
         ind = make_individual(class_count=3, active=(0,))
         with pytest.raises(ConfigError):
-            table_fitness(ind, model, val, SearchConfig(), 0)
+            table_fitness(ind, model, val, SearchConfig())
 
     @pytest.mark.parametrize("model_classes", [2, 4])
     def test_model_class_count_mismatch_rejected(self, model_classes):
@@ -432,7 +430,7 @@ class TestEvaluateFitness:
         model = constant_class_model(class_count=2)
         ind = make_individual(class_count=2, grid_size=4, active=(0,))
         with pytest.raises(ConfigError, match="grid 4 does not match model grid 2"):
-            table_fitness(ind, model, val, SearchConfig(), 0)
+            table_fitness(ind, model, val, SearchConfig())
 
     def test_empty_dataset_rejected(self):
         val = constant_dataset((0.2, 0.8)).subset(np.arange(0))
@@ -645,7 +643,7 @@ class TestRepair:
 
 
 def hamming_fitness(target):
-    def fitness(individual, generation):
+    def fitness(individual):
         slot = individual.active_slots()[0]
         return float((individual.masks[slot] != target).sum())
 
@@ -672,7 +670,7 @@ class TestRunSearch:
 
     def test_patience_stops_early(self):
         cfg = SearchConfig(population_size=10, generations=50, patience=3, seed=2)
-        _, history = run_search(cfg, 1, 2, lambda ind, gen: 1.0)
+        _, history = run_search(cfg, 1, 2, lambda ind: 1.0)
         # Constant fitness never improves: gen 0 + exactly patience more.
         assert len(history) == 4
 
@@ -686,7 +684,7 @@ class TestRunSearch:
         assert [h.best for h in hist_a] == [h.best for h in hist_b]
 
     def test_fitness_failure_names_generation_and_individual(self):
-        def broken(individual, generation):
+        def broken(individual):
             raise FloatingPointError("boom")
 
         cfg = SearchConfig(population_size=5, generations=2, seed=0)
@@ -694,7 +692,7 @@ class TestRunSearch:
             run_search(cfg, 1, 2, broken)
 
     def test_programming_error_propagates_unchanged(self):
-        def broken(individual, generation):
+        def broken(individual):
             raise TypeError("bad call")
 
         cfg = SearchConfig(population_size=5, generations=2, seed=0)
@@ -702,7 +700,7 @@ class TestRunSearch:
             run_search(cfg, 1, 2, broken)
 
     def test_config_error_keeps_its_type(self):
-        def broken(individual, generation):
+        def broken(individual):
             raise ConfigError("no such class")
 
         cfg = SearchConfig(population_size=5, generations=2, seed=0)
@@ -712,12 +710,12 @@ class TestRunSearch:
     def test_non_finite_fitness_rejected(self):
         cfg = SearchConfig(population_size=5, generations=1, seed=0)
         with pytest.raises(NumericError, match="non-finite"):
-            run_search(cfg, 1, 2, lambda ind, gen: float("nan"))
+            run_search(cfg, 1, 2, lambda ind: float("nan"))
 
     def test_zero_spread_warns_once_per_run(self, caplog):
         cfg = SearchConfig(population_size=10, generations=50, patience=3, seed=2)
         with caplog.at_level(logging.WARNING, logger="patchmix.evolution"):
-            _, history = run_search(cfg, 1, 2, lambda ind, gen: 1.0)
+            _, history = run_search(cfg, 1, 2, lambda ind: 1.0)
         warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
         assert len(history) == 4
         assert len(warnings) == 1
@@ -732,7 +730,7 @@ class TestRunSearch:
 
     def test_census_counts_active_pairs(self):
         cfg = SearchConfig(population_size=12, generations=2, patience=5, seed=4)
-        _, history = run_search(cfg, 2, 2, lambda ind, gen: 0.5)
+        _, history = run_search(cfg, 2, 2, lambda ind: 0.5)
         for stats in history:
             total = sum(count for _, count in stats.census)
             assert 12 <= total <= 12 * 2  # every genome holds 1..2 active slots

@@ -30,6 +30,7 @@ from patchmix.workflow import (
     guided_batch_composer,
     load_guided_manifest,
     materialize_guided,
+    run_fitness_search,
     run_guided_pipeline,
     save_guided_manifest,
     split_batch,
@@ -165,6 +166,10 @@ class TestGuidedSet:
             ((0, 0, 30), r"an image index lies outside \[0, 30\)"),
             ((0, 0, 10), "an image is not of its side's class"),
             ((0, 10, 0), "an image is not of its side's class"),
+        ],
+        ids=[
+            "inactive-slot", "slot-outside-genome", "negative-image", "image-past-end",
+            "mask0-image-of-other-class", "mask1-image-of-other-class",
         ],
     )
     def test_bad_manifest_entry_named(self, train, entry, error):
@@ -455,9 +460,9 @@ class TestPipeline:
         train, val = tiny_sets
         calls = []
 
-        def counted(individual, table, generation):
-            calls.append(generation)
-            return evaluate_fitness(individual, table, generation)
+        def counted(individual, table):
+            calls.append(individual)
+            return evaluate_fitness(individual, table)
 
         monkeypatch.setattr(workflow, "evaluate_fitness", counted)
         run_dir = tmp_path_factory.mktemp("phase-two-log")
@@ -467,6 +472,31 @@ class TestPipeline:
         images = len(fitness_val_subset(val, SMALL_SEARCH))
         assert len(calls) >= SMALL_SEARCH.population_size
         assert f"; {len(calls)} genomes scored from a table of {images} forwarded" in line
+
+    def test_winner_keeps_its_score_on_the_run_table(
+        self, small_model, small_val, tmp_path, monkeypatch
+    ):
+        # A loss objective ranks genomes, so a score taken on other draws
+        # than the table's would show in the winner's re-score.
+        cfg = SearchConfig(
+            population_size=20, generations=12, patience=12, pairs_per_combo=4,
+            objective="min_lp", seed=3,
+        )
+        scored = []
+
+        def recorded(individual, table):
+            scored.append((table, evaluate_fitness(individual, table)))
+            return scored[-1][1]
+
+        monkeypatch.setattr(workflow, "evaluate_fitness", recorded)
+        best, history = run_fitness_search(
+            small_model, small_val, cfg, small_model.grid_size, tmp_path
+        )
+        [table] = {id(table): table for table, _ in scored}.values()
+        scores = {score for _, score in scored}
+        assert len(scores) > 1
+        assert evaluate_fitness(best, table) == best.fitness
+        assert {stats.best for stats in history} <= scores
 
     def test_fitness_model_checkpoint_matches_result(
         self, tiny_sets, tiny_cfg, tmp_path_factory
