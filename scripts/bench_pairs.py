@@ -20,6 +20,9 @@ Writes ``BENCH_<label>.json`` at the repository root: for every end-to-end
 metric of ``BENCHMARK.json`` and every workload, both sides' quartiles, the
 pairs the change wins and ties, the median change, each side's IQR over
 median, and whether the change's median stays within the metric's bound.
+A metric is ``unresolved`` when the parent's IQR over median exceeds the
+bound and not every change run beats every parent run: its runs spread
+too widely for the bound to tell a regression from noise.
 With ``--claim`` it also applies the claim rule: the change wins at least
 nine in ten pairs and its median gain exceeds the parent's IQR.  A claim
 that names no workload's end-to-end metric is refused before any run.
@@ -102,16 +105,19 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     ties = sum(c == p for p, c in zip(parent, change))
     base = pq[1]
     limit = base * (1.0 - sign * bound)
+    spread = (pq[2] - pq[0]) / base if base else 0.0
+    beats_every_parent_run = min(sign * c for c in change) > max(sign * p for p in parent)
     return {
         "parent_q1_median_q3": [round(v, 6) for v in pq],
         "change_q1_median_q3": [round(v, 6) for v in cq],
         "change_wins": wins,
         "ties": ties,
         "median_change": round((cq[1] - base) / base, 4) if base else 0.0,
-        "parent_iqr_over_median": round((pq[2] - pq[0]) / base, 4) if base else 0.0,
+        "parent_iqr_over_median": round(spread, 4),
         "change_iqr_over_median": round((cq[2] - cq[0]) / cq[1], 4) if cq[1] else 0.0,
         "bound": bound,
         "within_bound": sign * (cq[1] - limit) >= 0,
+        "unresolved": spread > bound and not beats_every_parent_run,
     }
 
 

@@ -13,6 +13,12 @@ pass of the validation images, which is exact because the reference
 encoder is patch-local.  The image pairs of every slot are drawn once per
 run, from a stream keyed by the search seed alone, so every genome of
 every generation is scored against identical data.
+
+The operators never modify their inputs: each returns fresh genomes that
+share no memory with the ones it was given.  So an offspring that no
+operator touches is its parent object, and keeps its cached score.  The
+order of the random draws and the reduction order of a score are part of
+the contract: a change that keeps both keeps every artifact.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ def index_to_pair(index: int, class_count: int) -> tuple[int, int]:
 
 
 def class_count_for_pairs(n_pairs: int) -> int:
-    c = int((np.sqrt(8 * n_pairs + 1) - 1) // 2)
+    c = (math.isqrt(8 * n_pairs + 1) - 1) // 2
     if pair_count(c) != n_pairs:
         raise ConfigError(f"{n_pairs} is not a valid pair count")
     return c
@@ -187,6 +193,25 @@ class SearchConfig:
         return limit
 
 
+@dataclass(frozen=True)
+class _Rules:
+    """What every genome of one search run must satisfy, computed once per
+    run: at most ``limit`` active slots, the ``forced`` slots among them;
+    ``free`` lists the slots that may switch and ``is_free`` marks them."""
+
+    limit: int
+    forced: np.ndarray
+    free: np.ndarray
+    is_free: np.ndarray
+
+    @classmethod
+    def of(cls, cfg: SearchConfig, class_count: int) -> "_Rules":
+        forced = cfg.forced_slots(class_count)
+        is_free = np.ones(pair_count(class_count), dtype=bool)
+        is_free[forced] = False
+        return cls(cfg.resolve_max_active(class_count), forced, np.flatnonzero(is_free), is_free)
+
+
 def init_population(
     cfg: SearchConfig, class_count: int, grid_size: int, rng: np.random.Generator
 ) -> list[Individual]:
@@ -194,16 +219,14 @@ def init_population(
     all slots per genome; exactly the allowed number of active slots per
     genome (forced same-class slots counted within it)."""
     n_pairs = pair_count(class_count)
-    limit = cfg.resolve_max_active(class_count)
-    forced = cfg.forced_slots(class_count)
-    candidates = np.setdiff1d(np.arange(n_pairs), forced)
+    rules = _Rules.of(cfg, class_count)
+    extra = rules.limit - len(rules.forced)
     population = []
     for _ in range(cfg.population_size):
         head = np.zeros(n_pairs, dtype=np.uint8)
-        head[forced] = 1
-        extra = limit - len(forced)
+        head[rules.forced] = 1
         if extra:
-            head[rng.choice(candidates, size=extra, replace=False)] = 1
+            head[rng.choice(rules.free, size=extra, replace=False)] = 1
         population.append(Individual(head, sample_mask_bits(n_pairs, grid_size, rng)))
     return population
 
@@ -225,12 +248,15 @@ class FitnessTable:
     class (``second``), each side by one :meth:`Dataset.draw_of_class` call
     on the stream ``RngKey(seed).child("fitness")``.  A genome's score
     therefore depends on the genome alone, not on when it was scored.
+    The terms of both sides are gathered once, here, per slot.
     """
 
     def __init__(self, terms, first, second, grid_size: int, cfg: SearchConfig):
         self.terms = terms                  # (N, P*P) bool or float64
         self.first = first                  # (n_pairs, pairs_per_combo) mask-1 images
         self.second = second                # (n_pairs, pairs_per_combo) mask-0 images
+        self.first_terms = terms[first]     # (n_pairs, pairs_per_combo, P*P)
+        self.second_terms = terms[second]
         self.grid_size = grid_size
         self.cfg = cfg
         self.scored = 0                     # genomes scored so far
@@ -285,7 +311,7 @@ def evaluate_fitness(individual: Individual, table: FitnessTable) -> float:
             f"genome grid {individual.grid_size} does not match model grid {table.grid_size}"
         )
     bits = individual.masks[active].reshape(len(active), 1, -1)
-    kept = np.where(bits, table.terms[table.first[active]], table.terms[table.second[active]])
+    kept = np.where(bits, table.first_terms[active], table.second_terms[active])
     kept = kept.reshape(-1, bits.shape[2])  # one row per composite, slot by slot
     objective = table.cfg.objective
     if objective.endswith("patch_acc"):
@@ -294,7 +320,7 @@ def evaluate_fitness(individual: Individual, table: FitnessTable) -> float:
         metric = -kept.sum(axis=1)
         losses.record_loss_eval("patch", len(kept))
     score = float(metric.mean())
-    if not np.isfinite(score):
+    if not math.isfinite(score):
         raise NumericError(f"non-finite fitness score {score}")
     table.scored += 1
     return -score if objective.startswith("max") else score
@@ -329,81 +355,90 @@ def crossover(
     Heads cross over at one uniformly drawn cut; both children are then
     repaired.  Parents are left untouched.
     """
+    return _crossover(a, b, rng, _Rules.of(cfg, a.class_count))
+
+
+def _crossover(
+    a: Individual, b: Individual, rng: np.random.Generator, rules: _Rules
+) -> tuple[Individual, Individual]:
     if a.head.shape != b.head.shape or a.masks.shape != b.masks.shape:
         raise ConfigError("crossover parents must have matching shapes")
-    child1, child2 = a.copy(), b.copy()
     half = a.grid_size // 2
-    child1.masks[:, :, half:] = b.masks[:, :, half:]
-    child2.masks[:, :, half:] = a.masks[:, :, half:]
+    masks1 = np.concatenate([a.masks[:, :, :half], b.masks[:, :, half:]], axis=2)
+    masks2 = np.concatenate([b.masks[:, :, :half], a.masks[:, :, half:]], axis=2)
     if a.n_pairs >= 2:
         cut = int(rng.integers(1, a.n_pairs))
-        child1.head = np.concatenate([a.head[:cut], b.head[cut:]])
-        child2.head = np.concatenate([b.head[:cut], a.head[cut:]])
-    child1.fitness = None
-    child2.fitness = None
-    return repair(child1, cfg, rng), repair(child2, cfg, rng)
+        head1 = np.concatenate([a.head[:cut], b.head[cut:]])
+        head2 = np.concatenate([b.head[:cut], a.head[cut:]])
+    else:
+        head1, head2 = a.head.copy(), b.head.copy()
+    child1, child2 = Individual(head1, masks1), Individual(head2, masks2)
+    _repair(child1, rules, rng)
+    _repair(child2, rules, rng)
+    return child1, child2
 
 
 def flip_tails(individual: Individual) -> Individual:
     """Invert every bit of every active mask (self-inverse)."""
-    out = individual.copy()
-    active = out.active_slots()
-    out.masks[active] = 1 - out.masks[active]
-    out.fitness = None
-    return out
+    masks = individual.masks.copy()
+    active = individual.active_slots()
+    masks[active] = 1 - masks[active]
+    return Individual(individual.head.copy(), masks)
 
 
 def transpose_tails(individual: Individual) -> Individual:
     """Transpose every active mask (self-inverse)."""
-    out = individual.copy()
-    active = out.active_slots()
-    out.masks[active] = out.masks[active].transpose(0, 2, 1)
-    out.fitness = None
-    return out
+    masks = individual.masks.copy()
+    active = individual.active_slots()
+    masks[active] = masks[active].transpose(0, 2, 1)
+    return Individual(individual.head.copy(), masks)
 
 
 def flip_heads(
     individual: Individual, rng: np.random.Generator, cfg: SearchConfig
 ) -> Individual:
     """Redraw which non-forced slots are active, preserving their count."""
-    out = individual.copy()
-    forced = cfg.forced_slots(out.class_count)
-    candidates = np.setdiff1d(np.arange(out.n_pairs), forced)
-    movable = np.setdiff1d(out.active_slots(), forced)
-    head = np.zeros_like(out.head)
-    head[forced] = 1
-    if len(movable):
-        head[rng.choice(candidates, size=len(movable), replace=False)] = 1
-    out.head = head
-    out.fitness = None
-    return out
+    return _flip_heads(individual, rng, _Rules.of(cfg, individual.class_count))
+
+
+def _flip_heads(individual: Individual, rng: np.random.Generator, rules: _Rules) -> Individual:
+    movable = np.count_nonzero(individual.head[rules.is_free])
+    head = np.zeros_like(individual.head)
+    head[rules.forced] = 1
+    if movable:
+        head[rng.choice(rules.free, size=movable, replace=False)] = 1
+    return Individual(head, individual.masks.copy())
 
 
 def random_tails(individual: Individual, rng: np.random.Generator) -> Individual:
     """Flip each active-mask bit independently with probability
     ``RANDOM_TAIL_FLIP_PROB``."""
-    out = individual.copy()
-    active = out.active_slots()
-    flips = rng.random(out.masks[active].shape) < RANDOM_TAIL_FLIP_PROB
-    out.masks[active] = np.where(flips, 1 - out.masks[active], out.masks[active])
-    out.fitness = None
-    return out
+    masks = individual.masks.copy()
+    active = individual.active_slots()
+    flips = rng.random(masks[active].shape) < RANDOM_TAIL_FLIP_PROB
+    masks[active] = np.where(flips, 1 - masks[active], masks[active])
+    return Individual(individual.head.copy(), masks)
 
 
 def mutate(
     individual: Individual, rng: np.random.Generator, cfg: SearchConfig
 ) -> Individual:
     """Apply one of the four operators, chosen uniformly, then repair."""
+    return _mutate(individual, rng, _Rules.of(cfg, individual.class_count))
+
+
+def _mutate(individual: Individual, rng: np.random.Generator, rules: _Rules) -> Individual:
     op = int(rng.integers(4))
     if op == 0:
         out = flip_tails(individual)
     elif op == 1:
         out = transpose_tails(individual)
     elif op == 2:
-        out = flip_heads(individual, rng, cfg)
+        out = _flip_heads(individual, rng, rules)
     else:
         out = random_tails(individual, rng)
-    return repair(out, cfg, rng)
+    _repair(out, rules, rng)
+    return out
 
 
 def repair(
@@ -415,31 +450,34 @@ def repair(
     non-forced slots are deactivated until the active count fits the
     limit.  Fewer active slots than the limit is legal, but a genome with
     no active slot at all cannot be scored, so one uniformly chosen slot
-    is switched on in that case.
+    is switched on in that case.  Returns a repaired copy, which keeps
+    the cached score when nothing had to change.
     """
     out = individual.copy()
-    class_count = out.class_count
-    limit = cfg.resolve_max_active(class_count)
-    forced = cfg.forced_slots(class_count)
+    _repair(out, _Rules.of(cfg, out.class_count), rng)
+    return out
+
+
+def _repair(individual: Individual, rules: _Rules, rng: np.random.Generator) -> None:
+    """:func:`repair` in place, for a genome no one else holds."""
+    head = individual.head
     changed = False
-    if len(forced) and not out.head[forced].all():
-        out.head[forced] = 1
+    if len(rules.forced) and not head[rules.forced].all():
+        head[rules.forced] = 1
         changed = True
-    active = out.active_slots()
-    if len(active) > limit:
-        removable = np.setdiff1d(active, forced)
-        excess = len(active) - limit
+    active = np.flatnonzero(head)
+    if len(active) > rules.limit:
+        removable = active[rules.is_free[active]]
+        excess = len(active) - rules.limit
         if excess > len(removable):
             raise ConfigError("cannot satisfy active-pair limit with forced slots")
-        drop = rng.choice(removable, size=excess, replace=False)
-        out.head[drop] = 0
+        head[rng.choice(removable, size=excess, replace=False)] = 0
         changed = True
-    if not out.head.any():
-        out.head[int(rng.integers(out.n_pairs))] = 1
+    elif len(active) == 0:
+        head[int(rng.integers(len(head)))] = 1
         changed = True
     if changed:
-        out.fitness = None
-    return out
+        individual.fitness = None
 
 
 @dataclass
@@ -476,11 +514,10 @@ def _evaluate_population(
         individual.fitness = value
 
 
-def _census(population: list[Individual]) -> list[tuple[tuple[int, int], int]]:
-    counts = np.zeros(population[0].n_pairs, dtype=np.int64)
-    for ind in population:
-        counts += ind.head
-    class_count = population[0].class_count
+def _census(
+    population: list[Individual], class_count: int
+) -> list[tuple[tuple[int, int], int]]:
+    counts = np.sum([ind.head for ind in population], axis=0, dtype=np.int64)
     return [
         (index_to_pair(k, class_count), int(counts[k]))
         for k in np.flatnonzero(counts)
@@ -497,49 +534,49 @@ def run_search(
 
     Per generation: select population-size parents by tournament, cross
     over adjacent pairs with ``crossover_prob``, mutate each child with
-    ``mutation_prob``, then score only genomes whose cache was
-    invalidated.  Stops early after ``patience`` generations without a
-    strictly better best score.  Returns ``(best, history)``; the best
-    score column of the history is monotone non-increasing.
+    ``mutation_prob``, then score only the new genomes: an offspring no
+    operator touched is its parent, score and all.  Stops early after
+    ``patience`` generations without a strictly better best score.
+    Returns ``(best, history)``; the best score column of the history is
+    monotone non-increasing.
     """
     cfg.validate()
     if class_count < 1:
         raise ConfigError("class_count must be positive")
     if grid_size < 1:
         raise ConfigError("grid_size must be at least 1")
-    cfg.resolve_max_active(class_count)
+    rules = _Rules.of(cfg, class_count)
     key = RngKey(cfg.seed)
     population = init_population(cfg, class_count, grid_size, key.child("init").generator())
     _evaluate_population(population, fitness_fn, 0)
-    best = min(population, key=lambda ind: ind.fitness).copy()
-    history = [_generation_stats(0, best, population)]
+    best = min(population, key=lambda ind: ind.fitness)
+    history = [_generation_stats(0, best, population, class_count)]
     flat = _has_zero_spread(population)
     stall = 0
     for generation in range(1, cfg.generations + 1):
         grng = key.child("generation", generation).generator()
-        parents = [
+        offspring = [
             tournament_select(population, cfg.tournament_size, grng)
             for _ in range(cfg.population_size)
         ]
-        offspring = [parent.copy() for parent in parents]
         for i in range(1, len(offspring), 2):
             if grng.random() < cfg.crossover_prob:
-                offspring[i - 1], offspring[i] = crossover(
-                    offspring[i - 1], offspring[i], grng, cfg
+                offspring[i - 1], offspring[i] = _crossover(
+                    offspring[i - 1], offspring[i], grng, rules
                 )
         for i in range(len(offspring)):
             if grng.random() < cfg.mutation_prob:
-                offspring[i] = mutate(offspring[i], grng, cfg)
+                offspring[i] = _mutate(offspring[i], grng, rules)
         _evaluate_population(offspring, fitness_fn, generation)
         population = offspring
         flat += _has_zero_spread(population)
         generation_best = min(population, key=lambda ind: ind.fitness)
         if generation_best.fitness < best.fitness:
-            best = generation_best.copy()
+            best = generation_best
             stall = 0
         else:
             stall += 1
-        history.append(_generation_stats(generation, best, population))
+        history.append(_generation_stats(generation, best, population, class_count))
         if stall >= cfg.patience:
             break
     if flat:
@@ -551,10 +588,10 @@ def run_search(
 
 
 def _generation_stats(
-    generation: int, best: Individual, population: list[Individual]
+    generation: int, best: Individual, population: list[Individual], class_count: int
 ) -> GenerationStats:
     mean = float(np.mean([ind.fitness for ind in population]))
-    return GenerationStats(generation, best.fitness, mean, _census(population))
+    return GenerationStats(generation, best.fitness, mean, _census(population, class_count))
 
 
 def _has_zero_spread(population: list[Individual]) -> bool:

@@ -343,6 +343,16 @@ def run_fitness_search(
     return best, history
 
 
+def _check_class_coverage(train: Dataset, val: Dataset) -> None:
+    """Reject a set that lacks a class before any phase runs: the search
+    scores composites of every class pair from the validation set, and
+    phase 3 draws training images of the best genome's classes."""
+    for name, data in (("training set", train), ("validation set", val)):
+        missing = np.setdiff1d(np.arange(data.class_count), data.labels)
+        if len(missing):
+            raise ConfigError(f"{name} has no samples of class {missing[0]}")
+
+
 def run_guided_pipeline(
     train: Dataset,
     val: Dataset,
@@ -350,7 +360,9 @@ def run_guided_pipeline(
     search_cfg: SearchConfig,
     run_dir,
 ) -> PipelineResult:
-    """Run all four phases, writing artifacts into ``run_dir``."""
+    """Run all four phases, writing artifacts into ``run_dir``.  A training
+    or validation set that lacks a class is refused before phase 1."""
+    _check_class_coverage(train, val)
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
 

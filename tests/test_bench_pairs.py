@@ -58,6 +58,23 @@ def test_bound_is_relative_to_the_parent_median(better, change, within):
     assert bench_pairs.compare([100.0] * 4, [change] * 4, better, 0.2)["within_bound"] is within
 
 
+@pytest.mark.parametrize(
+    "better, parent, change, unresolved",
+    [
+        # Parent IQR/median 0.6 > bound 0.2, and the runs overlap.
+        ("higher", [50.0, 100.0, 150.0, 200.0], [60.0, 110.0, 160.0, 210.0], True),
+        # Same spread, but every change run beats every parent run.
+        ("higher", [50.0, 100.0, 150.0, 200.0], [201.0, 202.0, 203.0, 204.0], False),
+        ("lower", [50.0, 100.0, 150.0, 200.0], [40.0, 45.0, 46.0, 49.0], False),
+        ("lower", [50.0, 100.0, 150.0, 200.0], [40.0, 45.0, 46.0, 50.0], True),
+        # Parent IQR/median 0.025 is inside the bound: resolved either way.
+        ("higher", [98.0, 99.0, 101.0, 102.0], [60.0, 70.0, 130.0, 140.0], False),
+    ],
+)
+def test_spread_wider_than_the_bound_is_unresolved(better, parent, change, unresolved):
+    assert bench_pairs.compare(parent, change, better, 0.2)["unresolved"] is unresolved
+
+
 def test_claim_needs_a_gain_above_the_parent_iqr():
     parent = [100.0, 110.0, 120.0, 130.0, 140.0]
     change = [p + 5.0 for p in parent]

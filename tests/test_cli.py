@@ -229,6 +229,20 @@ class TestExitCodes:
         assert "dataset.class_count must be 3 for kind 'toy'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_validation_set_without_a_class_exits_2_before_phase_one(self, tmp_path, capsys):
+        train, val = build_datasets(DatasetConfig(train_per_class=15, val_per_class=6, seed=3))
+        save_dataset(train, tmp_path / "train.pmxd")
+        save_dataset(val.subset(np.flatnonzero(val.labels != 1)), tmp_path / "val.pmxd")
+        dataset = {
+            "kind": "cifar",
+            "train_path": str(tmp_path / "train.pmxd"),
+            "val_path": str(tmp_path / "val.pmxd"),
+        }
+        cfg_path = write_config(tmp_path, tmp_path / "run", dataset=dataset)
+        assert main(["pipeline", "--config", str(cfg_path)]) == 2
+        assert "validation set has no samples of class 1" in capsys.readouterr().err
+        assert list((tmp_path / "run").iterdir()) == []
+
     def test_alpha_key_is_unknown(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, tmp_path / "run", train={"alpha": 1.0})
         assert main(["pipeline", "--config", str(cfg_path)]) == 2

@@ -498,6 +498,16 @@ class TestPipeline:
         assert evaluate_fitness(best, table) == best.fitness
         assert {stats.best for stats in history} <= scores
 
+    @pytest.mark.parametrize("side, name", [(0, "training set"), (1, "validation set")])
+    def test_set_without_a_class_refused_before_phase_one(
+        self, tiny_sets, tiny_cfg, tmp_path, side, name
+    ):
+        sets = list(tiny_sets)
+        sets[side] = sets[side].subset(np.flatnonzero(sets[side].labels != 2))
+        with pytest.raises(ConfigError, match=f"^{name} has no samples of class 2$"):
+            run_guided_pipeline(*sets, tiny_cfg, SMALL_SEARCH, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     def test_fitness_model_checkpoint_matches_result(
         self, tiny_sets, tiny_cfg, tmp_path_factory
     ):
