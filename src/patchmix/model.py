@@ -20,6 +20,14 @@ copy is made.  :func:`forward_batch` and :func:`batch_gradients` take
 and the gradient checks form input gradients (:func:`batch_gradients`);
 training stops at parameter gradients and reuses one run's batch-sized
 buffers.
+
+A training step computes only the heads its loss mode reads: ``both``
+computes both, ``image_only`` only the mean embedding and the image head,
+``patch_only`` only the patch head; a head the mode does not train gets
+zero gradients.  The pre-activation gradient is written in place into its
+buffer: the patch term, plus the image term, then the ReLU gate, or under
+``image_only`` the gated image term in one pass.  :func:`forward_batch`
+always computes both heads.
 """
 
 from __future__ import annotations
@@ -175,8 +183,17 @@ def _scratch(buffers: dict | None, name: str, shape: tuple, dtype=np.float64) ->
     return buf[:size].reshape(shape)
 
 
-def _forward_arrays(model: ReferenceModel, patches: np.ndarray, buffers: dict | None):
-    """Forward pass of a (B, P*P, patch_pixels) float64 patch matrix, into ``buffers``."""
+def _forward_arrays(
+    model: ReferenceModel,
+    patches: np.ndarray,
+    buffers: dict | None,
+    need_patch: bool = True,
+    need_image: bool = True,
+):
+    """Forward pass of a (B, P*P, patch_pixels) float64 patch matrix, into
+    ``buffers``: ``(feats, mean_feats, patch_logits, image_logits)``.  The
+    patch logits are None unless ``need_patch``; the mean embedding and the
+    image logits are None unless ``need_image``."""
     if patches.ndim != 3 or patches.shape[1] != model.patch_count:
         raise ConfigError(
             f"model expects {model.patch_count} patches per sample, "
@@ -191,9 +208,12 @@ def _forward_arrays(model: ReferenceModel, patches: np.ndarray, buffers: dict | 
     np.matmul(patches, model.w_embed, out=feats)
     feats += model.b_embed
     np.maximum(feats, 0.0, out=feats)
-    mean_feats = feats.mean(axis=1)
-    patch_logits = feats @ model.w_patch + model.b_patch
-    image_logits = mean_feats @ model.w_img + model.b_img
+    mean_feats = patch_logits = image_logits = None
+    if need_patch:
+        patch_logits = feats @ model.w_patch + model.b_patch
+    if need_image:
+        mean_feats = feats.mean(axis=1)
+        image_logits = mean_feats @ model.w_img + model.b_img
     return feats, mean_feats, patch_logits, image_logits
 
 
@@ -243,15 +263,33 @@ def _gradients(model: ReferenceModel, patches, image_targets, patch_labels, loss
             f"expected {(b, model.class_count)}"
         )
 
-    feats, mean_feats, patch_logits, image_logits = _forward_arrays(model, patches, buffers)
+    feats, mean_feats, patch_logits, image_logits = _forward_arrays(
+        model, patches, buffers, need_patch, need_image
+    )
 
     # Per-sample losses, and the chain rule scaled for the batch mean and the mode.
     s_img, s_patch = {"both": (0.5 / b, 0.5 / (b * n)), "image_only": (1.0 / b, 0.0),
                       "patch_only": (0.0, 1.0 / (b * n))}[loss_mode]
-    grads = {name: np.zeros_like(getattr(model, name)) for name in PARAM_FIELDS}
+    # feats > 0 exactly where the pre-activation is, so this is the ReLU gate.
+    relu_mask = np.greater(feats, 0.0, out=_scratch(buffers, "relu_mask", feats.shape, bool))
     d_pre = _scratch(buffers, "d_feats", feats.shape)
-    d_pre.fill(0.0)
+    grads = dict.fromkeys(PARAM_FIELDS)
     l_image = l_patch = None
+    if need_patch:
+        patch_logp = losses.log_softmax(patch_logits)
+        # The flat index of every patch's label entry in the (B, n, C) arrays.
+        picks = np.arange(0, b * n * model.class_count, model.class_count) + patch_labels.ravel()
+        l_patch = -patch_logp.reshape(-1)[picks].reshape(b, n).sum(axis=1)
+        g_patch = np.exp(patch_logp)                            # (B, n, C)
+        g_patch.reshape(-1)[picks] -= 1.0
+        g_patch *= s_patch
+        losses.record_loss_eval("patch", b)
+        grads["w_patch"] = np.tensordot(feats, g_patch, axes=([0, 1], [0, 1]))
+        grads["b_patch"] = g_patch.sum(axis=(0, 1))
+        np.matmul(g_patch, model.w_patch.T, out=d_pre)
+    else:
+        grads["w_patch"] = np.zeros_like(model.w_patch)
+        grads["b_patch"] = np.zeros_like(model.b_patch)
     if need_image:
         img_logp = losses.log_softmax(image_logits)
         l_image = -(image_targets * img_logp).sum(axis=1)
@@ -259,28 +297,20 @@ def _gradients(model: ReferenceModel, patches, image_targets, patch_labels, loss
         losses.record_loss_eval("image", b)
         grads["w_img"] = mean_feats.T @ g_img
         grads["b_img"] = g_img.sum(axis=0)
-        d_pre += (g_img @ model.w_img.T)[:, None, :] / n
-    if need_patch:
-        patch_logp = losses.log_softmax(patch_logits)
-        picked = np.take_along_axis(patch_logp, patch_labels[..., None], axis=2)
-        l_patch = -picked[..., 0].sum(axis=1)
-        g_patch = np.exp(patch_logp)                            # (B, n, C)
-        np.put_along_axis(
-            g_patch,
-            patch_labels[..., None],
-            np.take_along_axis(g_patch, patch_labels[..., None], axis=2) - 1.0,
-            axis=2,
-        )
-        g_patch *= s_patch
-        losses.record_loss_eval("patch", b)
-        grads["w_patch"] = np.tensordot(feats, g_patch, axes=([0, 1], [0, 1]))
-        grads["b_patch"] = g_patch.sum(axis=(0, 1))
-        d_pre += g_patch @ model.w_patch.T
+        d_img = g_img @ model.w_img.T
+        d_img /= n
+        if need_patch:
+            d_pre += d_img[:, None, :]
+        else:
+            np.multiply(d_img[:, None, :], relu_mask, out=d_pre)
+    else:
+        grads["w_img"] = np.zeros_like(model.w_img)
+        grads["b_img"] = np.zeros_like(model.b_img)
     loss = float(losses.combined_loss(l_image, l_patch, model.grid_size, loss_mode).mean())
     if not np.isfinite(loss):
         raise NumericError(f"non-finite loss {loss}")
-    # feats > 0 exactly where the pre-activation is, so this is the ReLU gate.
-    d_pre *= np.greater(feats, 0.0, out=_scratch(buffers, "relu_mask", feats.shape, bool))
+    if need_patch:
+        d_pre *= relu_mask
     grads["w_embed"] = np.tensordot(patches, d_pre, axes=([0, 1], [0, 1]))
     grads["b_embed"] = d_pre.sum(axis=(0, 1))
     return loss, grads, d_pre

@@ -212,14 +212,26 @@ def split_batch(batch_size: int, ratio: tuple[int, int, int]) -> tuple[int, int,
     return n_original, n_random, n_guided
 
 
-def _cycled_order(n: int, rng: np.random.Generator):
-    while True:
-        for i in rng.permutation(n):
-            yield int(i)
+class _Cycle:
+    """Indices of ``range(n)`` in successive shuffled passes: each pass is a
+    fresh ``rng.permutation(n)``, drawn when the first of its indices is
+    taken, never earlier."""
 
+    def __init__(self, n: int, rng: np.random.Generator):
+        self.n, self.rng = n, rng
+        self.order = np.empty(0, dtype=np.int64)
+        self.pos = 0
 
-def _take(order, count: int) -> np.ndarray:
-    return np.fromiter((next(order) for _ in range(count)), dtype=np.int64, count=count)
+    def take(self, count: int) -> np.ndarray:
+        """The next ``count`` indices."""
+        parts = [np.empty(0, dtype=np.int64)]
+        while count:
+            if self.pos == len(self.order):
+                self.order, self.pos = self.rng.permutation(self.n), 0
+            parts.append(self.order[self.pos : self.pos + count])
+            self.pos += len(parts[-1])
+            count -= len(parts[-1])
+        return np.concatenate(parts)
 
 
 def guided_batch_composer(
@@ -248,12 +260,12 @@ def guided_batch_composer(
     if len(train) == 0:
         raise ConfigError("empty training set")
     ppc = (train.height // grid_size) * (train.width // grid_size) * train.channels
-    originals = _cycled_order(len(train), rng)
-    guided_order = _cycled_order(len(guided_set), rng)
+    originals = _Cycle(len(train), rng)
+    guided_order = _Cycle(len(guided_set), rng)
     ones = np.ones((n_original, grid_size, grid_size), dtype=np.uint8)
     n_mixed = n_original + n_random
     for _ in range(batches):
-        i = j = _take(originals, n_original)
+        i = j = originals.take(n_original)
         bits = ones
         if n_random:
             r_i, r_j, r_bits = random_mixer(rng, n_random)
@@ -265,7 +277,7 @@ def guided_batch_composer(
             out=patches[:n_mixed],
         )
         if n_guided:
-            rows = _take(guided_order, n_guided)
+            rows = guided_order.take(n_guided)
             patches[n_mixed:] = guided_set.patches[rows]
             batch = MixedBatch(
                 patches,

@@ -1,3 +1,5 @@
+import colorsys
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from patchmix.data import (
     toy_2d_three_class,
 )
 from patchmix.errors import ConfigError, FormatError
+from patchmix.rng import RngKey
 
 
 def make_cifar_bytes(labels, fill=None, rng=None):
@@ -47,10 +50,21 @@ class TestDataset:
             Dataset(np.full((1, 4, 4, 1), 1.5), np.array([0]), 2)
 
     def test_non_finite_pixels_rejected(self):
-        bad = np.zeros((1, 4, 4, 1))
-        bad[0, 0, 0, 0] = np.nan
-        with pytest.raises(ConfigError):
-            Dataset(bad, np.array([0]), 2)
+        """NaN, +inf and -inf are each named as non-finite, also beside an
+        out-of-range pixel."""
+        for value in (np.nan, np.inf, -np.inf):
+            for other in (0.5, 1.5, -0.5):
+                bad = np.full((2, 4, 4, 1), other)
+                bad[1, 2, 3, 0] = value
+                with pytest.raises(ConfigError, match=r"^pixel values must be finite$"):
+                    Dataset(bad, np.array([0, 1]), 2)
+
+    @pytest.mark.parametrize("value", [1.0 + 1e-6, -1e-6, 3e38])
+    def test_finite_out_of_range_pixel_named(self, value):
+        bad = np.full((2, 4, 4, 1), 0.5)
+        bad[0, 1, 0, 0] = value
+        with pytest.raises(ConfigError, match=r"^pixel values must lie in \[0, 1\]$"):
+            Dataset(bad, np.array([0, 1]), 2)
 
     def test_class_indices_partition(self):
         ds = Dataset(np.zeros((5, 4, 4, 1)), np.array([1, 0, 1, 2, 0]), 3)
@@ -107,7 +121,44 @@ class TestCifarLoader:
         assert len(load_cifar_binary(path)) == 0
 
 
+def reference_synth_images(class_count, image_size, samples_per_class, seed):
+    """``synth_shapes`` pixels with the noise drawn by ``rng.normal``, as it
+    was before the noise went through one reused standard-normal buffer."""
+    rng = RngKey(seed).child("synth-shapes").generator()
+    rows, cols = np.meshgrid(np.arange(image_size), np.arange(image_size), indexing="ij")
+    images = np.empty(
+        (class_count, samples_per_class, image_size, image_size, 3), dtype=np.float32
+    )
+    for k in range(class_count):
+        base = np.asarray(colorsys.hsv_to_rgb(k / class_count, 0.85, 0.9))
+        period = 2 + (k % 3)
+        band = [rows, cols, rows + cols, rows - cols][k % 4] // period % 2
+        clean = (0.55 + 0.45 * band.astype(np.float64))[:, :, None] * base
+        noise = rng.normal(0.0, 0.04, size=(samples_per_class, image_size, image_size, 3))
+        noise += clean
+        images[k] = np.clip(noise, 0.0, 1.0, out=noise)
+    return images.reshape(-1, image_size, image_size, 3), rng.bit_generator.state
+
+
 class TestSynthShapes:
+    @pytest.mark.parametrize("args", [(2, 16, 1, 0), (3, 20, 7, 11), (10, 32, 13, 12345)])
+    def test_pixels_equal_the_normal_draw_reference(self, args):
+        want, _ = reference_synth_images(*args)
+        got = synth_shapes(*args).images
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1,), (3, 4, 5), (7, 16, 16, 3)])
+    def test_scaled_standard_normal_is_the_normal_draw(self, shape):
+        """Same bytes, and the generator left in the same state."""
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        buf = np.empty(shape)
+        for _ in range(3):
+            rng.standard_normal(out=buf)
+            buf *= 0.04
+            want = ref_rng.normal(0.0, 0.04, size=shape)
+            assert buf.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_shape_and_determinism(self):
         a = synth_shapes(3, 16, 5, 7)
         b = synth_shapes(3, 16, 5, 7)

@@ -229,6 +229,52 @@ class TestManifest:
             load_guided_manifest(path)
 
 
+def cycled_order(n: int, rng: np.random.Generator):
+    """Reference for ``workflow._Cycle``: the per-index generator it replaced."""
+    while True:
+        for i in rng.permutation(n):
+            yield int(i)
+
+
+def take(order, count: int) -> np.ndarray:
+    return np.fromiter((next(order) for _ in range(count)), dtype=np.int64, count=count)
+
+
+class TestCycle:
+    N = 5
+
+    @pytest.mark.parametrize("counts", [
+        [0, 0, 1],
+        [1, 1, 1, 1, 1, 1, 1],
+        [N - 1, N - 1, N - 1],
+        [N, N, 0, N],
+        [N + 1, 0, N + 1, N + 1],
+        [2 * N + 3, 1, 2 * N + 3],
+        [0, N - 1, 1, N, N + 1, 2 * N + 3, 0],
+    ])
+    def test_same_indices_and_stream_as_the_generator(self, counts):
+        """Each take returns the generator's indices, and the rng stands in
+        the same state after it, with other draws on the rng in between:
+        a pass is drawn when its first index is taken, not before."""
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        cycle, ref = workflow._Cycle(self.N, rng), cycled_order(self.N, ref_rng)
+        for count in counts:
+            got, want = cycle.take(count), take(ref, count)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert rng.random() == ref_rng.random()
+
+    def test_two_cycles_share_one_stream(self):
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        cycles = workflow._Cycle(7, rng), workflow._Cycle(3, rng)
+        refs = cycled_order(7, ref_rng), cycled_order(3, ref_rng)
+        for count in (2, 5, 0, 8, 3, 7, 1):
+            for cycle, ref in zip(cycles, refs):
+                np.testing.assert_array_equal(cycle.take(count), take(ref, count))
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestBatchComposer:
     @pytest.fixture()
     def train(self):
@@ -305,13 +351,13 @@ class TestBatchComposer:
 
         def parts_stacked(rng):
             n_original, n_random, n_guided = split_batch(batch_size, ratio)
-            originals = workflow._cycled_order(len(train), rng)
-            guided_order = workflow._cycled_order(len(guided), rng)
+            originals = cycled_order(len(train), rng)
+            guided_order = cycled_order(len(guided), rng)
             for _ in range(3):
-                idx = workflow._take(originals, n_original)
+                idx = take(originals, n_original)
                 ones = np.ones((n_original, 2, 2), dtype=np.uint8)
                 i, j, bits = mixer(rng, n_random)
-                rows = workflow._take(guided_order, n_guided)
+                rows = take(guided_order, n_guided)
                 parts = [
                     patchmix_batch(train.images, idx, idx, train.labels[idx],
                                    train.labels[idx], ones, 3),
