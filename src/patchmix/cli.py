@@ -36,7 +36,6 @@ from .evolution import SearchConfig, load_individual
 from .mixing import MixedBatch, cutmix, mixup
 from .model import (
     TrainConfig,
-    _initial_model,
     _shuffled_pairs,
     _train_loop,
     adversarial_accuracy,
@@ -44,25 +43,18 @@ from .model import (
     forward_batch,
     load_model,
     patchify,
-    save_metrics,
-    save_model,
     train_random_patchmix,
 )
-from .rng import RngKey
 from .workflow import (
     BEST_INDIVIDUAL_FILE,
-    FINAL_METRICS_FILE,
-    FINAL_MODEL_FILE,
-    FITNESS_METRICS_FILE,
     FITNESS_MODEL_FILE,
     GUIDED_MANIFEST_FILE,
-    draw_guided_recipe,
     load_guided_manifest,
-    materialize_guided,
     run_fitness_search,
     run_guided_pipeline,
-    save_guided_manifest,
-    train_final,
+    train_fitness_model,
+    train_guided_model,
+    write_guided_manifest,
 )
 
 log = logging.getLogger("patchmix.cli")
@@ -206,9 +198,7 @@ def _existing(path: Path, step: str) -> Path:
 def cmd_train_random(args) -> int:
     cfg, run_dir = _prepare(args)
     train, val = build_datasets(cfg.dataset)
-    model, metrics = train_random_patchmix(train, val, cfg.train)
-    save_model(model, run_dir / FITNESS_MODEL_FILE)
-    save_metrics(metrics, run_dir / FITNESS_METRICS_FILE)
+    _, metrics = train_fitness_model(train, val, cfg.train, run_dir)
     save_config_snapshot(cfg, run_dir)
     last = metrics[-1]
     print(f"val_top1,{last.val_top1!r}")
@@ -220,7 +210,7 @@ def cmd_search(args) -> int:
     cfg, run_dir = _prepare(args)
     model = load_model(_existing(run_dir / FITNESS_MODEL_FILE, "train-random"))
     _, val = build_datasets(cfg.dataset)
-    best, history = run_fitness_search(model, val, cfg.search, model.grid_size, run_dir)
+    best, history = run_fitness_search(model, val, cfg.search, run_dir)
     save_config_snapshot(cfg, run_dir)
     print(f"best_score,{best.fitness!r}")
     print(f"generations,{history[-1].generation}")
@@ -231,9 +221,8 @@ def cmd_generate(args) -> int:
     cfg, run_dir = _prepare(args)
     best, _ = load_individual(_existing(run_dir / BEST_INDIVIDUAL_FILE, "search"))
     train, _ = build_datasets(cfg.dataset)
-    rng = RngKey(cfg.train.seed).child("guided-set").generator()
-    recipe = draw_guided_recipe(best, train, len(train), rng)
-    save_guided_manifest(recipe, run_dir / GUIDED_MANIFEST_FILE)
+    recipe = write_guided_manifest(best, train, cfg.train, run_dir)
+    save_config_snapshot(cfg, run_dir)
     print(f"guided_samples,{len(recipe)}")
     return 0
 
@@ -243,13 +232,9 @@ def cmd_train_guided(args) -> int:
     best, _ = load_individual(_existing(run_dir / BEST_INDIVIDUAL_FILE, "search"))
     recipe = load_guided_manifest(_existing(run_dir / GUIDED_MANIFEST_FILE, "generate"))
     train, val = build_datasets(cfg.dataset)
-    guided = materialize_guided(best, train, recipe)
-    final_cfg = dataclasses.replace(cfg.train, loss_mode="image_only")
-    model, metrics = train_final(train, val, final_cfg, guided)
-    save_model(model, run_dir / FINAL_MODEL_FILE)
-    save_metrics(metrics, run_dir / FINAL_METRICS_FILE)
-    last = metrics[-1]
-    print(f"val_top1,{last.val_top1!r}")
+    _, metrics = train_guided_model(best, recipe, train, val, cfg.train, run_dir)
+    save_config_snapshot(cfg, run_dir)
+    print(f"val_top1,{metrics[-1].val_top1!r}")
     return 0
 
 
@@ -320,9 +305,7 @@ def _demo_train(method: str, train: Dataset, val: Dataset, cfg: TrainConfig):
                     None,
                 )
 
-        model = _initial_model(train, cfg, "rand-train")
-        _train_loop(model, image_cfg, val, batches, "rand-train")
-        return model
+        return _train_loop(train, val, image_cfg, batches, "rand-train")[0]
     if method == "guided":
         search_cfg = SearchConfig(
             population_size=60,

@@ -14,11 +14,14 @@ encoder is patch-local.  The image pairs of every slot are drawn once per
 run, from a stream keyed by the search seed alone, so every genome of
 every generation is scored against identical data.
 
-The operators never modify their inputs: each returns fresh genomes that
-share no memory with the ones it was given.  So an offspring that no
-operator touches is its parent object, and keeps its cached score.  The
-order of the random draws and the reduction order of a score are part of
-the contract: a change that keeps both keeps every artifact.
+The breeding operators never modify their inputs: each returns fresh
+genomes that share no memory with the ones it was given, and
+:func:`repair` works in place only on those fresh genomes.  So an
+offspring that no operator touches is its parent object, and keeps its
+cached score.  The operators take the run's :class:`Rules`, computed once
+per search.  The order of the random draws and the reduction order of a
+score are part of the contract: a change that keeps both keeps every
+artifact.
 """
 
 from __future__ import annotations
@@ -129,9 +132,6 @@ class Individual:
     def active_slots(self) -> np.ndarray:
         return np.flatnonzero(self.head)
 
-    def copy(self) -> "Individual":
-        return Individual(self.head.copy(), self.masks.copy(), self.fitness)
-
 
 @dataclass
 class SearchConfig:
@@ -194,7 +194,7 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
-class _Rules:
+class Rules:
     """What every genome of one search run must satisfy, computed once per
     run: at most ``limit`` active slots, the ``forced`` slots among them;
     ``free`` lists the slots that may switch and ``is_free`` marks them."""
@@ -205,7 +205,7 @@ class _Rules:
     is_free: np.ndarray
 
     @classmethod
-    def of(cls, cfg: SearchConfig, class_count: int) -> "_Rules":
+    def of(cls, cfg: SearchConfig, class_count: int) -> "Rules":
         forced = cfg.forced_slots(class_count)
         is_free = np.ones(pair_count(class_count), dtype=bool)
         is_free[forced] = False
@@ -219,7 +219,7 @@ def init_population(
     all slots per genome; exactly the allowed number of active slots per
     genome (forced same-class slots counted within it)."""
     n_pairs = pair_count(class_count)
-    rules = _Rules.of(cfg, class_count)
+    rules = Rules.of(cfg, class_count)
     extra = rules.limit - len(rules.forced)
     population = []
     for _ in range(cfg.population_size):
@@ -346,7 +346,7 @@ def tournament_select(
 
 
 def crossover(
-    a: Individual, b: Individual, rng: np.random.Generator, cfg: SearchConfig
+    a: Individual, b: Individual, rng: np.random.Generator, rules: Rules
 ) -> tuple[Individual, Individual]:
     """Column-split mask recombination plus one-point head crossover.
 
@@ -355,12 +355,6 @@ def crossover(
     Heads cross over at one uniformly drawn cut; both children are then
     repaired.  Parents are left untouched.
     """
-    return _crossover(a, b, rng, _Rules.of(cfg, a.class_count))
-
-
-def _crossover(
-    a: Individual, b: Individual, rng: np.random.Generator, rules: _Rules
-) -> tuple[Individual, Individual]:
     if a.head.shape != b.head.shape or a.masks.shape != b.masks.shape:
         raise ConfigError("crossover parents must have matching shapes")
     half = a.grid_size // 2
@@ -373,8 +367,8 @@ def _crossover(
     else:
         head1, head2 = a.head.copy(), b.head.copy()
     child1, child2 = Individual(head1, masks1), Individual(head2, masks2)
-    _repair(child1, rules, rng)
-    _repair(child2, rules, rng)
+    repair(child1, rules, rng)
+    repair(child2, rules, rng)
     return child1, child2
 
 
@@ -394,14 +388,8 @@ def transpose_tails(individual: Individual) -> Individual:
     return Individual(individual.head.copy(), masks)
 
 
-def flip_heads(
-    individual: Individual, rng: np.random.Generator, cfg: SearchConfig
-) -> Individual:
+def flip_heads(individual: Individual, rng: np.random.Generator, rules: Rules) -> Individual:
     """Redraw which non-forced slots are active, preserving their count."""
-    return _flip_heads(individual, rng, _Rules.of(cfg, individual.class_count))
-
-
-def _flip_heads(individual: Individual, rng: np.random.Generator, rules: _Rules) -> Individual:
     movable = np.count_nonzero(individual.head[rules.is_free])
     head = np.zeros_like(individual.head)
     head[rules.forced] = 1
@@ -420,46 +408,32 @@ def random_tails(individual: Individual, rng: np.random.Generator) -> Individual
     return Individual(individual.head.copy(), masks)
 
 
-def mutate(
-    individual: Individual, rng: np.random.Generator, cfg: SearchConfig
-) -> Individual:
+def mutate(individual: Individual, rng: np.random.Generator, rules: Rules) -> Individual:
     """Apply one of the four operators, chosen uniformly, then repair."""
-    return _mutate(individual, rng, _Rules.of(cfg, individual.class_count))
-
-
-def _mutate(individual: Individual, rng: np.random.Generator, rules: _Rules) -> Individual:
     op = int(rng.integers(4))
     if op == 0:
         out = flip_tails(individual)
     elif op == 1:
         out = transpose_tails(individual)
     elif op == 2:
-        out = _flip_heads(individual, rng, rules)
+        out = flip_heads(individual, rng, rules)
     else:
         out = random_tails(individual, rng)
-    _repair(out, rules, rng)
+    repair(out, rules, rng)
     return out
 
 
-def repair(
-    individual: Individual, cfg: SearchConfig, rng: np.random.Generator
-) -> Individual:
-    """Restore genome validity; valid genomes pass through unchanged.
+def repair(individual: Individual, rules: Rules, rng: np.random.Generator) -> None:
+    """Restore genome validity in place, for a genome no one else holds;
+    valid genomes pass through unchanged.
 
     Forced same-class slots are switched on, then uniformly chosen
     non-forced slots are deactivated until the active count fits the
     limit.  Fewer active slots than the limit is legal, but a genome with
     no active slot at all cannot be scored, so one uniformly chosen slot
-    is switched on in that case.  Returns a repaired copy, which keeps
-    the cached score when nothing had to change.
+    is switched on in that case.  The cached score is cleared only when
+    something had to change.
     """
-    out = individual.copy()
-    _repair(out, _Rules.of(cfg, out.class_count), rng)
-    return out
-
-
-def _repair(individual: Individual, rules: _Rules, rng: np.random.Generator) -> None:
-    """:func:`repair` in place, for a genome no one else holds."""
     head = individual.head
     changed = False
     if len(rules.forced) and not head[rules.forced].all():
@@ -545,7 +519,7 @@ def run_search(
         raise ConfigError("class_count must be positive")
     if grid_size < 1:
         raise ConfigError("grid_size must be at least 1")
-    rules = _Rules.of(cfg, class_count)
+    rules = Rules.of(cfg, class_count)
     key = RngKey(cfg.seed)
     population = init_population(cfg, class_count, grid_size, key.child("init").generator())
     _evaluate_population(population, fitness_fn, 0)
@@ -561,12 +535,12 @@ def run_search(
         ]
         for i in range(1, len(offspring), 2):
             if grng.random() < cfg.crossover_prob:
-                offspring[i - 1], offspring[i] = _crossover(
+                offspring[i - 1], offspring[i] = crossover(
                     offspring[i - 1], offspring[i], grng, rules
                 )
         for i in range(len(offspring)):
             if grng.random() < cfg.mutation_prob:
-                offspring[i] = _mutate(offspring[i], grng, rules)
+                offspring[i] = mutate(offspring[i], grng, rules)
         _evaluate_population(offspring, fitness_fn, generation)
         population = offspring
         flat += _has_zero_spread(population)

@@ -14,8 +14,9 @@ Ablation modes drop one of the two terms; the patch term keeps its 1/P^2
 normalization when used alone.
 
 The module counts how many per-sample loss evaluations happen per kind
-("image" / "patch") so training phases can assert which objectives they
-actually touched.
+("image" / "patch").  No phase reads the counts; the tests and the
+benchmark harness do, to check which objectives a phase touched (phase 4
+must evaluate no patch loss).
 """
 
 from __future__ import annotations

@@ -410,21 +410,27 @@ def evaluate_model(model: ReferenceModel, dataset: Dataset, batch_size: int = 25
 
 
 def _train_loop(
-    model: ReferenceModel,
-    cfg: TrainConfig,
+    train: Dataset,
     val: Dataset,
+    cfg: TrainConfig,
     batch_source: Callable[[int, np.random.Generator], Iterable[MixedBatch]],
     stream_tag: str,
-) -> list[EpochMetrics]:
-    """Shared SGD driver.  ``batch_source(epoch, rng)`` yields sample batches.
+) -> tuple[ReferenceModel, list[EpochMetrics]]:
+    """Shared SGD driver: ``(model, per-epoch metrics)`` of a model of the
+    shape ``cfg`` trains on ``train``, initialized from the stream
+    ``(stream_tag, "init")``.  ``batch_source(epoch, rng)`` yields sample
+    batches; epoch ``e`` draws from the stream ``(stream_tag, "epoch", e)``.
 
     The learning-rate schedule spans epochs 0 .. epochs-1 so the final
     epoch runs exactly at eta_min.  All steps and validations share one
     dict of scratch buffers.
     """
+    key = RngKey(cfg.seed)
+    model = ReferenceModel.initialize(
+        *_model_dims(train, cfg), key.child(stream_tag, "init").generator()
+    )
     velocity = init_velocity(model)
     buffers: dict = {}
-    key = RngKey(cfg.seed)
     span = cfg.epochs - 1
     metrics: list[EpochMetrics] = []
     for epoch in range(cfg.epochs):
@@ -444,7 +450,7 @@ def _train_loop(
         metrics.append(
             EpochMetrics(epoch, float(lr), float(np.mean(batch_losses)), top1, patch_acc)
         )
-    return metrics
+    return model, metrics
 
 
 def _check_train_inputs(train: Dataset, val: Dataset, cfg: TrainConfig) -> None:
@@ -464,12 +470,6 @@ def _model_dims(train: Dataset, cfg: TrainConfig) -> tuple[int, int, int, int]:
     p = cfg.grid_size
     ppc = (train.height // p) * (train.width // p) * train.channels
     return p, train.class_count, cfg.hidden_dim, ppc
-
-
-def _initial_model(train: Dataset, cfg: TrainConfig, stream_tag: str) -> ReferenceModel:
-    return ReferenceModel.initialize(
-        *_model_dims(train, cfg), RngKey(cfg.seed).child(stream_tag, "init").generator()
-    )
 
 
 def _shuffled_pairs(
@@ -508,9 +508,7 @@ def train_random_patchmix(train: Dataset, val: Dataset, cfg: TrainConfig):
                 bits, train.class_count,
             )
 
-    model = _initial_model(train, cfg, "rand-train")
-    metrics = _train_loop(model, cfg, val, batches, "rand-train")
-    return model, metrics
+    return _train_loop(train, val, cfg, batches, "rand-train")
 
 
 def fgsm_attack_batch(

@@ -1,24 +1,30 @@
 """Four-phase guided training pipeline.
 
-1. Train a fitness model on randomly grid-mixed batches (full combined
-   objective).
-2. Search mask/pair genomes against the frozen fitness model, scored
-   from one forward pass of a seeded fraction of the validation set.
-3. Materialize a guided augmented set from the best genome (one sample
-   per recipe entry: uniform active slot, one training image per class
-   side; each of the three is drawn for all entries at once), stored as
-   float32 patch matrices.  The genome must have the dataset's class
-   count, and every entry must name an active slot and training images
-   of that slot's classes.
-4. Train the final model on batches composed of original, randomly
-   mixed, and guided samples — minimizing only the image-level loss.
-   Each batch is one patch matrix: the original and random rows composed
-   in one call, the guided rows cast into its tail.
+Each phase is one function that writes its artifacts into the run
+directory; the CLI phase commands and :func:`run_guided_pipeline` call the
+same four.
 
-Each phase writes its artifact into the run directory; re-running with
-an existing phase-1 checkpoint skips phase 1 and produces identical
-downstream results for the same seeds.  A checkpoint whose model shape
-differs from the one the config would train is refused, not reused.
+1. :func:`train_fitness_model` trains a fitness model on randomly
+   grid-mixed batches (full combined objective).
+2. :func:`run_fitness_search` searches mask/pair genomes against the
+   frozen fitness model, scored from one forward pass of a seeded fraction
+   of the validation set.
+3. :func:`write_guided_manifest` draws the guided recipe from the best
+   genome (one entry per training image: uniform active slot, one training
+   image per class side; each of the three is drawn for all entries at
+   once).  The genome must have the dataset's class count.
+4. :func:`train_guided_model` composes the recipe's guided set, stored as
+   float32 patch matrices (every entry must name an active slot and
+   training images of that slot's classes), and trains the final model on
+   batches composed of original, randomly mixed, and guided samples —
+   minimizing only the image-level loss (:func:`train_final`).  Each batch
+   is one patch matrix: the original and random rows composed in one call,
+   the guided rows cast into its tail.
+
+Re-running the pipeline with an existing phase-1 checkpoint skips phase 1
+and produces identical downstream results for the same seeds.  A
+checkpoint whose model shape differs from the one the config would train
+is refused, not reused.
 """
 
 from __future__ import annotations
@@ -50,7 +56,6 @@ from .model import (
     ReferenceModel,
     TrainConfig,
     _check_train_inputs,
-    _initial_model,
     _model_dims,
     _train_loop,
     load_model,
@@ -294,7 +299,9 @@ def train_final(
     guided_set: MixedBatch,
     ratio: tuple[int, int, int] = DEFAULT_BATCH_RATIO,
 ):
-    """Phase-4 trainer: composed batches, image-level objective only."""
+    """Phase-4 trainer: composed batches, image-level objective only,
+    whatever ``cfg.loss_mode`` says."""
+    cfg = replace(cfg, loss_mode="image_only")
     _check_train_inputs(train, val, cfg)
     p = cfg.grid_size
     if len(guided_set) and guided_set.patches.shape[1] != p * p:
@@ -314,9 +321,7 @@ def train_final(
             train, random_mixer, guided_set, ratio, cfg.batch_size, n_batches, rng, p
         )
 
-    model = _initial_model(train, cfg, "final-train")
-    metrics = _train_loop(model, cfg, val, batches, "final-train")
-    return model, metrics
+    return _train_loop(train, val, cfg, batches, "final-train")
 
 
 def fitness_val_subset(val: Dataset, cfg: SearchConfig) -> Dataset:
@@ -334,15 +339,23 @@ def fitness_val_subset(val: Dataset, cfg: SearchConfig) -> Dataset:
     return val.subset(chosen)
 
 
-def run_fitness_search(
-    model: ReferenceModel, val: Dataset, cfg: SearchConfig, grid_size: int, run_dir: Path
-):
-    """Phase 2: search genomes of ``grid_size`` masks against the frozen
+def train_fitness_model(train: Dataset, val: Dataset, cfg: TrainConfig, run_dir: Path):
+    """Phase 1: train the fitness model on random grid mixing and write it
+    and its metrics into ``run_dir``.  Returns ``(model, metrics)``."""
+    model, metrics = train_random_patchmix(train, val, cfg)
+    save_model(model, run_dir / FITNESS_MODEL_FILE)
+    save_metrics(metrics, run_dir / FITNESS_METRICS_FILE)
+    log.info("phase 1 done: fitness model saved to %s", run_dir / FITNESS_MODEL_FILE)
+    return model, metrics
+
+
+def run_fitness_search(model: ReferenceModel, val: Dataset, cfg: SearchConfig, run_dir: Path):
+    """Phase 2: search genomes of the model's grid against the frozen
     model, scored from one forward pass of the seeded fitness subset, and
     write the history and the best genome into ``run_dir``."""
     table = FitnessTable.build(model, fitness_val_subset(val, cfg), cfg)
     best, history = run_search(
-        cfg, val.class_count, grid_size,
+        cfg, val.class_count, model.grid_size,
         lambda individual: evaluate_fitness(individual, table),
     )
     save_history(history, run_dir / SEARCH_HISTORY_FILE)
@@ -353,6 +366,36 @@ def run_fitness_search(
         best.fitness, history[-1].generation, table.scored, len(table.terms),
     )
     return best, history
+
+
+def write_guided_manifest(best: Individual, train: Dataset, cfg: TrainConfig, run_dir: Path):
+    """Phase 3: draw one guided recipe entry per training image from a
+    stream of the training seed and write the manifest into ``run_dir``.
+    Returns the recipe."""
+    rng = RngKey(cfg.seed).child("guided-set").generator()
+    recipe = draw_guided_recipe(best, train, len(train), rng)
+    save_guided_manifest(recipe, run_dir / GUIDED_MANIFEST_FILE)
+    log.info("phase 3 done: %d guided samples", len(recipe))
+    return recipe
+
+
+def train_guided_model(
+    best: Individual,
+    recipe: Sequence[tuple[int, int, int]],
+    train: Dataset,
+    val: Dataset,
+    cfg: TrainConfig,
+    run_dir: Path,
+):
+    """Phase 4: compose the recipe's guided set, train the final model on it
+    (:func:`train_final`) and write the model and its metrics into
+    ``run_dir``.  Returns ``(model, metrics)``."""
+    guided_set = materialize_guided(best, train, recipe)
+    model, metrics = train_final(train, val, cfg, guided_set)
+    save_model(model, run_dir / FINAL_MODEL_FILE)
+    save_metrics(metrics, run_dir / FINAL_METRICS_FILE)
+    log.info("phase 4 done: final model saved to %s", run_dir / FINAL_MODEL_FILE)
+    return model, metrics
 
 
 def _check_class_coverage(train: Dataset, val: Dataset) -> None:
@@ -377,8 +420,6 @@ def run_guided_pipeline(
     _check_class_coverage(train, val)
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-
-    # Phase 1: fitness model on random grid mixing.
     fitness_path = run_dir / FITNESS_MODEL_FILE
     fitness_metrics: list[EpochMetrics] | None = None
     if fitness_path.exists():
@@ -396,30 +437,10 @@ def run_guided_pipeline(
             )
         log.info("phase 1 skipped: reusing fitness model checkpoint %s", fitness_path)
     else:
-        fitness_model, fitness_metrics = train_random_patchmix(train, val, train_cfg)
-        save_model(fitness_model, fitness_path)
-        save_metrics(fitness_metrics, run_dir / FITNESS_METRICS_FILE)
-        log.info("phase 1 done: fitness model saved to %s", fitness_path)
-
-    # Phase 2: genetic search on a seeded validation fraction.
-    best, history = run_fitness_search(
-        fitness_model, val, search_cfg, train_cfg.grid_size, run_dir
-    )
-
-    # Phase 3: materialize the guided augmented set.
-    guided_rng = RngKey(train_cfg.seed).child("guided-set").generator()
-    recipe = draw_guided_recipe(best, train, len(train), guided_rng)
-    save_guided_manifest(recipe, run_dir / GUIDED_MANIFEST_FILE)
-    guided_set = materialize_guided(best, train, recipe)
-    log.info("phase 3 done: %d guided samples", len(guided_set))
-
-    # Phase 4: final model, image-level objective only.
-    final_cfg = replace(train_cfg, loss_mode="image_only")
-    final_model, final_metrics = train_final(train, val, final_cfg, guided_set)
-    save_model(final_model, run_dir / FINAL_MODEL_FILE)
-    save_metrics(final_metrics, run_dir / FINAL_METRICS_FILE)
-    log.info("phase 4 done: final model saved to %s", run_dir / FINAL_MODEL_FILE)
-
+        fitness_model, fitness_metrics = train_fitness_model(train, val, train_cfg, run_dir)
+    best, history = run_fitness_search(fitness_model, val, search_cfg, run_dir)
+    recipe = write_guided_manifest(best, train, train_cfg, run_dir)
+    final_model, final_metrics = train_guided_model(best, recipe, train, val, train_cfg, run_dir)
     return PipelineResult(
         fitness_model=fitness_model,
         fitness_metrics=fitness_metrics,

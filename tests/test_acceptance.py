@@ -18,6 +18,7 @@ from patchmix import workflow
 from patchmix.cli import main, run_boundary_demo
 from patchmix.data import one_hot, synth_shapes, toy_2d_three_class
 from patchmix.evolution import (
+    Rules,
     SearchConfig,
     crossover,
     flip_tails,
@@ -271,7 +272,7 @@ def test_operator_algebra():
     head[:2] = 1
     ones = Individual(head.copy(), np.ones((n, 4, 4), dtype=np.uint8))
     zeros = Individual(head.copy(), np.zeros((n, 4, 4), dtype=np.uint8))
-    child1, child2 = crossover(ones, zeros, rng, SearchConfig(max_active_pairs=2))
+    child1, child2 = crossover(ones, zeros, rng, Rules.of(SearchConfig(max_active_pairs=2), 3))
     expected1 = np.concatenate(
         [np.ones((n, 4, 2), dtype=np.uint8), np.zeros((n, 4, 2), dtype=np.uint8)], axis=2
     )
@@ -281,13 +282,14 @@ def test_operator_algebra():
     # Repair restores the active-pair budget on 1000 violating heads.
     classes, limit = 4, 3
     n = pair_count(classes)
-    cfg = SearchConfig(max_active_pairs=limit)
+    rules = Rules.of(SearchConfig(max_active_pairs=limit), classes)
     for _ in range(1000):
         head = np.zeros(n, dtype=np.uint8)
         over = int(rng.integers(limit + 1, n + 1))
         head[rng.choice(n, size=over, replace=False)] = 1
         masks = rng.integers(0, 2, (n, 2, 2), dtype=np.uint8)
-        fixed = repair(Individual(head, masks.copy()), cfg, rng)
+        fixed = Individual(head, masks.copy())
+        repair(fixed, rules, rng)
         assert 1 <= int(fixed.head.sum()) <= limit
         np.testing.assert_array_equal(fixed.masks, masks)
     return "300 involution genomes, 1000 repaired violations"

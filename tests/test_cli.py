@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -347,6 +348,21 @@ class TestPhaseCommands:
         assert 0.0 <= top1 <= 1.0
         assert (run_dir / FINAL_MODEL_FILE).exists()
         assert (run_dir / FINAL_METRICS_FILE).exists()
+
+    @pytest.mark.parametrize("objective", ["min_patch_acc", "max_lp"])
+    def test_phase_commands_write_what_pipeline_writes(self, tmp_path, capsys, objective):
+        phases, whole = tmp_path / "phases", tmp_path / "pipeline"
+        cfg_path = write_config(tmp_path, phases, search={"objective": objective})
+        for command in ("train-random", "search", "generate", "train-guided"):
+            assert main([command, "--config", str(cfg_path)]) == 0
+        cfg_path = write_config(tmp_path, whole, search={"objective": objective})
+        assert main(["pipeline", "--config", str(cfg_path)]) == 0
+        phase_files, pipeline_files = (
+            {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in run.iterdir()}
+            for run in (phases, whole)
+        )
+        assert len(pipeline_files) == 8
+        assert phase_files == pipeline_files
 
     def test_generate_requires_search(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, tmp_path / "run")

@@ -14,6 +14,7 @@ from patchmix.evolution import (
     FitnessTable,
     GenerationStats,
     Individual,
+    Rules,
     SearchConfig,
     class_count_for_pairs,
     crossover,
@@ -503,15 +504,15 @@ class TestCrossover:
         b = make_individual(grid_size=4, active=(0, 1), rng=None)
         a.masks[:] = 1
         b.masks[:] = 0
-        c1, c2 = crossover(a, b, rng, cfg)
+        c1, c2 = crossover(a, b, rng, Rules.of(cfg, a.class_count))
         assert c1.masks[:, :, :2].all() and not c1.masks[:, :, 2:].any()
         assert not c2.masks[:, :, :2].any() and c2.masks[:, :, 2:].all()
 
     def test_identical_parents_give_identical_children(self, rng):
         cfg = SearchConfig(max_active_pairs=2)
         a = make_individual(active=(1, 3), rng=np.random.default_rng(3), fitness=0.5)
-        b = a.copy()
-        c1, c2 = crossover(a, b, rng, cfg)
+        b = Individual(a.head.copy(), a.masks.copy(), a.fitness)
+        c1, c2 = crossover(a, b, rng, Rules.of(cfg, a.class_count))
         for child in (c1, c2):
             assert np.array_equal(child.head, a.head)
             assert np.array_equal(child.masks, a.masks)
@@ -522,7 +523,7 @@ class TestCrossover:
         a = make_individual(active=(0,), rng=np.random.default_rng(1), fitness=0.1)
         b = make_individual(active=(5,), rng=np.random.default_rng(2), fitness=0.2)
         head_a, masks_a = a.head.copy(), a.masks.copy()
-        crossover(a, b, rng, cfg)
+        crossover(a, b, rng, Rules.of(cfg, a.class_count))
         assert np.array_equal(a.head, head_a)
         assert np.array_equal(a.masks, masks_a)
         assert a.fitness == 0.1
@@ -532,7 +533,7 @@ class TestCrossover:
         a = make_individual(active=(0, 1), rng=np.random.default_rng(1))
         b = make_individual(active=(4, 5), rng=np.random.default_rng(2))
         for _ in range(50):
-            c1, c2 = crossover(a, b, rng, cfg)
+            c1, c2 = crossover(a, b, rng, Rules.of(cfg, a.class_count))
             assert c1.head.sum() <= 2
             assert c2.head.sum() <= 2
 
@@ -541,7 +542,7 @@ class TestCrossover:
         a = make_individual(class_count=3)
         b = make_individual(class_count=2)
         with pytest.raises(ConfigError):
-            crossover(a, b, rng, cfg)
+            crossover(a, b, rng, Rules.of(cfg, a.class_count))
 
 
 class TestMutationOps:
@@ -564,7 +565,7 @@ class TestMutationOps:
 
     def test_transpose_moves_single_bit(self):
         ind = make_individual(active=(0,))
-        with_bit = ind.copy()
+        with_bit = Individual(ind.head.copy(), ind.masks.copy(), ind.fitness)
         bits = np.zeros((2, 2), dtype=np.uint8)
         bits[0, 1] = 1
         with_bit.masks[0] = bits
@@ -576,14 +577,14 @@ class TestMutationOps:
         cfg = SearchConfig(max_active_pairs=2)
         ind = make_individual(active=(0, 4), rng=np.random.default_rng(2))
         for _ in range(20):
-            out = flip_heads(ind, rng, cfg)
+            out = flip_heads(ind, rng, Rules.of(cfg, ind.class_count))
             assert out.head.sum() == 2
             assert np.array_equal(out.masks, ind.masks)
 
     def test_flip_heads_keeps_forced_slots(self, rng):
         cfg = SearchConfig(force_same_class=True)
         ind = make_individual(active=(0, 1, 3, 5), rng=np.random.default_rng(2))
-        out = flip_heads(ind, rng, cfg)
+        out = flip_heads(ind, rng, Rules.of(cfg, ind.class_count))
         assert out.head[same_class_slots(3)].all()
         assert out.head.sum() == 4
 
@@ -602,7 +603,7 @@ class TestMutationOps:
         cfg = SearchConfig(max_active_pairs=2)
         ind = make_individual(active=(0, 4), rng=np.random.default_rng(2), fitness=0.3)
         for _ in range(100):
-            out = mutate(ind, rng, cfg)
+            out = mutate(ind, rng, Rules.of(cfg, ind.class_count))
             assert 1 <= out.head.sum() <= 2
             assert out.fitness is None
 
@@ -611,35 +612,36 @@ class TestRepair:
     def test_valid_genome_passes_through(self, rng):
         cfg = SearchConfig(max_active_pairs=3)
         ind = make_individual(active=(0, 2), rng=np.random.default_rng(1), fitness=0.7)
-        out = repair(ind, cfg, rng)
-        assert np.array_equal(out.head, ind.head)
-        assert out.fitness == 0.7  # untouched genome keeps its cache
+        head = ind.head.copy()
+        repair(ind, Rules.of(cfg, ind.class_count), rng)
+        assert np.array_equal(ind.head, head)
+        assert ind.fitness == 0.7  # untouched genome keeps its cache
 
     def test_excess_active_trimmed_exactly(self, rng):
         cfg = SearchConfig(max_active_pairs=2)
         ind = make_individual(active=(0, 1, 2, 3, 4))
-        out = repair(ind, cfg, rng)
-        assert out.head.sum() == 2
-        assert out.fitness is None
+        repair(ind, Rules.of(cfg, ind.class_count), rng)
+        assert ind.head.sum() == 2
+        assert ind.fitness is None
 
     def test_forced_slots_restored(self, rng):
         cfg = SearchConfig(force_same_class=True)
         ind = make_individual(active=(1,))
-        out = repair(ind, cfg, rng)
-        assert out.head[same_class_slots(3)].all()
+        repair(ind, Rules.of(cfg, ind.class_count), rng)
+        assert ind.head[same_class_slots(3)].all()
 
     def test_empty_head_gets_one_slot(self, rng):
         cfg = SearchConfig()
         ind = make_individual(active=())
-        out = repair(ind, cfg, rng)
-        assert out.head.sum() == 1
+        repair(ind, Rules.of(cfg, ind.class_count), rng)
+        assert ind.head.sum() == 1
 
     def test_impossible_constraints_rejected(self, rng):
         # Forcing all three same-class slots cannot fit a limit of 2.
         cfg = SearchConfig(max_active_pairs=2, force_same_class=True)
         ind = make_individual(active=(0, 1, 2, 3))
         with pytest.raises(ConfigError):
-            repair(ind, cfg, rng)
+            repair(ind, Rules.of(cfg, ind.class_count), rng)
 
 
 def hamming_fitness(target):

@@ -21,6 +21,7 @@ from patchmix.evolution import (
     FitnessTable,
     GenerationStats,
     Individual,
+    Rules,
     SearchConfig,
     crossover,
     evaluate_fitness,
@@ -41,6 +42,10 @@ from patchmix.rng import RngKey
 
 
 # --- reference ----------------------------------------------------------------
+
+
+def ref_copy(individual):
+    return Individual(individual.head.copy(), individual.masks.copy(), individual.fitness)
 
 
 def ref_init_population(cfg, class_count, grid_size, rng):
@@ -72,7 +77,7 @@ def ref_score(individual, table):
 
 
 def ref_crossover(a, b, rng, cfg):
-    child1, child2 = a.copy(), b.copy()
+    child1, child2 = ref_copy(a), ref_copy(b)
     half = a.grid_size // 2
     child1.masks[:, :, half:] = b.masks[:, :, half:]
     child2.masks[:, :, half:] = a.masks[:, :, half:]
@@ -86,7 +91,7 @@ def ref_crossover(a, b, rng, cfg):
 
 
 def ref_flip_tails(individual):
-    out = individual.copy()
+    out = ref_copy(individual)
     active = out.active_slots()
     out.masks[active] = 1 - out.masks[active]
     out.fitness = None
@@ -94,7 +99,7 @@ def ref_flip_tails(individual):
 
 
 def ref_transpose_tails(individual):
-    out = individual.copy()
+    out = ref_copy(individual)
     active = out.active_slots()
     out.masks[active] = out.masks[active].transpose(0, 2, 1)
     out.fitness = None
@@ -102,7 +107,7 @@ def ref_transpose_tails(individual):
 
 
 def ref_flip_heads(individual, rng, cfg):
-    out = individual.copy()
+    out = ref_copy(individual)
     forced = cfg.forced_slots(out.class_count)
     candidates = np.setdiff1d(np.arange(out.n_pairs), forced)
     movable = np.setdiff1d(out.active_slots(), forced)
@@ -116,7 +121,7 @@ def ref_flip_heads(individual, rng, cfg):
 
 
 def ref_random_tails(individual, rng):
-    out = individual.copy()
+    out = ref_copy(individual)
     active = out.active_slots()
     flips = rng.random(out.masks[active].shape) < RANDOM_TAIL_FLIP_PROB
     out.masks[active] = np.where(flips, 1 - out.masks[active], out.masks[active])
@@ -138,7 +143,7 @@ def ref_mutate(individual, rng, cfg):
 
 
 def ref_repair(individual, cfg, rng):
-    out = individual.copy()
+    out = ref_copy(individual)
     class_count = out.class_count
     limit = cfg.resolve_max_active(class_count)
     forced = cfg.forced_slots(class_count)
@@ -179,7 +184,7 @@ def ref_run_search(cfg, class_count, grid_size, fitness_fn):
     key = RngKey(cfg.seed)
     population = ref_init_population(cfg, class_count, grid_size, key.child("init").generator())
     evaluate(population)
-    best = min(population, key=lambda ind: ind.fitness).copy()
+    best = ref_copy(min(population, key=lambda ind: ind.fitness))
     history = [ref_stats(0, best, population)]
     stall = 0
     for generation in range(1, cfg.generations + 1):
@@ -188,7 +193,7 @@ def ref_run_search(cfg, class_count, grid_size, fitness_fn):
             tournament_select(population, cfg.tournament_size, grng)
             for _ in range(cfg.population_size)
         ]
-        offspring = [parent.copy() for parent in parents]
+        offspring = [ref_copy(parent) for parent in parents]
         for i in range(1, len(offspring), 2):
             if grng.random() < cfg.crossover_prob:
                 offspring[i - 1], offspring[i] = ref_crossover(
@@ -201,7 +206,7 @@ def ref_run_search(cfg, class_count, grid_size, fitness_fn):
         population = offspring
         generation_best = min(population, key=lambda ind: ind.fitness)
         if generation_best.fitness < best.fitness:
-            best = generation_best.copy()
+            best = ref_copy(generation_best)
             stall = 0
         else:
             stall += 1
@@ -273,14 +278,21 @@ def test_search_equals_copying_reference(case):
 
 # --- purity -------------------------------------------------------------------
 
+def repaired_copy(individual, rules, rng):
+    """``repair`` works in place on a genome no one else holds: a copy."""
+    out = ref_copy(individual)
+    repair(out, rules, rng)
+    return out
+
+
 OPERATORS = {
-    "crossover": lambda a, b, rng, cfg: crossover(a, b, rng, cfg),
-    "mutate": lambda a, b, rng, cfg: [mutate(a, rng, cfg)],
-    "repair": lambda a, b, rng, cfg: [repair(a, cfg, rng)],
-    "flip_tails": lambda a, b, rng, cfg: [flip_tails(a)],
-    "transpose_tails": lambda a, b, rng, cfg: [transpose_tails(a)],
-    "flip_heads": lambda a, b, rng, cfg: [flip_heads(a, rng, cfg)],
-    "random_tails": lambda a, b, rng, cfg: [random_tails(a, rng)],
+    "crossover": lambda a, b, rng, rules: crossover(a, b, rng, rules),
+    "mutate": lambda a, b, rng, rules: [mutate(a, rng, rules)],
+    "repair": lambda a, b, rng, rules: [repaired_copy(a, rules, rng)],
+    "flip_tails": lambda a, b, rng, rules: [flip_tails(a)],
+    "transpose_tails": lambda a, b, rng, rules: [transpose_tails(a)],
+    "flip_heads": lambda a, b, rng, rules: [flip_heads(a, rng, rules)],
+    "random_tails": lambda a, b, rng, rules: [random_tails(a, rng)],
 }
 
 
@@ -306,7 +318,7 @@ def test_operators_leave_inputs_alone_and_share_no_memory(name, class_count, cfg
             for fitness in (0.25, 0.5)
         )
         before = [(g.head.copy(), g.masks.copy(), g.fitness) for g in (a, b)]
-        children = OPERATORS[name](a, b, rng, cfg)
+        children = OPERATORS[name](a, b, rng, Rules.of(cfg, class_count))
         for g, (head, masks, fitness) in zip((a, b), before):
             assert np.array_equal(g.head, head)
             assert np.array_equal(g.masks, masks)

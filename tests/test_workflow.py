@@ -433,6 +433,20 @@ class TestTrainFinal:
         assert loss_eval_count("image") > image
         assert len(metrics) == 3
 
+    @pytest.mark.parametrize("loss_mode", ["both", "patch_only"])
+    def test_image_objective_whatever_the_config_says(self, small_train, small_val, loss_mode):
+        cfg = TrainConfig(epochs=2, batch_size=30, hidden_dim=16, grid_size=2, seed=2)
+        ind = make_individual(active=(1,), rng=np.random.default_rng(2))
+        guided = guided_set(ind, small_train, 20, np.random.default_rng(3))
+        patch = loss_eval_count("patch")
+        model, _ = train_final(small_train, small_val, replace(cfg, loss_mode=loss_mode), guided)
+        assert loss_eval_count("patch") == patch
+        want, _ = train_final(
+            small_train, small_val, replace(cfg, loss_mode="image_only"), guided
+        )
+        for name, value in want.params().items():
+            np.testing.assert_array_equal(getattr(model, name), value)
+
     def test_empty_guided_ok_when_ratio_skips_it(self, small_train, small_val):
         cfg = TrainConfig(epochs=2, batch_size=30, hidden_dim=16, seed=2)
         model, metrics = train_final(small_train, small_val, cfg, [], ratio=(1, 1, 0))
@@ -535,9 +549,7 @@ class TestPipeline:
             return scored[-1][1]
 
         monkeypatch.setattr(workflow, "evaluate_fitness", recorded)
-        best, history = run_fitness_search(
-            small_model, small_val, cfg, small_model.grid_size, tmp_path
-        )
+        best, history = run_fitness_search(small_model, small_val, cfg, tmp_path)
         [table] = {id(table): table for table, _ in scored}.values()
         scores = {score for _, score in scored}
         assert len(scores) > 1
