@@ -1,0 +1,145 @@
+"""sha256 digests of pipeline runs, to check that a change keeps every artifact.
+
+    python3 scripts/artifact_digests.py --out FILE [--root DIR]
+    python3 scripts/artifact_digests.py --compare A B
+
+The first form runs ``patchmix pipeline`` (``cli.main``) in-process once per
+workload of ``WORKLOADS``, seed of ``SEEDS`` and search objective of
+``OBJECTIVES``, each into a fresh run directory.  A run's config is
+``perfbench/workload.make_config(workload, seed, run_dir)`` with
+``search.objective`` set.  It also runs the five ``boundary-demo`` rasters
+at the settings of acceptance criterion 10 (``none`` at the defaults; the
+other methods at 60 samples per class and 80 epochs).  For every run it
+records the exit code, the stdout and the sha256 of every file the run
+wrote, and writes them all to one JSON file.
+
+``--root`` names the tree whose ``src/`` and ``perfbench/`` are imported
+(default: this repository), so an export of another commit is digested by
+this script without a copy of it.  BLAS runs one thread, as in the
+benchmark, so the digests do not depend on the host's core count.
+
+The second form lists every entry that differs between two such files, or
+that only one of them has, and exits 1 if there is any, else 0.  A run
+that only one file has is one line.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("quickstart", "cifar_search", "guided_scale")
+SEEDS = (7, 8)
+OBJECTIVES = ("min_patch_acc", "max_lp")
+BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+DEMO_RUNS = {  # method: extra boundary-demo arguments, as in criterion 10
+    "none": [],
+    **{m: ["--samples-per-class", "60", "--epochs", "80"]
+       for m in ("mixup", "cutmix", "patchmix", "guided")},
+}
+
+
+def load_tree(root: Path):
+    """``(cli.main, workload.make_config)`` of the tree at ``root``."""
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    from patchmix import cli
+    import workload
+
+    return cli.main, workload.make_config
+
+
+def file_digests(run_dir: Path) -> dict[str, str]:
+    """sha256 of every file of ``run_dir``, by file name."""
+    paths = sorted(run_dir.iterdir()) if run_dir.is_dir() else []
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+
+
+def run_command(main, argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of one in-process CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def digest_pipeline(main, config: dict, run_dir: Path) -> dict:
+    """Run ``pipeline`` on ``config`` into ``run_dir``; its exit code, stdout
+    and file digests."""
+    config_path = run_dir.parent / f"{run_dir.name}.json"
+    config_path.write_text(json.dumps({**config, "output_dir": str(run_dir)}))
+    code, stdout = run_command(main, ["pipeline", "--config", str(config_path)])
+    return {"exit_code": code, "stdout": stdout, "files": file_digests(run_dir)}
+
+
+def digest_demo(main, method: str, out: Path) -> dict:
+    code, stdout = run_command(
+        main, ["boundary-demo", "--method", method, "--out", str(out), *DEMO_RUNS[method]]
+    )
+    return {"exit_code": code, "stdout": stdout, "files": file_digests(out.parent)}
+
+
+def entries(run: dict) -> dict:
+    """A run's digests as flat ``name: value`` pairs."""
+    flat = {"exit_code": run["exit_code"], "stdout": run["stdout"]}
+    flat.update({f"files/{name}": digest for name, digest in run["files"].items()})
+    return flat
+
+
+def differences(a: dict, b: dict) -> list[str]:
+    """One line per entry of two digest files that differs or that only one
+    has, and one per run that only one has."""
+    lines = []
+    for name in sorted(a["runs"].keys() | b["runs"].keys()):
+        if name not in a["runs"] or name not in b["runs"]:
+            lines.append(f"{name}: only in {'A' if name in a['runs'] else 'B'}")
+            continue
+        ra, rb = entries(a["runs"][name]), entries(b["runs"][name])
+        for key in sorted(ra.keys() | rb.keys()):
+            va, vb = ra.get(key, "missing"), rb.get(key, "missing")
+            if va != vb:
+                lines.append(f"{name} {key}: {va!r} != {vb!r}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--root", type=Path, default=ROOT)
+    args = parser.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(path.read_text()) for path in args.compare)
+        lines = differences(a, b)
+        print("\n".join(lines) if lines else "no differences")
+        return 1 if lines else 0
+    if args.out is None:
+        parser.error("--out or --compare is required")
+    os.environ.update(BLAS_ENV)  # before numpy loads
+    cli_main, make_config = load_tree(args.root.resolve())
+    runs = {}
+    with tempfile.TemporaryDirectory(prefix="pmx-digests-") as tmp:
+        for workload in WORKLOADS:
+            for seed in SEEDS:
+                for objective in OBJECTIVES:
+                    name = f"{workload}/seed{seed}/{objective}"
+                    config = make_config(workload, seed, "")
+                    config["search"]["objective"] = objective
+                    run_dir = Path(tmp) / name.replace("/", "-")
+                    runs[name] = digest_pipeline(cli_main, config, run_dir)
+        for method in DEMO_RUNS:
+            out = Path(tmp) / f"demo-{method}" / "raster.csv"
+            runs[f"boundary-demo/{method}"] = digest_demo(cli_main, method, out)
+    args.out.write_text(json.dumps({"runs": runs}, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

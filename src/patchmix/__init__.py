@@ -29,10 +29,10 @@ from .evolution import (
     pair_to_index,
     run_search,
     save_individual,
+    slot_pairs,
 )
 from .losses import combined_loss, log_softmax
 from .masks import (
-    PatchMask,
     expand_to_pixel_mask,
     mixing_ratio,
     sample_mask_bits,
@@ -73,7 +73,6 @@ __all__ = [
     "MixedBatch",
     "MixedSample",
     "NumericError",
-    "PatchMask",
     "PipelineResult",
     "ReferenceModel",
     "RngKey",
@@ -112,6 +111,7 @@ __all__ = [
     "save_metrics",
     "save_model",
     "sgd_nesterov_step",
+    "slot_pairs",
     "sniff_and_load",
     "synth_shapes",
     "toy_2d_three_class",

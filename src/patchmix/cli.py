@@ -164,19 +164,22 @@ def save_config_snapshot(cfg: RunConfig, run_dir: Path) -> None:
     )
 
 
-def build_datasets(dc: DatasetConfig) -> tuple[Dataset, Dataset]:
+def build_dataset(dc: DatasetConfig, val: bool) -> Dataset:
+    """The validation set of ``dc`` if ``val``, else its training set."""
     dc.validate()
-    val_seed = dc.val_seed if dc.val_seed is not None else dc.seed + 1
+    per_class, seed, path = dc.train_per_class, dc.seed, dc.train_path
+    if val:
+        per_class, path = dc.val_per_class, dc.val_path
+        seed = dc.val_seed if dc.val_seed is not None else dc.seed + 1
     if dc.kind == "synth":
-        train = synth_shapes(dc.class_count, dc.image_size, dc.train_per_class, dc.seed)
-        val = synth_shapes(dc.class_count, dc.image_size, dc.val_per_class, val_seed)
-    elif dc.kind == "toy":
-        train = toy_2d_three_class(dc.train_per_class, dc.seed)
-        val = toy_2d_three_class(dc.val_per_class, val_seed)
-    else:  # a CIFAR binary batch or a .pmxd dataset file, each path on its own
-        train = sniff_and_load(dc.train_path)
-        val = sniff_and_load(dc.val_path)
-    return train, val
+        return synth_shapes(dc.class_count, dc.image_size, per_class, seed)
+    if dc.kind == "toy":
+        return toy_2d_three_class(per_class, seed)
+    return sniff_and_load(path)  # a CIFAR binary batch or a .pmxd dataset file
+
+
+def build_datasets(dc: DatasetConfig) -> tuple[Dataset, Dataset]:
+    return build_dataset(dc, val=False), build_dataset(dc, val=True)
 
 
 def _prepare(args) -> tuple[RunConfig, Path]:
@@ -209,7 +212,7 @@ def cmd_train_random(args) -> int:
 def cmd_search(args) -> int:
     cfg, run_dir = _prepare(args)
     model = load_model(_existing(run_dir / FITNESS_MODEL_FILE, "train-random"))
-    _, val = build_datasets(cfg.dataset)
+    val = build_dataset(cfg.dataset, val=True)
     best, history = run_fitness_search(model, val, cfg.search, run_dir)
     save_config_snapshot(cfg, run_dir)
     print(f"best_score,{best.fitness!r}")
@@ -220,7 +223,7 @@ def cmd_search(args) -> int:
 def cmd_generate(args) -> int:
     cfg, run_dir = _prepare(args)
     best, _ = load_individual(_existing(run_dir / BEST_INDIVIDUAL_FILE, "search"))
-    train, _ = build_datasets(cfg.dataset)
+    train = build_dataset(cfg.dataset, val=False)
     recipe = write_guided_manifest(best, train, cfg.train, run_dir)
     save_config_snapshot(cfg, run_dir)
     print(f"guided_samples,{len(recipe)}")

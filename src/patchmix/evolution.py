@@ -1,9 +1,9 @@
 """Genetic search over class-pair activations and their grid masks.
 
-A genome ("individual") owns one activation bit per unordered class pair
-(i <= j, row-major upper-triangular order) and one grid mask per pair
-slot.  At most ``max_active_pairs`` slots may be active at once; optional
-same-class forcing keeps every (c, c) slot switched on.
+A genome ("individual") owns one activation bit and one grid mask per
+unordered class pair i <= j, its slot; slots run in row-major upper-triangular
+order (:func:`slot_pairs`).  At most ``max_active_pairs`` slots may be active
+at once; optional same-class forcing keeps every (c, c) slot switched on.
 
 Fitness scores are minimized.  They come from mixing frozen-model
 validation images per active pair and averaging a patch-level metric;
@@ -63,18 +63,18 @@ def pair_to_index(i: int, j: int, class_count: int) -> int:
     return i * class_count - i * (i - 1) // 2 + (j - i)
 
 
+def slot_pairs(class_count: int) -> np.ndarray:
+    """The class pair of every slot, in slot order: a (pair_count, 2) int64
+    array whose row ``pair_to_index(i, j, class_count)`` is ``(i, j)``."""
+    return np.stack(np.triu_indices(class_count), axis=1)
+
+
 def index_to_pair(index: int, class_count: int) -> tuple[int, int]:
-    """Inverse of :func:`pair_to_index`."""
+    """Inverse of :func:`pair_to_index`: row ``index`` of :func:`slot_pairs`."""
     index = operator.index(index)
     if not 0 <= index < pair_count(class_count):
         raise ConfigError(f"pair index {index} outside [0, {pair_count(class_count)})")
-    # Row i starts at s(i) = i * (2C + 1 - i) / 2; take the largest i with
-    # s(i) <= index from the quadratic's root, which isqrt can overshoot by one.
-    b = 2 * class_count + 1
-    i = (b - math.isqrt(b * b - 8 * index)) // 2
-    if i * (b - i) // 2 > index:
-        i -= 1
-    return i, index - i * (b - i) // 2 + i
+    return tuple(slot_pairs(class_count)[index].tolist())
 
 
 def class_count_for_pairs(n_pairs: int) -> int:
@@ -85,9 +85,8 @@ def class_count_for_pairs(n_pairs: int) -> int:
 
 
 def same_class_slots(class_count: int) -> np.ndarray:
-    return np.asarray(
-        [pair_to_index(c, c, class_count) for c in range(class_count)], dtype=np.int64
-    )
+    pairs = slot_pairs(class_count)
+    return np.flatnonzero(pairs[:, 0] == pairs[:, 1])
 
 
 @dataclass
@@ -271,7 +270,7 @@ class FitnessTable:
             raise ConfigError(
                 f"model scores {model.class_count} classes, dataset has {val.class_count}"
             )
-        ci, cj = np.triu_indices(val.class_count)  # the class pair of every slot
+        ci, cj = slot_pairs(val.class_count).T
         shape = (len(ci), cfg.pairs_per_combo)
         rng = RngKey(cfg.seed).child("fitness").generator()
         first = val.draw_of_class(np.broadcast_to(ci[:, None], shape), rng, "validation set")
@@ -492,10 +491,9 @@ def _census(
     population: list[Individual], class_count: int
 ) -> list[tuple[tuple[int, int], int]]:
     counts = np.sum([ind.head for ind in population], axis=0, dtype=np.int64)
-    return [
-        (index_to_pair(k, class_count), int(counts[k]))
-        for k in np.flatnonzero(counts)
-    ]
+    slots = np.flatnonzero(counts)
+    pairs = slot_pairs(class_count)[slots].tolist()
+    return [((i, j), n) for (i, j), n in zip(pairs, counts[slots].tolist())]
 
 
 def run_search(

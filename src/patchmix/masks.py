@@ -1,10 +1,11 @@
 """Square binary patch masks, their pixel-level expansion and text rows.
 
-A grid mask holds one bit per patch cell.  Expanding it against an image
-of width W and height H (both divisible by the grid size) fills each
-(H/P) x (W/P) pixel region with the corresponding cell bit, so pixel
-(s, t) receives ``bits[s * P // H][t * P // W]``; :func:`expand_to_pixel_mask`
-returns that (H, W) uint8 array, which per-sample ``mixing.patchmix`` reads.
+A grid mask is a (P, P) uint8 array, one 0/1 bit per patch cell.  Expanding
+it against an image of width W and height H (both divisible by the grid
+size) fills each (H/P) x (W/P) pixel region with the corresponding cell bit,
+so pixel (s, t) receives ``bits[s * P // H][t * P // W]``;
+:func:`expand_to_pixel_mask` returns that (H, W) uint8 array, which
+per-sample ``mixing.patchmix`` reads.
 
 Random masks are drawn a batch at a time: :func:`sample_mask_bits` returns
 a (count, P, P) stack of fair-coin cells from one ``rng.random`` call, and
@@ -18,41 +19,9 @@ In the genome file a mask is P lines of 0/1 characters, one per grid row
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, FormatError
-
-
-@dataclass(frozen=True, eq=False)
-class PatchMask:
-    """P x P binary grid; bit 1 keeps the first source image."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.bits, dtype=np.uint8)
-        if arr.max(initial=0) > 1:
-            raise ConfigError("mask bits must contain only 0/1 values")
-        arr.setflags(write=False)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ConfigError(f"mask bits must be square, got shape {arr.shape}")
-        if arr.shape[0] < 1:
-            raise ConfigError("grid size must be at least 1")
-        object.__setattr__(self, "bits", arr)
-
-    @property
-    def grid_size(self) -> int:
-        return self.bits.shape[0]
-
-    def popcount(self) -> int:
-        return int(self.bits.sum())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PatchMask) and np.array_equal(self.bits, other.bits)
-
-    __hash__ = None
 
 
 def sample_mask_bits(count: int, grid_size: int, rng: np.random.Generator) -> np.ndarray:
@@ -70,9 +39,9 @@ def sample_mask_bits(count: int, grid_size: int, rng: np.random.Generator) -> np
     return (rng.random((count, grid_size, grid_size)) < 0.5).astype(np.uint8)
 
 
-def sample_random_mask(grid_size: int, rng: np.random.Generator) -> PatchMask:
+def sample_random_mask(grid_size: int, rng: np.random.Generator) -> np.ndarray:
     """One mask of :func:`sample_mask_bits`."""
-    return PatchMask(sample_mask_bits(1, grid_size, rng)[0])
+    return sample_mask_bits(1, grid_size, rng)[0]
 
 
 def _check_divisible(width: int, height: int, grid_size: int) -> None:
@@ -81,17 +50,38 @@ def _check_divisible(width: int, height: int, grid_size: int) -> None:
         raise ConfigError(f"image {width}x{height} not divisible by grid size {grid_size}")
 
 
-def expand_to_pixel_mask(mask: PatchMask, width: int, height: int) -> np.ndarray:
+def _check_mask(mask) -> np.ndarray:
+    """``mask`` as a (P, P) uint8 array, rejected unless its cells are 0/1,
+    it is square and P is at least 1."""
+    bits = np.asarray(mask, dtype=np.uint8)
+    if bits.tobytes().translate(None, b"\x00\x01"):  # a byte other than 0 or 1
+        raise ConfigError("mask bits must contain only 0/1 values")
+    if bits.ndim != 2 or bits.shape[0] != bits.shape[1]:
+        raise ConfigError(f"mask bits must be square, got shape {bits.shape}")
+    if bits.shape[0] < 1:
+        raise ConfigError("grid size must be at least 1")
+    return bits
+
+
+def _expand(bits: np.ndarray, width: int, height: int) -> np.ndarray:
+    p = bits.shape[0]
+    _check_divisible(width, height, p)
+    return np.repeat(np.repeat(bits, height // p, axis=0), width // p, axis=1)
+
+
+def _ratio(bits: np.ndarray) -> float:
+    return np.count_nonzero(bits) / bits.size
+
+
+def expand_to_pixel_mask(mask: np.ndarray, width: int, height: int) -> np.ndarray:
     """Expand grid cells into constant pixel regions: an (height, width)
     uint8 array."""
-    p = mask.grid_size
-    _check_divisible(width, height, p)
-    return np.repeat(np.repeat(mask.bits, height // p, axis=0), width // p, axis=1)
+    return _expand(_check_mask(mask), width, height)
 
 
-def mixing_ratio(mask: PatchMask) -> float:
+def mixing_ratio(mask: np.ndarray) -> float:
     """Fraction of cells set to 1."""
-    return mask.popcount() / mask.grid_size**2
+    return _ratio(_check_mask(mask))
 
 
 def mask_rows(bits: np.ndarray) -> list[str]:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import one_hot
 from .errors import ConfigError
-from .masks import PatchMask, _check_divisible, expand_to_pixel_mask, mixing_ratio
+from .masks import _check_divisible, _check_mask, _expand, _ratio
 
 
 @dataclass
@@ -70,22 +70,24 @@ def patchmix(
     y_i: int,
     x_j: np.ndarray,
     y_j: int,
-    mask: PatchMask,
+    mask: np.ndarray,
     class_count: int,
 ) -> MixedSample:
     """Compose two images under a grid mask.
 
-    Bit 1 keeps ``x_i`` pixels, bit 0 takes ``x_j``.  The soft image
-    label weights the two one-hot labels by the kept-cell fraction, and
-    patch n (row-major) is labeled with the class of its source image.
+    ``mask`` is a (P, P) 0/1 grid: bit 1 keeps ``x_i`` pixels, bit 0 takes
+    ``x_j``.  The soft image label weights the two one-hot labels by the
+    kept-cell fraction (``masks.mixing_ratio``), and patch n (row-major) is
+    labeled with the class of its source image.
     """
     _check_pair(x_i, x_j)
+    bits = _check_mask(mask)
     height, width = x_i.shape[:2]
-    keep = expand_to_pixel_mask(mask, width, height).astype(bool)[:, :, None]
+    keep = _expand(bits, width, height).astype(bool)[:, :, None]
     image = np.where(keep, x_i, x_j).astype(np.float64)
-    lam = mixing_ratio(mask)
+    lam = _ratio(bits)
     image_label = lam * one_hot(y_i, class_count) + (1.0 - lam) * one_hot(y_j, class_count)
-    patch_labels = np.where(mask.bits.reshape(-1) == 1, int(y_i), int(y_j)).astype(np.int64)
+    patch_labels = np.where(bits.reshape(-1) == 1, int(y_i), int(y_j)).astype(np.int64)
     return MixedSample(image, image_label, patch_labels, lam)
 
 
@@ -103,7 +105,7 @@ def patchmix_batch(
     ``bits[k]`` for every row k of a batch, as patch matrices.
 
     Row k of the patches equals ``model.patchify`` of ``patchmix(images[i[k]],
-    y_i[k], images[j[k]], y_j[k], PatchMask(bits[k]), class_count).image``;
+    y_i[k], images[j[k]], y_j[k], bits[k], class_count).image``;
     its labels equal that sample's.  All-ones bits give identity rows.  The
     patches are float64 whatever the source type, written into ``out`` (a
     (B, P*P, patch_pixels) float64 array) if given; each grid cell is copied

@@ -44,12 +44,12 @@ from .evolution import (
     Individual,
     SearchConfig,
     evaluate_fitness,
-    index_to_pair,
     run_search,
     save_history,
     save_individual,
+    slot_pairs,
 )
-from .masks import PatchMask, sample_mask_bits
+from .masks import sample_mask_bits
 from .mixing import MixedBatch, patchmix, patchmix_batch
 from .model import (
     EpochMetrics,
@@ -114,7 +114,7 @@ def draw_guided_recipe(
         raise ConfigError("individual has no active pairs")
     if count < 0:
         raise ConfigError("count must be non-negative")
-    pairs = np.array([index_to_pair(int(slot), train.class_count) for slot in active])
+    pairs = slot_pairs(train.class_count)[active]
     pick = rng.integers(len(active), size=count)
     i = train.draw_of_class(pairs[pick, 0], rng, "training set")
     j = train.draw_of_class(pairs[pick, 1], rng, "training set")
@@ -128,8 +128,7 @@ def _check_recipe(individual: Individual, train: Dataset, recipe: np.ndarray) ->
     bad_slot = ~np.isin(slot, individual.active_slots())
     bad_image = (np.minimum(i, j) < 0) | (np.maximum(i, j) >= len(train))
     ok = ~(bad_slot | bad_image)
-    pairs = np.array([index_to_pair(s, train.class_count) for s in range(individual.n_pairs)])
-    side = pairs[slot[ok]]
+    side = slot_pairs(train.class_count)[slot[ok]]
     bad_class = np.zeros(len(recipe), dtype=bool)
     bad_class[ok] = (train.labels[i[ok]] != side[:, 0]) | (train.labels[j[ok]] != side[:, 1])
     problems = np.stack([bad_slot, bad_image, bad_class])
@@ -164,13 +163,9 @@ def materialize_guided(
         np.empty((n, c)),
         np.empty((n, p * p), dtype=np.int64),
     )
-    slots = {
-        slot: (PatchMask(individual.masks[slot]), index_to_pair(slot, c))
-        for slot in np.unique(entries[:, 0]).tolist()
-    }
+    images, labels = train.images, train.labels.tolist()  # each the slot's class (_check_recipe)
     for row, (slot, i, j) in enumerate(entries.tolist()):
-        mask, (ci, cj) = slots[slot]
-        sample = patchmix(train.images[i], ci, train.images[j], cj, mask, c)
+        sample = patchmix(images[i], labels[i], images[j], labels[j], individual.masks[slot], c)
         patchify(sample.image[None], p, guided.patches[row : row + 1])
         guided.image_labels[row] = sample.image_label
         guided.patch_labels[row] = sample.patch_labels
@@ -300,15 +295,24 @@ def train_final(
     ratio: tuple[int, int, int] = DEFAULT_BATCH_RATIO,
 ):
     """Phase-4 trainer: composed batches, image-level objective only,
-    whatever ``cfg.loss_mode`` says."""
+    whatever ``cfg.loss_mode`` says.  A guided set whose grid, pixels per
+    patch or class count differ from the training set's is refused."""
     cfg = replace(cfg, loss_mode="image_only")
     _check_train_inputs(train, val, cfg)
     p = cfg.grid_size
-    if len(guided_set) and guided_set.patches.shape[1] != p * p:
-        raise ConfigError(
-            f"guided set has grid size {math.isqrt(guided_set.patches.shape[1])}, "
-            f"but train.grid_size is {p}"
-        )
+    if len(guided_set):
+        if guided_set.patches.shape[1] != p * p:
+            raise ConfigError(
+                f"guided set has grid size {math.isqrt(guided_set.patches.shape[1])}, "
+                f"but train.grid_size is {p}"
+            )
+        found = (guided_set.patches.shape[2], guided_set.image_labels.shape[1])
+        wanted = (_model_dims(train, cfg)[3], train.class_count)
+        if found != wanted:
+            raise ConfigError(
+                f"guided set has (patch_pixels, class_count) = {found}, but the "
+                f"training set has {wanted}"
+            )
     n_batches = math.ceil(len(train) / cfg.batch_size)
 
     def random_mixer(rng: np.random.Generator, count: int):

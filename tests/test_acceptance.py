@@ -29,7 +29,7 @@ from patchmix.evolution import (
 )
 from patchmix.evolution import Individual, repair
 from patchmix.losses import combined_loss
-from patchmix.masks import PatchMask, expand_to_pixel_mask, mixing_ratio, sample_random_mask
+from patchmix.masks import expand_to_pixel_mask, mixing_ratio, sample_random_mask
 from patchmix.mixing import MixedBatch, patchmix, patchmix_batch
 from patchmix.model import (
     ReferenceModel,
@@ -96,8 +96,8 @@ def test_equation_suite():
     # Mixing ratio: kept-patch fraction of the grid.
     for _ in range(250):
         p = int(rng.integers(2, 9))
-        mask = PatchMask(rng.integers(0, 2, (p, p), dtype=np.uint8))
-        assert abs(mixing_ratio(mask) - mask.bits.sum() / p**2) <= 1e-9
+        mask = rng.integers(0, 2, (p, p), dtype=np.uint8)
+        assert abs(mixing_ratio(mask) - mask.sum() / p**2) <= 1e-9
         cases += 1
 
     # Composition: pixels routed by the expanded mask, label split by area.
@@ -108,7 +108,7 @@ def test_equation_suite():
         x_j = rng.random((8, 8, 1), dtype=np.float64).astype(np.float32)
         y_i, y_j = (int(c) for c in rng.integers(0, classes, 2))
         bits = rng.integers(0, 2, (p, p), dtype=np.uint8)
-        sample = patchmix(x_i, y_i, x_j, y_j, PatchMask(bits), classes)
+        sample = patchmix(x_i, y_i, x_j, y_j, bits, classes)
         lam = bits.sum() / p**2
         pixel = np.kron(bits, np.ones((8 // p, 8 // p), dtype=np.uint8))[..., None]
         np.testing.assert_array_equal(
@@ -194,12 +194,12 @@ def test_mask_pixel_consistency():
         mask = sample_random_mask(p, rng)
         pixel = expand_to_pixel_mask(mask, width, height)
         block_h, block_w = height // p, width // p
-        assert int(pixel.sum()) == int(mask.bits.sum()) * block_h * block_w
+        assert int(pixel.sum()) == int(mask.sum()) * block_h * block_w
         regions = pixel.reshape(p, block_h, p, block_w)
         for r in range(p):
             for c in range(p):
                 region = regions[r, :, c, :]
-                assert (region == mask.bits[r, c]).all()
+                assert (region == mask[r, c]).all()
     return "P in {2,4,8}, 16x16 pixels"
 
 

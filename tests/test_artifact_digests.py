@@ -1,0 +1,45 @@
+import importlib.util
+import json
+from pathlib import Path
+
+from patchmix.cli import main
+from patchmix.workflow import FINAL_METRICS_FILE
+
+from test_cli import config_data
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "artifact_digests.py"
+spec = importlib.util.spec_from_file_location("artifact_digests", SCRIPT)
+artifact_digests = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(artifact_digests)
+
+
+def write(path, run):
+    path.write_text(json.dumps({"runs": {"tiny": run}}))
+    return str(path)
+
+
+def test_reruns_compare_equal_and_an_edited_file_is_reported(tmp_path, capsys):
+    config = config_data("")
+    a = artifact_digests.digest_pipeline(main, config, tmp_path / "a")
+    b = artifact_digests.digest_pipeline(main, config, tmp_path / "b")
+    assert a["exit_code"] == 0 and "best_score," in a["stdout"]
+    assert len(a["files"]) == 8
+    paths = write(tmp_path / "a.json", a), write(tmp_path / "b.json", b)
+    capsys.readouterr()
+    assert artifact_digests.main(["--compare", *paths]) == 0
+    assert capsys.readouterr().out == "no differences\n"
+
+    with open(tmp_path / "b" / FINAL_METRICS_FILE, "a") as f:
+        f.write("edited\n")
+    b["files"] = artifact_digests.file_digests(tmp_path / "b")
+    write(tmp_path / "b.json", b)
+    assert artifact_digests.main(["--compare", *paths]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"tiny files/{FINAL_METRICS_FILE}: ")
+
+
+def test_an_entry_only_one_side_has_is_reported():
+    run = {"exit_code": 0, "stdout": "", "files": {"x": "00"}}
+    other = {**run, "files": {}}
+    lines = artifact_digests.differences({"runs": {"r": run}}, {"runs": {"r": other, "s": run}})
+    assert lines == ["r files/x: '00' != 'missing'", "s: only in B"]

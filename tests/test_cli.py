@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from patchmix import cli
 from patchmix.cli import (
     CONFIG_SNAPSHOT_FILE,
     DatasetConfig,
@@ -17,7 +18,7 @@ from patchmix.cli import (
     run_config_to_dict,
     save_config_snapshot,
 )
-from patchmix.data import Dataset, load_dataset, save_dataset
+from patchmix.data import Dataset, load_dataset, save_dataset, synth_shapes
 from patchmix.errors import ConfigError, FormatError
 from patchmix.evolution import SearchConfig
 from patchmix.model import ReferenceModel, TrainConfig, load_model, save_model
@@ -363,6 +364,27 @@ class TestPhaseCommands:
         )
         assert len(pipeline_files) == 8
         assert phase_files == pipeline_files
+
+    def test_each_command_builds_only_the_sets_it_reads(self, tmp_path, capsys, monkeypatch):
+        # The config has 15 training and 6 validation images per class.
+        built = []
+
+        def counting_synth_shapes(class_count, image_size, per_class, seed):
+            built.append(per_class)
+            return synth_shapes(class_count, image_size, per_class, seed)
+
+        monkeypatch.setattr(cli, "synth_shapes", counting_synth_shapes)
+        cfg_path = write_config(tmp_path, tmp_path / "run")
+        for command, sets in [
+            ("train-random", [15, 6]),
+            ("search", [6]),
+            ("generate", [15]),
+            ("train-guided", [15, 6]),
+            ("pipeline", [15, 6]),
+        ]:
+            built.clear()
+            assert main([command, "--config", str(cfg_path)]) == 0, command
+            assert built == sets, command
 
     def test_generate_requires_search(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, tmp_path / "run")

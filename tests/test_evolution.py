@@ -33,11 +33,12 @@ from patchmix.evolution import (
     repair,
     run_search,
     same_class_slots,
+    slot_pairs,
     tournament_select,
     transpose_tails,
 )
 from patchmix.losses import log_softmax, loss_eval_count
-from patchmix.masks import PatchMask, sample_mask_bits
+from patchmix.masks import sample_mask_bits
 from patchmix.mixing import patchmix
 from patchmix.model import PARAM_FIELDS, ReferenceModel, forward_batch
 from patchmix.rng import RngKey
@@ -109,6 +110,8 @@ class TestPairIndexing:
             for k, (i, j) in enumerate(pairs):
                 assert pair_to_index(i, j, c) == k
                 assert index_to_pair(k, c) == (i, j)
+            assert slot_pairs(c).dtype == np.int64
+            assert slot_pairs(c).tolist() == [[i, j] for i, j in pairs]
 
     def test_row_major_upper_triangular(self):
         pairs = [index_to_pair(k, 3) for k in range(pair_count(3))]
@@ -232,7 +235,7 @@ def reference_fitness(individual, model, val, cfg):
     for slot in individual.active_slots():
         ci, cj = pairs[slot]
         ii, jj = drawn[0][slot], drawn[1][slot]
-        mask = PatchMask(individual.masks[slot])
+        mask = individual.masks[slot]
         for a, b in zip(ii, jj):
             samples.append(
                 patchmix(val.images[a], ci, val.images[b], cj, mask, val.class_count)

@@ -6,61 +6,67 @@ from hypothesis import strategies as st
 from patchmix.errors import ConfigError, FormatError
 from patchmix.evolution import Individual, format_individual, parse_individual
 from patchmix.masks import (
-    PatchMask,
     expand_to_pixel_mask,
     mixing_ratio,
     sample_mask_bits,
     sample_random_mask,
 )
+from patchmix.mixing import patchmix
 from patchmix.rng import RngKey
 
 
 def random_mask(grid_size, rng):
-    return PatchMask(rng.integers(0, 2, (grid_size, grid_size), dtype=np.uint8))
+    return rng.integers(0, 2, (grid_size, grid_size), dtype=np.uint8)
 
 
 masks_strategy = st.integers(2, 8).flatmap(
     lambda p: st.lists(
         st.integers(0, 1), min_size=p * p, max_size=p * p
-    ).map(lambda bits: PatchMask(np.array(bits, dtype=np.uint8).reshape(p, p)))
+    ).map(lambda bits: np.array(bits, dtype=np.uint8).reshape(p, p))
+)
+
+# Every public function that reads one (P, P) mask, on a 4x4 image.
+MASK_READERS = (
+    lambda mask: patchmix(np.zeros((4, 4, 1)), 0, np.ones((4, 4, 1)), 1, mask, 2),
+    lambda mask: expand_to_pixel_mask(mask, 4, 4),
+    mixing_ratio,
 )
 
 
 class TestPatchMask:
+    """A mask is refused, with the same message, by every function that
+    reads one."""
+
     def test_validates_bit_values(self):
-        with pytest.raises(ConfigError):
-            PatchMask(np.array([[0, 2], [1, 0]]))
+        for read in MASK_READERS:
+            with pytest.raises(ConfigError, match="^mask bits must contain only 0/1 values$"):
+                read(np.array([[0, 2], [1, 0]]))
 
     def test_requires_square(self):
-        with pytest.raises(ConfigError):
-            PatchMask(np.zeros((2, 3), dtype=np.uint8))
+        for read in MASK_READERS:
+            with pytest.raises(ConfigError, match=r"^mask bits must be square, got shape \(2, 3\)"):
+                read(np.zeros((2, 3), dtype=np.uint8))
 
-    def test_bits_are_read_only(self):
-        mask = PatchMask(np.ones((2, 2), dtype=np.uint8))
-        with pytest.raises(ValueError):
-            mask.bits[0, 0] = 0
-
-    def test_value_equality(self):
-        a = PatchMask(np.array([[1, 0], [0, 1]], dtype=np.uint8))
-        b = PatchMask(np.array([[1, 0], [0, 1]], dtype=np.uint8))
-        assert a == b
-        assert a != PatchMask(1 - b.bits)
+    def test_requires_a_cell(self):
+        for read in MASK_READERS:
+            with pytest.raises(ConfigError, match="^grid size must be at least 1$"):
+                read(np.zeros((0, 0), dtype=np.uint8))
 
 
 class TestSampleRandomMask:
     def test_deterministic_per_seed(self):
         a = sample_random_mask(4, RngKey(3).child("m").generator())
         b = sample_random_mask(4, RngKey(3).child("m").generator())
-        assert a == b
+        np.testing.assert_array_equal(a, b)
 
     def test_grid_size_cells(self):
-        assert sample_random_mask(4, np.random.default_rng(0)).bits.size == 16
+        assert sample_random_mask(4, np.random.default_rng(0)).shape == (4, 4)
 
     def test_fair_coin_rate(self):
         # Every cell is a fair coin; compare the hit rate over 10,000
         # single-cell masks to a direct coin-flip run.
         rng = np.random.default_rng(77)
-        ones = sum(sample_random_mask(1, rng).popcount() for _ in range(10_000))
+        ones = sum(int(sample_random_mask(1, rng).sum()) for _ in range(10_000))
         assert 0.47 <= ones / 10_000 <= 0.53
         coin = np.random.default_rng(78).random(10_000) < 0.5
         assert abs(ones / 10_000 - coin.mean()) < 0.03
@@ -75,7 +81,7 @@ class TestSampleMaskBits:
         one = sample_random_mask(4, RngKey(3).child("m").generator())
         stack = sample_mask_bits(1, 4, RngKey(3).child("m").generator())
         assert stack.shape == (1, 4, 4) and stack.dtype == np.uint8
-        np.testing.assert_array_equal(one.bits, stack[0])
+        np.testing.assert_array_equal(one, stack[0])
 
     @pytest.mark.parametrize("alpha", [0.4, 1.0, 2.5])
     def test_one_call_equals_consecutive_single_draws(self, alpha):
@@ -87,7 +93,7 @@ class TestSampleMaskBits:
             batched_rng, single_rng = np.random.default_rng(5), np.random.default_rng(5)
             assert batched_rng.beta(alpha, alpha) == single_rng.beta(alpha, alpha)
             stack = sample_mask_bits(7, grid_size, batched_rng)
-            singles = [sample_random_mask(grid_size, single_rng).bits for _ in range(7)]
+            singles = [sample_random_mask(grid_size, single_rng) for _ in range(7)]
             np.testing.assert_array_equal(stack, np.stack(singles))
             # Both generators are left at the same point of the stream.
             assert batched_rng.random() == single_rng.random()
@@ -123,24 +129,24 @@ class TestSampleMaskBits:
 
 class TestExpansion:
     def test_all_ones_expands_to_all_ones(self):
-        pixel = expand_to_pixel_mask(PatchMask(np.ones((4, 4), dtype=np.uint8)), 32, 32)
+        pixel = expand_to_pixel_mask(np.ones((4, 4), dtype=np.uint8), 32, 32)
         assert pixel.shape == (32, 32) and pixel.dtype == np.uint8
         assert pixel.all()
 
     def test_single_bit_fills_one_region(self):
         bits = np.zeros((4, 4), dtype=np.uint8)
         bits[0, 0] = 1
-        pixel = expand_to_pixel_mask(PatchMask(bits), 32, 32)
+        pixel = expand_to_pixel_mask(bits, 32, 32)
         assert pixel[:8, :8].all()
         assert pixel.sum() == 64
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ConfigError):
-            expand_to_pixel_mask(PatchMask(np.ones((4, 4), dtype=np.uint8)), 30, 32)
+            expand_to_pixel_mask(np.ones((4, 4), dtype=np.uint8), 30, 32)
 
     def test_rectangular_images_supported(self):
         bits = np.array([[1, 0], [0, 0]], dtype=np.uint8)
-        pixel = expand_to_pixel_mask(PatchMask(bits), 8, 4)
+        pixel = expand_to_pixel_mask(bits, 8, 4)
         assert pixel.shape == (4, 8)
         assert pixel[:2, :4].all() and pixel.sum() == 8
 
@@ -150,30 +156,30 @@ class TestExpansion:
             pixel = expand_to_pixel_mask(mask, 32, 32)
             # Majority vote over each patch region.
             regions = pixel.reshape(p, 32 // p, p, 32 // p).mean(axis=(1, 3))
-            assert PatchMask((regions > 0.5).astype(np.uint8)) == mask
+            np.testing.assert_array_equal((regions > 0.5).astype(np.uint8), mask)
 
     def test_popcount_scales_by_region_area(self, rng):
         mask = random_mask(4, rng)
         pixel = expand_to_pixel_mask(mask, 32, 16)
-        assert pixel.sum() == mask.popcount() * (32 // 4) * (16 // 4)
+        assert pixel.sum() == mask.sum() * (32 // 4) * (16 // 4)
 
 
 class TestMixingRatio:
     def test_all_ones(self):
-        assert mixing_ratio(PatchMask(np.ones((4, 4), dtype=np.uint8))) == 1.0
+        assert mixing_ratio(np.ones((4, 4), dtype=np.uint8)) == 1.0
 
     def test_all_zeros(self):
-        assert mixing_ratio(PatchMask(np.zeros((4, 4), dtype=np.uint8))) == 0.0
+        assert mixing_ratio(np.zeros((4, 4), dtype=np.uint8)) == 0.0
 
     def test_five_of_sixteen(self):
         bits = np.zeros((4, 4), dtype=np.uint8)
         bits.flat[:5] = 1
-        assert mixing_ratio(PatchMask(bits)) == 0.3125
+        assert mixing_ratio(bits) == 0.3125
 
     @given(masks_strategy)
     @settings(max_examples=50, deadline=None)
     def test_complement_ratios_sum_to_one(self, mask):
-        assert mixing_ratio(mask) + mixing_ratio(PatchMask(1 - mask.bits)) == 1.0
+        assert mixing_ratio(mask) + mixing_ratio(1 - mask) == 1.0
 
 
 # Masks are stored as rows of the genome file; a one-class genome holds
@@ -183,24 +189,24 @@ GENOME_HEAD = "C=1 P={p} N=1\n1\n(0,0)"
 
 def mask_text(mask):
     """The genome text of a one-class genome whose only slot holds ``mask``."""
-    return format_individual(Individual(np.ones(1), mask.bits[None]), 1)
+    return format_individual(Individual(np.ones(1), mask[None]), 1)
 
 
 def parse_mask(text):
     """The mask of a one-class genome text."""
     individual, _ = parse_individual(text)
-    return PatchMask(individual.masks[0])
+    return individual.masks[0]
 
 
 class TestSerialization:
     def test_format_example(self):
-        mask = PatchMask(np.array([[1, 0], [0, 1]], dtype=np.uint8))
+        mask = np.array([[1, 0], [0, 1]], dtype=np.uint8)
         assert mask_text(mask) == GENOME_HEAD.format(p=2) + "\n10\n01"
 
     @given(masks_strategy)
     @settings(max_examples=50, deadline=None)
     def test_roundtrip(self, mask):
-        assert parse_mask(mask_text(mask)) == mask
+        np.testing.assert_array_equal(parse_mask(mask_text(mask)), mask)
 
     @pytest.mark.parametrize(
         "text",

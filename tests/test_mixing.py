@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patchmix.errors import ConfigError
-from patchmix.masks import PatchMask
 from patchmix.mixing import MixedBatch, cutmix, mixup, patchmix, patchmix_batch
 from patchmix.model import patchify
 from patchmix.rng import RngKey
@@ -20,7 +19,7 @@ def pair(rng):
 class TestPatchmix:
     def test_all_ones_mask_is_identity(self, pair):
         x_i, x_j = pair
-        out = patchmix(x_i, 0, x_j, 1, PatchMask(np.ones((4, 4), dtype=np.uint8)), 3)
+        out = patchmix(x_i, 0, x_j, 1, np.ones((4, 4), dtype=np.uint8), 3)
         assert np.array_equal(out.image, x_i)
         assert out.image_label.tolist() == [1.0, 0.0, 0.0]
         assert (out.patch_labels == 0).all()
@@ -28,13 +27,13 @@ class TestPatchmix:
 
     def test_all_zeros_mask_takes_partner(self, pair):
         x_i, x_j = pair
-        out = patchmix(x_i, 0, x_j, 1, PatchMask(np.zeros((4, 4), dtype=np.uint8)), 3)
+        out = patchmix(x_i, 0, x_j, 1, np.zeros((4, 4), dtype=np.uint8), 3)
         assert np.array_equal(out.image, x_j)
         assert out.lam == 0.0
 
     def test_quarter_mask_example(self, pair):
         x_i, x_j = pair
-        mask = PatchMask(np.array([[1, 0], [0, 0]], dtype=np.uint8))
+        mask = np.array([[1, 0], [0, 0]], dtype=np.uint8)
         out = patchmix(x_i, 0, x_j, 1, mask, 2)
         assert out.lam == 0.25
         assert out.image_label.tolist() == [0.25, 0.75]
@@ -46,7 +45,7 @@ class TestPatchmix:
 
     def test_every_pixel_from_one_source(self, pair, rng):
         x_i, x_j = pair
-        mask = PatchMask(rng.integers(0, 2, (4, 4), dtype=np.uint8))
+        mask = rng.integers(0, 2, (4, 4), dtype=np.uint8)
         out = patchmix(x_i, 0, x_j, 1, mask, 2)
         from_i = np.isclose(out.image, x_i)
         from_j = np.isclose(out.image, x_j)
@@ -54,7 +53,7 @@ class TestPatchmix:
 
     def test_patch_label_fraction_matches_lam(self, pair, rng):
         x_i, x_j = pair
-        mask = PatchMask(rng.integers(0, 2, (4, 4), dtype=np.uint8))
+        mask = rng.integers(0, 2, (4, 4), dtype=np.uint8)
         out = patchmix(x_i, 0, x_j, 1, mask, 2)
         assert (out.patch_labels == 0).mean() == out.lam
 
@@ -68,28 +67,28 @@ class TestPatchmix:
         x_i = rng.random((8, 8, 1))
         x_j = rng.random((8, 8, 1))
         bits = (mask_id >> np.arange(16)) & 1
-        mask = PatchMask(bits.reshape(4, 4).astype(np.uint8))
+        mask = bits.reshape(4, 4).astype(np.uint8)
         a = patchmix(x_i, 0, x_j, 1, mask, 2)
-        b = patchmix(x_j, 1, x_i, 0, PatchMask(1 - mask.bits), 2)
+        b = patchmix(x_j, 1, x_i, 0, 1 - mask, 2)
         assert np.array_equal(a.image, b.image)
         assert np.array_equal(a.image_label, b.image_label)
 
     def test_label_sums_to_one(self, pair, rng):
         x_i, x_j = pair
-        mask = PatchMask(rng.integers(0, 2, (4, 4), dtype=np.uint8))
+        mask = rng.integers(0, 2, (4, 4), dtype=np.uint8)
         out = patchmix(x_i, 2, x_j, 1, mask, 4)
         assert out.image_label.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ConfigError):
-            ones = PatchMask(np.ones((4, 4), dtype=np.uint8))
+            ones = np.ones((4, 4), dtype=np.uint8)
             patchmix(rng.random((8, 8, 3)), 0, rng.random((4, 4, 3)), 1, ones, 2)
 
 
 def stacked_patchmix(images, i, j, y_i, y_j, bits, class_count):
     """Reference: per-sample patchmix, one row at a time, stacked and patchified."""
     samples = [
-        patchmix(images[a], int(ya), images[b], int(yb), PatchMask(m), class_count)
+        patchmix(images[a], int(ya), images[b], int(yb), m, class_count)
         for a, b, ya, yb, m in zip(i, j, y_i, y_j, bits)
     ]
     return MixedBatch(

@@ -6,7 +6,6 @@ import pytest
 from patchmix.data import Dataset, one_hot, synth_shapes
 from patchmix.errors import ConfigError, FormatError, NumericError
 from patchmix.losses import LOSS_MODES, log_softmax
-from patchmix.masks import PatchMask
 from patchmix.mixing import MixedBatch, patchmix, patchmix_batch
 from patchmix.model import (
     PARAM_FIELDS,
@@ -52,7 +51,7 @@ def mixed_batch(rng, n=3, grid_size=2, class_count=3, side=4):
     their patch matrices that ``backward`` reads."""
     samples = []
     for _ in range(n):
-        mask = PatchMask(rng.integers(0, 2, (grid_size, grid_size), dtype=np.uint8))
+        mask = rng.integers(0, 2, (grid_size, grid_size), dtype=np.uint8)
         samples.append(
             patchmix(
                 rng.random((side, side, 1)),
@@ -115,7 +114,7 @@ class TestForward:
         for k in range(4):
             bits = np.zeros(4, dtype=np.uint8)
             bits[k] = 1
-            sample = patchmix(x_i, 0, x_j, 1, PatchMask(bits.reshape(2, 2)), 2)
+            sample = patchmix(x_i, 0, x_j, 1, bits.reshape(2, 2), 2)
             patch_logits, _ = forward_batch(model, sample.image[None])
             assert np.argmax(patch_logits[0, :, 0]) == k
             assert patch_logits[0, k, 0] == pytest.approx(4.0)

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,6 @@ from patchmix.data import one_hot, synth_shapes
 from patchmix.errors import ConfigError, FormatError
 from patchmix import workflow
 from patchmix.evolution import SearchConfig, evaluate_fitness, index_to_pair, pair_to_index
-from patchmix.masks import PatchMask
 from patchmix.mixing import patchmix, patchmix_batch
 from patchmix.losses import loss_eval_count
 from patchmix.model import TrainConfig, load_model, patchify
@@ -143,7 +143,7 @@ class TestGuidedSet:
         for row, (slot, i, j) in enumerate(recipe):
             ci, cj = index_to_pair(slot, 3)
             sample = patchmix(
-                train.images[i], ci, train.images[j], cj, PatchMask(ind.masks[slot]), 3
+                train.images[i], ci, train.images[j], cj, ind.masks[slot], 3
             )
             np.testing.assert_array_equal(guided.patches[row], patchify(sample.image[None], 4)[0])
             np.testing.assert_array_equal(guided.image_labels[row], sample.image_label)
@@ -451,6 +451,25 @@ class TestTrainFinal:
         cfg = TrainConfig(epochs=2, batch_size=30, hidden_dim=16, seed=2)
         model, metrics = train_final(small_train, small_val, cfg, [], ratio=(1, 1, 0))
         assert len(metrics) == 2
+
+    @pytest.mark.parametrize(
+        "other, found",
+        [((3, 32, 4, 7), "(192, 3)"), ((4, 16, 4, 7), "(48, 4)")],
+        ids=["pixels-per-patch", "class-count"],
+    )
+    def test_guided_set_of_other_data_refused(self, small_train, small_val, other, found):
+        # A guided set composed from other data on the same 4x4 grid: a
+        # patch of a 32 px RGB image has 192 pixels, one of a 16 px image 48.
+        classes, size, per_class, seed = other
+        data = synth_shapes(classes, size, per_class, seed)
+        ind = make_individual(classes, grid_size=4, active=(1,), rng=np.random.default_rng(2))
+        guided = guided_set(ind, data, 10, np.random.default_rng(3))
+        cfg = TrainConfig(epochs=1, batch_size=30, hidden_dim=16, grid_size=4, seed=2)
+        with pytest.raises(ConfigError, match=re.escape(
+            f"guided set has (patch_pixels, class_count) = {found}, "
+            "but the training set has (48, 3)"
+        )):
+            train_final(small_train, small_val, cfg, guided)
 
     def test_same_seed_same_model(self, small_train, small_val):
         cfg = TrainConfig(epochs=2, batch_size=40, hidden_dim=16, grid_size=2, seed=6)
