@@ -241,8 +241,41 @@ def cmd_train_guided(args) -> int:
     return 0
 
 
+def _check_reused_checkpoint(cfg: RunConfig, run_dir: Path) -> None:
+    """Refuse a phase-1 checkpoint that other settings trained.
+
+    ``pipeline`` reuses the run directory's fitness model; the config
+    snapshot beside it records the ``dataset`` and ``train`` settings that
+    trained it.  The first key (dataset, then train, in field order) whose
+    value differs from ``cfg``'s is named.
+    """
+    snapshot_path = run_dir / CONFIG_SNAPSHOT_FILE
+    if not (run_dir / FITNESS_MODEL_FILE).exists() or not snapshot_path.exists():
+        return
+    try:
+        saved = json.loads(snapshot_path.read_text())
+    except json.JSONDecodeError as err:
+        raise FormatError(f"{snapshot_path}: invalid JSON ({err})") from err
+    wanted = json.loads(json.dumps(run_config_to_dict(cfg)))  # tuples as JSON lists
+    for section in ("dataset", "train"):
+        old = saved.get(section) if isinstance(saved, dict) else None
+        if not isinstance(old, dict):
+            raise FormatError(f"{snapshot_path}: config section {section} is not an object")
+        new = wanted[section]
+        for key in [*new, *(k for k in old if k not in new)]:
+            if key in old and key in new and old[key] == new[key]:
+                continue
+            found, asked = (json.dumps(side[key]) if key in side else "unset" for side in (old, new))
+            raise ConfigError(
+                f"{run_dir / FITNESS_MODEL_FILE} was trained with {section}.{key} = {found} "
+                f"({snapshot_path}), but the config asks for {asked}; remove it or choose "
+                "another output_dir"
+            )
+
+
 def cmd_pipeline(args) -> int:
     cfg, run_dir = _prepare(args)
+    _check_reused_checkpoint(cfg, run_dir)
     train, val = build_datasets(cfg.dataset)
     result = run_guided_pipeline(train, val, cfg.train, cfg.search, run_dir)
     save_config_snapshot(cfg, run_dir)

@@ -113,11 +113,17 @@ class Dataset:
         return Dataset(self.images[indices], self.labels[indices], self.class_count)
 
 
-def one_hot(label: int, class_count: int) -> np.ndarray:
-    """One-hot float64 vector of length ``class_count``."""
+def _check_label(label: int, class_count: int) -> int:
+    """``label`` as an int, rejected unless it lies in [0, class_count)."""
     label = int(label)
     if not 0 <= label < class_count:
         raise ConfigError(f"label {label} outside [0, {class_count})")
+    return label
+
+
+def one_hot(label: int, class_count: int) -> np.ndarray:
+    """One-hot float64 vector of length ``class_count``."""
+    label = _check_label(label, class_count)
     vec = np.zeros(class_count, dtype=np.float64)
     vec[label] = 1.0
     return vec

@@ -38,12 +38,25 @@ def loss_eval_count(kind: str) -> int:
     return _EVAL_COUNTS[kind]
 
 
+def _row_max(logits: np.ndarray) -> np.ndarray:
+    """``logits.max(axis=-1, keepdims=True)``, bit for bit.
+
+    One ``np.maximum`` pass per column: a reduction over a last axis of a
+    few entries is slow, and a maximum is exact, so the order does not
+    change the result.
+    """
+    row_max = logits[..., :1].copy()
+    for k in range(1, logits.shape[-1]):
+        np.maximum(row_max, logits[..., k : k + 1], out=row_max)
+    return row_max
+
+
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Stable log-softmax over the last axis."""
     logits = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(logits).all():
         raise NumericError("non-finite logits")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - _row_max(logits)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 

@@ -4,8 +4,10 @@ A grid mask is a (P, P) uint8 array, one 0/1 bit per patch cell.  Expanding
 it against an image of width W and height H (both divisible by the grid
 size) fills each (H/P) x (W/P) pixel region with the corresponding cell bit,
 so pixel (s, t) receives ``bits[s * P // H][t * P // W]``;
-:func:`expand_to_pixel_mask` returns that (H, W) uint8 array, which
-per-sample ``mixing.patchmix`` reads.
+:func:`expand_to_pixel_mask` returns that (H, W) uint8 array.  It is the
+definition the composers follow, not a step they take: ``mixing.patchmix``
+and ``mixing.patchmix_batch`` copy whole grid cells from the source each
+bit names.
 
 Random masks are drawn a batch at a time: :func:`sample_mask_bits` returns
 a (count, P, P) stack of fair-coin cells from one ``rng.random`` call, and
@@ -63,12 +65,6 @@ def _check_mask(mask) -> np.ndarray:
     return bits
 
 
-def _expand(bits: np.ndarray, width: int, height: int) -> np.ndarray:
-    p = bits.shape[0]
-    _check_divisible(width, height, p)
-    return np.repeat(np.repeat(bits, height // p, axis=0), width // p, axis=1)
-
-
 def _ratio(bits: np.ndarray) -> float:
     return np.count_nonzero(bits) / bits.size
 
@@ -76,7 +72,10 @@ def _ratio(bits: np.ndarray) -> float:
 def expand_to_pixel_mask(mask: np.ndarray, width: int, height: int) -> np.ndarray:
     """Expand grid cells into constant pixel regions: an (height, width)
     uint8 array."""
-    return _expand(_check_mask(mask), width, height)
+    bits = _check_mask(mask)
+    p = bits.shape[0]
+    _check_divisible(width, height, p)
+    return np.repeat(np.repeat(bits, height // p, axis=0), width // p, axis=1)
 
 
 def mixing_ratio(mask: np.ndarray) -> float:

@@ -12,8 +12,9 @@ Three ways to compose two labeled images into one training sample:
 Training consumes :class:`MixedBatch` patch matrices, the (B, P*P,
 patch_pixels) layout the model's encoder reads.  :func:`patchmix_batch`
 composes a whole batch straight into that layout, row for row equal to
-``model.patchify`` of :func:`patchmix`'s image, by copying whole grid
-cells rather than expanding masks to pixels.
+``model.patchify`` of :func:`patchmix`'s image.  Neither expands a mask
+to pixels: :func:`patchmix` selects whole grid cells of the two sources,
+:func:`patchmix_batch` gathers them.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import one_hot
+from .data import _check_label, one_hot
 from .errors import ConfigError
-from .masks import _check_divisible, _check_mask, _expand, _ratio
+from .masks import _check_divisible, _check_mask, _ratio
 
 
 @dataclass
@@ -76,18 +77,30 @@ def patchmix(
     """Compose two images under a grid mask.
 
     ``mask`` is a (P, P) 0/1 grid: bit 1 keeps ``x_i`` pixels, bit 0 takes
-    ``x_j``.  The soft image label weights the two one-hot labels by the
-    kept-cell fraction (``masks.mixing_ratio``), and patch n (row-major) is
-    labeled with the class of its source image.
+    ``x_j``, so pixel (s, t) comes from the source that bit
+    ``mask[s * P // H, t * P // W]`` names (``masks.expand_to_pixel_mask``).
+    Each grid cell is taken whole from the (P, H/P, P, W/P, C) view of its
+    source, with no pixel-level mask.  The soft image label weights the
+    two one-hot labels by the kept-cell fraction (``masks.mixing_ratio``),
+    and patch n (row-major) is labeled with the class of its source image.
     """
     _check_pair(x_i, x_j)
     bits = _check_mask(mask)
-    height, width = x_i.shape[:2]
-    keep = _expand(bits, width, height).astype(bool)[:, :, None]
-    image = np.where(keep, x_i, x_j).astype(np.float64)
+    height, width, channels = x_i.shape
+    p = bits.shape[0]
+    _check_divisible(width, height, p)
+    y_i, y_j = _check_label(y_i, class_count), _check_label(y_j, class_count)
+    cells = (p, height // p, p, width // p, channels)
+    keep = (bits == 1).reshape(p, 1, p, 1, 1)
+    image = np.where(keep, x_i.reshape(cells), x_j.reshape(cells))
+    image = image.astype(np.float64, copy=False).reshape(height, width, channels)
     lam = _ratio(bits)
-    image_label = lam * one_hot(y_i, class_count) + (1.0 - lam) * one_hot(y_j, class_count)
-    patch_labels = np.where(bits.reshape(-1) == 1, int(y_i), int(y_j)).astype(np.int64)
+    # lam * onehot(y_i) + (1 - lam) * onehot(y_j), entry for entry: a sum
+    # with 0.0, or lam + (1 - lam) in the other order when y_i == y_j.
+    image_label = np.zeros(class_count)
+    image_label[y_j] = 1.0 - lam
+    image_label[y_i] += lam
+    patch_labels = np.where(bits.reshape(-1) == 1, y_i, y_j).astype(np.int64)
     return MixedSample(image, image_label, patch_labels, lam)
 
 

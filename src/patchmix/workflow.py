@@ -77,6 +77,7 @@ FINAL_MODEL_FILE = "f_o_model.pmxm"
 FINAL_METRICS_FILE = "f_o_metrics.csv"
 
 DEFAULT_BATCH_RATIO = (1, 1, 1)
+GUIDED_CHUNK = 256  # rows of the guided set composed per patchify call
 
 
 @dataclass
@@ -147,11 +148,14 @@ def materialize_guided(
     individual: Individual, train: Dataset, recipe: Sequence[tuple[int, int, int]]
 ) -> MixedBatch:
     """The guided set of a recipe as patch matrices, one row per
-    ``(slot, i, j)`` entry, each composed by one :func:`patchmix` call.
+    ``(slot, i, j)`` entry, each composed by one :func:`patchmix` call in
+    recipe order.
 
     The entries are checked against the genome and the training set first.
-    Patches keep the dataset's float32 storage type: a composition only
-    selects source pixels, so this is lossless and halves the set.
+    The images are written into a reused float64 chunk of at most
+    ``GUIDED_CHUNK`` rows, and each chunk is patchified once.  Patches keep
+    the dataset's float32 storage type: a composition only selects source
+    pixels, so this is lossless and halves the set.
     """
     _check_genome_classes(individual, train)
     entries = np.asarray(recipe, dtype=np.int64).reshape(len(recipe), 3)
@@ -164,11 +168,15 @@ def materialize_guided(
         np.empty((n, p * p), dtype=np.int64),
     )
     images, labels = train.images, train.labels.tolist()  # each the slot's class (_check_recipe)
-    for row, (slot, i, j) in enumerate(entries.tolist()):
-        sample = patchmix(images[i], labels[i], images[j], labels[j], individual.masks[slot], c)
-        patchify(sample.image[None], p, guided.patches[row : row + 1])
-        guided.image_labels[row] = sample.image_label
-        guided.patch_labels[row] = sample.patch_labels
+    chunk = np.empty((min(n, GUIDED_CHUNK), height, width, channels))
+    for start in range(0, n, GUIDED_CHUNK):
+        rows = entries[start : start + GUIDED_CHUNK].tolist()
+        for k, (slot, i, j) in enumerate(rows, start):
+            sample = patchmix(images[i], labels[i], images[j], labels[j], individual.masks[slot], c)
+            chunk[k - start] = sample.image
+            guided.image_labels[k] = sample.image_label
+            guided.patch_labels[k] = sample.patch_labels
+        patchify(chunk[: len(rows)], p, guided.patches[start : start + len(rows)])
     return guided
 
 

@@ -459,6 +459,88 @@ class TestResume:
         assert not (run_dir / BEST_INDIVIDUAL_FILE).exists()
 
 
+class TestResumeSettings:
+    """``pipeline`` reuses a phase-1 checkpoint only when the config snapshot
+    beside it records the ``dataset`` and ``train`` settings about to run."""
+
+    @pytest.fixture()
+    def run_dir(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["train-random", "--config", str(write_config(tmp_path, run_dir))]) == 0
+        capsys.readouterr()
+        return run_dir
+
+    def refused(self, tmp_path, capsys, run_dir, argv):
+        snapshot = (run_dir / CONFIG_SNAPSHOT_FILE).read_bytes()
+        checkpoint = (run_dir / FITNESS_MODEL_FILE).read_bytes()
+        assert main(["pipeline", "--config", str(tmp_path / "run_config.json"), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (run_dir / CONFIG_SNAPSHOT_FILE).read_bytes() == snapshot
+        assert (run_dir / FITNESS_MODEL_FILE).read_bytes() == checkpoint
+        assert not (run_dir / SEARCH_HISTORY_FILE).exists()
+        assert not (run_dir / FINAL_MODEL_FILE).exists()
+        return captured.err
+
+    def test_other_dataset_train_and_seed_refused(self, tmp_path, capsys, run_dir):
+        # Dataset settings are compared first: dataset.seed is named.
+        write_config(tmp_path, run_dir, dataset={"seed": 9}, train={"epochs": 1})
+        err = self.refused(tmp_path, capsys, run_dir, ["--seed", "99"])
+        assert "was trained with dataset.seed = 3" in err
+        assert "but the config asks for 9" in err
+
+    def test_other_train_setting_named(self, tmp_path, capsys, run_dir):
+        write_config(tmp_path, run_dir, train={"epochs": 1, "lr0": 0.01})
+        err = self.refused(tmp_path, capsys, run_dir, [])
+        assert "train.epochs = 3" in err and "asks for 1;" in err
+
+    def test_seed_override_refused(self, tmp_path, capsys, run_dir):
+        write_config(tmp_path, run_dir)
+        err = self.refused(tmp_path, capsys, run_dir, ["--seed", "99"])
+        assert "train.seed = 7" in err and "asks for 99;" in err
+
+    def test_key_only_the_snapshot_has_named(self, tmp_path, capsys, run_dir):
+        path = run_dir / CONFIG_SNAPSHOT_FILE
+        snapshot = json.loads(path.read_text())
+        snapshot["train"]["retired"] = 1
+        path.write_text(json.dumps(snapshot))
+        write_config(tmp_path, run_dir)
+        err = self.refused(tmp_path, capsys, run_dir, [])
+        assert "train.retired = 1" in err and "asks for unset;" in err
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"train": {"hidden_dim": 32}},
+            {"dataset": {"class_count": 4}},
+            {"train": {"grid_size": 4}},
+        ],
+        ids=["hidden_dim", "class_count", "grid_size"],
+    )
+    def test_checkpoint_without_snapshot_refused_by_shape(self, tmp_path, capsys, run_dir, change):
+        # With no config.json to compare, the checkpoint's own shape is checked.
+        (run_dir / CONFIG_SNAPSHOT_FILE).unlink()
+        checkpoint = (run_dir / FITNESS_MODEL_FILE).read_bytes()
+        cfg_path = write_config(tmp_path, run_dir, **change)
+        assert main(["pipeline", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        shape = "holds a model with (grid_size, class_count, hidden_dim, patch_pixels)"
+        assert shape in captured.err
+        assert "was trained with" not in captured.err
+        assert captured.out == ""
+        assert (run_dir / FITNESS_MODEL_FILE).read_bytes() == checkpoint
+        assert not (run_dir / CONFIG_SNAPSHOT_FILE).exists()
+        assert not (run_dir / FINAL_MODEL_FILE).exists()
+
+    def test_other_search_settings_reuse_the_checkpoint(self, tmp_path, capsys, run_dir):
+        checkpoint = (run_dir / FITNESS_MODEL_FILE).read_bytes()
+        cfg_path = write_config(tmp_path, run_dir, search={"generations": 1})
+        assert main(["pipeline", "--config", str(cfg_path)]) == 0
+        assert (run_dir / FITNESS_MODEL_FILE).read_bytes() == checkpoint
+        snapshot = json.loads((run_dir / CONFIG_SNAPSHOT_FILE).read_text())
+        assert snapshot["search"]["generations"] == 1
+
+
 class TestGuidedInputs:
     """``generate`` and ``train-guided`` refuse a genome or manifest that
     does not fit the configured dataset and grid, with exit code 2."""

@@ -96,8 +96,47 @@ class TestSoftmax:
     def test_non_finite_rejected(self):
         with pytest.raises(NumericError):
             softmax(np.array([np.inf, 0.0]))
-        with pytest.raises(NumericError):
-            log_softmax(np.array([np.nan, 0.0]))
+        for bad in (np.nan, np.inf, -np.inf):
+            for shape in ((2,), (100, 16, 3)):
+                logits = np.zeros(shape)
+                logits.reshape(-1)[-1] = bad
+                with pytest.raises(NumericError, match="non-finite logits"):
+                    log_softmax(logits)
+
+
+def reduction_log_softmax(logits):
+    """Reference: the log-softmax with its row maximum from ``max(axis=-1)``."""
+    logits = np.asarray(logits, dtype=np.float64)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+class TestLogSoftmaxOracle:
+    """``log_softmax`` takes the row maximum one column at a time; a maximum
+    is exact, so every result equals the reduction's."""
+
+    @pytest.mark.parametrize(
+        "shape", [(100, 16, 3), (100, 16, 10), (100, 10), (7, 3), (2000, 2), (5, 4, 1), (3, 1)]
+    )
+    def test_random_logits(self, rng, shape):
+        for scale in (1.0, 1e3, 1e300):
+            logits = rng.normal(size=shape) * scale
+            got = log_softmax(logits)
+            assert got.shape == logits.shape and (got == reduction_log_softmax(logits)).all()
+
+    def test_ties_and_signed_zeros(self, rng):
+        logits = rng.integers(-2, 3, size=(400, 16, 4)).astype(np.float64)
+        logits[0, 0] = [0.0, -0.0, 0.0, -0.0]
+        logits[0, 1] = [-0.0, 0.0, -0.0, 0.0]
+        logits[0, 2] = [-1e300, 1e300, 1e300, -1e300]
+        got, want = log_softmax(logits), reduction_log_softmax(logits)
+        assert (got == want).all() and (np.signbit(got) == np.signbit(want)).all()
+
+    def test_rows_that_are_not_contiguous(self, rng):
+        base = rng.normal(size=(200, 16, 12))
+        for logits in (base[:, :, ::3], base[::2, ::-1, 1:5], base.transpose(1, 0, 2)):
+            assert not logits.flags.c_contiguous
+            assert (log_softmax(logits) == reduction_log_softmax(logits)).all()
 
 
 class TestImageLoss:

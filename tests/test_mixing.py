@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patchmix.data import one_hot
 from patchmix.errors import ConfigError
+from patchmix.masks import expand_to_pixel_mask, mixing_ratio
 from patchmix.mixing import MixedBatch, cutmix, mixup, patchmix, patchmix_batch
 from patchmix.model import patchify
 from patchmix.rng import RngKey
@@ -83,6 +85,73 @@ class TestPatchmix:
         with pytest.raises(ConfigError):
             ones = np.ones((4, 4), dtype=np.uint8)
             patchmix(rng.random((8, 8, 3)), 0, rng.random((4, 4, 3)), 1, ones, 2)
+
+
+def pixel_mask_patchmix(x_i, y_i, x_j, y_j, mask, class_count):
+    """Reference: the pixel-mask definition of a grid-mask composite."""
+    height, width = x_i.shape[:2]
+    keep = expand_to_pixel_mask(mask, width, height)[..., None] == 1
+    lam = mixing_ratio(mask)
+    label = lam * one_hot(y_i, class_count) + (1.0 - lam) * one_hot(y_j, class_count)
+    return np.where(keep, x_i, x_j).astype(np.float64), label
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert (got == want).all()
+    assert (np.signbit(got) == np.signbit(want)).all()
+
+
+class TestPatchmixPixelMaskOracle:
+    """``patchmix`` copies whole grid cells; it must give the bits of the
+    pixel-mask definition it replaced."""
+
+    @pytest.mark.parametrize("grid_size", [1, 2, 4, 8])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("dtypes", [(np.float32, np.float32), (np.float64, np.float64),
+                                        (np.float32, np.float64)])
+    def test_equals_pixel_mask_definition(self, rng, grid_size, channels, dtypes):
+        height, width = 2 * grid_size, 3 * grid_size  # H != W
+        masks = [np.zeros((grid_size,) * 2, np.uint8), np.ones((grid_size,) * 2, np.uint8)]
+        masks += [rng.integers(0, 2, (grid_size,) * 2, dtype=np.uint8) for _ in range(4)]
+        for mask in masks:
+            x_i = rng.normal(size=(height, width, channels)).astype(dtypes[0])
+            x_j = rng.normal(size=(height, width, channels)).astype(dtypes[1])
+            for y_i, y_j in [(0, 2), (2, 0), (1, 1)]:
+                out = patchmix(x_i, y_i, x_j, y_j, mask, 3)
+                image, label = pixel_mask_patchmix(x_i, y_i, x_j, y_j, mask, 3)
+                assert_same_bits(out.image, image)
+                assert_same_bits(out.image_label, label)
+                assert out.patch_labels.dtype == np.int64
+                assert out.patch_labels.tolist() == np.where(mask.ravel() == 1, y_i, y_j).tolist()
+                assert out.lam == mixing_ratio(mask)
+
+    def test_non_dyadic_ratio_label_bits(self, rng):
+        # P = 3 gives ratios such as 4/9, where lam + (1 - lam) and
+        # (1 - lam) + lam are both summed for y_i == y_j.
+        for _ in range(50):
+            mask = rng.integers(0, 2, (3, 3), dtype=np.uint8)
+            x = rng.random((6, 6, 1))
+            for y_i, y_j in [(0, 1), (1, 0), (1, 1), (0, 0)]:
+                out = patchmix(x, y_i, x, y_j, mask, 2)
+                assert_same_bits(out.image_label, pixel_mask_patchmix(x, y_i, x, y_j, mask, 2)[1])
+
+    @pytest.mark.parametrize(
+        "y_i, y_j, message",
+        [(3, 0, r"label 3 outside \[0, 3\)"), (0, -1, r"label -1 outside \[0, 3\)"),
+         (-2, 5, r"label -2 outside \[0, 3\)")],
+    )
+    def test_out_of_range_label_rejected(self, pair, y_i, y_j, message):
+        x_i, x_j = pair
+        with pytest.raises(ConfigError, match=message):
+            patchmix(x_i, y_i, x_j, y_j, np.ones((4, 4), dtype=np.uint8), 3)
+
+    def test_mask_and_divisibility_checked_before_labels(self, pair):
+        x_i, x_j = pair
+        with pytest.raises(ConfigError, match="only 0/1"):
+            patchmix(x_i, 9, x_j, 0, np.full((4, 4), 2, dtype=np.uint8), 3)
+        with pytest.raises(ConfigError, match="not divisible by grid size 3"):
+            patchmix(x_i, 9, x_j, 0, np.ones((3, 3), dtype=np.uint8), 3)
 
 
 def stacked_patchmix(images, i, j, y_i, y_j, bits, class_count):

@@ -136,18 +136,33 @@ class TestGuidedSet:
         np.testing.assert_array_equal(guided.patches[0, 2:], patchify(train.images[[j]], 2)[0, 2:])
         assert guided.patch_labels[0].tolist() == [0, 0, 2, 2]
 
-    def test_materialize_equals_patchified_patchmix(self, train, rng):
+    def test_materialize_equals_patchified_patchmix(self, train, rng, monkeypatch):
+        # The counts straddle the 256-row chunks materialize_guided patchifies.
+        assert workflow.GUIDED_CHUNK == 256
         ind = make_individual(active=(0, 1, 4), grid_size=4, rng=np.random.default_rng(5))
-        recipe = draw_guided_recipe(ind, train, 30, rng)
-        guided = materialize_guided(ind, train, recipe)
-        for row, (slot, i, j) in enumerate(recipe):
-            ci, cj = index_to_pair(slot, 3)
-            sample = patchmix(
-                train.images[i], ci, train.images[j], cj, ind.masks[slot], 3
-            )
-            np.testing.assert_array_equal(guided.patches[row], patchify(sample.image[None], 4)[0])
-            np.testing.assert_array_equal(guided.image_labels[row], sample.image_label)
-            np.testing.assert_array_equal(guided.patch_labels[row], sample.patch_labels)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return patchmix(*args)
+
+        monkeypatch.setattr(workflow, "patchmix", counted)
+        for count in (30, 0, 1, 255, 256, 257, 600):
+            recipe = draw_guided_recipe(ind, train, count, rng)
+            calls.clear()
+            guided = materialize_guided(ind, train, recipe)
+            assert len(calls) == len(guided) == count
+            assert guided.patches.dtype == np.float32 and guided.patches.shape[1:] == (16, 48)
+            for row, (slot, i, j) in enumerate(recipe):
+                ci, cj = index_to_pair(slot, 3)
+                x_i, y_i, x_j, y_j, mask, _ = calls[row]  # one call per entry, in recipe order
+                assert (y_i, y_j) == (ci, cj) and (mask == ind.masks[slot]).all()
+                assert (x_i == train.images[i]).all() and (x_j == train.images[j]).all()
+                sample = patchmix(train.images[i], ci, train.images[j], cj, ind.masks[slot], 3)
+                want = patchify(sample.image[None], 4)[0].astype(np.float32)
+                assert guided.patches[row].tobytes() == want.tobytes()
+                assert guided.image_labels[row].tobytes() == sample.image_label.tobytes()
+                assert guided.patch_labels[row].tobytes() == sample.patch_labels.tobytes()
 
     @pytest.mark.parametrize("genome_classes", [2, 4])
     def test_genome_of_another_class_count_rejected(self, train, rng, genome_classes):
