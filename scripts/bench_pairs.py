@@ -23,6 +23,16 @@ median, and whether the change's median stays within the metric's bound.
 A metric is ``unresolved`` when the parent's IQR over median exceeds the
 bound and not every change run beats every parent run: its runs spread
 too widely for the bound to tell a regression from noise.
+
+It also records each side's times as measured, which the speed probe has
+not rescaled: the ``wall`` block of every workload's summary,
+``.perfbench_work/<workload>-seed<S>-trace0.json`` in the tree that ran.
+Each timed window (``pipeline_s``, ``setup_s``, ``p1_s``, ``p2_s``,
+``p34_s``) is compared as above, against the bound of the end-to-end
+metric it feeds.  The probe's own median call time (``mean_s``) is
+compared per workload; a workload whose two sides' probe medians differ by
+more than 5% is flagged ``probe_skewed``, since its rescaled times then
+move with the probe and not only with the program.
 With ``--claim`` it also applies the claim rule: the change wins at least
 nine in ten pairs and its median gain exceeds the parent's IQR.  A claim
 that names no workload's end-to-end metric is refused before any run.
@@ -47,6 +57,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CLAIM_SHARE = 0.9
+PROBE_SKEW = 0.05
+# Each as-measured window and the end-to-end metric whose bound it takes.
+WINDOW_METRICS = {
+    "pipeline_s": "pipeline_s",
+    "setup_s": "setup_s",
+    "p1_s": "p1_samples_per_s",
+    "p2_s": "search_genomes_per_s",
+    "p34_s": "guided_train_samples_per_s",
+}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -69,12 +88,31 @@ def export_tree(ref: str, dest: Path) -> Path:
     return tree
 
 
-def run_bench(tree: Path, seed: int) -> dict:
-    """One ``perfbench/run.py --workload all`` invocation in ``tree``."""
+def run_bench(tree: Path, seed: int, workloads: list[str]) -> dict:
+    """One ``perfbench/run.py --workload all`` invocation in ``tree``, with
+    its as-measured times under ``"as_measured"``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
            "--trace", "0"]
-    return parse_result(subprocess.run(cmd, cwd=tree, capture_output=True, text=True),
-                        f"{tree}: seed {seed}")
+    result = parse_result(subprocess.run(cmd, cwd=tree, capture_output=True, text=True),
+                          f"{tree}: seed {seed}")
+    result["as_measured"] = as_measured(tree, seed, workloads)
+    return result
+
+
+def as_measured(tree: Path, seed: int, workloads: list[str]) -> dict:
+    """``{"<workload>.wall.<key>": median}`` for every key of each workload's
+    ``wall`` block, and ``"<workload>.probe.mean_s"``: the median over its
+    passing runs of the probe's mean call time (None if no run was probed)."""
+    values = {}
+    for name in workloads:
+        summary = json.loads(
+            (tree / ".perfbench_work" / f"{name}-seed{seed}-trace0.json").read_text()
+        )
+        values.update({f"{name}.wall.{k}": v for k, v in summary["wall"].items()})
+        probes = [r["probe"]["mean_s"] for r in summary["raw"]
+                  if not r["problems"] and r.get("probe", {}).get("count")]
+        values[f"{name}.probe.mean_s"] = statistics.median(probes) if probes else None
+    return values
 
 
 def parse_result(proc: subprocess.CompletedProcess, what: str) -> dict:
@@ -162,10 +200,41 @@ def summarize(results: dict, metrics: list[dict], claim: str | None) -> dict:
             "rule": "change wins >= 9 of 10 pairs and the median gain exceeds the parent's IQR",
             "result": claim_result(*values, better),
         }
+    if "as_measured" in results["parent"][0]:
+        summary.update(summarize_as_measured(results, metrics))
     summary["all_runs_correct"] = {
         side: [r["correct"] for r in results[side]] for side in ("parent", "change")
     }
     return summary
+
+
+def summarize_as_measured(results: dict, metrics: list[dict]) -> dict:
+    """The paired comparison of every as-measured window, and each
+    workload's probe medians with their ``probe_skewed`` flag."""
+    bounds = {m["name"]: m["bound"] for m in metrics}
+    names = results["parent"][0]["as_measured"]
+    windows, probe = {}, {}
+    for name in names:
+        workload, kind, key = name.split(".")
+        parent, change = ([r["as_measured"][name] for r in results[side]]
+                          for side in ("parent", "change"))
+        if kind == "wall" and key in WINDOW_METRICS:
+            windows[name] = {"unit": "s", "better": "lower",
+                             **compare(parent, change, "lower", bounds[WINDOW_METRICS[key]])}
+        elif kind == "probe":
+            parent = [v for v in parent if v is not None]
+            change = [v for v in change if v is not None]
+            if not parent or not change:
+                probe[workload] = {"probe_skewed": None}
+                continue
+            p, c = statistics.median(parent), statistics.median(change)
+            probe[workload] = {
+                "parent_median_s": round(p, 9),
+                "change_median_s": round(c, 9),
+                "median_change": round(c / p - 1.0, 4),
+                "probe_skewed": abs(c / p - 1.0) > PROBE_SKEW,
+            }
+    return {"as_measured": windows, "probe": probe}
 
 
 def environment(tree: Path, seed: int) -> dict:
@@ -180,7 +249,7 @@ def dumps(report: dict) -> str:
     """JSON with one line per metric, like the earlier ``BENCH_*.json`` files."""
     lines = []
     for key, value in report.items():
-        if key in ("end_to_end", "raw"):
+        if key in ("end_to_end", "as_measured", "probe", "raw"):
             inner = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in value.items())
             lines.append(f" {json.dumps(key)}: {{\n{inner}\n }}")
         else:
@@ -203,6 +272,7 @@ def main(argv=None) -> int:
         parser.error(f"--claim {args.claim!r} is not <workload>.<metric> of BENCHMARK.json; "
                      f"choose one of: {', '.join(claimable(benchmark))}")
     metrics = benchmark["end_to_end"]
+    workloads = [w["name"] for w in benchmark["workloads"]]
     parent_sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent],
                                 check=True, capture_output=True, text=True).stdout.strip()
     results: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -211,7 +281,7 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for side in order:
-                result = run_bench(trees[side], seed)
+                result = run_bench(trees[side], seed, workloads)
                 results[side].append(result)
                 print(f"seed {seed} {side}: correct={result['correct']}", file=sys.stderr,
                       flush=True)
@@ -224,7 +294,8 @@ def main(argv=None) -> int:
                  "first (scripts/bench_pairs.py)",
         "environment": environment(ROOT, args.seeds[-1]),
         **summarize(results, metrics, args.claim),
-        "raw": {side: [{k: v["value"] for k, v in r["metrics"].items()} for r in rs]
+        "raw": {side: [{**{k: v["value"] for k, v in r["metrics"].items()}, **r["as_measured"]}
+                       for r in rs]
                 for side, rs in results.items()},
     }
     out = ROOT / f"BENCH_{args.label}.json"

@@ -36,13 +36,13 @@ from .evolution import SearchConfig, load_individual
 from .mixing import MixedBatch, cutmix, mixup
 from .model import (
     TrainConfig,
+    _patchify_scratch,
     _shuffled_pairs,
     _train_loop,
     adversarial_accuracy,
     evaluate_model,
     forward_batch,
     load_model,
-    patchify,
     train_random_patchmix,
 )
 from .workflow import (
@@ -324,7 +324,7 @@ def _demo_train(method: str, train: Dataset, val: Dataset, cfg: TrainConfig):
     if method in ("mixup", "cutmix"):
         image_cfg = dataclasses.replace(cfg, loss_mode="image_only")
 
-        def batches(epoch: int, rng: np.random.Generator):
+        def batches(epoch: int, rng: np.random.Generator, buffers: dict):
             for idx, partner in _shuffled_pairs(len(train), image_cfg.batch_size, rng):
                 samples = []
                 for i, j in zip(idx, partner):
@@ -336,7 +336,9 @@ def _demo_train(method: str, train: Dataset, val: Dataset, cfg: TrainConfig):
                     else:
                         samples.append(cutmix(xi, yi, xj, yj, rng, 1, 1, train.class_count))
                 yield MixedBatch(
-                    patchify(np.stack([s.image for s in samples]), image_cfg.grid_size),
+                    _patchify_scratch(
+                        np.stack([s.image for s in samples]), image_cfg.grid_size, buffers
+                    ),
                     np.stack([s.image_label for s in samples]),
                     None,
                 )

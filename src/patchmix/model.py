@@ -18,8 +18,10 @@ Training reads each batch as the (B, P*P, patch_pixels) patch matrix that
 copy is made.  :func:`forward_batch` and :func:`batch_gradients` take
 (B, H, W, C) images and :func:`patchify` them first.  Only the sign attack
 and the gradient checks form input gradients (:func:`batch_gradients`);
-training stops at parameter gradients and reuses one run's batch-sized
-buffers.
+training stops at parameter gradients.  A training run keeps one dict of
+batch-sized scratch buffers (:func:`_train_loop`): its batches are
+composed into one float64 patch matrix, and validation patchifies each
+chunk into the same array.
 
 A training step computes only the heads its loss mode reads: ``both``
 computes both, ``image_only`` only the mean embedding and the image head,
@@ -217,19 +219,19 @@ def _forward_arrays(
     return feats, mean_feats, patch_logits, image_logits
 
 
-def _patchify_scratch(model: ReferenceModel, images, buffers: dict | None) -> np.ndarray:
+def _patchify_scratch(images, grid_size: int, buffers: dict | None) -> np.ndarray:
     """``images`` as a float64 patch matrix in ``buffers``; ``patchify`` casts as it copies."""
     images = np.asarray(images)
     b, h, w, c = images.shape
-    p = model.grid_size
-    out = _scratch(buffers, "patches", (b, p * p, (h // p) * (w // p) * c))
-    return patchify(images, p, out)
+    ppc = (h // grid_size) * (w // grid_size) * c
+    return patchify(images, grid_size, _scratch(buffers, "patches", (b, grid_size**2, ppc)))
 
 
 def forward_batch(model: ReferenceModel, images: np.ndarray, buffers: dict | None = None):
     """Return (patch_logits, image_logits) of (B, H, W, C) images;
     ``buffers`` as in :func:`backward`."""
-    out = _forward_arrays(model, _patchify_scratch(model, images, buffers), buffers)
+    patches = _patchify_scratch(images, model.grid_size, buffers)
+    out = _forward_arrays(model, patches, buffers)
     return out[2], out[3]
 
 
@@ -243,7 +245,7 @@ def _gradients(model: ReferenceModel, patches, image_targets, patch_labels, loss
     b = patches.shape[0]
     if b < 1:
         raise ConfigError("empty batch")
-    n = model.patch_count
+    n, hidden = model.patch_count, model.hidden_dim
     need_patch = loss_mode != "image_only"
     need_image = loss_mode != "patch_only"
     if need_patch:
@@ -284,7 +286,8 @@ def _gradients(model: ReferenceModel, patches, image_targets, patch_labels, loss
         g_patch.reshape(-1)[picks] -= 1.0
         g_patch *= s_patch
         losses.record_loss_eval("patch", b)
-        grads["w_patch"] = np.tensordot(feats, g_patch, axes=([0, 1], [0, 1]))
+        # Transposed-view GEMMs: ``tensordot`` would copy the left operand.
+        grads["w_patch"] = feats.reshape(-1, hidden).T @ g_patch.reshape(-1, model.class_count)
         grads["b_patch"] = g_patch.sum(axis=(0, 1))
         np.matmul(g_patch, model.w_patch.T, out=d_pre)
     else:
@@ -311,7 +314,7 @@ def _gradients(model: ReferenceModel, patches, image_targets, patch_labels, loss
         raise NumericError(f"non-finite loss {loss}")
     if need_patch:
         d_pre *= relu_mask
-    grads["w_embed"] = np.tensordot(patches, d_pre, axes=([0, 1], [0, 1]))
+    grads["w_embed"] = patches.reshape(-1, model.patch_pixels).T @ d_pre.reshape(-1, hidden)
     grads["b_embed"] = d_pre.sum(axis=(0, 1))
     return loss, grads, d_pre
 
@@ -330,7 +333,7 @@ def batch_gradients(
     of ``images``.  All gradients are of the mean-over-batch objective.
     Training calls :func:`backward`, which skips ``input_grads``.
     """
-    patches = _patchify_scratch(model, images, None)
+    patches = _patchify_scratch(images, model.grid_size, None)
     loss, grads, d_pre = _gradients(model, patches, image_targets, patch_labels, loss_mode, None)
     input_grads = unpatchify(d_pre @ model.w_embed.T, np.shape(images), model.grid_size)
     return loss, grads, input_grads
@@ -392,9 +395,13 @@ def sgd_nesterov_step(
 
 
 def evaluate_model(model: ReferenceModel, dataset: Dataset, batch_size: int = 256, buffers=None):
-    """(top-1 accuracy, patch accuracy) with every patch labeled by the image."""
+    """(top-1 accuracy, patch accuracy) with every patch labeled by the image,
+    forwarded in chunks of ``batch_size`` rows; ``buffers`` as in
+    :func:`backward`."""
     if len(dataset) == 0:
         raise ConfigError("cannot evaluate on an empty dataset")
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be at least 1, got {batch_size}")
     correct = 0
     patch_correct = 0
     for start in range(0, len(dataset), batch_size):
@@ -413,17 +420,22 @@ def _train_loop(
     train: Dataset,
     val: Dataset,
     cfg: TrainConfig,
-    batch_source: Callable[[int, np.random.Generator], Iterable[MixedBatch]],
+    batch_source: Callable[[int, np.random.Generator, dict], Iterable[MixedBatch]],
     stream_tag: str,
 ) -> tuple[ReferenceModel, list[EpochMetrics]]:
     """Shared SGD driver: ``(model, per-epoch metrics)`` of a model of the
     shape ``cfg`` trains on ``train``, initialized from the stream
-    ``(stream_tag, "init")``.  ``batch_source(epoch, rng)`` yields sample
-    batches; epoch ``e`` draws from the stream ``(stream_tag, "epoch", e)``.
+    ``(stream_tag, "init")``.  ``batch_source(epoch, rng, buffers)`` yields
+    sample batches; epoch ``e`` draws from the stream
+    ``(stream_tag, "epoch", e)``.
 
     The learning-rate schedule spans epochs 0 .. epochs-1 so the final
     epoch runs exactly at eta_min.  All steps and validations share one
-    dict of scratch buffers.
+    dict of scratch buffers.  A batch source composes each batch into its
+    ``"patches"`` entry, a (batch_size, P*P, patch_pixels) float64 array
+    that each batch overwrites, so a batch is stale once the next is drawn;
+    validation forwards ``cfg.batch_size`` rows at a time and patchifies
+    them into the same array.
     """
     key = RngKey(cfg.seed)
     model = ReferenceModel.initialize(
@@ -437,7 +449,7 @@ def _train_loop(
         lr = cosine_lr(epoch, span, cfg.lr0, cfg.eta_min)
         rng = key.child(stream_tag, "epoch", epoch).generator()
         batch_losses = []
-        for index, batch in enumerate(batch_source(epoch, rng)):
+        for index, batch in enumerate(batch_source(epoch, rng, buffers)):
             try:
                 loss, grads = backward(model, batch, cfg.loss_mode, buffers)
             except NumericError as err:
@@ -446,7 +458,7 @@ def _train_loop(
             batch_losses.append(loss)
         if not batch_losses:
             raise ConfigError("training produced no batches")
-        top1, patch_acc = evaluate_model(model, val, buffers=buffers)
+        top1, patch_acc = evaluate_model(model, val, cfg.batch_size, buffers)
         metrics.append(
             EpochMetrics(epoch, float(lr), float(np.mean(batch_losses)), top1, patch_acc)
         )
@@ -491,21 +503,22 @@ def train_random_patchmix(train: Dataset, val: Dataset, cfg: TrainConfig):
     fresh random mask (an all-ones mask when the per-sample mix draw
     fails, so mix_probability = 0 reduces to plain classifier training).
     Each batch draws all its mix decisions in one call, then the masks of
-    the mixed rows in one more.
+    the mixed rows in one more, and is composed into the run's patch
+    scratch (:func:`_train_loop`).
 
     Returns ``(model, per-epoch metrics)``.
     """
     _check_train_inputs(train, val, cfg)
-    p = cfg.grid_size
+    p, ppc = cfg.grid_size, _model_dims(train, cfg)[3]
 
-    def batches(epoch: int, rng: np.random.Generator):
+    def batches(epoch: int, rng: np.random.Generator, buffers: dict):
         for idx, partner in _shuffled_pairs(len(train), cfg.batch_size, rng):
             bits = np.ones((len(idx), p, p), dtype=np.uint8)
             mixed = rng.random(len(idx)) < cfg.mix_probability
             bits[mixed] = sample_mask_bits(int(mixed.sum()), p, rng)
             yield patchmix_batch(
                 train.images, idx, partner, train.labels[idx], train.labels[partner],
-                bits, train.class_count,
+                bits, train.class_count, out=_scratch(buffers, "patches", (len(idx), p * p, ppc)),
             )
 
     return _train_loop(train, val, cfg, batches, "rand-train")

@@ -18,8 +18,9 @@ same four.
    training images of that slot's classes), and trains the final model on
    batches composed of original, randomly mixed, and guided samples —
    minimizing only the image-level loss (:func:`train_final`).  Each batch
-   is one patch matrix: the original and random rows composed in one call,
-   the guided rows cast into its tail.
+   is composed into the training run's one float64 patch matrix: the
+   original and random rows in one call, the guided rows cast into its
+   tail.
 
 Re-running the pipeline with an existing phase-1 checkpoint skips phase 1
 and produces identical downstream results for the same seeds.  A
@@ -57,6 +58,7 @@ from .model import (
     TrainConfig,
     _check_train_inputs,
     _model_dims,
+    _scratch,
     _train_loop,
     load_model,
     patchify,
@@ -152,10 +154,10 @@ def materialize_guided(
     recipe order.
 
     The entries are checked against the genome and the training set first.
-    The images are written into a reused float64 chunk of at most
-    ``GUIDED_CHUNK`` rows, and each chunk is patchified once.  Patches keep
-    the dataset's float32 storage type: a composition only selects source
-    pixels, so this is lossless and halves the set.
+    The images are written into a reused chunk of at most ``GUIDED_CHUNK``
+    rows, and each chunk is patchified once.  The chunk and the patches keep
+    the dataset's storage type (float32): a composition only selects source
+    pixels, so this is lossless and halves both.
     """
     _check_genome_classes(individual, train)
     entries = np.asarray(recipe, dtype=np.int64).reshape(len(recipe), 3)
@@ -168,7 +170,7 @@ def materialize_guided(
         np.empty((n, p * p), dtype=np.int64),
     )
     images, labels = train.images, train.labels.tolist()  # each the slot's class (_check_recipe)
-    chunk = np.empty((min(n, GUIDED_CHUNK), height, width, channels))
+    chunk = np.empty((min(n, GUIDED_CHUNK), height, width, channels), dtype=train.images.dtype)
     for start in range(0, n, GUIDED_CHUNK):
         rows = entries[start : start + GUIDED_CHUNK].tolist()
         for k, (slot, i, j) in enumerate(rows, start):
@@ -251,9 +253,9 @@ def guided_batch_composer(
     batches: int,
     rng: np.random.Generator,
     grid_size: int,
+    buffers: dict | None = None,
 ) -> Iterable[MixedBatch]:
-    """Yield batches of original : randomly-mixed : guided samples, each a
-    fresh patch matrix.
+    """Yield batches of original : randomly-mixed : guided samples.
 
     Originals cycle through epoch-shuffled training permutations; guided
     rows cycle through shuffled guided-set permutations;
@@ -261,6 +263,10 @@ def guided_batch_composer(
     randomly mixed rows.  The original and random rows are composed in one
     :func:`patchmix_batch` call, the guided rows cast into the tail.  An
     empty sequence stands for an empty guided set.
+
+    Every batch is composed into the float64 ``"patches"`` scratch of
+    ``buffers`` (``model._train_loop``'s dict), so a batch is overwritten by
+    the next; with ``buffers`` None each batch is a new array.
     """
     n_original, n_random, n_guided = split_batch(batch_size, ratio)
     if n_guided and not len(guided_set):
@@ -279,7 +285,7 @@ def guided_batch_composer(
             r_i, r_j, r_bits = random_mixer(rng, n_random)
             i, j = np.concatenate([i, r_i]), np.concatenate([j, r_j])
             bits = np.concatenate([ones, r_bits])
-        patches = np.empty((batch_size, grid_size**2, ppc))
+        patches = _scratch(buffers, "patches", (batch_size, grid_size**2, ppc))
         batch = patchmix_batch(
             train.images, i, j, train.labels[i], train.labels[j], bits, train.class_count,
             out=patches[:n_mixed],
@@ -328,9 +334,9 @@ def train_final(
         j = rng.integers(len(train), size=count)
         return i, j, sample_mask_bits(count, p, rng)
 
-    def batches(epoch: int, rng: np.random.Generator):
+    def batches(epoch: int, rng: np.random.Generator, buffers: dict):
         yield from guided_batch_composer(
-            train, random_mixer, guided_set, ratio, cfg.batch_size, n_batches, rng, p
+            train, random_mixer, guided_set, ratio, cfg.batch_size, n_batches, rng, p, buffers
         )
 
     return _train_loop(train, val, cfg, batches, "final-train")

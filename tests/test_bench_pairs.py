@@ -123,3 +123,60 @@ def test_claimable_names_every_workload_metric():
     assert len(names) == len(benchmark["workloads"]) * len(benchmark["end_to_end"])
     assert "cifar_search.guided_train_samples_per_s" in names
     assert "quickstart.pipeline_s" in names
+
+
+def write_summary(tree, workload, seed, wall, probes):
+    """A synthetic ``perfbench/run.py`` summary; ``probes`` is one
+    ``(count, mean_s, problems)`` per run."""
+    raw = [{"problems": problems, "probe": {"count": count, "mean_s": mean_s, "share": 0.03}}
+           for count, mean_s, problems in probes]
+    work = tree / ".perfbench_work"
+    work.mkdir(exist_ok=True)
+    path = work / f"{workload}-seed{seed}-trace0.json"
+    path.write_text(json.dumps({"workload": workload, "wall": wall, "raw": raw}))
+
+
+def test_as_measured_reads_each_wall_block_and_the_probe_median(tmp_path):
+    wall = {"pipeline_s": 0.25, "setup_s": 0.1, "p1_s": 0.1, "p2_s": 0.02, "p34_s": 0.13,
+            "probe_share": 0.03}
+    # A failed run and a run the probe never reached do not count.
+    write_summary(tmp_path, "a", 5, wall, [(3, 5e-4, []), (4, 7e-4, []), (2, 6e-4, []),
+                                           (3, 9e-3, ["artifacts differ"]), (0, 0.0, [])])
+    write_summary(tmp_path, "b", 5, {**wall, "p1_s": 0.3}, [(0, 0.0, [])])
+    values = bench_pairs.as_measured(tmp_path, 5, ["a", "b"])
+    assert {k: v for k, v in values.items() if k.startswith("a.wall.")} == {
+        f"a.wall.{k}": v for k, v in wall.items()
+    }
+    assert values["b.wall.p1_s"] == 0.3
+    assert values["a.probe.mean_s"] == 6e-4
+    assert values["b.probe.mean_s"] is None
+
+
+def measured(seconds, probe_s):
+    """A result whose only as-measured window is ``p1_s``, on workloads w and v."""
+    return {
+        "correct": True,
+        "metrics": {"w.pipeline_s": {"value": 1.0, "unit": "s"}},
+        "as_measured": {"w.wall.p1_s": seconds, "w.wall.probe_share": 0.03,
+                        "w.probe.mean_s": probe_s, "v.probe.mean_s": 1e-3},
+    }
+
+
+def test_as_measured_windows_take_their_metric_bound_and_skewed_probes_are_flagged():
+    metrics = METRICS + [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    parent = [measured(0.10, 5.0e-4) for _ in range(10)]
+    change = [measured(0.121, 5.3e-4) for _ in range(10)]
+    summary = bench_pairs.summarize({"parent": parent, "change": change}, metrics, None)
+    window = summary["as_measured"]["w.wall.p1_s"]
+    # p1_s takes p1_samples_per_s's 0.2 bound: +21% is outside it.
+    assert window["bound"] == 0.2 and not window["within_bound"]
+    assert window["change_wins"] == 0 and window["median_change"] == 0.21
+    assert list(summary["as_measured"]) == ["w.wall.p1_s"]
+    assert summary["probe"]["w"] == {"parent_median_s": 5e-4, "change_median_s": 5.3e-4,
+                                     "median_change": 0.06, "probe_skewed": True}
+    assert summary["probe"]["v"]["probe_skewed"] is False
+    change = [measured(0.09, 5.2e-4) for _ in range(10)]
+    summary = bench_pairs.summarize({"parent": parent, "change": change}, metrics, None)
+    assert summary["as_measured"]["w.wall.p1_s"]["within_bound"]
+    assert summary["probe"]["w"]["probe_skewed"] is False
+    json.loads(bench_pairs.dumps(summary))

@@ -291,6 +291,28 @@ class TestBufferedStep:
         reference = evaluate_model(small_model, small_val, batch_size=16)
         assert evaluate_model(small_model, small_val, batch_size=16, buffers=buffers) == reference
 
+    def test_chunked_evaluation_into_a_scratch_equals_one_chunk(self, small_model, small_val):
+        """Chunks of 7 rows (45 images leave a ragged chunk of 3) patchified
+        into one scratch dict score as one fresh chunk of 256, for the
+        trained model and for an untrained one whose scores are not 1.0."""
+        assert len(small_val) % 7
+        untrained = ReferenceModel.initialize(
+            small_model.grid_size, small_model.class_count, small_model.hidden_dim,
+            small_model.patch_pixels, np.random.default_rng(3),
+        )
+        for model in (small_model, untrained):
+            buffers: dict = {}
+            reference = evaluate_model(model, small_val, 256, None)
+            assert evaluate_model(model, small_val, 7, buffers) == reference
+            assert buffers["patches"].size == 7 * model.patch_count * model.patch_pixels
+            assert evaluate_model(model, small_val, 7, buffers) == reference
+        assert evaluate_model(untrained, small_val) != (1.0, 1.0)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_evaluation_batch_size_below_one_rejected(self, small_model, small_val, batch_size):
+        with pytest.raises(ConfigError, match="batch_size must be at least 1"):
+            evaluate_model(small_model, small_val, batch_size)
+
     def test_float32_images_match_their_float64_copy(self, small_model, small_val):
         images32 = small_val.images[:20]
         assert images32.dtype == np.float32

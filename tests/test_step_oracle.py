@@ -5,10 +5,12 @@ stood before ``model._gradients`` computed only the heads its loss mode
 reads: both heads in every mode, a zero-filled ``d_pre`` that each term is
 added into before the ReLU gate, the patch term picked and corrected with
 ``take_along_axis`` / ``put_along_axis``, and zero arrays for all six
-gradient blocks.  The production step must return the same loss, the same
-six gradient blocks and the same pre-activation gradient, byte for byte,
-in every loss mode, grid size, batch size and class count, with scratch
-buffers fresh or reused.
+gradient blocks.  It also forms ``w_embed`` and ``w_patch`` with
+``np.tensordot``, where the production step multiplies transposed views.
+The production step must return the same loss, the same six gradient
+blocks and the same pre-activation gradient, byte for byte, in every loss
+mode, grid size, batch size and class count, with scratch buffers fresh or
+reused, and at the CIFAR shape the benchmark trains.
 """
 
 import numpy as np
@@ -125,18 +127,19 @@ SIDE = 8
 BATCH_SIZES = (1, 7, 100)
 
 
-def step_inputs(rng, batch_size, grid_size, class_count):
+def step_inputs(rng, batch_size, grid_size, class_count, side=SIDE):
     """A patch matrix of random pixels, soft image targets and patch labels."""
-    ppc = (SIDE // grid_size) ** 2 * 3
+    ppc = (side // grid_size) ** 2 * 3
     patches = rng.random((batch_size, grid_size**2, ppc))
     targets = rng.dirichlet(np.ones(class_count), size=batch_size)
     labels = rng.integers(0, class_count, (batch_size, grid_size**2))
     return patches, targets, labels
 
 
-def step_model(grid_size, class_count, seed):
+def step_model(grid_size, class_count, seed, side=SIDE, hidden_dim=16):
     model = ReferenceModel.initialize(
-        grid_size, class_count, 16, (SIDE // grid_size) ** 2 * 3, np.random.default_rng(seed)
+        grid_size, class_count, hidden_dim, (side // grid_size) ** 2 * 3,
+        np.random.default_rng(seed),
     )
     # Shift the embedding so that a share of the pre-activations is negative.
     model.b_embed[:] = np.random.default_rng(seed + 1).normal(-1.0, 1.0, model.hidden_dim)
@@ -179,6 +182,28 @@ def test_step_equals_reference(loss_mode, grid_size, class_count):
             assert_same_bytes(grads[name], ref_grads[name], (*what, name))
         assert_same_bytes(d_pre, ref_d_pre, (*what, "d_pre"))
         assert counts == ref_counts, what
+
+
+@pytest.mark.parametrize("loss_mode", LOSS_MODES)
+def test_cifar_shaped_step_equals_reference(loss_mode):
+    """Grid 4, 32 px, 10 classes, hidden 64: batches of 100 and of 37 rows,
+    fresh and through one reused dict."""
+    model = step_model(4, 10, seed=32, side=32, hidden_dim=64)
+    rng = np.random.default_rng(32)
+    reused = {}
+    for size, buffers in ((100, None), (37, None), (100, reused), (37, reused)):
+        patches, targets, labels = step_inputs(rng, size, 4, 10, side=32)
+        if loss_mode == "image_only":
+            labels = None
+        ref_loss, ref_grads, ref_d_pre = reference_gradients(
+            model, patches, targets, labels, loss_mode, None
+        )
+        loss, grads, d_pre = _gradients(model, patches, targets, labels, loss_mode, buffers)
+        what = (loss_mode, size, buffers is reused)
+        assert loss == ref_loss, what
+        for name in PARAM_FIELDS:
+            assert_same_bytes(grads[name], ref_grads[name], (*what, name))
+        assert_same_bytes(d_pre, ref_d_pre, (*what, "d_pre"))
 
 
 @pytest.mark.parametrize("grid_size", [1, 2, 4])

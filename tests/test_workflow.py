@@ -397,6 +397,33 @@ class TestBatchComposer:
             np.testing.assert_array_equal(batch.image_labels, image_labels)
             np.testing.assert_array_equal(batch.patch_labels, patch_labels)
 
+    @pytest.mark.parametrize("ratio, batch_size", [((1, 1, 1), 10), ((2, 0, 1), 7)])
+    def test_batches_in_a_scratch_equal_fresh_batches(self, train, ratio, batch_size):
+        """With a scratch dict, every batch's patches are its ``"patches"``
+        entry, and a copy of each equals the batch composed without one."""
+        ind = make_individual(active=(0, 4), rng=np.random.default_rng(2))
+        guided = guided_set(ind, train, 7, np.random.default_rng(3))
+
+        def mixer(mix_rng, count):
+            i = mix_rng.integers(len(train), size=count)
+            j = mix_rng.integers(len(train), size=count)
+            return i, j, mix_rng.integers(0, 2, (count, 2, 2), dtype=np.uint8)
+
+        args = (train, mixer, guided, ratio, batch_size, 4)
+        buffers: dict = {}
+        got = [
+            (batch.patches.copy(), batch)
+            for batch in guided_batch_composer(*args, np.random.default_rng(9), 2, buffers)
+            if np.shares_memory(batch.patches, buffers["patches"])
+        ]
+        want = list(guided_batch_composer(*args, np.random.default_rng(9), 2))
+        assert len(got) == len(want) == 4
+        assert not np.shares_memory(want[0].patches, want[1].patches)
+        for (patches, batch), fresh in zip(got, want):
+            np.testing.assert_array_equal(patches, fresh.patches)
+            np.testing.assert_array_equal(batch.image_labels, fresh.image_labels)
+            np.testing.assert_array_equal(batch.patch_labels, fresh.patch_labels)
+
     def test_guided_needed_but_missing(self, train, rng):
         with pytest.raises(ConfigError, match="guided"):
             list(
