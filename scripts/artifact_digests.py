@@ -11,7 +11,8 @@ workload of ``WORKLOADS``, seed of ``SEEDS`` and search objective of
 at the settings of acceptance criterion 10 (``none`` at the defaults; the
 other methods at 60 samples per class and 80 epochs).  For every run it
 records the exit code, the stdout and the sha256 of every file the run
-wrote, and writes them all to one JSON file.
+wrote, and writes them all to one JSON file, together with the environment
+the bytes depend on (:func:`environment`).
 
 ``--root`` names the tree whose ``src/`` and ``perfbench/`` are imported
 (default: this repository), so an export of another commit is digested by
@@ -20,7 +21,12 @@ benchmark, so the digests do not depend on the host's core count.
 
 The second form lists every entry that differs between two such files, or
 that only one of them has, and exits 1 if there is any, else 0.  A run
-that only one file has is one line.
+that only one file has is one line.  The environments are not compared.
+
+``tests/artifact_digests.json`` holds the digests of the current code, and
+``tests/test_artifact_digests.py`` compares a fresh run with it when the
+environment matches.  A change that means to move artifacts regenerates it
+with ``python3 scripts/artifact_digests.py --out tests/artifact_digests.json``.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -48,12 +55,31 @@ DEMO_RUNS = {  # method: extra boundary-demo arguments, as in criterion 10
 
 
 def load_tree(root: Path):
-    """``(cli.main, workload.make_config)`` of the tree at ``root``."""
+    """``(cli.main, workload.make_config, workload.environment)`` of the tree
+    at ``root``."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     from patchmix import cli
     import workload
 
-    return cli.main, workload.make_config
+    return cli.main, workload.make_config, workload.environment
+
+
+def environment(perfbench_environment) -> dict:
+    """What the bytes depend on besides the code: Python, the machine and the
+    SIMD extensions numpy found, and perfbench's record of numpy, its BLAS
+    build and the BLAS thread settings."""
+    import numpy as np
+
+    try:
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    except (TypeError, KeyError):
+        simd = "unknown"
+    return {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "simd": simd,
+        **perfbench_environment(),
+    }
 
 
 def file_digests(run_dir: Path) -> dict[str, str]:
@@ -123,7 +149,7 @@ def main(argv=None) -> int:
     if args.out is None:
         parser.error("--out or --compare is required")
     os.environ.update(BLAS_ENV)  # before numpy loads
-    cli_main, make_config = load_tree(args.root.resolve())
+    cli_main, make_config, perfbench_environment = load_tree(args.root.resolve())
     runs = {}
     with tempfile.TemporaryDirectory(prefix="pmx-digests-") as tmp:
         for workload in WORKLOADS:
@@ -137,7 +163,8 @@ def main(argv=None) -> int:
         for method in DEMO_RUNS:
             out = Path(tmp) / f"demo-{method}" / "raster.csv"
             runs[f"boundary-demo/{method}"] = digest_demo(cli_main, method, out)
-    args.out.write_text(json.dumps({"runs": runs}, indent=1, sort_keys=True) + "\n")
+    record = {"environment": environment(perfbench_environment), "runs": runs}
+    args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 
 

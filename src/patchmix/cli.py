@@ -9,6 +9,10 @@ Runs are driven by a JSON config with three sections — ``dataset``,
 Unknown keys are rejected by name.  The config snapshot written into the
 run directory normalizes ``output_dir`` to "." so that two runs of the
 same config into different directories stay byte-identical.
+
+The CLI alone reads a run directory back.  Before a command makes the
+directory or a dataset, :func:`_prepare` refuses (exit 2) any artifact it
+reads there whose snapshot records other settings, or no snapshot at all.
 """
 
 from __future__ import annotations
@@ -65,6 +69,9 @@ GRID_RESOLUTION = 200
 # The demo's mixup blend weight is Beta(MIXUP_BETA, MIXUP_BETA), i.e. uniform.
 MIXUP_BETA = 1.0
 CONFIG_SNAPSHOT_FILE = "config.json"
+# The config sections that make a phase-1 checkpoint, and a later artifact.
+MODEL_SECTIONS = ("dataset", "train")
+ALL_SECTIONS = ("dataset", "train", "search")
 
 
 @dataclass
@@ -182,12 +189,43 @@ def build_datasets(dc: DatasetConfig) -> tuple[Dataset, Dataset]:
     return build_dataset(dc, val=False), build_dataset(dc, val=True)
 
 
-def _prepare(args) -> tuple[RunConfig, Path]:
+def _prepare(args, inputs: dict[str, tuple[str, ...]]) -> tuple[RunConfig, Path]:
+    """The run config of ``args`` (``--seed`` applied) and its run directory,
+    made once each input there is found to come from these settings.
+
+    ``inputs`` maps each artifact the command reads to the config sections
+    that made it.  The snapshot beside it must hold them as the config does,
+    or the first key that differs is named; an artifact with no snapshot is
+    refused too, and one that is not there is left to the command."""
     cfg = load_run_config(args.config)
     if getattr(args, "seed", None) is not None:
         cfg.train = dataclasses.replace(cfg.train, seed=args.seed)
         cfg.search = dataclasses.replace(cfg.search, seed=args.seed)
     run_dir = Path(cfg.output_dir)
+    snapshot_path = run_dir / CONFIG_SNAPSHOT_FILE
+    advice = "remove it or choose another output_dir"
+    wanted = run_config_to_dict(cfg)
+    for name, sections in inputs.items():
+        artifact = run_dir / name
+        if not artifact.exists():
+            continue
+        if not snapshot_path.exists():
+            raise ConfigError(f"{artifact} has no record of the settings that made it; {advice}")
+        try:
+            saved = json.loads(snapshot_path.read_text())
+        except json.JSONDecodeError as err:
+            raise FormatError(f"{snapshot_path}: invalid JSON ({err})") from err
+        for section in sections:
+            old, new = saved.get(section) if isinstance(saved, dict) else None, wanted[section]
+            if not isinstance(old, dict):
+                raise FormatError(f"{snapshot_path}: config section {section} is not an object")
+            for key in {**new, **old}:  # the config's keys, then those only the snapshot has
+                found, asked = (json.dumps(d[key]) if key in d else "unset" for d in (old, new))
+                if found != asked:
+                    raise ConfigError(
+                        f"{artifact} was made with {section}.{key} = {found} "
+                        f"({snapshot_path}), but the config asks for {asked}; {advice}"
+                    )
     run_dir.mkdir(parents=True, exist_ok=True)
     return cfg, run_dir
 
@@ -199,7 +237,7 @@ def _existing(path: Path, step: str) -> Path:
 
 
 def cmd_train_random(args) -> int:
-    cfg, run_dir = _prepare(args)
+    cfg, run_dir = _prepare(args, {})
     train, val = build_datasets(cfg.dataset)
     _, metrics = train_fitness_model(train, val, cfg.train, run_dir)
     save_config_snapshot(cfg, run_dir)
@@ -210,7 +248,7 @@ def cmd_train_random(args) -> int:
 
 
 def cmd_search(args) -> int:
-    cfg, run_dir = _prepare(args)
+    cfg, run_dir = _prepare(args, {FITNESS_MODEL_FILE: MODEL_SECTIONS})
     model = load_model(_existing(run_dir / FITNESS_MODEL_FILE, "train-random"))
     val = build_dataset(cfg.dataset, val=True)
     best, history = run_fitness_search(model, val, cfg.search, run_dir)
@@ -221,7 +259,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    cfg, run_dir = _prepare(args)
+    cfg, run_dir = _prepare(args, {BEST_INDIVIDUAL_FILE: ALL_SECTIONS})
     best, _ = load_individual(_existing(run_dir / BEST_INDIVIDUAL_FILE, "search"))
     train = build_dataset(cfg.dataset, val=False)
     recipe = write_guided_manifest(best, train, cfg.train, run_dir)
@@ -231,7 +269,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train_guided(args) -> int:
-    cfg, run_dir = _prepare(args)
+    cfg, run_dir = _prepare(
+        args, {BEST_INDIVIDUAL_FILE: ALL_SECTIONS, GUIDED_MANIFEST_FILE: ALL_SECTIONS}
+    )
     best, _ = load_individual(_existing(run_dir / BEST_INDIVIDUAL_FILE, "search"))
     recipe = load_guided_manifest(_existing(run_dir / GUIDED_MANIFEST_FILE, "generate"))
     train, val = build_datasets(cfg.dataset)
@@ -241,43 +281,12 @@ def cmd_train_guided(args) -> int:
     return 0
 
 
-def _check_reused_checkpoint(cfg: RunConfig, run_dir: Path) -> None:
-    """Refuse a phase-1 checkpoint that other settings trained.
-
-    ``pipeline`` reuses the run directory's fitness model; the config
-    snapshot beside it records the ``dataset`` and ``train`` settings that
-    trained it.  The first key (dataset, then train, in field order) whose
-    value differs from ``cfg``'s is named.
-    """
-    snapshot_path = run_dir / CONFIG_SNAPSHOT_FILE
-    if not (run_dir / FITNESS_MODEL_FILE).exists() or not snapshot_path.exists():
-        return
-    try:
-        saved = json.loads(snapshot_path.read_text())
-    except json.JSONDecodeError as err:
-        raise FormatError(f"{snapshot_path}: invalid JSON ({err})") from err
-    wanted = json.loads(json.dumps(run_config_to_dict(cfg)))  # tuples as JSON lists
-    for section in ("dataset", "train"):
-        old = saved.get(section) if isinstance(saved, dict) else None
-        if not isinstance(old, dict):
-            raise FormatError(f"{snapshot_path}: config section {section} is not an object")
-        new = wanted[section]
-        for key in [*new, *(k for k in old if k not in new)]:
-            if key in old and key in new and old[key] == new[key]:
-                continue
-            found, asked = (json.dumps(side[key]) if key in side else "unset" for side in (old, new))
-            raise ConfigError(
-                f"{run_dir / FITNESS_MODEL_FILE} was trained with {section}.{key} = {found} "
-                f"({snapshot_path}), but the config asks for {asked}; remove it or choose "
-                "another output_dir"
-            )
-
-
 def cmd_pipeline(args) -> int:
-    cfg, run_dir = _prepare(args)
-    _check_reused_checkpoint(cfg, run_dir)
+    cfg, run_dir = _prepare(args, {FITNESS_MODEL_FILE: MODEL_SECTIONS})
+    checkpoint = run_dir / FITNESS_MODEL_FILE
+    fitness_model = load_model(checkpoint) if checkpoint.exists() else None
     train, val = build_datasets(cfg.dataset)
-    result = run_guided_pipeline(train, val, cfg.train, cfg.search, run_dir)
+    result = run_guided_pipeline(train, val, cfg.train, cfg.search, run_dir, fitness_model)
     save_config_snapshot(cfg, run_dir)
     last = result.final_metrics[-1]
     print(f"best_score,{result.best_individual.fitness!r}")
@@ -451,10 +460,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FormatError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (ConfigError, FormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except NumericError as err:

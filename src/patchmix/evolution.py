@@ -40,7 +40,7 @@ from . import losses
 from .data import Dataset, _write_atomic
 from .errors import ConfigError, FormatError, NumericError
 from .masks import mask_rows, parse_mask_rows, sample_mask_bits
-from .model import ReferenceModel, forward_batch
+from .model import ReferenceModel, _check_classes, forward_batch
 from .rng import RngKey
 
 log = logging.getLogger("patchmix.evolution")
@@ -266,10 +266,7 @@ class FitnessTable:
         images at a time."""
         if len(val) == 0:
             raise ConfigError("cannot build a fitness table from an empty dataset")
-        if model.class_count != val.class_count:
-            raise ConfigError(
-                f"model scores {model.class_count} classes, dataset has {val.class_count}"
-            )
+        _check_classes(model, val)
         ci, cj = slot_pairs(val.class_count).T
         shape = (len(ci), cfg.pairs_per_combo)
         rng = RngKey(cfg.seed).child("fitness").generator()

@@ -394,6 +394,13 @@ def sgd_nesterov_step(
     return model
 
 
+def _check_classes(model: ReferenceModel, dataset: Dataset) -> None:
+    if model.class_count != dataset.class_count:
+        raise ConfigError(
+            f"model scores {model.class_count} classes, dataset has {dataset.class_count}"
+        )
+
+
 def evaluate_model(model: ReferenceModel, dataset: Dataset, batch_size: int = 256, buffers=None):
     """(top-1 accuracy, patch accuracy) with every patch labeled by the image,
     forwarded in chunks of ``batch_size`` rows; ``buffers`` as in
@@ -402,6 +409,7 @@ def evaluate_model(model: ReferenceModel, dataset: Dataset, batch_size: int = 25
         raise ConfigError("cannot evaluate on an empty dataset")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be at least 1, got {batch_size}")
+    _check_classes(model, dataset)
     correct = 0
     patch_correct = 0
     for start in range(0, len(dataset), batch_size):
@@ -548,6 +556,7 @@ def adversarial_accuracy(
     """Top-1 accuracy under the one-step sign attack."""
     if len(dataset) == 0:
         raise ConfigError("cannot evaluate on an empty dataset")
+    _check_classes(model, dataset)
     correct = 0
     for start in range(0, len(dataset), batch_size):
         stop = min(start + batch_size, len(dataset))

@@ -22,10 +22,9 @@ same four.
    original and random rows in one call, the guided rows cast into its
    tail.
 
-Re-running the pipeline with an existing phase-1 checkpoint skips phase 1
-and produces identical downstream results for the same seeds.  A
-checkpoint whose model shape differs from the one the config would train
-is refused, not reused.
+The phases write the run directory and never read it back.  Given a fitness
+model, :func:`run_guided_pipeline` skips phase 1; the CLI passes a run
+directory's checkpoint only when its config snapshot matches the run.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from .model import (
     _model_dims,
     _scratch,
     _train_loop,
-    load_model,
     patchify,
     save_metrics,
     save_model,
@@ -90,7 +88,6 @@ class PipelineResult:
     history: list
     final_model: ReferenceModel
     final_metrics: list[EpochMetrics]
-    run_dir: Path
 
 
 def _check_genome_classes(individual: Individual, train: Dataset) -> None:
@@ -432,30 +429,20 @@ def run_guided_pipeline(
     train_cfg: TrainConfig,
     search_cfg: SearchConfig,
     run_dir,
+    fitness_model: ReferenceModel | None = None,
 ) -> PipelineResult:
-    """Run all four phases, writing artifacts into ``run_dir``.  A training
-    or validation set that lacks a class is refused before phase 1."""
+    """Run all four phases, writing artifacts into ``run_dir``; given
+    ``fitness_model``, phase 1 is skipped and the result's ``fitness_metrics``
+    is None.  A training or validation set that lacks a class is refused
+    before phase 1."""
     _check_class_coverage(train, val)
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    fitness_path = run_dir / FITNESS_MODEL_FILE
     fitness_metrics: list[EpochMetrics] | None = None
-    if fitness_path.exists():
-        fitness_model = load_model(fitness_path)
-        found = (
-            fitness_model.grid_size, fitness_model.class_count,
-            fitness_model.hidden_dim, fitness_model.patch_pixels,
-        )
-        wanted = _model_dims(train, train_cfg)
-        if found != wanted:
-            raise ConfigError(
-                f"{fitness_path} holds a model with (grid_size, class_count, hidden_dim, "
-                f"patch_pixels) = {found}, but the config asks for {wanted}; remove it "
-                "or choose another output_dir"
-            )
-        log.info("phase 1 skipped: reusing fitness model checkpoint %s", fitness_path)
-    else:
+    if fitness_model is None:
         fitness_model, fitness_metrics = train_fitness_model(train, val, train_cfg, run_dir)
+    else:
+        log.info("phase 1 skipped: reusing the given fitness model")
     best, history = run_fitness_search(fitness_model, val, search_cfg, run_dir)
     recipe = write_guided_manifest(best, train, train_cfg, run_dir)
     final_model, final_metrics = train_guided_model(best, recipe, train, val, train_cfg, run_dir)
@@ -466,7 +453,6 @@ def run_guided_pipeline(
         history=history,
         final_model=final_model,
         final_metrics=final_metrics,
-        run_dir=run_dir,
     )
 
 

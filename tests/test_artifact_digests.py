@@ -1,6 +1,10 @@
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from patchmix.cli import main
 from patchmix.workflow import FINAL_METRICS_FILE
@@ -8,6 +12,7 @@ from patchmix.workflow import FINAL_METRICS_FILE
 from test_cli import config_data
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "artifact_digests.py"
+RECORDED = Path(__file__).resolve().parent / "artifact_digests.json"
 spec = importlib.util.spec_from_file_location("artifact_digests", SCRIPT)
 artifact_digests = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(artifact_digests)
@@ -43,3 +48,26 @@ def test_an_entry_only_one_side_has_is_reported():
     other = {**run, "files": {}}
     lines = artifact_digests.differences({"runs": {"r": run}}, {"runs": {"r": other, "s": run}})
     assert lines == ["r files/x: '00' != 'missing'", "s: only in B"]
+
+
+def test_every_artifact_matches_the_recorded_digests(tmp_path):
+    # A change that means to move artifacts regenerates RECORDED with the
+    # script (see its docstring); this test never writes it.
+    fresh = tmp_path / "digests.json"
+    run = subprocess.run(
+        [sys.executable, str(SCRIPT), "--out", str(fresh)], capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    recorded, now = (json.loads(path.read_text())["environment"] for path in (RECORDED, fresh))
+    changed = {
+        key: f"{recorded.get(key)!r} recorded, {now.get(key)!r} here"
+        for key in sorted(recorded.keys() | now.keys())
+        if recorded.get(key) != now.get(key)
+    }
+    if changed:
+        pytest.skip(f"{RECORDED.name} was made in another environment: {changed}")
+    compare = subprocess.run(
+        [sys.executable, str(SCRIPT), "--compare", str(RECORDED), str(fresh)],
+        capture_output=True, text=True,
+    )
+    assert compare.returncode == 0, f"artifacts differ from {RECORDED.name}:\n{compare.stdout}"

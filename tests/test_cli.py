@@ -75,6 +75,11 @@ def write_config(tmp_path, output_dir, **overrides):
     return path
 
 
+def digests(run_dir):
+    """sha256 of every file of ``run_dir``, by file name."""
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in run_dir.iterdir()}
+
+
 def stdout_value(capsys, key):
     for line in capsys.readouterr().out.splitlines():
         if line.startswith(key + ","):
@@ -281,6 +286,17 @@ class TestExitCodes:
         junk.write_bytes(b"\x01\x02\x03")
         assert main(["eval", "--model", str(model_path), "--dataset", str(junk)]) == 2
 
+    @pytest.mark.parametrize("attack", [[], ["--attack", "fgsm"]], ids=["clean", "fgsm"])
+    def test_eval_refuses_a_dataset_of_another_class_count(self, tmp_path, capsys, attack):
+        model_path, dataset_path = tmp_path / "m.pmxm", tmp_path / "d.pmxd"
+        save_model(ReferenceModel.initialize(2, 3, 4, 192, np.random.default_rng(0)), model_path)
+        save_dataset(synth_shapes(10, 16, 2, seed=1), dataset_path)
+        argv = ["eval", "--model", str(model_path), "--dataset", str(dataset_path), *attack]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "model scores 3 classes, dataset has 10" in captured.err
+
     def test_unknown_method_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["boundary-demo", "--method", "sorcery", "--out", str(tmp_path / "o.csv")])
@@ -358,12 +374,8 @@ class TestPhaseCommands:
             assert main([command, "--config", str(cfg_path)]) == 0
         cfg_path = write_config(tmp_path, whole, search={"objective": objective})
         assert main(["pipeline", "--config", str(cfg_path)]) == 0
-        phase_files, pipeline_files = (
-            {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in run.iterdir()}
-            for run in (phases, whole)
-        )
-        assert len(pipeline_files) == 8
-        assert phase_files == pipeline_files
+        assert len(digests(whole)) == 8
+        assert digests(phases) == digests(whole)
 
     def test_each_command_builds_only_the_sets_it_reads(self, tmp_path, capsys, monkeypatch):
         # The config has 15 training and 6 validation images per class.
@@ -414,7 +426,7 @@ class TestPhaseCommands:
 
 class TestResume:
     """A rerun into a run directory reuses its phase-1 checkpoint only when
-    the config would train a model of the same shape."""
+    the config snapshot beside it records the settings about to run."""
 
     @pytest.mark.parametrize(
         "change",
@@ -449,19 +461,36 @@ class TestResume:
         assert (run_dir / FITNESS_MODEL_FILE).read_bytes() == checkpoint
         assert (run_dir / FINAL_MODEL_FILE).exists()
 
+    def test_resumed_pipeline_writes_what_a_fresh_one_writes(self, tmp_path, capsys):
+        resumed, fresh = tmp_path / "resumed", tmp_path / "fresh"
+        cfg_path = write_config(tmp_path, resumed)
+        assert main(["train-random", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(cfg_path)]) == 0
+        resumed_out = capsys.readouterr().out
+        assert main(["pipeline", "--config", str(write_config(tmp_path, fresh))]) == 0
+        assert capsys.readouterr().out == resumed_out
+        assert len(digests(fresh)) == 8
+        assert digests(resumed) == digests(fresh)
+
     def test_search_refuses_other_class_count(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         assert main(["train-random", "--config", str(write_config(tmp_path, run_dir))]) == 0
         capsys.readouterr()
+        snapshot = (run_dir / CONFIG_SNAPSHOT_FILE).read_bytes()
         cfg_path = write_config(tmp_path, run_dir, dataset={"class_count": 4})
         assert main(["search", "--config", str(cfg_path)]) == 2
-        assert "model scores 3 classes, dataset has 4" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{FITNESS_MODEL_FILE} was made with dataset.class_count = 3" in err
+        assert "but the config asks for 4;" in err
+        assert (run_dir / CONFIG_SNAPSHOT_FILE).read_bytes() == snapshot
         assert not (run_dir / BEST_INDIVIDUAL_FILE).exists()
 
 
 class TestResumeSettings:
-    """``pipeline`` reuses a phase-1 checkpoint only when the config snapshot
-    beside it records the ``dataset`` and ``train`` settings about to run."""
+    """``pipeline`` and ``search`` read a phase-1 checkpoint only when the
+    config snapshot beside it records the ``dataset`` and ``train`` settings
+    about to run."""
 
     @pytest.fixture()
     def run_dir(self, tmp_path, capsys):
@@ -470,15 +499,13 @@ class TestResumeSettings:
         capsys.readouterr()
         return run_dir
 
-    def refused(self, tmp_path, capsys, run_dir, argv):
-        snapshot = (run_dir / CONFIG_SNAPSHOT_FILE).read_bytes()
-        checkpoint = (run_dir / FITNESS_MODEL_FILE).read_bytes()
-        assert main(["pipeline", "--config", str(tmp_path / "run_config.json"), *argv]) == 2
+    def refused(self, tmp_path, capsys, run_dir, argv, command="pipeline"):
+        before = digests(run_dir)
+        assert main([command, "--config", str(tmp_path / "run_config.json"), *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert (run_dir / CONFIG_SNAPSHOT_FILE).read_bytes() == snapshot
-        assert (run_dir / FITNESS_MODEL_FILE).read_bytes() == checkpoint
-        assert not (run_dir / SEARCH_HISTORY_FILE).exists()
+        assert digests(run_dir) == before  # config.json and the checkpoint included
+        assert not (run_dir / BEST_INDIVIDUAL_FILE).exists()
         assert not (run_dir / FINAL_MODEL_FILE).exists()
         return captured.err
 
@@ -486,8 +513,13 @@ class TestResumeSettings:
         # Dataset settings are compared first: dataset.seed is named.
         write_config(tmp_path, run_dir, dataset={"seed": 9}, train={"epochs": 1})
         err = self.refused(tmp_path, capsys, run_dir, ["--seed", "99"])
-        assert "was trained with dataset.seed = 3" in err
+        assert f"{FITNESS_MODEL_FILE} was made with dataset.seed = 3" in err
         assert "but the config asks for 9" in err
+
+    def test_search_with_another_seed_refused(self, tmp_path, capsys, run_dir):
+        write_config(tmp_path, run_dir)
+        err = self.refused(tmp_path, capsys, run_dir, ["--seed", "99"], command="search")
+        assert "train.seed = 7" in err and "asks for 99;" in err
 
     def test_other_train_setting_named(self, tmp_path, capsys, run_dir):
         write_config(tmp_path, run_dir, train={"epochs": 1, "lr0": 0.01})
@@ -517,16 +549,17 @@ class TestResumeSettings:
         ],
         ids=["hidden_dim", "class_count", "grid_size"],
     )
-    def test_checkpoint_without_snapshot_refused_by_shape(self, tmp_path, capsys, run_dir, change):
-        # With no config.json to compare, the checkpoint's own shape is checked.
+    def test_checkpoint_without_snapshot_refused(self, tmp_path, capsys, run_dir, change):
+        # With no config.json, nothing records what trained the checkpoint.
         (run_dir / CONFIG_SNAPSHOT_FILE).unlink()
         checkpoint = (run_dir / FITNESS_MODEL_FILE).read_bytes()
         cfg_path = write_config(tmp_path, run_dir, **change)
         assert main(["pipeline", "--config", str(cfg_path)]) == 2
         captured = capsys.readouterr()
-        shape = "holds a model with (grid_size, class_count, hidden_dim, patch_pixels)"
-        assert shape in captured.err
-        assert "was trained with" not in captured.err
+        assert (
+            f"{FITNESS_MODEL_FILE} has no record of the settings that made it; "
+            "remove it or choose another output_dir"
+        ) in captured.err
         assert captured.out == ""
         assert (run_dir / FITNESS_MODEL_FILE).read_bytes() == checkpoint
         assert not (run_dir / CONFIG_SNAPSHOT_FILE).exists()
@@ -542,8 +575,9 @@ class TestResumeSettings:
 
 
 class TestGuidedInputs:
-    """``generate`` and ``train-guided`` refuse a genome or manifest that
-    does not fit the configured dataset and grid, with exit code 2."""
+    """``generate`` and ``train-guided`` refuse, with exit code 2, a genome
+    or manifest that other settings made or that does not fit the training
+    set."""
 
     @pytest.fixture()
     def run_dir(self, tmp_path, capsys):
@@ -553,21 +587,33 @@ class TestGuidedInputs:
         return run_dir
 
     def test_genome_of_another_class_count_refused(self, tmp_path, capsys, run_dir):
-        manifest = (run_dir / GUIDED_MANIFEST_FILE).read_bytes()
+        before = digests(run_dir)
         cfg_path = write_config(tmp_path, run_dir, dataset={"class_count": 4})
         for command in ("generate", "train-guided"):
             assert main([command, "--config", str(cfg_path)]) == 2
             captured = capsys.readouterr()
-            assert "genome has 3 classes, but the training set has 4" in captured.err
+            assert f"{BEST_INDIVIDUAL_FILE} was made with dataset.class_count = 3" in captured.err
             assert captured.out == ""
-        assert (run_dir / GUIDED_MANIFEST_FILE).read_bytes() == manifest
+        assert digests(run_dir) == before
 
     def test_train_guided_refuses_another_grid(self, tmp_path, capsys, run_dir):
-        final = (run_dir / FINAL_MODEL_FILE).read_bytes()
+        before = digests(run_dir)
         cfg_path = write_config(tmp_path, run_dir, train={"grid_size": 4})
         assert main(["train-guided", "--config", str(cfg_path)]) == 2
-        assert "guided set has grid size 2, but train.grid_size is 4" in capsys.readouterr().err
-        assert (run_dir / FINAL_MODEL_FILE).read_bytes() == final
+        err = capsys.readouterr().err
+        assert f"{BEST_INDIVIDUAL_FILE} was made with train.grid_size = 2" in err
+        assert "but the config asks for 4;" in err
+        assert digests(run_dir) == before
+
+    @pytest.mark.parametrize("command", ["generate", "train-guided"])
+    def test_other_search_settings_refused(self, tmp_path, capsys, run_dir, command):
+        before = digests(run_dir)
+        cfg_path = write_config(tmp_path, run_dir, search={"generations": 1})
+        assert main([command, "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert f"{BEST_INDIVIDUAL_FILE} was made with search.generations = 2" in captured.err
+        assert captured.out == ""
+        assert digests(run_dir) == before
 
     def test_train_guided_refuses_a_bad_manifest_entry(self, tmp_path, capsys, run_dir):
         path = run_dir / GUIDED_MANIFEST_FILE

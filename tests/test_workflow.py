@@ -495,22 +495,26 @@ class TestTrainFinal:
         assert len(metrics) == 2
 
     @pytest.mark.parametrize(
-        "other, found",
-        [((3, 32, 4, 7), "(192, 3)"), ((4, 16, 4, 7), "(48, 4)")],
-        ids=["pixels-per-patch", "class-count"],
+        "other, message",
+        [
+            ((3, 32, 4, 7, 4), "(patch_pixels, class_count) = (192, 3), but the training set "
+             "has (48, 3)"),
+            ((4, 16, 4, 7, 4), "(patch_pixels, class_count) = (48, 4), but the training set "
+             "has (48, 3)"),
+            ((3, 16, 4, 7, 2), "grid size 2, but train.grid_size is 4"),
+        ],
+        ids=["pixels-per-patch", "class-count", "grid"],
     )
-    def test_guided_set_of_other_data_refused(self, small_train, small_val, other, found):
-        # A guided set composed from other data on the same 4x4 grid: a
-        # patch of a 32 px RGB image has 192 pixels, one of a 16 px image 48.
-        classes, size, per_class, seed = other
+    def test_guided_set_of_other_data_refused(self, small_train, small_val, other, message):
+        # A guided set composed from other data or on another grid than the
+        # config's 4x4: a patch of a 32 px RGB image on it has 192 pixels,
+        # one of a 16 px image 48.
+        classes, size, per_class, seed, grid = other
         data = synth_shapes(classes, size, per_class, seed)
-        ind = make_individual(classes, grid_size=4, active=(1,), rng=np.random.default_rng(2))
+        ind = make_individual(classes, grid_size=grid, active=(1,), rng=np.random.default_rng(2))
         guided = guided_set(ind, data, 10, np.random.default_rng(3))
         cfg = TrainConfig(epochs=1, batch_size=30, hidden_dim=16, grid_size=4, seed=2)
-        with pytest.raises(ConfigError, match=re.escape(
-            f"guided set has (patch_pixels, class_count) = {found}, "
-            "but the training set has (48, 3)"
-        )):
+        with pytest.raises(ConfigError, match=re.escape(f"guided set has {message}")):
             train_final(small_train, small_val, cfg, guided)
 
     def test_same_seed_same_model(self, small_train, small_val):
@@ -564,8 +568,11 @@ class TestPipeline:
         final_bytes = (run_dir / FINAL_MODEL_FILE).read_bytes()
         best_text = (run_dir / BEST_INDIVIDUAL_FILE).read_text()
 
+        checkpoint = load_model(run_dir / FITNESS_MODEL_FILE)
         with caplog.at_level(logging.INFO, logger="patchmix.workflow"):
-            second = run_guided_pipeline(train, val, tiny_cfg, SMALL_SEARCH, run_dir)
+            second = run_guided_pipeline(
+                train, val, tiny_cfg, SMALL_SEARCH, run_dir, fitness_model=checkpoint
+            )
         assert any("phase 1 skipped" in r.message for r in caplog.records)
         assert second.fitness_metrics is None
         # Same checkpoint in, same artifacts out.
