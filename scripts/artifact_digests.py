@@ -12,7 +12,10 @@ at the settings of acceptance criterion 10 (``none`` at the defaults; the
 other methods at 60 samples per class and 80 epochs).  For every run it
 records the exit code, the stdout and the sha256 of every file the run
 wrote, and writes them all to one JSON file, together with the environment
-the bytes depend on (:func:`environment`).
+the bytes depend on (:func:`environment`).  For a pipeline run it also
+records the sha256 of the guided set's patches, image labels and patch
+labels, rebuilt with ``workflow.materialize_guided`` from the run's genome,
+manifest and training set (:func:`guided_set_digests`).
 
 ``--root`` names the tree whose ``src/`` and ``perfbench/`` are imported
 (default: this repository), so an export of another commit is digested by
@@ -88,6 +91,23 @@ def file_digests(run_dir: Path) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
 
 
+def guided_set_digests(run_dir: Path) -> dict[str, str]:
+    """sha256 of the guided set that ``run_dir``'s ``best_individual.txt``
+    and ``guided_set.txt`` compose from the training set of its
+    ``config.json``, one entry per array; none if the run wrote no manifest."""
+    from patchmix.cli import build_dataset, load_run_config
+    from patchmix.evolution import load_individual
+    from patchmix.workflow import load_guided_manifest, materialize_guided
+
+    if not (run_dir / "guided_set.txt").exists():
+        return {}
+    train = build_dataset(load_run_config(run_dir / "config.json").dataset, val=False)
+    best, _ = load_individual(run_dir / "best_individual.txt")
+    guided = materialize_guided(best, train, load_guided_manifest(run_dir / "guided_set.txt"))
+    arrays = ("patches", "image_labels", "patch_labels")
+    return {name: hashlib.sha256(getattr(guided, name).tobytes()).hexdigest() for name in arrays}
+
+
 def run_command(main, argv: list[str]) -> tuple[int, str]:
     """Exit code and stdout of one in-process CLI call."""
     out = io.StringIO()
@@ -97,12 +117,17 @@ def run_command(main, argv: list[str]) -> tuple[int, str]:
 
 
 def digest_pipeline(main, config: dict, run_dir: Path) -> dict:
-    """Run ``pipeline`` on ``config`` into ``run_dir``; its exit code, stdout
-    and file digests."""
+    """Run ``pipeline`` on ``config`` into ``run_dir``; its exit code, stdout,
+    file digests and guided-set digests."""
     config_path = run_dir.parent / f"{run_dir.name}.json"
     config_path.write_text(json.dumps({**config, "output_dir": str(run_dir)}))
     code, stdout = run_command(main, ["pipeline", "--config", str(config_path)])
-    return {"exit_code": code, "stdout": stdout, "files": file_digests(run_dir)}
+    return {
+        "exit_code": code,
+        "stdout": stdout,
+        "files": file_digests(run_dir),
+        "guided_set": guided_set_digests(run_dir),
+    }
 
 
 def digest_demo(main, method: str, out: Path) -> dict:
@@ -116,6 +141,7 @@ def entries(run: dict) -> dict:
     """A run's digests as flat ``name: value`` pairs."""
     flat = {"exit_code": run["exit_code"], "stdout": run["stdout"]}
     flat.update({f"files/{name}": digest for name, digest in run["files"].items()})
+    flat.update({f"guided_set/{name}": d for name, d in run.get("guided_set", {}).items()})
     return flat
 
 

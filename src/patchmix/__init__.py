@@ -38,7 +38,7 @@ from .masks import (
     sample_mask_bits,
     sample_random_mask,
 )
-from .mixing import MixedBatch, MixedSample, cutmix, mixup, patchmix, patchmix_batch
+from .mixing import MixedBatch, cutmix, mixup, patchmix, patchmix_batch
 from .model import (
     ReferenceModel,
     TrainConfig,
@@ -71,7 +71,6 @@ __all__ = [
     "FormatError",
     "Individual",
     "MixedBatch",
-    "MixedSample",
     "NumericError",
     "PipelineResult",
     "ReferenceModel",

@@ -23,6 +23,7 @@ import json
 import logging
 import sys
 import tempfile
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,10 +38,11 @@ from .data import (
 )
 from .errors import ConfigError, FormatError, NumericError
 from .evolution import SearchConfig, load_individual
-from .mixing import MixedBatch, cutmix, mixup
+from .mixing import cutmix, mixup
 from .model import (
     TrainConfig,
-    _patchify_scratch,
+    _model_dims,
+    _scratch,
     _shuffled_pairs,
     _train_loop,
     adversarial_accuracy,
@@ -116,11 +118,28 @@ class RunConfig:
 _SECTION_TYPES = {"dataset": DatasetConfig, "train": TrainConfig, "search": SearchConfig}
 
 
+# The JSON value types that fit a config field of each type, and their name.
+_JSON_TYPES = {
+    bool: ((bool,), "a boolean"), int: ((int,), "an integer"), float: ((int, float), "a number"),
+    str: ((str,), "a string"), type(None): ((type(None),), "null"),
+}
+
+
+def _check_json_type(name: str, value, hint) -> None:
+    """Reject ``value`` unless its JSON type fits the field type ``hint``: an
+    integer fits a float field, a boolean fits no number field."""
+    kinds = typing.get_args(hint) or (hint,)
+    if not any(type(value) in _JSON_TYPES[kind][0] for kind in kinds):
+        expected = " or ".join(_JSON_TYPES[kind][1] for kind in kinds)
+        raise ConfigError(f"config key {name} must be {expected}, got {json.dumps(value)}")
+
+
 def _build_section(cls, data: dict, section: str):
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    for key in data:
-        if key not in allowed:
+    hints = typing.get_type_hints(cls)
+    for key, value in data.items():
+        if key not in hints:
             raise ConfigError(f"unknown config key {section}.{key}")
+        _check_json_type(f"{section}.{key}", value, hints[key])
     return cls(**data)
 
 
@@ -137,12 +156,9 @@ def run_config_from_dict(data: dict) -> RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"config section {name} must be an object")
         sections[name] = _build_section(cls, raw, name)
-    cfg = RunConfig(
-        dataset=sections["dataset"],
-        train=sections["train"],
-        search=sections["search"],
-        output_dir=data.get("output_dir", RunConfig.output_dir),
-    )
+    output_dir = data.get("output_dir", RunConfig.output_dir)
+    _check_json_type("output_dir", output_dir, str)
+    cfg = RunConfig(sections["dataset"], sections["train"], sections["search"], output_dir)
     cfg.validate()
     return cfg
 
@@ -332,25 +348,17 @@ def _demo_train(method: str, train: Dataset, val: Dataset, cfg: TrainConfig):
         return model
     if method in ("mixup", "cutmix"):
         image_cfg = dataclasses.replace(cfg, loss_mode="image_only")
+        p, ppc = image_cfg.grid_size, _model_dims(train, image_cfg)[3]
 
         def batches(epoch: int, rng: np.random.Generator, buffers: dict):
             for idx, partner in _shuffled_pairs(len(train), image_cfg.batch_size, rng):
-                samples = []
-                for i, j in zip(idx, partner):
-                    xi, yi = train.images[i], int(train.labels[i])
-                    xj, yj = train.images[j], int(train.labels[j])
-                    if method == "mixup":
-                        lam = float(rng.beta(MIXUP_BETA, MIXUP_BETA))
-                        samples.append(mixup(xi, yi, xj, yj, lam, train.class_count))
-                    else:
-                        samples.append(cutmix(xi, yi, xj, yj, rng, 1, 1, train.class_count))
-                yield MixedBatch(
-                    _patchify_scratch(
-                        np.stack([s.image for s in samples]), image_cfg.grid_size, buffers
-                    ),
-                    np.stack([s.image_label for s in samples]),
-                    None,
-                )
+                sources = (train.images, idx, partner, train.labels[idx], train.labels[partner])
+                out = _scratch(buffers, "patches", (len(idx), p * p, ppc))
+                if method == "mixup":
+                    lam = rng.beta(MIXUP_BETA, MIXUP_BETA, size=len(idx))
+                    yield mixup(*sources, lam, train.class_count, p, out=out)
+                else:
+                    yield cutmix(*sources, rng, 1, 1, train.class_count, p, out=out)
 
         return _train_loop(train, val, image_cfg, batches, "rand-train")[0]
     if method == "guided":

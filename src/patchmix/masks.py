@@ -7,7 +7,7 @@ so pixel (s, t) receives ``bits[s * P // H][t * P // W]``;
 :func:`expand_to_pixel_mask` returns that (H, W) uint8 array.  It is the
 definition the composers follow, not a step they take: ``mixing.patchmix``
 and ``mixing.patchmix_batch`` copy whole grid cells from the source each
-bit names.
+bit names straight into patch matrices.
 
 Random masks are drawn a batch at a time: :func:`sample_mask_bits` returns
 a (count, P, P) stack of fair-coin cells from one ``rng.random`` call, and

@@ -1,6 +1,6 @@
 """Pairwise sample interpolation.
 
-Three ways to compose two labeled images into one training sample:
+Three ways to compose pairs of labeled images into training samples:
 
 * grid-mask composition — each patch region comes wholly from one source,
   the soft label weight equals the fraction of kept cells, and every
@@ -9,12 +9,12 @@ Three ways to compose two labeled images into one training sample:
 * rectangle transplant — a fixed-size crop of the second image pasted at
   a Gaussian-drawn center (no patch labels).
 
-Training consumes :class:`MixedBatch` patch matrices, the (B, P*P,
-patch_pixels) layout the model's encoder reads.  :func:`patchmix_batch`
-composes a whole batch straight into that layout, row for row equal to
-``model.patchify`` of :func:`patchmix`'s image.  Neither expands a mask
-to pixels: :func:`patchmix` selects whole grid cells of the two sources,
-:func:`patchmix_batch` gathers them.
+Every composer returns a :class:`MixedBatch` of (B, P*P, patch_pixels)
+patch matrices in :func:`patchify` order, the layout the model's encoder
+reads.  :func:`patchmix` composes one row from two images by selecting
+whole grid cells, :func:`patchmix_batch` a batch by gathering them, row for
+row equal; neither expands a mask to pixels.  :func:`mixup` and
+:func:`cutmix` compose a batch in pixel space and patchify it.
 """
 
 from __future__ import annotations
@@ -23,23 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _check_label, one_hot
+from .data import _check_label
 from .errors import ConfigError
 from .masks import _check_divisible, _check_mask, _ratio
-
-
-@dataclass
-class MixedSample:
-    """One composed training sample.
-
-    ``patch_labels`` is None when the composition does not align with the
-    patch grid (blending, rectangle transplant).
-    """
-
-    image: np.ndarray            # (H, W, C) float64
-    image_label: np.ndarray      # (class_count,) float64, sums to 1
-    patch_labels: np.ndarray | None  # (P*P,) int64, row-major grid order
-    lam: float                   # weight of the first source image
 
 
 @dataclass
@@ -51,7 +37,7 @@ class MixedBatch:
     patch grid (blending, rectangle transplant).
     """
 
-    patches: np.ndarray              # (B, P*P, patch_pixels); float64 from the composers
+    patches: np.ndarray              # (B, P*P, patch_pixels); float64, or ``out``'s type
     image_labels: np.ndarray         # (B, class_count) float64, rows sum to 1
     patch_labels: np.ndarray | None  # (B, P*P) int64, row-major grid order
 
@@ -59,67 +45,96 @@ class MixedBatch:
         return len(self.patches)
 
 
-def _check_pair(x_i: np.ndarray, x_j: np.ndarray) -> None:
-    if x_i.shape != x_j.shape:
-        raise ConfigError(f"source shapes differ: {x_i.shape} vs {x_j.shape}")
-    if x_i.ndim != 3:
-        raise ConfigError("images must have shape (height, width, channels)")
+def _cells(images: np.ndarray, grid_size: int) -> np.ndarray:
+    """The (B, P, P, H/P, W/P, C) view of (B, H, W, C) images: grid cell
+    (r, s) of every image."""
+    b, h, w, c = images.shape
+    _check_divisible(w, h, grid_size)
+    x = images.reshape(b, grid_size, h // grid_size, grid_size, w // grid_size, c)
+    return x.transpose(0, 1, 3, 2, 4, 5)
+
+
+def patchify(images: np.ndarray, grid_size: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(B, H, W, C) -> (B, P*P, patch_pixels) in row-major grid order, into ``out`` if given."""
+    x = _cells(images, grid_size)
+    if out is None:
+        return x.reshape(len(x), grid_size**2, int(np.prod(x.shape[3:])))
+    np.copyto(out.reshape(x.shape), x)
+    return out
+
+
+def unpatchify(patch_grads: np.ndarray, shape: tuple, grid_size: int) -> np.ndarray:
+    """Inverse of :func:`patchify` for gradient layouts."""
+    b, h, w, c = shape
+    x = patch_grads.reshape(b, grid_size, grid_size, h // grid_size, w // grid_size, c)
+    return x.transpose(0, 1, 3, 2, 4, 5).reshape(shape)
+
+
+def _check_rows(class_count: int, y_i, y_j, *columns) -> tuple[np.ndarray, np.ndarray]:
+    """``y_i`` and ``y_j`` as int64 arrays, rejected unless they and every per-row
+    column have one entry per row and every label lies in [0, class_count)."""
+    y_i, y_j = np.asarray(y_i, dtype=np.int64), np.asarray(y_j, dtype=np.int64)
+    if len({len(y_i), len(y_j), *map(len, columns)}) > 1:
+        raise ConfigError("sources, labels and mixing parameters must have one entry per row")
+    labels = np.concatenate([y_i, y_j])
+    if len(labels) and (labels.min() < 0 or labels.max() >= class_count):
+        raise ConfigError(f"label outside [0, {class_count})")
+    return y_i, y_j
+
+
+def _soft_labels(lam: np.ndarray, y_i: np.ndarray, y_j: np.ndarray, class_count: int):
+    """(B, class_count) rows ``lam * onehot(y_i) + (1 - lam) * onehot(y_j)``."""
+    eye, lam = np.eye(class_count), lam[:, None]
+    return lam * eye[y_i] + (1.0 - lam) * eye[y_j]
 
 
 def patchmix(
-    x_i: np.ndarray,
-    y_i: int,
-    x_j: np.ndarray,
-    y_j: int,
-    mask: np.ndarray,
-    class_count: int,
-) -> MixedSample:
-    """Compose two images under a grid mask.
+    x_i: np.ndarray, y_i: int, x_j: np.ndarray, y_j: int, mask, class_count: int, out=None
+) -> MixedBatch:
+    """Compose two images under a grid mask into a one-row batch.
 
     ``mask`` is a (P, P) 0/1 grid: bit 1 keeps ``x_i`` pixels, bit 0 takes
     ``x_j``, so pixel (s, t) comes from the source that bit
     ``mask[s * P // H, t * P // W]`` names (``masks.expand_to_pixel_mask``).
-    Each grid cell is taken whole from the (P, H/P, P, W/P, C) view of its
-    source, with no pixel-level mask.  The soft image label weights the
-    two one-hot labels by the kept-cell fraction (``masks.mixing_ratio``),
-    and patch n (row-major) is labeled with the class of its source image.
+    Each grid cell is taken whole from its source into patch n (row-major)
+    of the (1, P*P, patch_pixels) patches, with no pixel-level mask: into
+    ``out``, in its type, if given, else a new float64 array.  The soft
+    image label weights the two one-hot labels by the kept-cell fraction
+    (``masks.mixing_ratio``), and patch n is labeled with the class of its
+    source image.
     """
-    _check_pair(x_i, x_j)
+    if x_i.shape != x_j.shape:
+        raise ConfigError(f"source shapes differ: {x_i.shape} vs {x_j.shape}")
+    if x_i.ndim != 3:
+        raise ConfigError("images must have shape (height, width, channels)")
     bits = _check_mask(mask)
     height, width, channels = x_i.shape
     p = bits.shape[0]
     _check_divisible(width, height, p)
     y_i, y_j = _check_label(y_i, class_count), _check_label(y_j, class_count)
-    cells = (p, height // p, p, width // p, channels)
-    keep = (bits == 1).reshape(p, 1, p, 1, 1)
-    image = np.where(keep, x_i.reshape(cells), x_j.reshape(cells))
-    image = image.astype(np.float64, copy=False).reshape(height, width, channels)
+    if out is None:
+        out = np.empty((1, p * p, (height // p) * (width // p) * channels))
+    cells = out.reshape(1, p, p, height // p, width // p, channels)
+    np.copyto(cells, _cells(x_j[None], p))
+    np.copyto(cells, _cells(x_i[None], p), where=(bits == 1).reshape(1, p, p, 1, 1, 1))
     lam = _ratio(bits)
     # lam * onehot(y_i) + (1 - lam) * onehot(y_j), entry for entry: a sum
     # with 0.0, or lam + (1 - lam) in the other order when y_i == y_j.
-    image_label = np.zeros(class_count)
-    image_label[y_j] = 1.0 - lam
-    image_label[y_i] += lam
-    patch_labels = np.where(bits.reshape(-1) == 1, y_i, y_j).astype(np.int64)
-    return MixedSample(image, image_label, patch_labels, lam)
+    image_labels = np.zeros((1, class_count))
+    image_labels[0, y_j] = 1.0 - lam
+    image_labels[0, y_i] += lam
+    patch_labels = np.where(bits.reshape(1, -1) == 1, y_i, y_j).astype(np.int64)
+    return MixedBatch(out, image_labels, patch_labels)
 
 
 def patchmix_batch(
-    images: np.ndarray,
-    i: np.ndarray,
-    j: np.ndarray,
-    y_i: np.ndarray,
-    y_j: np.ndarray,
-    bits: np.ndarray,
-    class_count: int,
-    out: np.ndarray | None = None,
+    images: np.ndarray, i, j, y_i, y_j, bits, class_count: int, out=None
 ) -> MixedBatch:
     """Compose ``images[i[k]]`` and ``images[j[k]]`` under the grid mask
     ``bits[k]`` for every row k of a batch, as patch matrices.
 
-    Row k of the patches equals ``model.patchify`` of ``patchmix(images[i[k]],
-    y_i[k], images[j[k]], y_j[k], bits[k], class_count).image``;
-    its labels equal that sample's.  All-ones bits give identity rows.  The
+    Row k equals ``patchmix(images[i[k]], y_i[k], images[j[k]], y_j[k],
+    bits[k], class_count)``.  All-ones bits give identity rows.  The
     patches are float64 whatever the source type, written into ``out`` (a
     (B, P*P, patch_pixels) float64 array) if given; each grid cell is copied
     whole from the source its bit names, with no pixel-level mask.
@@ -127,13 +142,7 @@ def patchmix_batch(
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.max(initial=0) > 1:
         raise ConfigError("mask bits must contain only 0/1 values")
-    y_i = np.asarray(y_i, dtype=np.int64)
-    y_j = np.asarray(y_j, dtype=np.int64)
-    if not len(i) == len(j) == len(y_i) == len(y_j) == len(bits):
-        raise ConfigError("sources, labels and masks must have one entry per row")
-    labels = np.concatenate([y_i, y_j])
-    if len(labels) and (labels.min() < 0 or labels.max() >= class_count):
-        raise ConfigError(f"label outside [0, {class_count})")
+    y_i, y_j = _check_rows(class_count, y_i, y_j, i, j, bits)
     height, width, channels = images.shape[1:]
     b, p = len(bits), bits.shape[-1]
     _check_divisible(width, height, p)
@@ -151,64 +160,54 @@ def patchmix_batch(
         out = np.empty((b, p * p, ph * pw * channels))
     np.copyto(out.reshape(picked.shape), picked)
     flat = bits.reshape(b, p * p)
-    lam = (flat.sum(axis=1) / flat.shape[1])[:, None]
-    eye = np.eye(class_count)
-    image_labels = lam * eye[y_i] + (1.0 - lam) * eye[y_j]
+    lam = flat.sum(axis=1) / flat.shape[1]
     patch_labels = np.where(flat == 1, y_i[:, None], y_j[:, None])
-    return MixedBatch(out, image_labels, patch_labels)
+    return MixedBatch(out, _soft_labels(lam, y_i, y_j, class_count), patch_labels)
 
 
 def mixup(
-    x_i: np.ndarray,
-    y_i: int,
-    x_j: np.ndarray,
-    y_j: int,
-    lam: float,
-    class_count: int,
-) -> MixedSample:
-    """Convex pixel blend; the caller supplies the blend weight."""
-    _check_pair(x_i, x_j)
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigError(f"blend weight must lie in [0, 1], got {lam}")
-    lam = float(lam)
-    image = lam * x_i.astype(np.float64) + (1.0 - lam) * x_j.astype(np.float64)
-    image_label = lam * one_hot(y_i, class_count) + (1.0 - lam) * one_hot(y_j, class_count)
-    return MixedSample(image, image_label, None, lam)
+    images: np.ndarray, i, j, y_i, y_j, lam, class_count: int, grid_size: int, out=None
+) -> MixedBatch:
+    """Convex pixel blends ``lam[k] * images[i[k]] + (1 - lam[k]) *
+    images[j[k]]`` for every row k, patchified into ``out`` if given; the
+    caller supplies the blend weights."""
+    lam = np.asarray(lam, dtype=np.float64)
+    y_i, y_j = _check_rows(class_count, y_i, y_j, i, j, lam)
+    bad = ~((lam >= 0.0) & (lam <= 1.0))
+    if bad.any():
+        raise ConfigError(f"blend weight must lie in [0, 1], got {lam[bad][0]}")
+    w = lam[:, None, None, None]
+    blend = w * images[i] + (1.0 - w) * images[j]
+    labels = _soft_labels(lam, y_i, y_j, class_count)
+    return MixedBatch(patchify(blend, grid_size, out), labels, None)
 
 
 def cutmix(
-    x_i: np.ndarray,
-    y_i: int,
-    x_j: np.ndarray,
-    y_j: int,
-    rng: np.random.Generator,
-    region_w: int,
-    region_h: int,
-    class_count: int,
-) -> MixedSample:
-    """Paste a region_w x region_h crop of ``x_j`` into ``x_i``.
+    images: np.ndarray, i, j, y_i, y_j, rng, region_w, region_h, class_count, grid_size, out=None
+) -> MixedBatch:
+    """Paste a region_w x region_h crop of ``images[j[k]]`` into
+    ``images[i[k]]`` for every row k, patchified into ``out`` if given.
 
-    The region center is drawn from a Gaussian at the image center with
-    std one quarter of each dimension (horizontal first, then vertical),
-    then clamped so the rectangle stays inside the image.  The label
-    weight is one minus the pasted-area fraction.
+    Each region center is drawn from a Gaussian at the image center with
+    std one quarter of each dimension (horizontal first, then vertical,
+    row after row, in one ``rng.normal`` call), then clamped so the
+    rectangle stays inside the image.  The label weight is one minus the
+    pasted-area fraction.  An empty region pastes and draws nothing.
     """
-    _check_pair(x_i, x_j)
-    height, width = x_i.shape[:2]
+    y_i, y_j = _check_rows(class_count, y_i, y_j, i, j)
+    height, width = images.shape[1:3]
     if not 0 <= region_w <= width or not 0 <= region_h <= height:
-        raise ConfigError(
-            f"region {region_w}x{region_h} does not fit a {width}x{height} image"
-        )
-    image = x_i.astype(np.float64).copy()
-    if region_w == 0 or region_h == 0:
-        return MixedSample(image, one_hot(y_i, class_count), None, 1.0)
-    cx = rng.normal(width / 2.0, width / 4.0)
-    cy = rng.normal(height / 2.0, height / 4.0)
-    x0 = int(np.clip(round(cx - region_w / 2.0), 0, width - region_w))
-    y0 = int(np.clip(round(cy - region_h / 2.0), 0, height - region_h))
-    image[y0 : y0 + region_h, x0 : x0 + region_w] = x_j[
-        y0 : y0 + region_h, x0 : x0 + region_w
-    ]
-    lam = 1.0 - (region_w * region_h) / (width * height)
-    image_label = lam * one_hot(y_i, class_count) + (1.0 - lam) * one_hot(y_j, class_count)
-    return MixedSample(image, image_label, None, lam)
+        raise ConfigError(f"region {region_w}x{region_h} does not fit a {width}x{height} image")
+    mixed = images[i].astype(np.float64)
+    if region_w and region_h:
+        size = np.array([width, height])
+        centers = rng.normal(size / 2.0, size / 4.0, size=(len(mixed), 2))
+        corner = np.round(centers - [region_w / 2.0, region_h / 2.0])
+        x0, y0 = np.clip(corner, 0, size - [region_w, region_h]).astype(np.int64).T
+        rows = (y0[:, None] + np.arange(region_h))[:, :, None]
+        cols = (x0[:, None] + np.arange(region_w))[:, None, :]
+        k = np.arange(len(mixed))[:, None, None]
+        mixed[k, rows, cols] = images[np.asarray(j)[:, None, None], rows, cols]
+    lam = np.full(len(mixed), 1.0 - (region_w * region_h) / (width * height))
+    labels = _soft_labels(lam, y_i, y_j, class_count)
+    return MixedBatch(patchify(mixed, grid_size, out), labels, None)

@@ -14,9 +14,10 @@ adversarial probing free of autodiff dependencies.  All parameters and
 intermediate activations are float64.
 
 Training reads each batch as the (B, P*P, patch_pixels) patch matrix that
-``mixing.patchmix_batch`` composes (:func:`backward`), so no image-layout
+the composers of ``mixing`` return (:func:`backward`), so no image-layout
 copy is made.  :func:`forward_batch` and :func:`batch_gradients` take
-(B, H, W, C) images and :func:`patchify` them first.  Only the sign attack
+(B, H, W, C) images and patchify them first (``mixing.patchify``, which
+this module re-exports with ``unpatchify``).  Only the sign attack
 and the gradient checks form input gradients (:func:`batch_gradients`);
 training stops at parameter gradients.  A training run keeps one dict of
 batch-sized scratch buffers (:func:`_train_loop`): its batches are
@@ -45,7 +46,7 @@ from . import losses
 from .data import Dataset, _write_atomic
 from .errors import ConfigError, FormatError, NumericError
 from .masks import _check_divisible, sample_mask_bits
-from .mixing import MixedBatch, patchmix_batch
+from .mixing import MixedBatch, patchify, patchmix_batch, unpatchify
 from .rng import RngKey
 
 PARAM_FIELDS = ("w_embed", "b_embed", "w_patch", "b_patch", "w_img", "b_img")
@@ -149,28 +150,6 @@ class EpochMetrics:
     train_loss: float
     val_top1: float
     val_patch_acc: float
-
-
-def patchify(images: np.ndarray, grid_size: int, out: np.ndarray | None = None) -> np.ndarray:
-    """(B, H, W, C) -> (B, P*P, patch_pixels) in row-major grid order, into ``out`` if given."""
-    b, h, w, c = images.shape
-    _check_divisible(w, h, grid_size)
-    ph, pw = h // grid_size, w // grid_size
-    x = images.reshape(b, grid_size, ph, grid_size, pw, c)
-    x = x.transpose(0, 1, 3, 2, 4, 5)
-    if out is None:
-        return x.reshape(b, grid_size * grid_size, ph * pw * c)
-    np.copyto(out.reshape(x.shape), x)
-    return out
-
-
-def unpatchify(patch_grads: np.ndarray, shape: tuple, grid_size: int) -> np.ndarray:
-    """Inverse of :func:`patchify` for gradient layouts."""
-    b, h, w, c = shape
-    ph, pw = h // grid_size, w // grid_size
-    x = patch_grads.reshape(b, grid_size, grid_size, ph, pw, c)
-    x = x.transpose(0, 1, 3, 2, 4, 5)
-    return x.reshape(b, h, w, c)
 
 
 def _scratch(buffers: dict | None, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
@@ -401,15 +380,19 @@ def _check_classes(model: ReferenceModel, dataset: Dataset) -> None:
         )
 
 
-def evaluate_model(model: ReferenceModel, dataset: Dataset, batch_size: int = 256, buffers=None):
-    """(top-1 accuracy, patch accuracy) with every patch labeled by the image,
-    forwarded in chunks of ``batch_size`` rows; ``buffers`` as in
-    :func:`backward`."""
+def _check_eval(model: ReferenceModel, dataset: Dataset, batch_size: int) -> None:
     if len(dataset) == 0:
         raise ConfigError("cannot evaluate on an empty dataset")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be at least 1, got {batch_size}")
     _check_classes(model, dataset)
+
+
+def evaluate_model(model: ReferenceModel, dataset: Dataset, batch_size: int = 256, buffers=None):
+    """(top-1 accuracy, patch accuracy) with every patch labeled by the image,
+    forwarded in chunks of ``batch_size`` rows; ``buffers`` as in
+    :func:`backward`."""
+    _check_eval(model, dataset, batch_size)
     correct = 0
     patch_correct = 0
     for start in range(0, len(dataset), batch_size):
@@ -539,8 +522,8 @@ def fgsm_attack_batch(
 
     x_adv = clip(x + epsilon * sign(d image_loss / d x), 0, 1)
     """
-    if epsilon < 0:
-        raise ConfigError(f"epsilon must be non-negative, got {epsilon}")
+    if not 0 <= epsilon < np.inf:
+        raise ConfigError(f"epsilon must be finite and non-negative, got {epsilon}")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and not 0 <= labels.min() <= labels.max() < model.class_count:
         raise ConfigError(f"label outside [0, {model.class_count})")
@@ -553,10 +536,8 @@ def fgsm_attack_batch(
 def adversarial_accuracy(
     model: ReferenceModel, dataset: Dataset, epsilon: float, batch_size: int = 256
 ) -> float:
-    """Top-1 accuracy under the one-step sign attack."""
-    if len(dataset) == 0:
-        raise ConfigError("cannot evaluate on an empty dataset")
-    _check_classes(model, dataset)
+    """Top-1 accuracy under the one-step sign attack, in chunks of ``batch_size`` rows."""
+    _check_eval(model, dataset, batch_size)
     correct = 0
     for start in range(0, len(dataset), batch_size):
         stop = min(start + batch_size, len(dataset))

@@ -13,10 +13,11 @@ same four.
    genome (one entry per training image: uniform active slot, one training
    image per class side; each of the three is drawn for all entries at
    once).  The genome must have the dataset's class count.
-4. :func:`train_guided_model` composes the recipe's guided set, stored as
-   float32 patch matrices (every entry must name an active slot and
-   training images of that slot's classes), and trains the final model on
-   batches composed of original, randomly mixed, and guided samples —
+4. :func:`train_guided_model` composes the recipe's guided set, one
+   :func:`patchmix` row per entry written straight into float32 patch
+   matrices (every entry must name an active slot and training images of
+   that slot's classes), and trains the final model on batches composed
+   of original, randomly mixed, and guided samples —
    minimizing only the image-level loss (:func:`train_final`).  Each batch
    is composed into the training run's one float64 patch matrix: the
    original and random rows in one call, the guided rows cast into its
@@ -59,7 +60,6 @@ from .model import (
     _model_dims,
     _scratch,
     _train_loop,
-    patchify,
     save_metrics,
     save_model,
     train_random_patchmix,
@@ -77,7 +77,6 @@ FINAL_MODEL_FILE = "f_o_model.pmxm"
 FINAL_METRICS_FILE = "f_o_metrics.csv"
 
 DEFAULT_BATCH_RATIO = (1, 1, 1)
-GUIDED_CHUNK = 256  # rows of the guided set composed per patchify call
 
 
 @dataclass
@@ -148,13 +147,11 @@ def materialize_guided(
 ) -> MixedBatch:
     """The guided set of a recipe as patch matrices, one row per
     ``(slot, i, j)`` entry, each composed by one :func:`patchmix` call in
-    recipe order.
+    recipe order straight into its row.
 
     The entries are checked against the genome and the training set first.
-    The images are written into a reused chunk of at most ``GUIDED_CHUNK``
-    rows, and each chunk is patchified once.  The chunk and the patches keep
-    the dataset's storage type (float32): a composition only selects source
-    pixels, so this is lossless and halves both.
+    The patches keep the dataset's storage type (float32): a composition
+    only selects source pixels, so this is lossless and halves the set.
     """
     _check_genome_classes(individual, train)
     entries = np.asarray(recipe, dtype=np.int64).reshape(len(recipe), 3)
@@ -167,15 +164,11 @@ def materialize_guided(
         np.empty((n, p * p), dtype=np.int64),
     )
     images, labels = train.images, train.labels.tolist()  # each the slot's class (_check_recipe)
-    chunk = np.empty((min(n, GUIDED_CHUNK), height, width, channels), dtype=train.images.dtype)
-    for start in range(0, n, GUIDED_CHUNK):
-        rows = entries[start : start + GUIDED_CHUNK].tolist()
-        for k, (slot, i, j) in enumerate(rows, start):
-            sample = patchmix(images[i], labels[i], images[j], labels[j], individual.masks[slot], c)
-            chunk[k - start] = sample.image
-            guided.image_labels[k] = sample.image_label
-            guided.patch_labels[k] = sample.patch_labels
-        patchify(chunk[: len(rows)], p, guided.patches[start : start + len(rows)])
+    for k, (slot, i, j) in enumerate(entries.tolist()):
+        mask, out = individual.masks[slot], guided.patches[k : k + 1]
+        row = patchmix(images[i], labels[i], images[j], labels[j], mask, c, out=out)
+        guided.image_labels[k] = row.image_labels[0]
+        guided.patch_labels[k] = row.patch_labels[0]
     return guided
 
 

@@ -112,21 +112,22 @@ def test_equation_suite():
         lam = bits.sum() / p**2
         pixel = np.kron(bits, np.ones((8 // p, 8 // p), dtype=np.uint8))[..., None]
         np.testing.assert_array_equal(
-            sample.image, np.where(pixel == 1, x_i, x_j).astype(np.float64)
+            sample.patches, patchify(np.where(pixel == 1, x_i, x_j).astype(np.float64)[None], p)
         )
         expected_label = lam * one_hot(y_i, classes) + (1 - lam) * one_hot(y_j, classes)
-        assert np.abs(sample.image_label - expected_label).max() <= 1e-9
-        assert abs(sample.lam - lam) <= 1e-9
+        assert np.abs(sample.image_labels[0] - expected_label).max() <= 1e-9
+        # The label weight of the first source (all of it when both are one class).
+        assert abs(sample.image_labels[0, y_i] - (lam if y_i != y_j else 1.0)) <= 1e-9
         np.testing.assert_array_equal(
-            sample.patch_labels, np.where(bits.ravel() == 1, y_i, y_j)
+            sample.patch_labels[0], np.where(bits.ravel() == 1, y_i, y_j)
         )
-        # The batched composer training runs gives the same row, as patches.
+        # The batched composer training runs gives the same row.
         row = patchmix_batch(
             np.stack([x_i, x_j]), [0], [1], [y_i], [y_j], bits[None], classes
         )
-        np.testing.assert_array_equal(row.patches, patchify(sample.image[None], p))
-        np.testing.assert_array_equal(row.image_labels[0], sample.image_label)
-        np.testing.assert_array_equal(row.patch_labels[0], sample.patch_labels)
+        np.testing.assert_array_equal(row.patches, sample.patches)
+        np.testing.assert_array_equal(row.image_labels, sample.image_labels)
+        np.testing.assert_array_equal(row.patch_labels, sample.patch_labels)
         cases += 1
 
     # The training loss, as model.backward computes it: the image-level

@@ -121,6 +121,15 @@ class TestRunConfig:
         ):
             run_config_from_dict({"dataset": {"kind": "cifar"}})
 
+    def test_integer_for_a_float_and_null_for_an_optional_field_accepted(self, tmp_path):
+        cfg = run_config_from_dict(
+            config_data(tmp_path, train={"lr0": 1}, search={"max_active_pairs": None})
+        )
+        assert cfg.train.lr0 == 1 and cfg.search.max_active_pairs is None
+        # The snapshot keeps the integer as it was written.
+        save_config_snapshot(cfg, tmp_path)
+        assert json.loads((tmp_path / CONFIG_SNAPSHOT_FILE).read_text())["train"]["lr0"] == 1
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
             load_run_config(tmp_path / "nope.json")
@@ -254,6 +263,29 @@ class TestExitCodes:
         cfg_path = write_config(tmp_path, tmp_path / "run", train={"alpha": 1.0})
         assert main(["pipeline", "--config", str(cfg_path)]) == 2
         assert "unknown config key train.alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value, expected",
+        [
+            ("train", "epochs", "3", "an integer"),
+            (None, "output_dir", 5, "a string"),
+            ("dataset", "class_count", 2.5, "an integer"),
+            ("train", "lr0", True, "a number"),
+            ("search", "force_same_class", 0, "a boolean"),
+            ("search", "max_active_pairs", [3], "an integer or null"),
+            ("dataset", "seed", None, "an integer"),
+        ],
+    )
+    def test_value_of_another_json_type_exits_2(self, tmp_path, capsys, section, key, value, expected):
+        data = config_data(tmp_path / "run")
+        (data[section] if section else data)[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert main(["train-random", "--config", str(path)]) == 2
+        name = f"{section}.{key}" if section else key
+        want = f"error: config key {name} must be {expected}, got {json.dumps(value)}\n"
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "run").exists()
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -666,6 +698,16 @@ class TestEvalCommand:
             ]
         )
         assert stdout_value(capsys, "0.0") == clean
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_exits_2(self, trained_run, capsys, epsilon):
+        model_path, dataset_path = trained_run
+        argv = ["eval", "--model", str(model_path), "--dataset", str(dataset_path),
+                "--attack", "fgsm", "--epsilon", epsilon]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"epsilon must be finite and non-negative, got {epsilon}" in captured.err
+        assert "\nepsilon,adversarial_top1\n" in captured.out and f"\n{epsilon}," not in captured.out
 
     def test_default_epsilon_ladder(self, trained_run, capsys):
         model_path, dataset_path = trained_run

@@ -40,7 +40,7 @@ from patchmix.evolution import (
 from patchmix.losses import log_softmax, loss_eval_count
 from patchmix.masks import sample_mask_bits
 from patchmix.mixing import patchmix
-from patchmix.model import PARAM_FIELDS, ReferenceModel, forward_batch
+from patchmix.model import PARAM_FIELDS, ReferenceModel, forward_batch, unpatchify
 from patchmix.rng import RngKey
 
 
@@ -231,17 +231,19 @@ def reference_fitness(individual, model, val, cfg):
             [per_class[c][k] for c, k in zip(row_classes, row_positions)]
             for row_classes, row_positions in zip(classes, positions)
         ])
-    samples = []
+    rows = []
     for slot in individual.active_slots():
         ci, cj = pairs[slot]
         ii, jj = drawn[0][slot], drawn[1][slot]
         mask = individual.masks[slot]
         for a, b in zip(ii, jj):
-            samples.append(
+            rows.append(
                 patchmix(val.images[a], ci, val.images[b], cj, mask, val.class_count)
             )
-    patch_logits, _ = forward_batch(model, np.stack([s.image for s in samples]))
-    labels = np.stack([s.patch_labels for s in samples])
+    patches = np.concatenate([row.patches for row in rows])
+    images = unpatchify(patches, (len(rows), *val.images.shape[1:]), model.grid_size)
+    patch_logits, _ = forward_batch(model, images)
+    labels = np.concatenate([row.patch_labels for row in rows])
     if cfg.objective.endswith("patch_acc"):
         metric = (np.argmax(patch_logits, axis=2) == labels).mean(axis=1)
     else:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from patchmix.data import one_hot
 from patchmix.errors import ConfigError
 from patchmix.masks import expand_to_pixel_mask, mixing_ratio
-from patchmix.mixing import MixedBatch, cutmix, mixup, patchmix, patchmix_batch
+from patchmix.mixing import MixedBatch, cutmix, mixup, patchmix, patchmix_batch, unpatchify
 from patchmix.model import patchify
 from patchmix.rng import RngKey
 
@@ -18,46 +18,54 @@ def pair(rng):
     return x_i, x_j
 
 
+def pixels(batch, height, width, grid_size):
+    """The (B, H, W, C) images whose patch matrices a batch holds."""
+    b, _, patch_pixels = batch.patches.shape
+    channels = patch_pixels * grid_size**2 // (height * width)
+    return unpatchify(batch.patches, (b, height, width, channels), grid_size)
+
+
 class TestPatchmix:
     def test_all_ones_mask_is_identity(self, pair):
         x_i, x_j = pair
         out = patchmix(x_i, 0, x_j, 1, np.ones((4, 4), dtype=np.uint8), 3)
-        assert np.array_equal(out.image, x_i)
-        assert out.image_label.tolist() == [1.0, 0.0, 0.0]
+        assert np.array_equal(pixels(out, 8, 8, 4)[0], x_i)
+        assert out.image_labels[0].tolist() == [1.0, 0.0, 0.0]
         assert (out.patch_labels == 0).all()
-        assert out.lam == 1.0
+        assert out.image_labels[0, 0] == 1.0
 
     def test_all_zeros_mask_takes_partner(self, pair):
         x_i, x_j = pair
         out = patchmix(x_i, 0, x_j, 1, np.zeros((4, 4), dtype=np.uint8), 3)
-        assert np.array_equal(out.image, x_j)
-        assert out.lam == 0.0
+        assert np.array_equal(pixels(out, 8, 8, 4)[0], x_j)
+        assert out.image_labels[0, 0] == 0.0
 
     def test_quarter_mask_example(self, pair):
         x_i, x_j = pair
         mask = np.array([[1, 0], [0, 0]], dtype=np.uint8)
         out = patchmix(x_i, 0, x_j, 1, mask, 2)
-        assert out.lam == 0.25
-        assert out.image_label.tolist() == [0.25, 0.75]
-        assert out.patch_labels.tolist() == [0, 1, 1, 1]
+        assert out.image_labels[0, 0] == 0.25
+        assert out.image_labels[0].tolist() == [0.25, 0.75]
+        assert out.patch_labels[0].tolist() == [0, 1, 1, 1]
         # Top-left 4x4 region comes from x_i, everything else from x_j.
-        assert np.array_equal(out.image[:4, :4], x_i[:4, :4])
-        assert np.array_equal(out.image[4:], x_j[4:])
-        assert np.array_equal(out.image[:4, 4:], x_j[:4, 4:])
+        image = pixels(out, 8, 8, 2)[0]
+        assert np.array_equal(image[:4, :4], x_i[:4, :4])
+        assert np.array_equal(image[4:], x_j[4:])
+        assert np.array_equal(image[:4, 4:], x_j[:4, 4:])
 
     def test_every_pixel_from_one_source(self, pair, rng):
         x_i, x_j = pair
         mask = rng.integers(0, 2, (4, 4), dtype=np.uint8)
         out = patchmix(x_i, 0, x_j, 1, mask, 2)
-        from_i = np.isclose(out.image, x_i)
-        from_j = np.isclose(out.image, x_j)
+        from_i = np.isclose(pixels(out, 8, 8, 4)[0], x_i)
+        from_j = np.isclose(pixels(out, 8, 8, 4)[0], x_j)
         assert (from_i | from_j).all()
 
     def test_patch_label_fraction_matches_lam(self, pair, rng):
         x_i, x_j = pair
         mask = rng.integers(0, 2, (4, 4), dtype=np.uint8)
         out = patchmix(x_i, 0, x_j, 1, mask, 2)
-        assert (out.patch_labels == 0).mean() == out.lam
+        assert (out.patch_labels == 0).mean() == out.image_labels[0, 0]
 
     @given(st.integers(0, 2**16 - 1))
     @settings(max_examples=40, deadline=None)
@@ -72,14 +80,14 @@ class TestPatchmix:
         mask = bits.reshape(4, 4).astype(np.uint8)
         a = patchmix(x_i, 0, x_j, 1, mask, 2)
         b = patchmix(x_j, 1, x_i, 0, 1 - mask, 2)
-        assert np.array_equal(a.image, b.image)
-        assert np.array_equal(a.image_label, b.image_label)
+        assert np.array_equal(a.patches, b.patches)
+        assert np.array_equal(a.image_labels, b.image_labels)
 
     def test_label_sums_to_one(self, pair, rng):
         x_i, x_j = pair
         mask = rng.integers(0, 2, (4, 4), dtype=np.uint8)
         out = patchmix(x_i, 2, x_j, 1, mask, 4)
-        assert out.image_label.sum() == pytest.approx(1.0, abs=1e-12)
+        assert out.image_labels[0].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ConfigError):
@@ -102,29 +110,53 @@ def assert_same_bits(got, want):
     assert (np.signbit(got) == np.signbit(want)).all()
 
 
+GRIDS, CHANNELS = [1, 2, 4, 8], [1, 3]
+DTYPES = [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)]
+
+
 class TestPatchmixPixelMaskOracle:
     """``patchmix`` copies whole grid cells; it must give the bits of the
     pixel-mask definition it replaced."""
 
-    @pytest.mark.parametrize("grid_size", [1, 2, 4, 8])
-    @pytest.mark.parametrize("channels", [1, 3])
-    @pytest.mark.parametrize("dtypes", [(np.float32, np.float32), (np.float64, np.float64),
-                                        (np.float32, np.float64)])
-    def test_equals_pixel_mask_definition(self, rng, grid_size, channels, dtypes):
-        height, width = 2 * grid_size, 3 * grid_size  # H != W
+    @staticmethod
+    def cases(rng, grid_size, channels, dtypes):
+        """``(x_i, y_i, x_j, y_j, mask)``: all-zeros, all-ones and four random
+        masks over H != W sources, each with three label pairs."""
+        height, width = 2 * grid_size, 3 * grid_size
         masks = [np.zeros((grid_size,) * 2, np.uint8), np.ones((grid_size,) * 2, np.uint8)]
         masks += [rng.integers(0, 2, (grid_size,) * 2, dtype=np.uint8) for _ in range(4)]
         for mask in masks:
             x_i = rng.normal(size=(height, width, channels)).astype(dtypes[0])
             x_j = rng.normal(size=(height, width, channels)).astype(dtypes[1])
             for y_i, y_j in [(0, 2), (2, 0), (1, 1)]:
-                out = patchmix(x_i, y_i, x_j, y_j, mask, 3)
-                image, label = pixel_mask_patchmix(x_i, y_i, x_j, y_j, mask, 3)
-                assert_same_bits(out.image, image)
-                assert_same_bits(out.image_label, label)
-                assert out.patch_labels.dtype == np.int64
-                assert out.patch_labels.tolist() == np.where(mask.ravel() == 1, y_i, y_j).tolist()
-                assert out.lam == mixing_ratio(mask)
+                yield x_i, y_i, x_j, y_j, mask
+
+    @pytest.mark.parametrize("grid_size", GRIDS)
+    @pytest.mark.parametrize("channels", CHANNELS)
+    @pytest.mark.parametrize("dtypes", DTYPES)
+    def test_equals_pixel_mask_definition(self, rng, grid_size, channels, dtypes):
+        for x_i, y_i, x_j, y_j, mask in self.cases(rng, grid_size, channels, dtypes):
+            out = patchmix(x_i, y_i, x_j, y_j, mask, 3)
+            image, label = pixel_mask_patchmix(x_i, y_i, x_j, y_j, mask, 3)
+            assert_same_bits(out.patches, patchify(image[None], grid_size))
+            assert_same_bits(out.image_labels[0], label)
+            assert out.patch_labels.dtype == np.int64
+            assert out.patch_labels[0].tolist() == np.where(mask.ravel() == 1, y_i, y_j).tolist()
+            if y_i != y_j:  # the label weight of the first source
+                assert out.image_labels[0, y_i] == mixing_ratio(mask)
+
+    @pytest.mark.parametrize("grid_size", GRIDS)
+    @pytest.mark.parametrize("channels", CHANNELS)
+    @pytest.mark.parametrize("dtypes", DTYPES)
+    def test_float32_out_equals_cast_pixel_mask_definition(self, rng, grid_size, channels, dtypes):
+        for x_i, y_i, x_j, y_j, mask in self.cases(rng, grid_size, channels, dtypes):
+            image, _ = pixel_mask_patchmix(x_i, y_i, x_j, y_j, mask, 3)
+            want = patchify(image[None], grid_size).astype(np.float32)
+            buffer = np.full((3, *want.shape[1:]), -1.0, dtype=np.float32)
+            out = patchmix(x_i, y_i, x_j, y_j, mask, 3, out=buffer[1:2])
+            assert np.shares_memory(out.patches, buffer)
+            assert_same_bits(out.patches, want)
+            assert (buffer[0] == -1.0).all() and (buffer[2] == -1.0).all()
 
     def test_non_dyadic_ratio_label_bits(self, rng):
         # P = 3 gives ratios such as 4/9, where lam + (1 - lam) and
@@ -134,7 +166,8 @@ class TestPatchmixPixelMaskOracle:
             x = rng.random((6, 6, 1))
             for y_i, y_j in [(0, 1), (1, 0), (1, 1), (0, 0)]:
                 out = patchmix(x, y_i, x, y_j, mask, 2)
-                assert_same_bits(out.image_label, pixel_mask_patchmix(x, y_i, x, y_j, mask, 2)[1])
+                want = pixel_mask_patchmix(x, y_i, x, y_j, mask, 2)[1]
+                assert_same_bits(out.image_labels[0], want)
 
     @pytest.mark.parametrize(
         "y_i, y_j, message",
@@ -155,15 +188,15 @@ class TestPatchmixPixelMaskOracle:
 
 
 def stacked_patchmix(images, i, j, y_i, y_j, bits, class_count):
-    """Reference: per-sample patchmix, one row at a time, stacked and patchified."""
-    samples = [
+    """Reference: per-sample patchmix, one row at a time, stacked."""
+    rows = [
         patchmix(images[a], int(ya), images[b], int(yb), m, class_count)
         for a, b, ya, yb, m in zip(i, j, y_i, y_j, bits)
     ]
     return MixedBatch(
-        patchify(np.stack([s.image for s in samples]), bits.shape[-1]),
-        np.stack([s.image_label for s in samples]),
-        np.stack([s.patch_labels for s in samples]),
+        np.concatenate([row.patches for row in rows]),
+        np.concatenate([row.image_labels for row in rows]),
+        np.concatenate([row.patch_labels for row in rows]),
     )
 
 
@@ -236,40 +269,103 @@ class TestPatchmixBatch:
             assert (buffer[:2] == -1.0).all() and (buffer[6:] == -1.0).all()
 
 
+def pixel_mixup(x_i, y_i, x_j, y_j, lam, class_count):
+    """Reference: the per-sample pixel blend of two images."""
+    image = lam * x_i.astype(np.float64) + (1.0 - lam) * x_j.astype(np.float64)
+    label = lam * one_hot(y_i, class_count) + (1.0 - lam) * one_hot(y_j, class_count)
+    return image, label
+
+
+def pixel_cutmix(x_i, y_i, x_j, y_j, rng, region_w, region_h, class_count):
+    """Reference: the per-sample rectangle transplant, its center drawn
+    horizontal first, then vertical."""
+    height, width = x_i.shape[:2]
+    image = x_i.astype(np.float64).copy()
+    if region_w == 0 or region_h == 0:
+        return image, one_hot(y_i, class_count)
+    cx = rng.normal(width / 2.0, width / 4.0)
+    cy = rng.normal(height / 2.0, height / 4.0)
+    x0 = int(np.clip(round(cx - region_w / 2.0), 0, width - region_w))
+    y0 = int(np.clip(round(cy - region_h / 2.0), 0, height - region_h))
+    image[y0 : y0 + region_h, x0 : x0 + region_w] = x_j[y0 : y0 + region_h, x0 : x0 + region_w]
+    lam = 1.0 - (region_w * region_h) / (width * height)
+    return image, lam * one_hot(y_i, class_count) + (1.0 - lam) * one_hot(y_j, class_count)
+
+
+def stacked_pixels(rows, shape, class_count, grid_size):
+    """``(patches, image_labels)`` of per-sample ``(image, label)`` references."""
+    images = np.array([image for image, _ in rows]).reshape(len(rows), *shape)
+    labels = np.array([label for _, label in rows]).reshape(len(rows), class_count)
+    return patchify(images, grid_size), labels
+
+
+def mixup_one(x_i, y_i, x_j, y_j, lam, class_count, grid_size=2):
+    return mixup(np.stack([x_i, x_j]), [0], [1], [y_i], [y_j], [lam], class_count, grid_size)
+
+
+def cutmix_one(x_i, y_i, x_j, y_j, rng, region_w, region_h, class_count, grid_size=1):
+    return cutmix(
+        np.stack([x_i, x_j]), [0], [1], [y_i], [y_j], rng, region_w, region_h, class_count, grid_size
+    )
+
+
 class TestMixup:
     def test_endpoints(self, pair):
         x_i, x_j = pair
-        assert np.array_equal(mixup(x_i, 0, x_j, 1, 1.0, 2).image, x_i)
-        assert np.array_equal(mixup(x_i, 0, x_j, 1, 0.0, 2).image, x_j)
+        assert np.array_equal(pixels(mixup_one(x_i, 0, x_j, 1, 1.0, 2), 8, 8, 2)[0], x_i)
+        assert np.array_equal(pixels(mixup_one(x_i, 0, x_j, 1, 0.0, 2), 8, 8, 2)[0], x_j)
 
     def test_midpoint_blend(self):
         x_i = np.full((4, 4, 1), 0.2)
         x_j = np.full((4, 4, 1), 0.6)
-        out = mixup(x_i, 0, x_j, 1, 0.5, 2)
-        assert np.allclose(out.image, 0.4)
-        assert out.image_label.tolist() == [0.5, 0.5]
+        out = mixup_one(x_i, 0, x_j, 1, 0.5, 2)
+        assert np.allclose(pixels(out, 4, 4, 2), 0.4)
+        assert out.image_labels[0].tolist() == [0.5, 0.5]
         assert out.patch_labels is None
 
     def test_out_of_range_weight_rejected(self, pair):
         x_i, x_j = pair
         with pytest.raises(ConfigError):
-            mixup(x_i, 0, x_j, 1, 1.2, 2)
+            mixup_one(x_i, 0, x_j, 1, 1.2, 2)
+
+    @pytest.mark.parametrize("size", [0, 1, 37])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_equals_stacked_per_sample_blends(self, rng, size, dtype):
+        images = rng.random((10, 8, 12, 3)).astype(dtype)
+        labels = rng.integers(0, 4, 10)
+        i, j = rng.integers(0, 10, size), rng.integers(0, 10, size)
+        # The demo draws a batch's weights in one call; it must give the
+        # per-sample draws and leave the stream where they leave it.
+        batch_rng, sample_rng = np.random.default_rng(size), np.random.default_rng(size)
+        lam = batch_rng.beta(1.0, 1.0, size=size)
+        weights = [float(sample_rng.beta(1.0, 1.0)) for _ in range(size)]
+        assert batch_rng.random() == sample_rng.random()
+        buffer = np.full((size, 4, 72), -1.0)
+        out = mixup(images, i, j, labels[i], labels[j], lam, 4, 2, out=buffer)
+        rows = [pixel_mixup(images[a], labels[a], images[b], labels[b], w, 4)
+                for a, b, w in zip(i, j, weights)]
+        patches, image_labels = stacked_pixels(rows, (8, 12, 3), 4, 2)
+        assert out.patches is buffer and out.patch_labels is None
+        assert out.patches.tobytes() == patches.tobytes() and out.patches.shape == patches.shape
+        assert out.image_labels.tobytes() == image_labels.tobytes()
+        assert out.image_labels.shape == (size, 4)
 
 
 class TestCutmix:
     def test_label_weight_from_area(self, rng):
         x_i = rng.random((32, 32, 3))
         x_j = rng.random((32, 32, 3))
-        out = cutmix(x_i, 0, x_j, 1, rng, 16, 16, 2)
-        assert out.lam == 0.75
-        assert out.image_label.tolist() == [0.75, 0.25]
+        out = cutmix_one(x_i, 0, x_j, 1, rng, 16, 16, 2)
+        assert out.image_labels[0, 0] == 0.75
+        assert out.image_labels[0].tolist() == [0.75, 0.25]
 
     def test_rectangle_is_verbatim_transplant(self, rng):
         x_i = np.zeros((16, 16, 1))
         x_j = np.ones((16, 16, 1))
-        out = cutmix(x_i, 0, x_j, 1, rng, 4, 6, 2)
-        assert out.image.sum() == 4 * 6
-        rows, cols = np.nonzero(out.image[:, :, 0])
+        out = cutmix_one(x_i, 0, x_j, 1, rng, 4, 6, 2, grid_size=4)
+        image = pixels(out, 16, 16, 4)[0]
+        assert image.sum() == 4 * 6
+        rows, cols = np.nonzero(image[:, :, 0])
         assert rows.max() - rows.min() + 1 == 6
         assert cols.max() - cols.min() + 1 == 4
 
@@ -277,22 +373,22 @@ class TestCutmix:
         x_i = rng.random((8, 8, 1))
         x_j = rng.random((8, 8, 1))
         before = rng.bit_generator.state
-        out = cutmix(x_i, 0, x_j, 1, rng, 0, 0, 2)
-        assert np.array_equal(out.image, x_i)
-        assert out.lam == 1.0
+        out = cutmix_one(x_i, 0, x_j, 1, rng, 0, 0, 2)
+        assert np.array_equal(pixels(out, 8, 8, 1)[0], x_i)
+        assert out.image_labels[0, 0] == 1.0
         # The degenerate case must not consume random numbers.
         assert rng.bit_generator.state == before
 
     def test_same_seed_same_rectangle(self):
         x_i = np.zeros((16, 16, 1))
         x_j = np.ones((16, 16, 1))
-        a = cutmix(x_i, 0, x_j, 1, RngKey(5).child("c").generator(), 4, 4, 2)
-        b = cutmix(x_i, 0, x_j, 1, RngKey(5).child("c").generator(), 4, 4, 2)
-        assert np.array_equal(a.image, b.image)
+        a = cutmix_one(x_i, 0, x_j, 1, RngKey(5).child("c").generator(), 4, 4, 2)
+        b = cutmix_one(x_i, 0, x_j, 1, RngKey(5).child("c").generator(), 4, 4, 2)
+        assert np.array_equal(a.patches, b.patches)
 
     def test_oversized_region_rejected(self, rng):
         with pytest.raises(ConfigError):
-            cutmix(rng.random((8, 8, 1)), 0, rng.random((8, 8, 1)), 1, rng, 9, 4, 2)
+            cutmix_one(rng.random((8, 8, 1)), 0, rng.random((8, 8, 1)), 1, rng, 9, 4, 2)
 
     def test_rectangle_always_inside(self, rng):
         # Heavily exercised placement: the transplant must stay in bounds
@@ -300,5 +396,24 @@ class TestCutmix:
         x_i = np.zeros((8, 8, 1))
         x_j = np.ones((8, 8, 1))
         for _ in range(300):
-            out = cutmix(x_i, 0, x_j, 1, rng, 4, 4, 2)
-            assert out.image.sum() == 16
+            out = cutmix_one(x_i, 0, x_j, 1, rng, 4, 4, 2)
+            assert out.patches.sum() == 16
+
+    @pytest.mark.parametrize("size", [0, 1, 37])
+    @pytest.mark.parametrize("region", [(3, 5), (1, 1), (12, 8), (0, 4), (4, 0)])
+    def test_batch_equals_stacked_per_sample_transplants(self, rng, size, region):
+        # An empty region (0 wide or 0 high) pastes and draws nothing.
+        images = rng.random((10, 8, 12, 3)).astype(np.float32)
+        labels = rng.integers(0, 4, 10)
+        i, j = rng.integers(0, 10, size), rng.integers(0, 10, size)
+        batch_rng, sample_rng = np.random.default_rng(size), np.random.default_rng(size)
+        buffer = np.full((size, 16, 18), -1.0)
+        out = cutmix(images, i, j, labels[i], labels[j], batch_rng, *region, 4, 4, out=buffer)
+        rows = [pixel_cutmix(images[a], labels[a], images[b], labels[b], sample_rng, *region, 4)
+                for a, b in zip(i, j)]
+        assert batch_rng.random() == sample_rng.random()
+        patches, image_labels = stacked_pixels(rows, (8, 12, 3), 4, 4)
+        assert out.patches is buffer and out.patch_labels is None
+        assert out.patches.tobytes() == patches.tobytes() and out.patches.shape == patches.shape
+        assert out.image_labels.tobytes() == image_labels.tobytes()
+        assert out.image_labels.shape == (size, 4)

@@ -12,6 +12,7 @@ from patchmix.model import (
     EpochMetrics,
     ReferenceModel,
     TrainConfig,
+    adversarial_accuracy,
     backward,
     batch_gradients,
     cosine_lr,
@@ -47,12 +48,12 @@ def zero_model(**kwargs):
 
 
 def mixed_batch(rng, n=3, grid_size=2, class_count=3, side=4):
-    """``(images, batch)``: ``n`` per-sample composites, and the batch of
-    their patch matrices that ``backward`` reads."""
-    samples = []
+    """``(images, batch)``: ``n`` per-sample composites as images, and the
+    batch of their patch matrices that ``backward`` reads."""
+    rows = []
     for _ in range(n):
         mask = rng.integers(0, 2, (grid_size, grid_size), dtype=np.uint8)
-        samples.append(
+        rows.append(
             patchmix(
                 rng.random((side, side, 1)),
                 int(rng.integers(class_count)),
@@ -62,12 +63,12 @@ def mixed_batch(rng, n=3, grid_size=2, class_count=3, side=4):
                 class_count,
             )
         )
-    images = np.stack([s.image for s in samples])
-    return images, MixedBatch(
-        patchify(images, grid_size),
-        np.stack([s.image_label for s in samples]),
-        np.stack([s.patch_labels for s in samples]),
+    batch = MixedBatch(
+        np.concatenate([row.patches for row in rows]),
+        np.concatenate([row.image_labels for row in rows]),
+        np.concatenate([row.patch_labels for row in rows]),
     )
+    return unpatchify(batch.patches, (n, side, side, 1), grid_size), batch
 
 
 class TestPatchify:
@@ -114,8 +115,8 @@ class TestForward:
         for k in range(4):
             bits = np.zeros(4, dtype=np.uint8)
             bits[k] = 1
-            sample = patchmix(x_i, 0, x_j, 1, bits.reshape(2, 2), 2)
-            patch_logits, _ = forward_batch(model, sample.image[None])
+            row = patchmix(x_i, 0, x_j, 1, bits.reshape(2, 2), 2)
+            patch_logits, _ = forward_batch(model, unpatchify(row.patches, (1, 4, 4, 1), 2))
             assert np.argmax(patch_logits[0, :, 0]) == k
             assert patch_logits[0, k, 0] == pytest.approx(4.0)
 
@@ -469,6 +470,16 @@ class TestFgsm:
     def test_negative_epsilon_rejected(self, small_model, small_val):
         with pytest.raises(ConfigError):
             fgsm_attack_batch(small_model, small_val.images[:1], np.array([0]), -0.1)
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_epsilon_rejected(self, small_model, small_val, epsilon):
+        with pytest.raises(ConfigError, match="epsilon must be finite and non-negative"):
+            fgsm_attack_batch(small_model, small_val.images[:1], np.array([0]), epsilon)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, small_model, small_val, batch_size):
+        with pytest.raises(ConfigError, match=f"batch_size must be at least 1, got {batch_size}"):
+            adversarial_accuracy(small_model, small_val, 0.1, batch_size=batch_size)
 
     def test_empty_batch_is_a_config_error(self, small_model, small_val):
         with pytest.raises(ConfigError, match="empty batch"):

@@ -38,6 +38,7 @@ from patchmix.workflow import (
 )
 
 from test_evolution import make_individual
+from test_mixing import pixel_mask_patchmix
 
 
 def guided_set(individual, train, count, rng):
@@ -137,14 +138,12 @@ class TestGuidedSet:
         assert guided.patch_labels[0].tolist() == [0, 0, 2, 2]
 
     def test_materialize_equals_patchified_patchmix(self, train, rng, monkeypatch):
-        # The counts straddle the 256-row chunks materialize_guided patchifies.
-        assert workflow.GUIDED_CHUNK == 256
         ind = make_individual(active=(0, 1, 4), grid_size=4, rng=np.random.default_rng(5))
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return patchmix(*args)
+        def counted(*args, out):
+            calls.append((args, out))
+            return patchmix(*args, out=out)
 
         monkeypatch.setattr(workflow, "patchmix", counted)
         for count in (30, 0, 1, 255, 256, 257, 600):
@@ -155,14 +154,19 @@ class TestGuidedSet:
             assert guided.patches.dtype == np.float32 and guided.patches.shape[1:] == (16, 48)
             for row, (slot, i, j) in enumerate(recipe):
                 ci, cj = index_to_pair(slot, 3)
-                x_i, y_i, x_j, y_j, mask, _ = calls[row]  # one call per entry, in recipe order
+                # One call per entry, in recipe order, straight into its row.
+                (x_i, y_i, x_j, y_j, mask, _), out = calls[row]
                 assert (y_i, y_j) == (ci, cj) and (mask == ind.masks[slot]).all()
                 assert (x_i == train.images[i]).all() and (x_j == train.images[j]).all()
-                sample = patchmix(train.images[i], ci, train.images[j], cj, ind.masks[slot], 3)
-                want = patchify(sample.image[None], 4)[0].astype(np.float32)
+                assert np.shares_memory(out, guided.patches[row])
+                image, label = pixel_mask_patchmix(
+                    train.images[i], ci, train.images[j], cj, ind.masks[slot], 3
+                )
+                want = patchify(image[None], 4)[0].astype(np.float32)
                 assert guided.patches[row].tobytes() == want.tobytes()
-                assert guided.image_labels[row].tobytes() == sample.image_label.tobytes()
-                assert guided.patch_labels[row].tobytes() == sample.patch_labels.tobytes()
+                assert guided.image_labels[row].tobytes() == label.tobytes()
+                want_labels = np.where(ind.masks[slot].ravel() == 1, ci, cj).astype(np.int64)
+                assert guided.patch_labels[row].tobytes() == want_labels.tobytes()
 
     @pytest.mark.parametrize("genome_classes", [2, 4])
     def test_genome_of_another_class_count_rejected(self, train, rng, genome_classes):
