@@ -15,7 +15,11 @@ wrote, and writes them all to one JSON file, together with the environment
 the bytes depend on (:func:`environment`).  For a pipeline run it also
 records the sha256 of the guided set's patches, image labels and patch
 labels, rebuilt with ``workflow.materialize_guided`` from the run's genome,
-manifest and training set (:func:`guided_set_digests`).
+manifest and training set (:func:`guided_set_digests`).  Last, it records
+the sha256 of ``workflow.ablation_csv_lines`` at the settings of acceptance
+criterion 8, once per batch size of ``ABLATION_BATCH_SIZES``
+(:func:`digest_ablation`): phase-1 training under all three loss modes on
+grids 2, 4 and 8, which no pipeline run covers.
 
 ``--root`` names the tree whose ``src/`` and ``perfbench/`` are imported
 (default: this repository), so an export of another commit is digested by
@@ -50,6 +54,8 @@ WORKLOADS = ("quickstart", "cifar_search", "guided_scale")
 SEEDS = (7, 8)
 OBJECTIVES = ("min_patch_acc", "max_lp")
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# Criterion 8's batch size, one batch per epoch; and one that leaves a short last batch.
+ABLATION_BATCH_SIZES = (60, 25)
 DEMO_RUNS = {  # method: extra boundary-demo arguments, as in criterion 10
     "none": [],
     **{m: ["--samples-per-class", "60", "--epochs", "80"]
@@ -137,11 +143,28 @@ def digest_demo(main, method: str, out: Path) -> dict:
     return {"exit_code": code, "stdout": stdout, "files": file_digests(out.parent)}
 
 
+def digest_ablation(batch_size: int) -> dict:
+    """sha256 of the ablation CSV lines (grids 2, 4 and 8 under every loss
+    mode) at acceptance criterion 8's settings with ``batch_size``."""
+    from patchmix.data import synth_shapes
+    from patchmix.model import TrainConfig
+    from patchmix.workflow import ablation_csv_lines, ablation_grid
+
+    train, val = synth_shapes(3, 16, 20, 31), synth_shapes(3, 16, 8, 32)
+    cfg = TrainConfig(epochs=3, batch_size=batch_size, hidden_dim=16, seed=7)
+    lines = "\n".join(ablation_csv_lines(ablation_grid(train, val, cfg))) + "\n"
+    return {"csv": hashlib.sha256(lines.encode()).hexdigest()}
+
+
 def entries(run: dict) -> dict:
-    """A run's digests as flat ``name: value`` pairs."""
-    flat = {"exit_code": run["exit_code"], "stdout": run["stdout"]}
-    flat.update({f"files/{name}": digest for name, digest in run["files"].items()})
-    flat.update({f"guided_set/{name}": d for name, d in run.get("guided_set", {}).items()})
+    """A run's digests as flat ``name: value`` pairs, a nested one as
+    ``group/name``."""
+    flat = {}
+    for key, value in run.items():
+        if isinstance(value, dict):
+            flat.update({f"{key}/{name}": v for name, v in value.items()})
+        else:
+            flat[key] = value
     return flat
 
 
@@ -189,6 +212,8 @@ def main(argv=None) -> int:
         for method in DEMO_RUNS:
             out = Path(tmp) / f"demo-{method}" / "raster.csv"
             runs[f"boundary-demo/{method}"] = digest_demo(cli_main, method, out)
+    for batch_size in ABLATION_BATCH_SIZES:
+        runs[f"ablation/batch{batch_size}"] = digest_ablation(batch_size)
     record = {"environment": environment(perfbench_environment), "runs": runs}
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0

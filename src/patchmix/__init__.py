@@ -11,7 +11,6 @@ from .data import (
     Dataset,
     load_cifar_binary,
     load_dataset,
-    one_hot,
     save_dataset,
     sniff_and_load,
     synth_shapes,
@@ -32,12 +31,7 @@ from .evolution import (
     slot_pairs,
 )
 from .losses import combined_loss, log_softmax
-from .masks import (
-    expand_to_pixel_mask,
-    mixing_ratio,
-    sample_mask_bits,
-    sample_random_mask,
-)
+from .masks import sample_mask_bits, sample_random_mask
 from .mixing import MixedBatch, cutmix, mixup, patchmix, patchmix_batch
 from .model import (
     ReferenceModel,
@@ -84,7 +78,6 @@ __all__ = [
     "cutmix",
     "evaluate_fitness",
     "evaluate_model",
-    "expand_to_pixel_mask",
     "fgsm_attack_batch",
     "forward_batch",
     "index_to_pair",
@@ -94,9 +87,7 @@ __all__ = [
     "load_metrics",
     "load_model",
     "log_softmax",
-    "mixing_ratio",
     "mixup",
-    "one_hot",
     "pair_count",
     "pair_to_index",
     "patchmix",

@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 import tempfile
 import typing
@@ -41,8 +42,6 @@ from .evolution import SearchConfig, load_individual
 from .mixing import cutmix, mixup
 from .model import (
     TrainConfig,
-    _model_dims,
-    _scratch,
     _shuffled_pairs,
     _train_loop,
     adversarial_accuracy,
@@ -127,11 +126,14 @@ _JSON_TYPES = {
 
 def _check_json_type(name: str, value, hint) -> None:
     """Reject ``value`` unless its JSON type fits the field type ``hint``: an
-    integer fits a float field, a boolean fits no number field."""
+    integer fits a float field, a boolean fits no number field, and the
+    ``NaN`` and ``Infinity`` that Python's ``json`` reads fit none."""
     kinds = typing.get_args(hint) or (hint,)
     if not any(type(value) in _JSON_TYPES[kind][0] for kind in kinds):
         expected = " or ".join(_JSON_TYPES[kind][1] for kind in kinds)
         raise ConfigError(f"config key {name} must be {expected}, got {json.dumps(value)}")
+    if type(value) is float and not math.isfinite(value):
+        raise ConfigError(f"config key {name} must be a finite number, got {json.dumps(value)}")
 
 
 def _build_section(cls, data: dict, section: str):
@@ -348,12 +350,12 @@ def _demo_train(method: str, train: Dataset, val: Dataset, cfg: TrainConfig):
         return model
     if method in ("mixup", "cutmix"):
         image_cfg = dataclasses.replace(cfg, loss_mode="image_only")
-        p, ppc = image_cfg.grid_size, _model_dims(train, image_cfg)[3]
+        p = image_cfg.grid_size
 
-        def batches(epoch: int, rng: np.random.Generator, buffers: dict):
+        def batches(epoch: int, rng: np.random.Generator, patches: np.ndarray):
             for idx, partner in _shuffled_pairs(len(train), image_cfg.batch_size, rng):
                 sources = (train.images, idx, partner, train.labels[idx], train.labels[partner])
-                out = _scratch(buffers, "patches", (len(idx), p * p, ppc))
+                out = patches[: len(idx)]
                 if method == "mixup":
                     lam = rng.beta(MIXUP_BETA, MIXUP_BETA, size=len(idx))
                     yield mixup(*sources, lam, train.class_count, p, out=out)

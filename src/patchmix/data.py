@@ -121,14 +121,6 @@ def _check_label(label: int, class_count: int) -> int:
     return label
 
 
-def one_hot(label: int, class_count: int) -> np.ndarray:
-    """One-hot float64 vector of length ``class_count``."""
-    label = _check_label(label, class_count)
-    vec = np.zeros(class_count, dtype=np.float64)
-    vec[label] = 1.0
-    return vec
-
-
 def load_cifar_binary(path) -> Dataset:
     """Read a CIFAR binary batch file.
 

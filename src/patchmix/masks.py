@@ -1,13 +1,9 @@
-"""Square binary patch masks, their pixel-level expansion and text rows.
+"""Square binary patch masks: sampling, checks and text rows.
 
-A grid mask is a (P, P) uint8 array, one 0/1 bit per patch cell.  Expanding
-it against an image of width W and height H (both divisible by the grid
-size) fills each (H/P) x (W/P) pixel region with the corresponding cell bit,
-so pixel (s, t) receives ``bits[s * P // H][t * P // W]``;
-:func:`expand_to_pixel_mask` returns that (H, W) uint8 array.  It is the
-definition the composers follow, not a step they take: ``mixing.patchmix``
-and ``mixing.patchmix_batch`` copy whole grid cells from the source each
-bit names straight into patch matrices.
+A grid mask is a (P, P) uint8 array, one 0/1 bit per patch cell: bit
+``bits[r, s]`` names the source of the whole pixel region of cell (r, s).
+``mixing.patchmix`` and ``mixing.patchmix_batch`` copy each cell whole from
+that source into patch matrices, and check masks as :func:`_check_mask`.
 
 Random masks are drawn a batch at a time: :func:`sample_mask_bits` returns
 a (count, P, P) stack of fair-coin cells from one ``rng.random`` call, and
@@ -52,35 +48,23 @@ def _check_divisible(width: int, height: int, grid_size: int) -> None:
         raise ConfigError(f"image {width}x{height} not divisible by grid size {grid_size}")
 
 
+def _check_square(bits: np.ndarray, ndim: int) -> None:
+    """Reject ``bits`` unless it has ``ndim`` axes and its last two form one
+    square grid of side at least 1."""
+    if bits.ndim != ndim or bits.shape[-1] != bits.shape[-2]:
+        raise ConfigError(f"mask bits must be square, got shape {bits.shape}")
+    if bits.shape[-1] < 1:
+        raise ConfigError("grid size must be at least 1")
+
+
 def _check_mask(mask) -> np.ndarray:
     """``mask`` as a (P, P) uint8 array, rejected unless its cells are 0/1,
     it is square and P is at least 1."""
     bits = np.asarray(mask, dtype=np.uint8)
     if bits.tobytes().translate(None, b"\x00\x01"):  # a byte other than 0 or 1
         raise ConfigError("mask bits must contain only 0/1 values")
-    if bits.ndim != 2 or bits.shape[0] != bits.shape[1]:
-        raise ConfigError(f"mask bits must be square, got shape {bits.shape}")
-    if bits.shape[0] < 1:
-        raise ConfigError("grid size must be at least 1")
+    _check_square(bits, 2)
     return bits
-
-
-def _ratio(bits: np.ndarray) -> float:
-    return np.count_nonzero(bits) / bits.size
-
-
-def expand_to_pixel_mask(mask: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Expand grid cells into constant pixel regions: an (height, width)
-    uint8 array."""
-    bits = _check_mask(mask)
-    p = bits.shape[0]
-    _check_divisible(width, height, p)
-    return np.repeat(np.repeat(bits, height // p, axis=0), width // p, axis=1)
-
-
-def mixing_ratio(mask: np.ndarray) -> float:
-    """Fraction of cells set to 1."""
-    return _ratio(_check_mask(mask))
 
 
 def mask_rows(bits: np.ndarray) -> list[str]:

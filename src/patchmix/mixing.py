@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import _check_label
 from .errors import ConfigError
-from .masks import _check_divisible, _check_mask, _ratio
+from .masks import _check_divisible, _check_mask, _check_square
 
 
 @dataclass
@@ -54,12 +54,24 @@ def _cells(images: np.ndarray, grid_size: int) -> np.ndarray:
     return x.transpose(0, 1, 3, 2, 4, 5)
 
 
+def _out(out, shape: tuple) -> np.ndarray:
+    """``out``, refused unless it is a C-contiguous array of ``shape`` (a
+    reshape of another may copy); a new float64 array when it is None."""
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape or not out.flags.c_contiguous:
+        got = f"shape {out.shape}" if out.shape != shape else "a non-contiguous one"
+        raise ConfigError(f"out must be a C-contiguous array of shape {shape}, got {got}")
+    return out
+
+
 def patchify(images: np.ndarray, grid_size: int, out: np.ndarray | None = None) -> np.ndarray:
     """(B, H, W, C) -> (B, P*P, patch_pixels) in row-major grid order, into ``out`` if given."""
     x = _cells(images, grid_size)
+    shape = (len(x), grid_size**2, int(np.prod(x.shape[3:])))
     if out is None:
-        return x.reshape(len(x), grid_size**2, int(np.prod(x.shape[3:])))
-    np.copyto(out.reshape(x.shape), x)
+        return x.reshape(shape)
+    np.copyto(_out(out, shape).reshape(x.shape), x)
     return out
 
 
@@ -95,13 +107,12 @@ def patchmix(
 
     ``mask`` is a (P, P) 0/1 grid: bit 1 keeps ``x_i`` pixels, bit 0 takes
     ``x_j``, so pixel (s, t) comes from the source that bit
-    ``mask[s * P // H, t * P // W]`` names (``masks.expand_to_pixel_mask``).
-    Each grid cell is taken whole from its source into patch n (row-major)
-    of the (1, P*P, patch_pixels) patches, with no pixel-level mask: into
-    ``out``, in its type, if given, else a new float64 array.  The soft
-    image label weights the two one-hot labels by the kept-cell fraction
-    (``masks.mixing_ratio``), and patch n is labeled with the class of its
-    source image.
+    ``mask[s * P // H, t * P // W]`` names.  Each grid cell is taken whole
+    from its source into patch n (row-major) of the (1, P*P, patch_pixels)
+    patches, with no pixel-level mask: into ``out``, in its type, if given,
+    else a new float64 array.  The soft image label weights the two one-hot
+    labels by the kept-cell fraction, and patch n is labeled with the class
+    of its source image.
     """
     if x_i.shape != x_j.shape:
         raise ConfigError(f"source shapes differ: {x_i.shape} vs {x_j.shape}")
@@ -112,12 +123,11 @@ def patchmix(
     p = bits.shape[0]
     _check_divisible(width, height, p)
     y_i, y_j = _check_label(y_i, class_count), _check_label(y_j, class_count)
-    if out is None:
-        out = np.empty((1, p * p, (height // p) * (width // p) * channels))
+    out = _out(out, (1, p * p, (height // p) * (width // p) * channels))
     cells = out.reshape(1, p, p, height // p, width // p, channels)
     np.copyto(cells, _cells(x_j[None], p))
     np.copyto(cells, _cells(x_i[None], p), where=(bits == 1).reshape(1, p, p, 1, 1, 1))
-    lam = _ratio(bits)
+    lam = np.count_nonzero(bits) / bits.size
     # lam * onehot(y_i) + (1 - lam) * onehot(y_j), entry for entry: a sum
     # with 0.0, or lam + (1 - lam) in the other order when y_i == y_j.
     image_labels = np.zeros((1, class_count))
@@ -135,29 +145,29 @@ def patchmix_batch(
 
     Row k equals ``patchmix(images[i[k]], y_i[k], images[j[k]], y_j[k],
     bits[k], class_count)``.  All-ones bits give identity rows.  The
-    patches are float64 whatever the source type, written into ``out`` (a
-    (B, P*P, patch_pixels) float64 array) if given; each grid cell is copied
-    whole from the source its bit names, with no pixel-level mask.
+    patches are float64 whatever the source type, written into ``out`` if
+    given; each grid cell is copied whole from the source its bit names.
+    ``bits`` is a (B, P, P) stack, refused as :func:`patchmix` refuses a mask.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.max(initial=0) > 1:
         raise ConfigError("mask bits must contain only 0/1 values")
+    _check_square(bits, 3)
     y_i, y_j = _check_rows(class_count, y_i, y_j, i, j, bits)
     height, width, channels = images.shape[1:]
     b, p = len(bits), bits.shape[-1]
     _check_divisible(width, height, p)
+    ph, pw = height // p, width // p
+    out = _out(out, (b, p * p, ph * pw * channels))
     # Row r of the (N*H*P, W/P*C) view of the sources is one pixel row of
     # one cell: image r // (H*P), pixel row (r // P) % H, grid column r % P.
     # List the rows of every patch of the batch, in patch order, from the
     # image its bit names; one gather then yields the patch matrix.
-    ph, pw = height // p, width // p
     source = np.where(bits == 1, np.asarray(i)[:, None, None], np.asarray(j)[:, None, None])
     grid = np.arange(p)
     rows = source[..., None] * (height * p) + (grid[:, None, None] * ph + np.arange(ph)) * p
     rows += grid[:, None]
     picked = np.take(images.reshape(-1, pw * channels), rows.reshape(-1), axis=0)
-    if out is None:
-        out = np.empty((b, p * p, ph * pw * channels))
     np.copyto(out.reshape(picked.shape), picked)
     flat = bits.reshape(b, p * p)
     lam = flat.sum(axis=1) / flat.shape[1]

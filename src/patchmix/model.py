@@ -19,10 +19,10 @@ copy is made.  :func:`forward_batch` and :func:`batch_gradients` take
 (B, H, W, C) images and patchify them first (``mixing.patchify``, which
 this module re-exports with ``unpatchify``).  Only the sign attack
 and the gradient checks form input gradients (:func:`batch_gradients`);
-training stops at parameter gradients.  A training run keeps one dict of
-batch-sized scratch buffers (:func:`_train_loop`): its batches are
-composed into one float64 patch matrix, and validation patchifies each
-chunk into the same array.
+training stops at parameter gradients.  Every trainer runs through one
+driver (:func:`_train_loop`) that checks its inputs, sizes the model and
+owns the run's float64 batch matrix: batch sources compose into it, and
+validation patchifies each chunk into it.
 
 A training step computes only the heads its loss mode reads: ``both``
 computes both, ``image_only`` only the mean embedding and the image head,
@@ -411,36 +411,47 @@ def _train_loop(
     train: Dataset,
     val: Dataset,
     cfg: TrainConfig,
-    batch_source: Callable[[int, np.random.Generator, dict], Iterable[MixedBatch]],
+    batch_source: Callable[[int, np.random.Generator, np.ndarray], Iterable[MixedBatch]],
     stream_tag: str,
 ) -> tuple[ReferenceModel, list[EpochMetrics]]:
     """Shared SGD driver: ``(model, per-epoch metrics)`` of a model of the
     shape ``cfg`` trains on ``train``, initialized from the stream
-    ``(stream_tag, "init")``.  ``batch_source(epoch, rng, buffers)`` yields
+    ``(stream_tag, "init")``.  ``batch_source(epoch, rng, patches)`` yields
     sample batches; epoch ``e`` draws from the stream
     ``(stream_tag, "epoch", e)``.
 
-    The learning-rate schedule spans epochs 0 .. epochs-1 so the final
-    epoch runs exactly at eta_min.  All steps and validations share one
-    dict of scratch buffers.  A batch source composes each batch into its
-    ``"patches"`` entry, a (batch_size, P*P, patch_pixels) float64 array
-    that each batch overwrites, so a batch is stale once the next is drawn;
-    validation forwards ``cfg.batch_size`` rows at a time and patchifies
-    them into the same array.
+    The config and both sets are checked before the model is built or a
+    batch drawn.  ``patches`` is the run's one (batch_size, P*P,
+    patch_pixels) float64 batch matrix; a source composes each batch into
+    its leading rows, so a batch is stale once the next is drawn.  Steps
+    and validation share one scratch dict, and validation patchifies
+    ``cfg.batch_size`` rows at a time into the same matrix.  The schedule
+    spans epochs 0 .. epochs-1, so the last epoch runs at eta_min.
     """
+    cfg.validate()
+    if len(train) == 0 or len(val) == 0:
+        raise ConfigError("train and validation sets must be non-empty")
+    if train.images.shape[1:] != val.images.shape[1:]:
+        raise ConfigError("train and validation image shapes differ")
+    if train.class_count != val.class_count:
+        raise ConfigError("train and validation class counts differ")
+    p = cfg.grid_size
+    _check_divisible(train.width, train.height, p)
+    ppc = (train.height // p) * (train.width // p) * train.channels
     key = RngKey(cfg.seed)
     model = ReferenceModel.initialize(
-        *_model_dims(train, cfg), key.child(stream_tag, "init").generator()
+        p, train.class_count, cfg.hidden_dim, ppc, key.child(stream_tag, "init").generator()
     )
     velocity = init_velocity(model)
     buffers: dict = {}
+    patches = _scratch(buffers, "patches", (cfg.batch_size, p * p, ppc))
     span = cfg.epochs - 1
     metrics: list[EpochMetrics] = []
     for epoch in range(cfg.epochs):
         lr = cosine_lr(epoch, span, cfg.lr0, cfg.eta_min)
         rng = key.child(stream_tag, "epoch", epoch).generator()
         batch_losses = []
-        for index, batch in enumerate(batch_source(epoch, rng, buffers)):
+        for index, batch in enumerate(batch_source(epoch, rng, patches)):
             try:
                 loss, grads = backward(model, batch, cfg.loss_mode, buffers)
             except NumericError as err:
@@ -454,25 +465,6 @@ def _train_loop(
             EpochMetrics(epoch, float(lr), float(np.mean(batch_losses)), top1, patch_acc)
         )
     return model, metrics
-
-
-def _check_train_inputs(train: Dataset, val: Dataset, cfg: TrainConfig) -> None:
-    cfg.validate()
-    if len(train) == 0 or len(val) == 0:
-        raise ConfigError("train and validation sets must be non-empty")
-    if train.images.shape[1:] != val.images.shape[1:]:
-        raise ConfigError("train and validation image shapes differ")
-    if train.class_count != val.class_count:
-        raise ConfigError("train and validation class counts differ")
-    _check_divisible(train.width, train.height, cfg.grid_size)
-
-
-def _model_dims(train: Dataset, cfg: TrainConfig) -> tuple[int, int, int, int]:
-    """(grid_size, class_count, hidden_dim, patch_pixels) of a model that
-    ``cfg`` trains on ``train``."""
-    p = cfg.grid_size
-    ppc = (train.height // p) * (train.width // p) * train.channels
-    return p, train.class_count, cfg.hidden_dim, ppc
 
 
 def _shuffled_pairs(
@@ -494,22 +486,21 @@ def train_random_patchmix(train: Dataset, val: Dataset, cfg: TrainConfig):
     fresh random mask (an all-ones mask when the per-sample mix draw
     fails, so mix_probability = 0 reduces to plain classifier training).
     Each batch draws all its mix decisions in one call, then the masks of
-    the mixed rows in one more, and is composed into the run's patch
-    scratch (:func:`_train_loop`).
+    the mixed rows in one more, and is composed into the leading rows of
+    the run's batch matrix (:func:`_train_loop`).
 
     Returns ``(model, per-epoch metrics)``.
     """
-    _check_train_inputs(train, val, cfg)
-    p, ppc = cfg.grid_size, _model_dims(train, cfg)[3]
+    p = cfg.grid_size
 
-    def batches(epoch: int, rng: np.random.Generator, buffers: dict):
+    def batches(epoch: int, rng: np.random.Generator, patches: np.ndarray):
         for idx, partner in _shuffled_pairs(len(train), cfg.batch_size, rng):
             bits = np.ones((len(idx), p, p), dtype=np.uint8)
             mixed = rng.random(len(idx)) < cfg.mix_probability
             bits[mixed] = sample_mask_bits(int(mixed.sum()), p, rng)
             yield patchmix_batch(
                 train.images, idx, partner, train.labels[idx], train.labels[partner],
-                bits, train.class_count, out=_scratch(buffers, "patches", (len(idx), p * p, ppc)),
+                bits, train.class_count, out=patches[: len(idx)],
             )
 
     return _train_loop(train, val, cfg, batches, "rand-train")

@@ -19,7 +19,7 @@ same four.
    that slot's classes), and trains the final model on batches composed
    of original, randomly mixed, and guided samples —
    minimizing only the image-level loss (:func:`train_final`).  Each batch
-   is composed into the training run's one float64 patch matrix: the
+   is composed into the batch matrix the training driver hands over: the
    original and random rows in one call, the guided rows cast into its
    tail.
 
@@ -56,9 +56,6 @@ from .model import (
     EpochMetrics,
     ReferenceModel,
     TrainConfig,
-    _check_train_inputs,
-    _model_dims,
-    _scratch,
     _train_loop,
     save_metrics,
     save_model,
@@ -239,31 +236,42 @@ def guided_batch_composer(
     random_mixer,
     guided_set: MixedBatch,
     ratio: tuple[int, int, int],
-    batch_size: int,
+    patches: np.ndarray,
     batches: int,
     rng: np.random.Generator,
     grid_size: int,
-    buffers: dict | None = None,
 ) -> Iterable[MixedBatch]:
-    """Yield batches of original : randomly-mixed : guided samples.
+    """Yield batches of original : randomly-mixed : guided samples, each
+    composed into ``patches``, a (batch_size, P*P, patch_pixels) float64
+    matrix that every batch overwrites.
 
     Originals cycle through epoch-shuffled training permutations; guided
     rows cycle through shuffled guided-set permutations;
     ``random_mixer(rng, count)`` supplies the ``(i, j, bits)`` of a batch's
     randomly mixed rows.  The original and random rows are composed in one
     :func:`patchmix_batch` call, the guided rows cast into the tail.  An
-    empty sequence stands for an empty guided set.
-
-    Every batch is composed into the float64 ``"patches"`` scratch of
-    ``buffers`` (``model._train_loop``'s dict), so a batch is overwritten by
-    the next; with ``buffers`` None each batch is a new array.
+    empty sequence stands for an empty guided set.  A guided set whose
+    grid, pixels per patch or class count differ from ``patches`` and the
+    training set is refused.
     """
-    n_original, n_random, n_guided = split_batch(batch_size, ratio)
+    if len(guided_set):
+        if guided_set.patches.shape[1] != patches.shape[1]:
+            raise ConfigError(
+                f"guided set has grid size {math.isqrt(guided_set.patches.shape[1])}, "
+                f"but train.grid_size is {grid_size}"
+            )
+        found = (guided_set.patches.shape[2], guided_set.image_labels.shape[1])
+        wanted = (patches.shape[2], train.class_count)
+        if found != wanted:
+            raise ConfigError(
+                f"guided set has (patch_pixels, class_count) = {found}, but the "
+                f"training set has {wanted}"
+            )
+    n_original, n_random, n_guided = split_batch(len(patches), ratio)
     if n_guided and not len(guided_set):
         raise ConfigError("batch ratio requires guided samples but the set is empty")
     if len(train) == 0:
         raise ConfigError("empty training set")
-    ppc = (train.height // grid_size) * (train.width // grid_size) * train.channels
     originals = _Cycle(len(train), rng)
     guided_order = _Cycle(len(guided_set), rng)
     ones = np.ones((n_original, grid_size, grid_size), dtype=np.uint8)
@@ -275,7 +283,6 @@ def guided_batch_composer(
             r_i, r_j, r_bits = random_mixer(rng, n_random)
             i, j = np.concatenate([i, r_i]), np.concatenate([j, r_j])
             bits = np.concatenate([ones, r_bits])
-        patches = _scratch(buffers, "patches", (batch_size, grid_size**2, ppc))
         batch = patchmix_batch(
             train.images, i, j, train.labels[i], train.labels[j], bits, train.class_count,
             out=patches[:n_mixed],
@@ -298,35 +305,20 @@ def train_final(
     guided_set: MixedBatch,
     ratio: tuple[int, int, int] = DEFAULT_BATCH_RATIO,
 ):
-    """Phase-4 trainer: composed batches, image-level objective only,
-    whatever ``cfg.loss_mode`` says.  A guided set whose grid, pixels per
-    patch or class count differ from the training set's is refused."""
+    """Phase-4 trainer: composed batches (:func:`guided_batch_composer`),
+    image-level objective only, whatever ``cfg.loss_mode`` says."""
     cfg = replace(cfg, loss_mode="image_only")
-    _check_train_inputs(train, val, cfg)
     p = cfg.grid_size
-    if len(guided_set):
-        if guided_set.patches.shape[1] != p * p:
-            raise ConfigError(
-                f"guided set has grid size {math.isqrt(guided_set.patches.shape[1])}, "
-                f"but train.grid_size is {p}"
-            )
-        found = (guided_set.patches.shape[2], guided_set.image_labels.shape[1])
-        wanted = (_model_dims(train, cfg)[3], train.class_count)
-        if found != wanted:
-            raise ConfigError(
-                f"guided set has (patch_pixels, class_count) = {found}, but the "
-                f"training set has {wanted}"
-            )
-    n_batches = math.ceil(len(train) / cfg.batch_size)
 
     def random_mixer(rng: np.random.Generator, count: int):
         i = rng.integers(len(train), size=count)
         j = rng.integers(len(train), size=count)
         return i, j, sample_mask_bits(count, p, rng)
 
-    def batches(epoch: int, rng: np.random.Generator, buffers: dict):
+    def batches(epoch: int, rng: np.random.Generator, patches: np.ndarray):
+        n_batches = math.ceil(len(train) / cfg.batch_size)
         yield from guided_batch_composer(
-            train, random_mixer, guided_set, ratio, cfg.batch_size, n_batches, rng, p, buffers
+            train, random_mixer, guided_set, ratio, patches, n_batches, rng, p
         )
 
     return _train_loop(train, val, cfg, batches, "final-train")

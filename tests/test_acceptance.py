@@ -16,7 +16,7 @@ import pytest
 from conftest import ACCEPTANCE_LINES
 from patchmix import workflow
 from patchmix.cli import main, run_boundary_demo
-from patchmix.data import one_hot, synth_shapes, toy_2d_three_class
+from patchmix.data import synth_shapes, toy_2d_three_class
 from patchmix.evolution import (
     Rules,
     SearchConfig,
@@ -29,8 +29,8 @@ from patchmix.evolution import (
 )
 from patchmix.evolution import Individual, repair
 from patchmix.losses import combined_loss
-from patchmix.masks import expand_to_pixel_mask, mixing_ratio, sample_random_mask
-from patchmix.mixing import MixedBatch, patchmix, patchmix_batch
+from patchmix.masks import sample_random_mask
+from patchmix.mixing import MixedBatch, patchmix, patchmix_batch, unpatchify
 from patchmix.model import (
     ReferenceModel,
     TrainConfig,
@@ -93,11 +93,14 @@ def test_equation_suite():
     rng = np.random.default_rng(1001)
     cases = 0
 
-    # Mixing ratio: kept-patch fraction of the grid.
+    # Mixing ratio: the first source's label weight in a row of the batched
+    # composer training runs is the kept-patch fraction of the grid.
     for _ in range(250):
         p = int(rng.integers(2, 9))
         mask = rng.integers(0, 2, (p, p), dtype=np.uint8)
-        assert abs(mixing_ratio(mask) - mask.sum() / p**2) <= 1e-9
+        images = np.zeros((2, p, p, 1))  # one pixel per cell
+        row = patchmix_batch(images, [0], [1], [0], [1], mask[None], 2)
+        assert abs(row.image_labels[0, 0] - mask.sum() / p**2) <= 1e-9
         cases += 1
 
     # Composition: pixels routed by the expanded mask, label split by area.
@@ -114,7 +117,7 @@ def test_equation_suite():
         np.testing.assert_array_equal(
             sample.patches, patchify(np.where(pixel == 1, x_i, x_j).astype(np.float64)[None], p)
         )
-        expected_label = lam * one_hot(y_i, classes) + (1 - lam) * one_hot(y_j, classes)
+        expected_label = lam * np.eye(classes)[y_i] + (1 - lam) * np.eye(classes)[y_j]
         assert np.abs(sample.image_labels[0] - expected_label).max() <= 1e-9
         # The label weight of the first source (all of it when both are one class).
         assert abs(sample.image_labels[0, y_i] - (lam if y_i != y_j else 1.0)) <= 1e-9
@@ -157,7 +160,7 @@ def test_equation_suite():
         ])
         l_patch = np.array([
             sum(
-                oracle_cross_entropy(logits, one_hot(int(label), classes))
+                oracle_cross_entropy(logits, np.eye(classes)[int(label)])
                 for logits, label in zip(sample_logits, labels)
             )
             for sample_logits, labels in zip(patch_logits, batch.patch_labels)
@@ -190,10 +193,13 @@ def test_equation_suite():
 def test_mask_pixel_consistency():
     rng = np.random.default_rng(2002)
     height = width = 16
+    # The composer's pixel map: an all-ones image over an all-zeros one.
+    ones, zeros = np.ones((height, width, 1)), np.zeros((height, width, 1))
     for i in range(1000):
         p = (2, 4, 8)[i % 3]
         mask = sample_random_mask(p, rng)
-        pixel = expand_to_pixel_mask(mask, width, height)
+        row = patchmix(ones, 0, zeros, 1, mask, 2)
+        pixel = unpatchify(row.patches, (1, height, width, 1), p)[0, :, :, 0]
         block_h, block_w = height // p, width // p
         assert int(pixel.sum()) == int(mask.sum()) * block_h * block_w
         regions = pixel.reshape(p, block_h, p, block_w)

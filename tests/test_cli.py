@@ -287,6 +287,27 @@ class TestExitCodes:
         assert capsys.readouterr().err == want
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("train", "lr0", float("nan")),
+            ("train", "lr0", float("inf")),
+            ("train", "weight_decay", float("nan")),
+            ("train", "eta_min", float("nan")),
+            ("search", "val_fraction", float("-inf")),
+        ],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, section, key, value):
+        # Python's json reads and writes NaN, Infinity and -Infinity.
+        data = config_data(tmp_path / "run", train={"epochs": 1})
+        data[section][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert main(["train-random", "--config", str(path)]) == 2
+        want = f"error: config key {section}.{key} must be a finite number, got {json.dumps(value)}\n"
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "run").exists()
+
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         cfg_path = write_config(

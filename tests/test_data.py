@@ -8,7 +8,6 @@ from patchmix.data import (
     Dataset,
     load_cifar_binary,
     load_dataset,
-    one_hot,
     save_dataset,
     sniff_and_load,
     synth_shapes,
@@ -77,15 +76,6 @@ class TestDataset:
         assert len(sub) == 2
         assert sub.class_count == 3
         assert sub.labels.tolist() == [1, 1]
-
-
-def test_one_hot():
-    assert one_hot(2, 4).tolist() == [0.0, 0.0, 1.0, 0.0]
-    assert one_hot(0, 1).tolist() == [1.0]
-    with pytest.raises(ConfigError):
-        one_hot(4, 4)
-    with pytest.raises(ConfigError):
-        one_hot(-1, 4)
 
 
 class TestCifarLoader:

@@ -5,18 +5,9 @@ from hypothesis import strategies as st
 
 from patchmix.errors import ConfigError, FormatError
 from patchmix.evolution import Individual, format_individual, parse_individual
-from patchmix.masks import (
-    expand_to_pixel_mask,
-    mixing_ratio,
-    sample_mask_bits,
-    sample_random_mask,
-)
+from patchmix.masks import sample_mask_bits, sample_random_mask
 from patchmix.mixing import patchmix
 from patchmix.rng import RngKey
-
-
-def random_mask(grid_size, rng):
-    return rng.integers(0, 2, (grid_size, grid_size), dtype=np.uint8)
 
 
 masks_strategy = st.integers(2, 8).flatmap(
@@ -25,11 +16,10 @@ masks_strategy = st.integers(2, 8).flatmap(
     ).map(lambda bits: np.array(bits, dtype=np.uint8).reshape(p, p))
 )
 
-# Every public function that reads one (P, P) mask, on a 4x4 image.
+# Every public function that reads one (P, P) mask, on a 4x4 image; the
+# stacks of ``patchmix_batch`` are refused alike (tests/test_mixing.py).
 MASK_READERS = (
     lambda mask: patchmix(np.zeros((4, 4, 1)), 0, np.ones((4, 4, 1)), 1, mask, 2),
-    lambda mask: expand_to_pixel_mask(mask, 4, 4),
-    mixing_ratio,
 )
 
 
@@ -125,61 +115,6 @@ class TestSampleMaskBits:
     def test_bad_arguments(self, count, grid_size):
         with pytest.raises(ConfigError):
             sample_mask_bits(count, grid_size, np.random.default_rng(0))
-
-
-class TestExpansion:
-    def test_all_ones_expands_to_all_ones(self):
-        pixel = expand_to_pixel_mask(np.ones((4, 4), dtype=np.uint8), 32, 32)
-        assert pixel.shape == (32, 32) and pixel.dtype == np.uint8
-        assert pixel.all()
-
-    def test_single_bit_fills_one_region(self):
-        bits = np.zeros((4, 4), dtype=np.uint8)
-        bits[0, 0] = 1
-        pixel = expand_to_pixel_mask(bits, 32, 32)
-        assert pixel[:8, :8].all()
-        assert pixel.sum() == 64
-
-    def test_non_divisible_rejected(self):
-        with pytest.raises(ConfigError):
-            expand_to_pixel_mask(np.ones((4, 4), dtype=np.uint8), 30, 32)
-
-    def test_rectangular_images_supported(self):
-        bits = np.array([[1, 0], [0, 0]], dtype=np.uint8)
-        pixel = expand_to_pixel_mask(bits, 8, 4)
-        assert pixel.shape == (4, 8)
-        assert pixel[:2, :4].all() and pixel.sum() == 8
-
-    def test_reduce_recovers_original(self, rng):
-        for p in (2, 4, 8):
-            mask = random_mask(p, rng)
-            pixel = expand_to_pixel_mask(mask, 32, 32)
-            # Majority vote over each patch region.
-            regions = pixel.reshape(p, 32 // p, p, 32 // p).mean(axis=(1, 3))
-            np.testing.assert_array_equal((regions > 0.5).astype(np.uint8), mask)
-
-    def test_popcount_scales_by_region_area(self, rng):
-        mask = random_mask(4, rng)
-        pixel = expand_to_pixel_mask(mask, 32, 16)
-        assert pixel.sum() == mask.sum() * (32 // 4) * (16 // 4)
-
-
-class TestMixingRatio:
-    def test_all_ones(self):
-        assert mixing_ratio(np.ones((4, 4), dtype=np.uint8)) == 1.0
-
-    def test_all_zeros(self):
-        assert mixing_ratio(np.zeros((4, 4), dtype=np.uint8)) == 0.0
-
-    def test_five_of_sixteen(self):
-        bits = np.zeros((4, 4), dtype=np.uint8)
-        bits.flat[:5] = 1
-        assert mixing_ratio(bits) == 0.3125
-
-    @given(masks_strategy)
-    @settings(max_examples=50, deadline=None)
-    def test_complement_ratios_sum_to_one(self, mask):
-        assert mixing_ratio(mask) + mixing_ratio(1 - mask) == 1.0
 
 
 # Masks are stored as rows of the genome file; a one-class genome holds

@@ -3,9 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patchmix.data import one_hot
 from patchmix.errors import ConfigError
-from patchmix.masks import expand_to_pixel_mask, mixing_ratio
 from patchmix.mixing import MixedBatch, cutmix, mixup, patchmix, patchmix_batch, unpatchify
 from patchmix.model import patchify
 from patchmix.rng import RngKey
@@ -96,11 +94,15 @@ class TestPatchmix:
 
 
 def pixel_mask_patchmix(x_i, y_i, x_j, y_j, mask, class_count):
-    """Reference: the pixel-mask definition of a grid-mask composite."""
+    """Reference: the pixel-mask definition of a grid-mask composite, each
+    cell bit repeated over its pixel region, the label split by the
+    kept-cell fraction."""
     height, width = x_i.shape[:2]
-    keep = expand_to_pixel_mask(mask, width, height)[..., None] == 1
-    lam = mixing_ratio(mask)
-    label = lam * one_hot(y_i, class_count) + (1.0 - lam) * one_hot(y_j, class_count)
+    p = len(mask)
+    keep = np.kron(mask, np.ones((height // p, width // p), dtype=np.uint8))[..., None] == 1
+    lam = mask.sum() / mask.size
+    eye = np.eye(class_count)
+    label = lam * eye[y_i] + (1.0 - lam) * eye[y_j]
     return np.where(keep, x_i, x_j).astype(np.float64), label
 
 
@@ -143,7 +145,7 @@ class TestPatchmixPixelMaskOracle:
             assert out.patch_labels.dtype == np.int64
             assert out.patch_labels[0].tolist() == np.where(mask.ravel() == 1, y_i, y_j).tolist()
             if y_i != y_j:  # the label weight of the first source
-                assert out.image_labels[0, y_i] == mixing_ratio(mask)
+                assert out.image_labels[0, y_i] == mask.sum() / mask.size
 
     @pytest.mark.parametrize("grid_size", GRIDS)
     @pytest.mark.parametrize("channels", CHANNELS)
@@ -256,6 +258,39 @@ class TestPatchmixBatch:
         with pytest.raises(ConfigError, match=error):
             patchmix_batch(images, rows, rows, np.array(labels), np.array(labels), bits, 3)
 
+    @pytest.mark.parametrize(
+        "shape, error",
+        [
+            ((2, 0, 0), "^grid size must be at least 1$"),
+            ((2, 4), r"^mask bits must be square, got shape \(2, 4\)$"),
+            ((2, 4, 2), r"^mask bits must be square, got shape \(2, 4, 2\)$"),
+            ((2, 2, 2, 2), r"^mask bits must be square, got shape \(2, 2, 2, 2\)$"),
+        ],
+        ids=["empty-grids", "flat", "oblong-grids", "four-axes"],
+    )
+    def test_bits_that_are_not_a_stack_of_grids_rejected(self, rng, shape, error):
+        # The refusals and wording of ``patchmix``'s mask check.
+        images = rng.random((2, 4, 4, 1))
+        rows = np.array([0, 1])
+        with pytest.raises(ConfigError, match=error):
+            patchmix_batch(images, rows, rows, rows, rows, np.ones(shape), 3)
+
+    @pytest.mark.parametrize(
+        "buffer",
+        [np.zeros((4, 4, 48))[::2], np.zeros((2, 48, 4)).transpose(0, 2, 1), np.zeros((2, 4, 24)),
+         np.zeros((2, 1, 4, 48))],
+        ids=["strided-rows", "transposed", "short-patches", "extra-axis"],
+    )
+    def test_out_other_than_a_contiguous_batch_matrix_rejected(self, rng, buffer):
+        # A reshape of a non-contiguous array copies, so the rows would be
+        # written into the copy and lost.
+        images = rng.random((2, 8, 8, 3))
+        rows = np.array([0, 1])
+        before = buffer.copy()
+        with pytest.raises(ConfigError, match=r"^out must be a C-contiguous array of shape \(2, 4, 48\)"):
+            patchmix_batch(images, rows, rows, rows, rows, np.ones((2, 2, 2)), 3, out=buffer)
+        np.testing.assert_array_equal(buffer, before)
+
     def test_out_slice_writes_only_its_rows(self, rng):
         for dtype in (np.float32, np.float64):
             images = rng.random((4, 8, 12, 3)).astype(dtype)
@@ -269,11 +304,27 @@ class TestPatchmixBatch:
             assert (buffer[:2] == -1.0).all() and (buffer[6:] == -1.0).all()
 
 
+@pytest.mark.parametrize("writer", ["patchmix", "mixup", "cutmix", "patchify"])
+def test_every_writer_refuses_a_transposed_out(rng, writer):
+    # The transposed view has the result's shape, but its reshape copies.
+    images, rows = rng.random((2, 8, 8, 3)), [0, 1]
+    out = np.zeros((1 if writer == "patchmix" else 2, 48, 4)).transpose(0, 2, 1)
+    write = {
+        "patchmix": lambda: patchmix(images[0], 0, images[1], 1, np.ones((2, 2)), 3, out=out),
+        "mixup": lambda: mixup(images, rows, rows, rows, rows, [0.5, 0.5], 3, 2, out=out),
+        "cutmix": lambda: cutmix(images, rows, rows, rows, rows, rng, 2, 2, 3, 2, out=out),
+        "patchify": lambda: patchify(images, 2, out),
+    }[writer]
+    with pytest.raises(ConfigError, match="^out must be a C-contiguous array of shape"):
+        write()
+    assert not out.any()
+
+
 def pixel_mixup(x_i, y_i, x_j, y_j, lam, class_count):
     """Reference: the per-sample pixel blend of two images."""
     image = lam * x_i.astype(np.float64) + (1.0 - lam) * x_j.astype(np.float64)
-    label = lam * one_hot(y_i, class_count) + (1.0 - lam) * one_hot(y_j, class_count)
-    return image, label
+    eye = np.eye(class_count)
+    return image, lam * eye[y_i] + (1.0 - lam) * eye[y_j]
 
 
 def pixel_cutmix(x_i, y_i, x_j, y_j, rng, region_w, region_h, class_count):
@@ -281,15 +332,16 @@ def pixel_cutmix(x_i, y_i, x_j, y_j, rng, region_w, region_h, class_count):
     horizontal first, then vertical."""
     height, width = x_i.shape[:2]
     image = x_i.astype(np.float64).copy()
+    eye = np.eye(class_count)
     if region_w == 0 or region_h == 0:
-        return image, one_hot(y_i, class_count)
+        return image, eye[y_i]
     cx = rng.normal(width / 2.0, width / 4.0)
     cy = rng.normal(height / 2.0, height / 4.0)
     x0 = int(np.clip(round(cx - region_w / 2.0), 0, width - region_w))
     y0 = int(np.clip(round(cy - region_h / 2.0), 0, height - region_h))
     image[y0 : y0 + region_h, x0 : x0 + region_w] = x_j[y0 : y0 + region_h, x0 : x0 + region_w]
     lam = 1.0 - (region_w * region_h) / (width * height)
-    return image, lam * one_hot(y_i, class_count) + (1.0 - lam) * one_hot(y_j, class_count)
+    return image, lam * eye[y_i] + (1.0 - lam) * eye[y_j]
 
 
 def stacked_pixels(rows, shape, class_count, grid_size):

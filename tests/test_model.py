@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from patchmix.data import Dataset, one_hot, synth_shapes
+from patchmix.data import Dataset, synth_shapes
 from patchmix.errors import ConfigError, FormatError, NumericError
 from patchmix.losses import LOSS_MODES, log_softmax
 from patchmix.mixing import MixedBatch, patchmix, patchmix_batch
@@ -12,6 +12,7 @@ from patchmix.model import (
     EpochMetrics,
     ReferenceModel,
     TrainConfig,
+    _train_loop,
     adversarial_accuracy,
     backward,
     batch_gradients,
@@ -221,7 +222,7 @@ class TestGradients:
     def test_patch_labels_required_outside_image_only(self, rng):
         model = tiny_model()
         images = rng.random((2, 4, 4, 1))
-        targets = np.stack([one_hot(0, 3), one_hot(1, 3)])
+        targets = np.eye(3)[[0, 1]]
         with pytest.raises(ConfigError):
             batch_gradients(model, images, targets, None, "both")
 
@@ -450,6 +451,65 @@ class TestTraining:
         other = synth_shapes(4, 16, 3, 0)
         with pytest.raises(ConfigError):
             train_random_patchmix(small_train, other, TrainConfig(epochs=1))
+
+
+class TestTrainLoop:
+    """The shared driver checks every trainer's inputs, in one order, before
+    it draws a batch."""
+
+    @staticmethod
+    def inputs(case, train, val):
+        """``(train, val, cfg)`` with the faults ``case`` names."""
+        cfg, none = TrainConfig(epochs=1, batch_size=40, hidden_dim=8), np.array([], dtype=np.int64)
+        if case.startswith("config"):
+            cfg = dataclasses.replace(cfg, epochs=0)
+        if case.endswith("empty-train"):
+            train = train.subset(none)
+        if case == "empty-val":
+            val = val.subset(none)
+        if case == "image-shape":
+            val = Dataset(np.zeros((3, 16, 8, 3), np.float32), np.arange(3), 3)
+        if case == "class-count":
+            val = synth_shapes(4, 16, 3, 0)
+        if case == "grid":
+            cfg = dataclasses.replace(cfg, grid_size=5)
+        return train, val, cfg
+
+    # Each case's error; a case with two faults reports the one checked first.
+    ERRORS = {
+        "config": "epochs must be at least 1",
+        "config-and-empty-train": "epochs must be at least 1",
+        "empty-train": "train and validation sets must be non-empty",
+        "empty-val": "train and validation sets must be non-empty",
+        "image-shape": "train and validation image shapes differ",
+        "class-count": "train and validation class counts differ",
+        "grid": "image 16x16 not divisible by grid size 5",
+    }
+
+    @pytest.mark.parametrize("case", list(ERRORS))
+    def test_inputs_refused_before_a_batch_is_drawn(self, small_train, small_val, case):
+        def source(epoch, rng, patches):
+            raise AssertionError("the batch source ran")
+
+        train, val, cfg = self.inputs(case, small_train, small_val)
+        with pytest.raises(ConfigError, match=f"^{self.ERRORS[case]}$"):
+            _train_loop(train, val, cfg, source, "test")
+
+    def test_source_composes_into_one_batch_matrix(self, small_train, small_val):
+        cfg = TrainConfig(epochs=2, batch_size=50, grid_size=2, hidden_dim=8)
+        seen = []
+
+        def source(epoch, rng, patches):
+            seen.append(patches)
+            idx = np.arange(7)
+            yield patchmix_batch(
+                small_train.images, idx, idx, small_train.labels[idx], small_train.labels[idx],
+                np.ones((7, 2, 2)), 3, out=patches[:7],
+            )
+
+        _train_loop(small_train, small_val, cfg, source, "test")
+        assert seen[0].shape == (50, 4, 192) and seen[0].dtype == np.float64
+        assert len(seen) == 2 and seen[1] is seen[0]
 
 
 class TestFgsm:

@@ -6,11 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from patchmix.data import one_hot, synth_shapes
+from patchmix.data import synth_shapes
 from patchmix.errors import ConfigError, FormatError
 from patchmix import workflow
 from patchmix.evolution import SearchConfig, evaluate_fitness, index_to_pair, pair_to_index
-from patchmix.mixing import patchmix, patchmix_batch
+from patchmix.mixing import MixedBatch, patchmix, patchmix_batch
 from patchmix.losses import loss_eval_count
 from patchmix.model import TrainConfig, load_model, patchify
 from patchmix.rng import RngKey
@@ -302,9 +302,19 @@ class TestBatchComposer:
     def null_mixer(self, rng, count):
         raise AssertionError("random mixer should not be called")
 
+    @staticmethod
+    def matrix(batch_size):
+        """A batch matrix of the 16 px RGB training set on a 2x2 grid."""
+        return np.empty((batch_size, 4, 8 * 8 * 3))
+
+    @staticmethod
+    def drawn(batches):
+        """Each batch copied as it is drawn, before the next overwrites its matrix."""
+        return [MixedBatch(b.patches.copy(), b.image_labels, b.patch_labels) for b in batches]
+
     def test_originals_are_identity_samples(self, train, rng):
-        batches = list(
-            guided_batch_composer(train, self.null_mixer, [], (1, 0, 0), 6, 3, rng, 2)
+        batches = self.drawn(
+            guided_batch_composer(train, self.null_mixer, [], (1, 0, 0), self.matrix(6), 3, rng, 2)
         )
         assert len(batches) == 3
         seen = set()
@@ -317,7 +327,7 @@ class TestBatchComposer:
                 label = int(np.argmax(image_label))
                 # lam, the weight of the first source, is 1.
                 assert image_label[label] == 1.0
-                np.testing.assert_array_equal(image_label, one_hot(label, 3))
+                np.testing.assert_array_equal(image_label, np.eye(3)[label])
                 assert patch_labels.tolist() == [label] * 4
                 seen.add(image.tobytes())
         # One full pass over 18 images in 3 batches of 6: all distinct.
@@ -326,9 +336,9 @@ class TestBatchComposer:
     def test_guided_samples_cycle(self, train, rng):
         ind = make_individual(active=(1,), rng=np.random.default_rng(0))
         guided = guided_set(ind, train, 2, np.random.default_rng(1))
-        batches = list(
+        batches = self.drawn(
             guided_batch_composer(
-                train, self.null_mixer, guided, (0, 0, 1), 3, 2, rng, 2
+                train, self.null_mixer, guided, (0, 0, 1), self.matrix(3), 2, rng, 2
             )
         )
         source = {row.astype(np.float64).tobytes() for row in guided.patches}
@@ -346,8 +356,8 @@ class TestBatchComposer:
             calls.append((i, j))
             return i, j, np.zeros((count, 2, 2), dtype=np.uint8)
 
-        batches = list(
-            guided_batch_composer(train, mixer, [], (1, 1, 0), 8, 2, rng, 2)
+        batches = self.drawn(
+            guided_batch_composer(train, mixer, [], (1, 1, 0), self.matrix(8), 2, rng, 2)
         )
         assert [len(i) for i, _ in calls] == [4, 4]
         assert all(len(b) == 8 for b in batches)
@@ -391,48 +401,24 @@ class TestBatchComposer:
                                     guided.patch_labels[rows]]),
                 ]
 
+        matrix = self.matrix(batch_size)
         got = guided_batch_composer(
-            train, mixer, guided, ratio, batch_size, 3, np.random.default_rng(9), 2
+            train, mixer, guided, ratio, matrix, 3, np.random.default_rng(9), 2
         )
         want = parts_stacked(np.random.default_rng(9))
         for batch, (patches, image_labels, patch_labels) in zip(got, want, strict=True):
+            # Every batch is composed into the matrix it was handed.
+            assert np.shares_memory(batch.patches, matrix)
             assert batch.patches.dtype == np.float64
             np.testing.assert_array_equal(batch.patches, patches)
             np.testing.assert_array_equal(batch.image_labels, image_labels)
             np.testing.assert_array_equal(batch.patch_labels, patch_labels)
 
-    @pytest.mark.parametrize("ratio, batch_size", [((1, 1, 1), 10), ((2, 0, 1), 7)])
-    def test_batches_in_a_scratch_equal_fresh_batches(self, train, ratio, batch_size):
-        """With a scratch dict, every batch's patches are its ``"patches"``
-        entry, and a copy of each equals the batch composed without one."""
-        ind = make_individual(active=(0, 4), rng=np.random.default_rng(2))
-        guided = guided_set(ind, train, 7, np.random.default_rng(3))
-
-        def mixer(mix_rng, count):
-            i = mix_rng.integers(len(train), size=count)
-            j = mix_rng.integers(len(train), size=count)
-            return i, j, mix_rng.integers(0, 2, (count, 2, 2), dtype=np.uint8)
-
-        args = (train, mixer, guided, ratio, batch_size, 4)
-        buffers: dict = {}
-        got = [
-            (batch.patches.copy(), batch)
-            for batch in guided_batch_composer(*args, np.random.default_rng(9), 2, buffers)
-            if np.shares_memory(batch.patches, buffers["patches"])
-        ]
-        want = list(guided_batch_composer(*args, np.random.default_rng(9), 2))
-        assert len(got) == len(want) == 4
-        assert not np.shares_memory(want[0].patches, want[1].patches)
-        for (patches, batch), fresh in zip(got, want):
-            np.testing.assert_array_equal(patches, fresh.patches)
-            np.testing.assert_array_equal(batch.image_labels, fresh.image_labels)
-            np.testing.assert_array_equal(batch.patch_labels, fresh.patch_labels)
-
     def test_guided_needed_but_missing(self, train, rng):
         with pytest.raises(ConfigError, match="guided"):
             list(
                 guided_batch_composer(
-                    train, self.null_mixer, [], (1, 1, 1), 9, 1, rng, 2
+                    train, self.null_mixer, [], (1, 1, 1), self.matrix(9), 1, rng, 2
                 )
             )
 
@@ -520,6 +506,25 @@ class TestTrainFinal:
         cfg = TrainConfig(epochs=1, batch_size=30, hidden_dim=16, grid_size=4, seed=2)
         with pytest.raises(ConfigError, match=re.escape(f"guided set has {message}")):
             train_final(small_train, small_val, cfg, guided)
+
+    @pytest.mark.parametrize(
+        "cfg_change, ratio, message",
+        [
+            ({"epochs": 0}, (1, 1, 1), "epochs must be at least 1"),
+            ({"batch_size": 0}, (1, 1, 1), "batch_size must be at least 1"),
+            ({}, (0, 0, 0), "guided set has (patch_pixels, class_count) = (48, 4)"),
+        ],
+        ids=["config-first", "batch-size-first", "guided-set-before-ratio"],
+    )
+    def test_first_error_reported(self, small_train, small_val, cfg_change, ratio, message):
+        # The driver checks the config and the sets, then the batch source
+        # the guided set, then the batch ratio.
+        data = synth_shapes(4, 16, 7, 4)
+        ind = make_individual(4, grid_size=4, active=(1,), rng=np.random.default_rng(2))
+        guided = guided_set(ind, data, 10, np.random.default_rng(3))
+        cfg = TrainConfig(**{"batch_size": 30, "hidden_dim": 16, "grid_size": 4, **cfg_change})
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            train_final(small_train, small_val, cfg, guided, ratio)
 
     def test_same_seed_same_model(self, small_train, small_val):
         cfg = TrainConfig(epochs=2, batch_size=40, hidden_dim=16, grid_size=2, seed=6)
