@@ -147,13 +147,20 @@ def patchmix_batch(
     bits[k], class_count)``.  All-ones bits give identity rows.  The
     patches are float64 whatever the source type, written into ``out`` if
     given; each grid cell is copied whole from the source its bit names.
-    ``bits`` is a (B, P, P) stack, refused as :func:`patchmix` refuses a mask.
+    ``bits`` is a (B, P, P) stack, refused as :func:`patchmix` refuses a mask;
+    a source index outside [0, len(images)) is refused too.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.max(initial=0) > 1:
         raise ConfigError("mask bits must contain only 0/1 values")
     _check_square(bits, 3)
     y_i, y_j = _check_rows(class_count, y_i, y_j, i, j, bits)
+    sources = np.stack([np.asarray(i), np.asarray(j)], axis=1)
+    if len(sources) and (sources.min() < 0 or sources.max() >= len(images)):
+        row, side = np.argwhere((sources < 0) | (sources >= len(images)))[0]
+        raise ConfigError(
+            f"row {row}: source index {sources[row, side]} lies outside [0, {len(images)})"
+        )
     height, width, channels = images.shape[1:]
     b, p = len(bits), bits.shape[-1]
     _check_divisible(width, height, p)
@@ -163,7 +170,7 @@ def patchmix_batch(
     # one cell: image r // (H*P), pixel row (r // P) % H, grid column r % P.
     # List the rows of every patch of the batch, in patch order, from the
     # image its bit names; one gather then yields the patch matrix.
-    source = np.where(bits == 1, np.asarray(i)[:, None, None], np.asarray(j)[:, None, None])
+    source = np.where(bits == 1, sources[:, 0, None, None], sources[:, 1, None, None])
     grid = np.arange(p)
     rows = source[..., None] * (height * p) + (grid[:, None, None] * ph + np.arange(ph)) * p
     rows += grid[:, None]

@@ -31,11 +31,31 @@ zero gradients.  The pre-activation gradient is written in place into its
 buffer: the patch term, plus the image term, then the ReLU gate, or under
 ``image_only`` the gated image term in one pass.  :func:`forward_batch`
 always computes both heads.
+
+The driver owns one worker thread for its run (a one-thread executor in a
+``with`` block, joined on every exit) and hands it beside its scratch dict
+to the steps and to validation.  The encoder's two large GEMMs, the
+embedding ``patches @ w_embed`` and its weight gradient ``patches.T @
+d_pre``, then run as two row halves, the second on the worker, so a run
+with one BLAS thread uses a second core.  Only products of at least
+``SPLIT_FLOOR`` multiply-adds are split; below it the thread hand-off
+costs more than the half saves, and a run whose products all fall below it
+starts no thread.  Everything else, and every call without the driver
+(the fitness table, the sign attack, the demo's raster), stays on the
+calling thread; the worker runs only the BLAS call, so the loss-evaluation
+counters of ``losses`` stay on the main thread.  With one BLAS thread the
+split cannot move a byte: every output row keeps the single call's
+reduction, and the cut falls on a kernel tile boundary, so each row is
+summed in the same tile and order (:func:`_matmul_halves`).  A
+multi-threaded BLAS divides each call by its own shape, so there a
+product's last bits can depend on the split, as they already depend on
+the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import struct
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -56,6 +76,18 @@ MODEL_MAGIC = b"PMXM"
 MODEL_VERSION = 1
 # magic, version, grid_size, class_count, hidden_dim, patch_pixels
 _MODEL_HEADER = struct.Struct("<4sIIIII")
+
+# Multiply-adds from which a product runs as two row halves.  Measured per
+# training step (batch 100, grid 4, hidden 64; two cores, one BLAS thread):
+# split, the CIFAR shape's (1600x192)x64 products take a step from 1190 to
+# 900 us; the quick-start shape's (1600x48)x64 ones would save about 4%
+# (669 -> 641 us), too little to resolve end to end, so they stay whole.
+SPLIT_FLOOR = 2**23
+# Row count the cut is a multiple of, so no output row changes kernel tile.
+# With OpenBLAS 0.3.31 (SkylakeX kernels, one thread), products of more than
+# 192 columns kept their bytes only for cuts on multiples of 12; cuts on
+# multiples of 24 matched the single call in 600 random shapes past the floor.
+_SPLIT_ROWS = 24
 
 
 @dataclass
@@ -164,17 +196,39 @@ def _scratch(buffers: dict | None, name: str, shape: tuple, dtype=np.float64) ->
     return buf[:size].reshape(shape)
 
 
+def _matmul_halves(a: np.ndarray, b: np.ndarray, out: np.ndarray, worker: Executor | None):
+    """``np.matmul(a, b, out=out)``, with the rows of ``a`` and ``out``
+    (the leading axis) in two halves, the second computed on ``worker``,
+    when there is one and the product reaches ``SPLIT_FLOOR``.
+
+    The cut is a multiple of ``_SPLIT_ROWS`` rows, so with one BLAS thread
+    every output row keeps the kernel tile and the summation order of the
+    single call, and the result is bitwise the same.
+    """
+    cut = len(a) // 2 // _SPLIT_ROWS * _SPLIT_ROWS
+    if worker is None or cut == 0 or a.size * b.shape[-1] < SPLIT_FLOOR:
+        return np.matmul(a, b, out=out)
+    tail = worker.submit(np.matmul, a[cut:], b, out=out[cut:])
+    try:
+        np.matmul(a[:cut], b, out=out[:cut])
+    finally:
+        tail.result()
+    return out
+
+
 def _forward_arrays(
     model: ReferenceModel,
     patches: np.ndarray,
     buffers: dict | None,
     need_patch: bool = True,
     need_image: bool = True,
+    worker: Executor | None = None,
 ):
     """Forward pass of a (B, P*P, patch_pixels) float64 patch matrix, into
     ``buffers``: ``(feats, mean_feats, patch_logits, image_logits)``.  The
     patch logits are None unless ``need_patch``; the mean embedding and the
-    image logits are None unless ``need_image``."""
+    image logits are None unless ``need_image``.  The embedding is split
+    over the batch on ``worker`` (:func:`_matmul_halves`)."""
     if patches.ndim != 3 or patches.shape[1] != model.patch_count:
         raise ConfigError(
             f"model expects {model.patch_count} patches per sample, "
@@ -186,7 +240,7 @@ def _forward_arrays(
             f"input provides {patches.shape[2]}"
         )
     feats = _scratch(buffers, "feats", (len(patches), model.patch_count, model.hidden_dim))
-    np.matmul(patches, model.w_embed, out=feats)
+    _matmul_halves(patches, model.w_embed, feats, worker)
     feats += model.b_embed
     np.maximum(feats, 0.0, out=feats)
     mean_feats = patch_logits = image_logits = None
@@ -206,18 +260,26 @@ def _patchify_scratch(images, grid_size: int, buffers: dict | None) -> np.ndarra
     return patchify(images, grid_size, _scratch(buffers, "patches", (b, grid_size**2, ppc)))
 
 
-def forward_batch(model: ReferenceModel, images: np.ndarray, buffers: dict | None = None):
+def forward_batch(
+    model: ReferenceModel,
+    images: np.ndarray,
+    buffers: dict | None = None,
+    worker: Executor | None = None,
+):
     """Return (patch_logits, image_logits) of (B, H, W, C) images;
-    ``buffers`` as in :func:`backward`."""
+    ``buffers`` and ``worker`` as in :func:`backward`."""
     patches = _patchify_scratch(images, model.grid_size, buffers)
-    out = _forward_arrays(model, patches, buffers)
+    out = _forward_arrays(model, patches, buffers, worker=worker)
     return out[2], out[3]
 
 
-def _gradients(model: ReferenceModel, patches, image_targets, patch_labels, loss_mode, buffers):
+def _gradients(
+    model: ReferenceModel, patches, image_targets, patch_labels, loss_mode, buffers, worker=None
+):
     """``(loss, grads, d_pre)`` of a patch matrix, with ``d_pre`` the
     gradient of the loss with respect to the pre-activations; ``d_pre``
-    lives in ``buffers``."""
+    lives in ``buffers``.  The embedding and its weight gradient are split
+    on ``worker`` (:func:`_matmul_halves`)."""
     if loss_mode not in losses.LOSS_MODES:
         raise ConfigError(f"unknown loss mode {loss_mode!r}")
     patches = np.asarray(patches)
@@ -245,7 +307,7 @@ def _gradients(model: ReferenceModel, patches, image_targets, patch_labels, loss
         )
 
     feats, mean_feats, patch_logits, image_logits = _forward_arrays(
-        model, patches, buffers, need_patch, need_image
+        model, patches, buffers, need_patch, need_image, worker
     )
 
     # Per-sample losses, and the chain rule scaled for the batch mean and the mode.
@@ -293,7 +355,10 @@ def _gradients(model: ReferenceModel, patches, image_targets, patch_labels, loss
         raise NumericError(f"non-finite loss {loss}")
     if need_patch:
         d_pre *= relu_mask
-    grads["w_embed"] = patches.reshape(-1, model.patch_pixels).T @ d_pre.reshape(-1, hidden)
+    grads["w_embed"] = _matmul_halves(
+        patches.reshape(-1, model.patch_pixels).T, d_pre.reshape(-1, hidden),
+        np.empty((model.patch_pixels, hidden)), worker,
+    )
     grads["b_embed"] = d_pre.sum(axis=(0, 1))
     return loss, grads, d_pre
 
@@ -318,16 +383,24 @@ def batch_gradients(
     return loss, grads, input_grads
 
 
-def backward(model: ReferenceModel, batch: MixedBatch, loss_mode: str, buffers: dict | None = None):
+def backward(
+    model: ReferenceModel,
+    batch: MixedBatch,
+    loss_mode: str,
+    buffers: dict | None = None,
+    worker: Executor | None = None,
+):
     """``(loss, grads)`` of the mean loss over a batch of mixed samples,
     read from its patch matrix.
 
     No input gradients are formed.  The batch-sized arrays are written into
     ``buffers``, a scratch dict the caller may keep across steps; the
-    returned arrays never alias it.
+    returned arrays never alias it.  With a ``worker`` executor, the
+    encoder's large GEMMs compute half their rows on it, with the same
+    bytes (:func:`_matmul_halves`).
     """
     loss, grads, _ = _gradients(
-        model, batch.patches, batch.image_labels, batch.patch_labels, loss_mode, buffers
+        model, batch.patches, batch.image_labels, batch.patch_labels, loss_mode, buffers, worker
     )
     return loss, grads
 
@@ -388,16 +461,20 @@ def _check_eval(model: ReferenceModel, dataset: Dataset, batch_size: int) -> Non
     _check_classes(model, dataset)
 
 
-def evaluate_model(model: ReferenceModel, dataset: Dataset, batch_size: int = 256, buffers=None):
+def evaluate_model(
+    model: ReferenceModel, dataset: Dataset, batch_size: int = 256, buffers=None, worker=None
+):
     """(top-1 accuracy, patch accuracy) with every patch labeled by the image,
-    forwarded in chunks of ``batch_size`` rows; ``buffers`` as in
-    :func:`backward`."""
+    forwarded in chunks of ``batch_size`` rows; ``buffers`` and ``worker``
+    as in :func:`backward`."""
     _check_eval(model, dataset, batch_size)
     correct = 0
     patch_correct = 0
     for start in range(0, len(dataset), batch_size):
         stop = min(start + batch_size, len(dataset))
-        patch_logits, image_logits = forward_batch(model, dataset.images[start:stop], buffers)
+        patch_logits, image_logits = forward_batch(
+            model, dataset.images[start:stop], buffers, worker
+        )
         labels = dataset.labels[start:stop]
         correct += int((np.argmax(image_logits, axis=1) == labels).sum())
         patch_preds = np.argmax(patch_logits, axis=2)
@@ -424,9 +501,11 @@ def _train_loop(
     batch drawn.  ``patches`` is the run's one (batch_size, P*P,
     patch_pixels) float64 batch matrix; a source composes each batch into
     its leading rows, so a batch is stale once the next is drawn.  Steps
-    and validation share one scratch dict, and validation patchifies
-    ``cfg.batch_size`` rows at a time into the same matrix.  The schedule
-    spans epochs 0 .. epochs-1, so the last epoch runs at eta_min.
+    and validation share one scratch dict and one worker thread, which
+    the run's executor starts at its first split GEMM and joins on return
+    or raise.  Validation patchifies ``cfg.batch_size`` rows at a time into
+    the same matrix.  The schedule spans epochs 0 .. epochs-1, so the last
+    epoch runs at eta_min.
     """
     cfg.validate()
     if len(train) == 0 or len(val) == 0:
@@ -447,23 +526,24 @@ def _train_loop(
     patches = _scratch(buffers, "patches", (cfg.batch_size, p * p, ppc))
     span = cfg.epochs - 1
     metrics: list[EpochMetrics] = []
-    for epoch in range(cfg.epochs):
-        lr = cosine_lr(epoch, span, cfg.lr0, cfg.eta_min)
-        rng = key.child(stream_tag, "epoch", epoch).generator()
-        batch_losses = []
-        for index, batch in enumerate(batch_source(epoch, rng, patches)):
-            try:
-                loss, grads = backward(model, batch, cfg.loss_mode, buffers)
-            except NumericError as err:
-                raise NumericError(f"epoch {epoch}, batch {index}: {err}") from err
-            sgd_nesterov_step(model, grads, velocity, lr, cfg.momentum, cfg.weight_decay)
-            batch_losses.append(loss)
-        if not batch_losses:
-            raise ConfigError("training produced no batches")
-        top1, patch_acc = evaluate_model(model, val, cfg.batch_size, buffers)
-        metrics.append(
-            EpochMetrics(epoch, float(lr), float(np.mean(batch_losses)), top1, patch_acc)
-        )
+    with ThreadPoolExecutor(1) as worker:
+        for epoch in range(cfg.epochs):
+            lr = cosine_lr(epoch, span, cfg.lr0, cfg.eta_min)
+            rng = key.child(stream_tag, "epoch", epoch).generator()
+            batch_losses = []
+            for index, batch in enumerate(batch_source(epoch, rng, patches)):
+                try:
+                    loss, grads = backward(model, batch, cfg.loss_mode, buffers, worker)
+                except NumericError as err:
+                    raise NumericError(f"epoch {epoch}, batch {index}: {err}") from err
+                sgd_nesterov_step(model, grads, velocity, lr, cfg.momentum, cfg.weight_decay)
+                batch_losses.append(loss)
+            if not batch_losses:
+                raise ConfigError("training produced no batches")
+            top1, patch_acc = evaluate_model(model, val, cfg.batch_size, buffers, worker)
+            metrics.append(
+                EpochMetrics(epoch, float(lr), float(np.mean(batch_losses)), top1, patch_acc)
+            )
     return model, metrics
 
 

@@ -259,6 +259,19 @@ class TestPatchmixBatch:
             patchmix_batch(images, rows, rows, np.array(labels), np.array(labels), bits, 3)
 
     @pytest.mark.parametrize(
+        "i, j, row, index",
+        [([3], [0], 0, 3), ([-1], [0], 0, -1), ([0, 1, 2], [2, 1, -3], 2, -3)],
+        ids=["past-the-end", "negative", "third-row"],
+    )
+    def test_source_index_outside_the_images_rejected(self, rng, i, j, row, index):
+        # Unchecked, 3 past the end fails on a pixel row of the gather, and a
+        # negative index takes an image from the end.
+        images = rng.random((3, 4, 4, 1))
+        labels = np.zeros(len(i), dtype=np.int64)
+        with pytest.raises(ConfigError, match=rf"^row {row}: source index {index} lies outside \[0, 3\)$"):
+            patchmix_batch(images, i, j, labels, labels, np.ones((len(i), 2, 2)), 2)
+
+    @pytest.mark.parametrize(
         "shape, error",
         [
             ((2, 0, 0), "^grid size must be at least 1$"),

@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -510,6 +511,67 @@ class TestTrainLoop:
         _train_loop(small_train, small_val, cfg, source, "test")
         assert seen[0].shape == (50, 4, 192) and seen[0].dtype == np.float64
         assert len(seen) == 2 and seen[1] is seen[0]
+
+
+class TestTrainLoopWorker:
+    """The driver's worker thread lives exactly as long as its run."""
+
+    @staticmethod
+    def run(train, val, cfg, seen, batches=2, fail_at=None):
+        """Train on a source that yields ``batches`` identity batches of the
+        whole training set per epoch, or raises a ``ConfigError`` at batch
+        ``fail_at``; ``seen`` gets the thread count at each batch request."""
+
+        def source(epoch, rng, patches):
+            idx = np.arange(len(train))
+            for index in range(batches):
+                seen.append(threading.active_count())
+                if index == fail_at:
+                    raise ConfigError("the source refused")
+                yield patchmix_batch(
+                    train.images, idx, idx, train.labels[idx], train.labels[idx],
+                    np.ones((len(idx), cfg.grid_size, cfg.grid_size)), train.class_count,
+                    out=patches[: len(idx)],
+                )
+
+        return _train_loop(train, val, cfg, source, "test")
+
+    @pytest.fixture(scope="class")
+    def cifar_sets(self):
+        """100 training images of 32 px: a batch's (1600x192)x64 products
+        reach the split floor."""
+        return synth_shapes(10, 32, 10, 3), synth_shapes(10, 32, 2, 4)
+
+    def test_normal_return_joins_the_worker(self, cifar_sets):
+        before, seen = threading.active_count(), []
+        self.run(*cifar_sets, TrainConfig(epochs=1, batch_size=100), seen)
+        assert seen == [before, before + 1]
+        assert threading.active_count() == before
+
+    def test_numeric_error_joins_the_worker(self, cifar_sets):
+        before, seen = threading.active_count(), []
+        cfg = TrainConfig(epochs=1, batch_size=100, lr0=1e300)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericError, match="^epoch 0, batch 1: "
+        ):
+            self.run(*cifar_sets, cfg, seen)
+        assert seen == [before, before + 1]
+        assert threading.active_count() == before
+
+    def test_source_error_joins_the_worker(self, cifar_sets):
+        before, seen = threading.active_count(), []
+        with pytest.raises(ConfigError, match="^the source refused$"):
+            self.run(*cifar_sets, TrainConfig(epochs=1, batch_size=100), seen, 3, fail_at=2)
+        assert seen == [before, before + 1, before + 1]
+        assert threading.active_count() == before
+
+    def test_quick_start_shape_starts_no_thread(self):
+        # 16 px on grid 4: (1600x48)x64 products, below the split floor.
+        train, val = synth_shapes(3, 16, 34, 5), synth_shapes(3, 16, 5, 6)
+        before, seen = threading.active_count(), []
+        self.run(train, val, TrainConfig(epochs=2, batch_size=102), seen)
+        assert seen == [before] * 4
+        assert threading.active_count() == before
 
 
 class TestFgsm:

@@ -11,7 +11,18 @@ The production step must return the same loss, the same six gradient
 blocks and the same pre-activation gradient, byte for byte, in every loss
 mode, grid size, batch size and class count, with scratch buffers fresh or
 reused, and at the CIFAR shape the benchmark trains.
+
+The row-split GEMM (``model._matmul_halves``) is held to ``np.matmul`` in
+one call, and ``backward`` with the training driver's worker to
+``backward`` without it.
 """
+
+import os
+import subprocess
+import sys
+import textwrap
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +30,16 @@ import pytest
 from patchmix import losses
 from patchmix.errors import ConfigError, NumericError
 from patchmix.losses import LOSS_MODES
+from patchmix.mixing import MixedBatch
 from patchmix.model import (
     PARAM_FIELDS,
+    SPLIT_FLOOR,
     ReferenceModel,
     _forward_arrays,
     _gradients,
+    _matmul_halves,
     _scratch,
+    backward,
 )
 
 
@@ -221,3 +236,95 @@ def test_forward_heads_follow_their_flags(grid_size):
                 assert_same_bytes(array, expected, (need_patch, need_image))
             else:
                 assert array is None
+
+
+class CountingWorker(ThreadPoolExecutor):
+    """A one-thread executor that counts the halves handed to it."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.submits = 0
+
+    def submit(self, *args, **kwargs):
+        self.submits += 1
+        return super().submit(*args, **kwargs)
+
+
+def _operands(rng, case):
+    """``(a, b)`` of a split case; 64 columns, the model's default width."""
+    if case == "odd-rows":              # 75 rows (5x5x3 patches), cut at 24
+        return rng.random((75, 3200)), rng.random((3200, 64))
+    if case == "one-row":               # a batch of one sample: no cut
+        return rng.random((1, 16, 8192)), rng.random((8192, 64))
+    if case == "weight-gradient":       # patches.T @ d_pre at the CIFAR shape
+        return rng.random((1600, 192)).T, rng.random((1600, 64))
+    if case == "embedding":             # patches @ w_embed at the CIFAR shape
+        return rng.random((100, 16, 192)), rng.random((192, 64))
+    if case == "at-floor":              # exactly SPLIT_FLOOR multiply-adds
+        assert 128 * 1024 * 64 == SPLIT_FLOOR
+        return rng.random((128, 1024)), rng.random((1024, 64))
+    if case == "below-floor":           # one row fewer
+        return rng.random((127, 1024)), rng.random((1024, 64))
+    if case == "small-embedding":       # patches @ w_embed at the quick-start shape
+        return rng.random((100, 16, 48)), rng.random((48, 64))
+    raise AssertionError(case)
+
+
+SPLIT_CASES = {  # case: halves handed to the worker
+    "odd-rows": 1, "one-row": 0, "weight-gradient": 1, "embedding": 1,
+    "at-floor": 1, "below-floor": 0, "small-embedding": 0,
+}
+
+
+@pytest.mark.parametrize("case", list(SPLIT_CASES))
+def test_matmul_halves_equal_one_matmul(case):
+    a, b = _operands(np.random.default_rng(len(case)), case)
+    want = np.matmul(a, b)
+    out = np.empty_like(want)
+    with CountingWorker() as worker:
+        got = _matmul_halves(a, b, out, worker)
+    assert got is out
+    assert worker.submits == SPLIT_CASES[case]
+    assert_same_bytes(got, want, case)
+    assert_same_bytes(_matmul_halves(a, b, np.empty_like(want), None), want, (case, "no worker"))
+
+
+def test_cut_on_a_tile_boundary_keeps_wide_products_with_one_blas_thread():
+    """75 rows by 197 columns, the shape of 5x5x3 patches and a hidden width
+    past 192, in a fresh interpreter started with one BLAS thread: the cut
+    at 24 rows gives the single call's bytes.  (With OpenBLAS's SkylakeX
+    kernels the half cut, at 37, changes the last bits of its tail rows.)"""
+    code = textwrap.dedent("""
+        from concurrent.futures import ThreadPoolExecutor
+        import numpy as np
+        from patchmix.model import _matmul_halves
+        rng = np.random.default_rng(75)
+        for a in (rng.random((1600, 75)).T, rng.random((75, 1600))):
+            b = rng.random((1600, 197))
+            want = np.matmul(a, b)
+            with ThreadPoolExecutor(1) as worker:
+                got = _matmul_halves(a, b, np.empty_like(want), worker)
+            assert got.tobytes() == want.tobytes(), a.flags.c_contiguous
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    one_thread = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    env = {**os.environ, **one_thread, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("loss_mode", LOSS_MODES)
+def test_backward_with_worker_equals_without(loss_mode):
+    """A CIFAR-shaped batch (100 rows, grid 4, 8x8x3 patches, hidden 64):
+    the embedding and its weight gradient split, the same loss and
+    gradients to the byte."""
+    model = step_model(4, 10, seed=33, side=32, hidden_dim=64)
+    patches, targets, labels = step_inputs(np.random.default_rng(33), 100, 4, 10, side=32)
+    batch = MixedBatch(patches, targets, None if loss_mode == "image_only" else labels)
+    want_loss, want = backward(model, batch, loss_mode, {})
+    with CountingWorker() as worker:
+        loss, grads = backward(model, batch, loss_mode, {}, worker)
+    assert worker.submits == 2
+    assert loss == want_loss
+    for name in PARAM_FIELDS:
+        assert_same_bytes(grads[name], want[name], (loss_mode, name))
