@@ -12,7 +12,10 @@ The metric is read from a table of per-patch terms built by one forward
 pass of the validation images, which is exact because the reference
 encoder is patch-local.  The image pairs of every slot are drawn once per
 run, from a stream keyed by the search seed alone, so every genome of
-every generation is scored against identical data.
+every generation is scored against identical data.  For the accuracy
+objectives on a grid of a power-of-two cell count the table keeps only
+per-cell counts of those terms, so a score sums one small integer table
+per active slot; otherwise it gathers every composite's terms.
 
 The breeding operators never modify their inputs: each returns fresh
 genomes that share no memory with the ones it was given, and
@@ -50,6 +53,9 @@ OBJECTIVES = ("min_patch_acc", "max_patch_acc", "min_lp", "max_lp")
 RANDOM_TAIL_FLIP_PROB = 0.1
 
 TABLE_CHUNK = 256  # images per forward pass while building a fitness table
+
+PER_CELL = "per-cell counts"    # the two scoring forms of a FitnessTable
+GATHER = "composite gather"
 
 
 def pair_count(class_count: int) -> int:
@@ -247,18 +253,42 @@ class FitnessTable:
     class (``second``), each side by one :meth:`Dataset.draw_of_class` call
     on the stream ``RngKey(seed).child("fitness")``.  A genome's score
     therefore depends on the genome alone, not on when it was scored.
-    The terms of both sides are gathered once, here, per slot.
+
+    Each side is reduced once, here, into the form that scores it (``form``):
+
+    * ``PER_CELL`` for the accuracy objectives on a grid whose cell count
+      P*P is a power of two: ``first_counts[s, n]`` counts the mask-1
+      images of slot s whose patch n is right, ``second_counts`` the
+      mask-0 ones, both (n_pairs, P*P) int64.  A composite's accuracy
+      k/P*P is then dyadic, so every partial sum of the mean over
+      composites is exact (below 2**53 cells in all), whatever its order,
+      and the integer total divided by P*P and then by the composite
+      count equals that mean bit for bit.
+    * ``GATHER`` otherwise (loss objectives, or other grids, where the
+      order of a float sum shows in its last bits): ``first_terms`` and
+      ``second_terms`` hold each side's (n_pairs, pairs_per_combo, P*P)
+      terms, and a score reduces each composite and then the composites.
+
+    The attributes of the other form are None.
     """
 
     def __init__(self, terms, first, second, grid_size: int, cfg: SearchConfig):
         self.terms = terms                  # (N, P*P) bool or float64
         self.first = first                  # (n_pairs, pairs_per_combo) mask-1 images
         self.second = second                # (n_pairs, pairs_per_combo) mask-0 images
-        self.first_terms = terms[first]     # (n_pairs, pairs_per_combo, P*P)
-        self.second_terms = terms[second]
         self.grid_size = grid_size
         self.cfg = cfg
         self.scored = 0                     # genomes scored so far
+        cells = grid_size * grid_size
+        per_cell = cfg.objective.endswith("patch_acc") and cells & (cells - 1) == 0
+        self.form = PER_CELL if per_cell else GATHER
+        self.first_counts = self.second_counts = self.first_terms = self.second_terms = None
+        if per_cell:
+            self.first_counts = terms[first].sum(axis=1, dtype=np.int64)  # (n_pairs, P*P)
+            self.second_counts = terms[second].sum(axis=1, dtype=np.int64)
+        else:
+            self.first_terms = terms[first]  # (n_pairs, pairs_per_combo, P*P)
+            self.second_terms = terms[second]
 
     @classmethod
     def build(cls, model: ReferenceModel, val: Dataset, cfg: SearchConfig) -> "FitnessTable":
@@ -292,7 +322,8 @@ def evaluate_fitness(individual: Individual, table: FitnessTable) -> float:
     patch taking the term of the image its mask bit selects.  The score
     is the mean of a per-composite metric, exactly as if the composites
     had been forwarded, so a genome gets the same score whenever it is
-    scored.
+    scored.  A ``PER_CELL`` table sums, per active slot, the count of the
+    side each bit selects; a ``GATHER`` table gathers every composite.
     """
     active = individual.active_slots()
     if len(active) == 0:
@@ -306,16 +337,20 @@ def evaluate_fitness(individual: Individual, table: FitnessTable) -> float:
         raise ConfigError(
             f"genome grid {individual.grid_size} does not match model grid {table.grid_size}"
         )
-    bits = individual.masks[active].reshape(len(active), 1, -1)
-    kept = np.where(bits, table.first_terms[active], table.second_terms[active])
-    kept = kept.reshape(-1, bits.shape[2])  # one row per composite, slot by slot
+    bits = individual.masks[active].reshape(len(active), -1)
     objective = table.cfg.objective
-    if objective.endswith("patch_acc"):
-        metric = kept.mean(axis=1)
+    if table.form == PER_CELL:
+        counts = np.where(bits, table.first_counts[active], table.second_counts[active])
+        score = float(counts.sum() / bits.shape[1] / (len(active) * table.cfg.pairs_per_combo))
     else:
-        metric = -kept.sum(axis=1)
-        losses.record_loss_eval("patch", len(kept))
-    score = float(metric.mean())
+        kept = np.where(bits[:, None], table.first_terms[active], table.second_terms[active])
+        kept = kept.reshape(-1, bits.shape[1])  # one row per composite, slot by slot
+        if objective.endswith("patch_acc"):
+            metric = kept.mean(axis=1)
+        else:
+            metric = -kept.sum(axis=1)
+            losses.record_loss_eval("patch", len(kept))
+        score = float(metric.mean())
     if not math.isfinite(score):
         raise NumericError(f"non-finite fitness score {score}")
     table.scored += 1

@@ -94,6 +94,18 @@ def _check_rows(class_count: int, y_i, y_j, *columns) -> tuple[np.ndarray, np.nd
     return y_i, y_j
 
 
+def _check_sources(i, j, count: int) -> np.ndarray:
+    """The (B, 2) stack of source indices ``i`` and ``j``, refused unless every
+    one lies in [0, count); call after :func:`_check_rows`."""
+    sources = np.stack([np.asarray(i), np.asarray(j)], axis=1)
+    if len(sources) and (sources.min() < 0 or sources.max() >= count):
+        row, side = np.argwhere((sources < 0) | (sources >= count))[0]
+        raise ConfigError(
+            f"row {row}: source index {sources[row, side]} lies outside [0, {count})"
+        )
+    return sources
+
+
 def _soft_labels(lam: np.ndarray, y_i: np.ndarray, y_j: np.ndarray, class_count: int):
     """(B, class_count) rows ``lam * onehot(y_i) + (1 - lam) * onehot(y_j)``."""
     eye, lam = np.eye(class_count), lam[:, None]
@@ -155,12 +167,7 @@ def patchmix_batch(
         raise ConfigError("mask bits must contain only 0/1 values")
     _check_square(bits, 3)
     y_i, y_j = _check_rows(class_count, y_i, y_j, i, j, bits)
-    sources = np.stack([np.asarray(i), np.asarray(j)], axis=1)
-    if len(sources) and (sources.min() < 0 or sources.max() >= len(images)):
-        row, side = np.argwhere((sources < 0) | (sources >= len(images)))[0]
-        raise ConfigError(
-            f"row {row}: source index {sources[row, side]} lies outside [0, {len(images)})"
-        )
+    sources = _check_sources(i, j, len(images))
     height, width, channels = images.shape[1:]
     b, p = len(bits), bits.shape[-1]
     _check_divisible(width, height, p)
@@ -187,9 +194,11 @@ def mixup(
 ) -> MixedBatch:
     """Convex pixel blends ``lam[k] * images[i[k]] + (1 - lam[k]) *
     images[j[k]]`` for every row k, patchified into ``out`` if given; the
-    caller supplies the blend weights."""
+    caller supplies the blend weights.  A source index outside
+    [0, len(images)) is refused."""
     lam = np.asarray(lam, dtype=np.float64)
     y_i, y_j = _check_rows(class_count, y_i, y_j, i, j, lam)
+    _check_sources(i, j, len(images))
     bad = ~((lam >= 0.0) & (lam <= 1.0))
     if bad.any():
         raise ConfigError(f"blend weight must lie in [0, 1], got {lam[bad][0]}")
@@ -209,9 +218,11 @@ def cutmix(
     std one quarter of each dimension (horizontal first, then vertical,
     row after row, in one ``rng.normal`` call), then clamped so the
     rectangle stays inside the image.  The label weight is one minus the
-    pasted-area fraction.  An empty region pastes and draws nothing.
+    pasted-area fraction.  An empty region pastes and draws nothing.  A
+    source index outside [0, len(images)) is refused.
     """
     y_i, y_j = _check_rows(class_count, y_i, y_j, i, j)
+    _check_sources(i, j, len(images))
     height, width = images.shape[1:3]
     if not 0 <= region_w <= width or not 0 <= region_h <= height:
         raise ConfigError(f"region {region_w}x{region_h} does not fit a {width}x{height} image")

@@ -362,8 +362,8 @@ def run_fitness_search(model: ReferenceModel, val: Dataset, cfg: SearchConfig, r
     save_individual(best, cfg.resolve_max_active(val.class_count), run_dir / BEST_INDIVIDUAL_FILE)
     log.info(
         "phase 2 done: best score %.6f after %d generations; "
-        "%d genomes scored from a table of %d forwarded images",
-        best.fitness, history[-1].generation, table.scored, len(table.terms),
+        "%d genomes scored by %s from a table of %d forwarded images",
+        best.fitness, history[-1].generation, table.scored, table.form, len(table.terms),
     )
     return best, history
 

@@ -451,7 +451,7 @@ def test_artifact_determinism(tmp_path, monkeypatch):
     class CompositeForward:
         """Phase-2 scorer that forwards every composite, in place of the table."""
 
-        terms = ()
+        terms, form = (), "composite forward"
 
         def __init__(self, model, val, cfg):
             self.args, self.scored = (model, val, cfg), 0

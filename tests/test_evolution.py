@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from patchmix.data import Dataset, synth_shapes
 from patchmix.errors import ConfigError, FormatError, NumericError
 from patchmix.evolution import (
+    GATHER,
     OBJECTIVES,
+    PER_CELL,
     FitnessTable,
     GenerationStats,
     Individual,
@@ -259,15 +261,20 @@ def table_fitness(individual, model, val, cfg):
 
 @st.composite
 def fitness_cases(draw):
-    """A random model, validation set, search config and genomes."""
-    grid = draw(st.sampled_from((1, 2, 4)))
+    """A random model, validation set, search config and genomes.
+
+    Grid 3 (on 6 px images) is the one whose cell count is not a power of
+    two, so accuracy objectives there keep the composite gather.
+    """
+    grid = draw(st.sampled_from((1, 2, 3, 4)))
+    side = 6 if grid == 3 else 8
     class_count = draw(st.integers(2, 4))
     per_class = draw(st.lists(st.integers(1, 5), min_size=class_count, max_size=class_count))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     labels = rng.permutation(np.repeat(np.arange(class_count), per_class))
-    images = rng.random((len(labels), 8, 8, 2)).astype(np.float32)
+    images = rng.random((len(labels), side, side, 2)).astype(np.float32)
     val = Dataset(images, labels, class_count)
-    patch_pixels = (8 // grid) ** 2 * 2
+    patch_pixels = (side // grid) ** 2 * 2
     model = ReferenceModel.initialize(grid, class_count, 6, patch_pixels, rng)
     cfg = SearchConfig(
         objective=draw(st.sampled_from(OBJECTIVES)),
@@ -449,6 +456,69 @@ class TestEvaluateFitness:
         model.b_patch[:] = np.nan
         with pytest.raises(NumericError):
             FitnessTable.build(model, val, SearchConfig(objective="min_lp"))
+
+
+def random_model_and_val(class_count, grid, per_class=6, side=8, seed=0):
+    """A random model and a random-pixel validation set of ``side`` px."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(class_count), per_class)
+    images = rng.random((len(labels), side, side, 1)).astype(np.float32)
+    model = ReferenceModel.initialize(grid, class_count, 6, (side // grid) ** 2, rng)
+    return model, Dataset(images, labels, class_count)
+
+
+class TestFitnessTableForms:
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("grid", [2, 3, 4])
+    def test_form_follows_objective_and_grid(self, objective, grid):
+        model, val = random_model_and_val(3, grid, side=12)
+        table = FitnessTable.build(model, val, SearchConfig(objective=objective, pairs_per_combo=3))
+        per_cell = objective.endswith("patch_acc") and grid != 3
+        assert table.form == (PER_CELL if per_cell else GATHER)
+        counts = (table.first_counts, table.second_counts)
+        gathered = (table.first_terms, table.second_terms)
+        kept, dropped = (counts, gathered) if per_cell else (gathered, counts)
+        assert all(side is not None for side in kept)
+        assert all(side is None for side in dropped)
+
+    @pytest.mark.parametrize("objective", ["min_patch_acc", "max_patch_acc"])
+    def test_counts_sum_each_sides_terms(self, objective):
+        model, val = random_model_and_val(4, 4, seed=1)
+        table = FitnessTable.build(model, val, SearchConfig(objective=objective, pairs_per_combo=5))
+        assert table.first_counts.dtype == table.second_counts.dtype == np.int64
+        assert table.first_counts.shape == (pair_count(4), 16)
+        assert np.array_equal(table.first_counts, table.terms[table.first].sum(axis=1))
+        assert np.array_equal(table.second_counts, table.terms[table.second].sum(axis=1))
+
+    @pytest.mark.parametrize("objective", ["min_patch_acc", "max_patch_acc"])
+    def test_large_totals_equal_composite_forward(self, objective):
+        # Grid 8, 10 classes, 64 pairs per slot and every slot active: 3520
+        # composites of 64 cells, a total far above any one composite's.
+        model, val = random_model_and_val(10, 8, per_class=7, seed=2)
+        class_count = 10
+        cfg = SearchConfig(
+            objective=objective, pairs_per_combo=64, max_active_pairs=pair_count(class_count)
+        )
+        table = FitnessTable.build(model, val, cfg)
+        assert table.form == PER_CELL
+        rng = np.random.default_rng(3)
+        genomes = [make_individual(class_count, 8, range(pair_count(class_count)), rng)]
+        genomes += init_population(replace(cfg, population_size=2), class_count, 8, rng)
+        assert all(len(ind.active_slots()) == pair_count(class_count) for ind in genomes)
+        patch_evals = loss_eval_count("patch")
+        for ind in genomes:
+            assert evaluate_fitness(ind, table) == reference_fitness(ind, model, val, cfg)
+        assert table.scored == len(genomes)
+        assert loss_eval_count("patch") == patch_evals
+
+    def test_per_cell_scores_count_every_genome_and_no_loss(self, rng):
+        model, val = random_model_and_val(3, 2, seed=4)
+        table = FitnessTable.build(model, val, SearchConfig(pairs_per_combo=4))
+        patch_evals = loss_eval_count("patch")
+        for _ in range(7):
+            evaluate_fitness(make_individual(active=(0, 2, 5), rng=rng), table)
+        assert table.scored == 7
+        assert loss_eval_count("patch") == patch_evals
 
 
 class TestTournament:

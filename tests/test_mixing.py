@@ -482,3 +482,21 @@ class TestCutmix:
         assert out.patches.tobytes() == patches.tobytes() and out.patches.shape == patches.shape
         assert out.image_labels.tobytes() == image_labels.tobytes()
         assert out.image_labels.shape == (size, 4)
+
+
+@pytest.mark.parametrize("composer", ["mixup", "cutmix"])
+@pytest.mark.parametrize("index", [3, -1], ids=["past-the-end", "negative"])
+@pytest.mark.parametrize("side", ["i", "j"])
+def test_pixel_composers_refuse_a_source_index_outside_the_images(rng, composer, index, side):
+    # Unchecked, -1 blends or pastes from the last image and 3 raises a raw
+    # IndexError; both get patchmix_batch's refusal, naming the row.
+    images = rng.random((3, 4, 4, 1))
+    rows = {"i": [0, 1], "j": [2, 0]}
+    rows[side] = [rows[side][0], index]
+    labels = [0, 0]
+    compose = {
+        "mixup": lambda: mixup(images, rows["i"], rows["j"], labels, labels, [0.5, 0.5], 3, 2),
+        "cutmix": lambda: cutmix(images, rows["i"], rows["j"], labels, labels, rng, 2, 2, 3, 2),
+    }[composer]
+    with pytest.raises(ConfigError, match=rf"^row 1: source index {index} lies outside \[0, 3\)$"):
+        compose()

@@ -591,10 +591,14 @@ class TestPipeline:
             first.final_model.w_img, second.final_model.w_img
         )
 
+    @pytest.mark.parametrize(
+        "objective, form", [("min_patch_acc", "per-cell counts"), ("min_lp", "composite gather")]
+    )
     def test_phase_two_log_counts_table_images_and_genomes(
-        self, tiny_sets, tiny_cfg, tmp_path_factory, caplog, monkeypatch
+        self, tiny_sets, tiny_cfg, tmp_path_factory, caplog, monkeypatch, objective, form
     ):
         train, val = tiny_sets
+        search = replace(SMALL_SEARCH, objective=objective)
         calls = []
 
         def counted(individual, table):
@@ -604,11 +608,11 @@ class TestPipeline:
         monkeypatch.setattr(workflow, "evaluate_fitness", counted)
         run_dir = tmp_path_factory.mktemp("phase-two-log")
         with caplog.at_level(logging.INFO, logger="patchmix.workflow"):
-            run_guided_pipeline(train, val, tiny_cfg, SMALL_SEARCH, run_dir)
+            run_guided_pipeline(train, val, tiny_cfg, search, run_dir)
         [line] = [r.getMessage() for r in caplog.records if "phase 2 done" in r.getMessage()]
-        images = len(fitness_val_subset(val, SMALL_SEARCH))
-        assert len(calls) >= SMALL_SEARCH.population_size
-        assert f"; {len(calls)} genomes scored from a table of {images} forwarded" in line
+        images = len(fitness_val_subset(val, search))
+        assert len(calls) >= search.population_size
+        assert f"; {len(calls)} genomes scored by {form} from a table of {images} forwarded" in line
 
     def test_winner_keeps_its_score_on_the_run_table(
         self, small_model, small_val, tmp_path, monkeypatch
