@@ -29,11 +29,18 @@ benchmark, so the digests do not depend on the host's core count.
 The second form lists every entry that differs between two such files, or
 that only one of them has, and exits 1 if there is any, else 0.  A run
 that only one file has is one line.  The environments are not compared.
+Each file keeps a list of the environments its digests were verified in
+(a fresh one lists its own); when there is no difference, the
+environments of B that A lacks are added to A's list, and A is rewritten.
 
 ``tests/artifact_digests.json`` holds the digests of the current code, and
-``tests/test_artifact_digests.py`` compares a fresh run with it when the
-environment matches.  A change that means to move artifacts regenerates it
-with ``python3 scripts/artifact_digests.py --out tests/artifact_digests.json``.
+``tests/test_artifact_digests.py`` compares a fresh run with it in every
+environment that it lists.  A host in another environment is added by
+running the first form into a scratch file and then the second form with
+``tests/artifact_digests.json`` as A; the digests stay as they are.  A
+change that means to move artifacts regenerates the file with
+``python3 scripts/artifact_digests.py --out tests/artifact_digests.json``,
+which lists only the environment it ran in.
 """
 
 from __future__ import annotations
@@ -184,6 +191,10 @@ def differences(a: dict, b: dict) -> list[str]:
     return lines
 
 
+def write_record(record: dict, path: Path) -> None:
+    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
@@ -194,7 +205,15 @@ def main(argv=None) -> int:
         a, b = (json.loads(path.read_text()) for path in args.compare)
         lines = differences(a, b)
         print("\n".join(lines) if lines else "no differences")
-        return 1 if lines else 0
+        if lines:
+            return 1
+        verified = a.get("environments", [])
+        added = [env for env in b.get("environments", []) if env not in verified]
+        if added:
+            a["environments"] = verified + added
+            write_record(a, args.compare[0])
+            print(f"{args.compare[0]}: added {len(added)} verified environment(s)")
+        return 0
     if args.out is None:
         parser.error("--out or --compare is required")
     os.environ.update(BLAS_ENV)  # before numpy loads
@@ -214,8 +233,7 @@ def main(argv=None) -> int:
             runs[f"boundary-demo/{method}"] = digest_demo(cli_main, method, out)
     for batch_size in ABLATION_BATCH_SIZES:
         runs[f"ablation/batch{batch_size}"] = digest_ablation(batch_size)
-    record = {"environment": environment(perfbench_environment), "runs": runs}
-    args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    write_record({"environments": [environment(perfbench_environment)], "runs": runs}, args.out)
     return 0
 
 

@@ -10,9 +10,16 @@ Unknown keys are rejected by name.  The config snapshot written into the
 run directory normalizes ``output_dir`` to "." so that two runs of the
 same config into different directories stay byte-identical.
 
-The CLI alone reads a run directory back.  Before a command makes the
-directory or a dataset, :func:`_prepare` refuses (exit 2) any artifact it
-reads there whose snapshot records other settings, or no snapshot at all.
+The CLI alone reads a run directory back.  :data:`PHASE_FILES` lists the
+artifacts each phase command writes there, and one rule holds: the
+directory's ``config.json`` records the settings that made every artifact
+in it.  So a phase command runs in three steps.  It checks each artifact
+there that it will not rewrite, its inputs first, and refuses (exit 2) one
+that other settings made or that has no ``config.json`` (:func:`_prepare`),
+then loads its inputs and datasets; so far it writes nothing.  It removes
+the artifacts it will rewrite and writes ``config.json`` (:func:`_begin`).
+Only then does its phase run, so a phase that fails or is interrupted
+leaves no artifact that ``config.json`` does not describe.
 """
 
 from __future__ import annotations
@@ -52,8 +59,12 @@ from .model import (
 )
 from .workflow import (
     BEST_INDIVIDUAL_FILE,
+    FINAL_METRICS_FILE,
+    FINAL_MODEL_FILE,
+    FITNESS_METRICS_FILE,
     FITNESS_MODEL_FILE,
     GUIDED_MANIFEST_FILE,
+    SEARCH_HISTORY_FILE,
     load_guided_manifest,
     run_fitness_search,
     run_guided_pipeline,
@@ -70,9 +81,14 @@ GRID_RESOLUTION = 200
 # The demo's mixup blend weight is Beta(MIXUP_BETA, MIXUP_BETA), i.e. uniform.
 MIXUP_BETA = 1.0
 CONFIG_SNAPSHOT_FILE = "config.json"
-# The config sections that make a phase-1 checkpoint, and a later artifact.
-MODEL_SECTIONS = ("dataset", "train")
-ALL_SECTIONS = ("dataset", "train", "search")
+# The run directory besides config.json: each phase command and the
+# artifacts it writes, in phase order (see _made_by).
+PHASE_FILES = {
+    "train-random": (FITNESS_MODEL_FILE, FITNESS_METRICS_FILE),
+    "search": (SEARCH_HISTORY_FILE, BEST_INDIVIDUAL_FILE),
+    "generate": (GUIDED_MANIFEST_FILE,),
+    "train-guided": (FINAL_MODEL_FILE, FINAL_METRICS_FILE),
+}
 
 
 @dataclass
@@ -207,33 +223,56 @@ def build_datasets(dc: DatasetConfig) -> tuple[Dataset, Dataset]:
     return build_dataset(dc, val=False), build_dataset(dc, val=True)
 
 
-def _prepare(args, inputs: dict[str, tuple[str, ...]]) -> tuple[RunConfig, Path]:
-    """The run config of ``args`` (``--seed`` applied) and its run directory,
-    made once each input there is found to come from these settings.
+def _made_by(name: str) -> tuple[str, tuple[str, ...]]:
+    """The phase command that writes artifact ``name`` and the config sections
+    that make it: ``dataset`` and ``train`` for phase 1's, all three after."""
+    command = next(command for command, files in PHASE_FILES.items() if name in files)
+    if command == "train-random":
+        return command, ("dataset", "train")
+    return command, ("dataset", "train", "search")
 
-    ``inputs`` maps each artifact the command reads to the config sections
-    that made it.  The snapshot beside it must hold them as the config does,
-    or the first key that differs is named; an artifact with no snapshot is
-    refused too, and one that is not there is left to the command."""
+
+def _prepare(args, command: str, *reads: str) -> tuple[RunConfig, Path, tuple[str, ...]]:
+    """The run config of ``args`` (``--seed`` applied), its run directory and
+    the artifacts ``command`` will write there, once every artifact there
+    that it will not rewrite is found to come from these settings.
+
+    ``reads`` are the artifacts the command needs; a missing one is refused,
+    naming the command that writes it.  ``pipeline`` needs none: it reuses a
+    phase-1 checkpoint it finds and rewrites everything else.  The artifacts
+    are checked ``reads`` first, then in :data:`PHASE_FILES` order:
+    ``config.json`` must hold the sections that made one as the config
+    does, or the first key that differs is named, and an artifact with no
+    ``config.json`` is refused too.  Nothing is written here."""
     cfg = load_run_config(args.config)
     if getattr(args, "seed", None) is not None:
         cfg.train = dataclasses.replace(cfg.train, seed=args.seed)
         cfg.search = dataclasses.replace(cfg.search, seed=args.seed)
     run_dir = Path(cfg.output_dir)
+    artifacts = tuple(name for files in PHASE_FILES.values() for name in files)
+    writes = PHASE_FILES.get(command, artifacts)
+    if command == "pipeline" and (run_dir / FITNESS_MODEL_FILE).exists():  # phase 1 is skipped
+        writes = tuple(name for name in artifacts if name not in PHASE_FILES["train-random"])
+    for name in reads:
+        if not (run_dir / name).exists():
+            raise ConfigError(f"missing {run_dir / name}; run {_made_by(name)[0]} first")
+    kept = [
+        run_dir / name for name in dict.fromkeys((*reads, *artifacts))
+        if name not in writes and (run_dir / name).exists()
+    ]
+    if not kept:
+        return cfg, run_dir, writes
     snapshot_path = run_dir / CONFIG_SNAPSHOT_FILE
     advice = "remove it or choose another output_dir"
+    if not snapshot_path.exists():
+        raise ConfigError(f"{kept[0]} has no record of the settings that made it; {advice}")
+    try:
+        saved = json.loads(snapshot_path.read_text())
+    except json.JSONDecodeError as err:
+        raise FormatError(f"{snapshot_path}: invalid JSON ({err})") from err
     wanted = run_config_to_dict(cfg)
-    for name, sections in inputs.items():
-        artifact = run_dir / name
-        if not artifact.exists():
-            continue
-        if not snapshot_path.exists():
-            raise ConfigError(f"{artifact} has no record of the settings that made it; {advice}")
-        try:
-            saved = json.loads(snapshot_path.read_text())
-        except json.JSONDecodeError as err:
-            raise FormatError(f"{snapshot_path}: invalid JSON ({err})") from err
-        for section in sections:
+    for artifact in kept:
+        for section in _made_by(artifact.name)[1]:
             old, new = saved.get(section) if isinstance(saved, dict) else None, wanted[section]
             if not isinstance(old, dict):
                 raise FormatError(f"{snapshot_path}: config section {section} is not an object")
@@ -244,21 +283,24 @@ def _prepare(args, inputs: dict[str, tuple[str, ...]]) -> tuple[RunConfig, Path]
                         f"{artifact} was made with {section}.{key} = {found} "
                         f"({snapshot_path}), but the config asks for {asked}; {advice}"
                     )
+    return cfg, run_dir, writes
+
+
+def _begin(cfg: RunConfig, run_dir: Path, writes: tuple[str, ...]) -> None:
+    """Make the run directory, remove the artifacts about to be rewritten and
+    record the settings, so that ``config.json`` describes every artifact
+    there even if the phase then fails or is interrupted."""
     run_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, run_dir
-
-
-def _existing(path: Path, step: str) -> Path:
-    if not path.exists():
-        raise ConfigError(f"missing {path}; run {step} first")
-    return path
+    for name in writes:
+        (run_dir / name).unlink(missing_ok=True)
+    save_config_snapshot(cfg, run_dir)
 
 
 def cmd_train_random(args) -> int:
-    cfg, run_dir = _prepare(args, {})
+    cfg, run_dir, writes = _prepare(args, "train-random")
     train, val = build_datasets(cfg.dataset)
+    _begin(cfg, run_dir, writes)
     _, metrics = train_fitness_model(train, val, cfg.train, run_dir)
-    save_config_snapshot(cfg, run_dir)
     last = metrics[-1]
     print(f"val_top1,{last.val_top1!r}")
     print(f"val_patch_acc,{last.val_patch_acc!r}")
@@ -266,46 +308,48 @@ def cmd_train_random(args) -> int:
 
 
 def cmd_search(args) -> int:
-    cfg, run_dir = _prepare(args, {FITNESS_MODEL_FILE: MODEL_SECTIONS})
-    model = load_model(_existing(run_dir / FITNESS_MODEL_FILE, "train-random"))
+    cfg, run_dir, writes = _prepare(args, "search", FITNESS_MODEL_FILE)
+    model = load_model(run_dir / FITNESS_MODEL_FILE)
     val = build_dataset(cfg.dataset, val=True)
+    _begin(cfg, run_dir, writes)
     best, history = run_fitness_search(model, val, cfg.search, run_dir)
-    save_config_snapshot(cfg, run_dir)
     print(f"best_score,{best.fitness!r}")
     print(f"generations,{history[-1].generation}")
     return 0
 
 
 def cmd_generate(args) -> int:
-    cfg, run_dir = _prepare(args, {BEST_INDIVIDUAL_FILE: ALL_SECTIONS})
-    best, _ = load_individual(_existing(run_dir / BEST_INDIVIDUAL_FILE, "search"))
+    cfg, run_dir, writes = _prepare(args, "generate", BEST_INDIVIDUAL_FILE)
+    best, _ = load_individual(run_dir / BEST_INDIVIDUAL_FILE)
     train = build_dataset(cfg.dataset, val=False)
+    _begin(cfg, run_dir, writes)
     recipe = write_guided_manifest(best, train, cfg.train, run_dir)
-    save_config_snapshot(cfg, run_dir)
     print(f"guided_samples,{len(recipe)}")
     return 0
 
 
 def cmd_train_guided(args) -> int:
-    cfg, run_dir = _prepare(
-        args, {BEST_INDIVIDUAL_FILE: ALL_SECTIONS, GUIDED_MANIFEST_FILE: ALL_SECTIONS}
+    cfg, run_dir, writes = _prepare(
+        args, "train-guided", BEST_INDIVIDUAL_FILE, GUIDED_MANIFEST_FILE
     )
-    best, _ = load_individual(_existing(run_dir / BEST_INDIVIDUAL_FILE, "search"))
-    recipe = load_guided_manifest(_existing(run_dir / GUIDED_MANIFEST_FILE, "generate"))
+    best, _ = load_individual(run_dir / BEST_INDIVIDUAL_FILE)
+    recipe = load_guided_manifest(run_dir / GUIDED_MANIFEST_FILE)
     train, val = build_datasets(cfg.dataset)
+    _begin(cfg, run_dir, writes)
     _, metrics = train_guided_model(best, recipe, train, val, cfg.train, run_dir)
-    save_config_snapshot(cfg, run_dir)
     print(f"val_top1,{metrics[-1].val_top1!r}")
     return 0
 
 
 def cmd_pipeline(args) -> int:
-    cfg, run_dir = _prepare(args, {FITNESS_MODEL_FILE: MODEL_SECTIONS})
+    cfg, run_dir, writes = _prepare(args, "pipeline")
     checkpoint = run_dir / FITNESS_MODEL_FILE
     fitness_model = load_model(checkpoint) if checkpoint.exists() else None
     train, val = build_datasets(cfg.dataset)
-    result = run_guided_pipeline(train, val, cfg.train, cfg.search, run_dir, fitness_model)
-    save_config_snapshot(cfg, run_dir)
+    result = run_guided_pipeline(
+        train, val, cfg.train, cfg.search, run_dir, fitness_model,
+        begin=lambda: _begin(cfg, run_dir, writes),  # once the sets are checked
+    )
     last = result.final_metrics[-1]
     print(f"best_score,{result.best_individual.fitness!r}")
     print(f"val_top1,{last.val_top1!r}")

@@ -57,10 +57,22 @@ def _check_square(bits: np.ndarray, ndim: int) -> None:
         raise ConfigError("grid size must be at least 1")
 
 
+def _as_bits(mask) -> np.ndarray:
+    """``mask`` as a uint8 array.  A mask of another type is rejected unless
+    every value is 0 or 1: the cast would wrap 257 to 1 and truncate 1.5 to
+    1.  The callers check uint8 values themselves."""
+    bits = np.asarray(mask)
+    if bits.dtype == np.uint8:
+        return bits
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ConfigError("mask bits must contain only 0/1 values")
+    return bits.astype(np.uint8)
+
+
 def _check_mask(mask) -> np.ndarray:
     """``mask`` as a (P, P) uint8 array, rejected unless its cells are 0/1,
     it is square and P is at least 1."""
-    bits = np.asarray(mask, dtype=np.uint8)
+    bits = _as_bits(mask)
     if bits.tobytes().translate(None, b"\x00\x01"):  # a byte other than 0 or 1
         raise ConfigError("mask bits must contain only 0/1 values")
     _check_square(bits, 2)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import _check_label
 from .errors import ConfigError
-from .masks import _check_divisible, _check_mask, _check_square
+from .masks import _as_bits, _check_divisible, _check_mask, _check_square
 
 
 @dataclass
@@ -162,7 +162,7 @@ def patchmix_batch(
     ``bits`` is a (B, P, P) stack, refused as :func:`patchmix` refuses a mask;
     a source index outside [0, len(images)) is refused too.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = _as_bits(bits)
     if bits.max(initial=0) > 1:
         raise ConfigError("mask bits must contain only 0/1 values")
     _check_square(bits, 3)

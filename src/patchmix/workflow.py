@@ -25,7 +25,10 @@ same four.
 
 The phases write the run directory and never read it back.  Given a fitness
 model, :func:`run_guided_pipeline` skips phase 1; the CLI passes a run
-directory's checkpoint only when its config snapshot matches the run.
+directory's checkpoint only when the directory's ``config.json`` records
+the run's ``dataset`` and ``train`` settings.  The CLI rewrites that file,
+with every setting of the run, once the pipeline has checked its sets and
+before the first phase starts.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -415,12 +418,15 @@ def run_guided_pipeline(
     search_cfg: SearchConfig,
     run_dir,
     fitness_model: ReferenceModel | None = None,
+    begin: Callable[[], None] | None = None,
 ) -> PipelineResult:
     """Run all four phases, writing artifacts into ``run_dir``; given
     ``fitness_model``, phase 1 is skipped and the result's ``fitness_metrics``
     is None.  A training or validation set that lacks a class is refused
-    before phase 1."""
+    before phase 1, and before ``begin``, if given, is called."""
     _check_class_coverage(train, val)
+    if begin is not None:
+        begin()
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     fitness_metrics: list[EpochMetrics] | None = None

@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from patchmix import cli
+from patchmix import cli, workflow
 from patchmix.cli import (
     CONFIG_SNAPSHOT_FILE,
     DatasetConfig,
@@ -19,7 +20,7 @@ from patchmix.cli import (
     save_config_snapshot,
 )
 from patchmix.data import Dataset, load_dataset, save_dataset, synth_shapes
-from patchmix.errors import ConfigError, FormatError
+from patchmix.errors import ConfigError, FormatError, NumericError
 from patchmix.evolution import SearchConfig
 from patchmix.model import ReferenceModel, TrainConfig, load_model, save_model
 from patchmix.workflow import (
@@ -257,7 +258,7 @@ class TestExitCodes:
         cfg_path = write_config(tmp_path, tmp_path / "run", dataset=dataset)
         assert main(["pipeline", "--config", str(cfg_path)]) == 2
         assert "validation set has no samples of class 1" in capsys.readouterr().err
-        assert list((tmp_path / "run").iterdir()) == []
+        assert not (tmp_path / "run").exists()
 
     def test_alpha_key_is_unknown(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, tmp_path / "run", train={"alpha": 1.0})
@@ -686,6 +687,88 @@ class TestGuidedInputs:
         path.write_text("\n".join(lines) + "\n")
         assert main(["train-guided", "--config", str(write_config(tmp_path, run_dir))]) == 2
         assert "bad manifest line '0,3,x'" in capsys.readouterr().err
+
+
+class TestRunDirectory:
+    """``config.json`` records the settings that made every artifact of a run
+    directory: a command refuses, before it writes anything, to leave an
+    artifact in place that other settings made, and records its own
+    settings before its phase runs."""
+
+    @pytest.fixture()
+    def run_dir(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["pipeline", "--config", str(write_config(tmp_path, run_dir))]) == 0
+        capsys.readouterr()
+        return run_dir
+
+    def test_pipeline_leaves_config_and_the_table_artifacts(self, run_dir):
+        listed = [name for files in cli.PHASE_FILES.values() for name in files]
+        assert sorted(path.name for path in run_dir.iterdir()) == sorted(
+            [CONFIG_SNAPSHOT_FILE, *listed]
+        )
+
+    def test_readme_table_matches_the_code(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        rows = readme.split("### Run directory", 1)[1].split("\n\n", 2)[1].splitlines()[2:]
+        cells = [[cell.strip(" `") for cell in row.split("|")[1:4]] for row in rows]
+        assert cells == [
+            [CONFIG_SNAPSHOT_FILE, "every phase", ""],
+            *(
+                [name, command, ", ".join(cli._made_by(name)[1])]
+                for command, files in cli.PHASE_FILES.items() for name in files
+            ),
+        ]
+
+    def test_train_random_with_other_settings_refused(self, tmp_path, capsys, run_dir):
+        before = digests(run_dir)
+        cfg_path = write_config(tmp_path, run_dir, train={"epochs": 1})
+        assert main(["train-random", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert f"{SEARCH_HISTORY_FILE} was made with train.epochs = 3" in captured.err
+        assert "but the config asks for 1;" in captured.err
+        assert captured.out == ""
+        assert digests(run_dir) == before
+
+    def test_search_with_other_settings_refused(self, tmp_path, capsys, run_dir):
+        before = digests(run_dir)
+        cfg_path = write_config(tmp_path, run_dir, search={"generations": 1})
+        assert main(["search", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert f"{GUIDED_MANIFEST_FILE} was made with search.generations = 2" in captured.err
+        assert captured.out == ""
+        assert digests(run_dir) == before
+
+    @pytest.mark.parametrize("command", ["train-random", "search", "generate", "train-guided"])
+    def test_same_settings_accepted(self, tmp_path, capsys, run_dir, command):
+        before = digests(run_dir)
+        assert main([command, "--config", str(write_config(tmp_path, run_dir))]) == 0
+        assert digests(run_dir) == before
+
+    @pytest.mark.parametrize("command", ["search", "generate", "train-guided"])
+    def test_missing_input_makes_no_directory(self, tmp_path, capsys, command):
+        run_dir = tmp_path / "run"
+        assert main([command, "--config", str(write_config(tmp_path, run_dir))]) == 2
+        assert "first" in capsys.readouterr().err
+        assert not run_dir.exists()
+
+    def test_failed_phase_leaves_no_artifact_config_does_not_describe(
+        self, tmp_path, capsys, monkeypatch, run_dir
+    ):
+        def failing_phase(*args, **kwargs):
+            raise NumericError("phase 4 failed")
+
+        monkeypatch.setattr(workflow, "train_guided_model", failing_phase)
+        cfg_path = write_config(tmp_path, run_dir, search={"generations": 1})
+        assert main(["pipeline", "--config", str(cfg_path)]) == 3
+        snapshot = json.loads((run_dir / CONFIG_SNAPSHOT_FILE).read_text())
+        assert snapshot["search"]["generations"] == 1
+        assert not (run_dir / FINAL_MODEL_FILE).exists()
+        monkeypatch.undo()
+        # The genome the new settings chose is not read under the old ones.
+        assert main(["train-guided", "--config", str(write_config(tmp_path, run_dir))]) == 2
+        err = capsys.readouterr().err
+        assert f"{BEST_INDIVIDUAL_FILE} was made with search.generations = 1" in err
 
 
 class TestEvalCommand:

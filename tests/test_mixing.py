@@ -181,6 +181,14 @@ class TestPatchmixPixelMaskOracle:
         with pytest.raises(ConfigError, match=message):
             patchmix(x_i, y_i, x_j, y_j, np.ones((4, 4), dtype=np.uint8), 3)
 
+    @pytest.mark.parametrize("value", [257, -255, 1.5, np.nan], ids=["257", "-255", "1.5", "nan"])
+    def test_values_a_uint8_cast_would_make_0_or_1_rejected(self, pair, value):
+        # Cast first, 257 and -255 would wrap to 1 and 1.5 truncate to 1.
+        x_i, x_j = pair
+        mask = np.array([[value, 0], [1, 0]])
+        with pytest.raises(ConfigError, match="^mask bits must contain only 0/1 values$"):
+            patchmix(x_i, 0, x_j, 1, mask, 2)
+
     def test_mask_and_divisibility_checked_before_labels(self, pair):
         x_i, x_j = pair
         with pytest.raises(ConfigError, match="only 0/1"):
@@ -243,6 +251,15 @@ class TestPatchmixBatch:
         assert out.patches.shape == (0, 4, 48)
         assert out.image_labels.shape == (0, 3)
         assert out.patch_labels.shape == (0, 4)
+
+    @pytest.mark.parametrize("value", [257, -255, 1.5, np.nan], ids=["257", "-255", "1.5", "nan"])
+    def test_values_a_uint8_cast_would_make_0_or_1_rejected(self, rng, value):
+        images = rng.random((2, 4, 4, 1))
+        rows = np.array([0, 1])
+        bits = np.ones((2, 2, 2))
+        bits[1, 0, 1] = value
+        with pytest.raises(ConfigError, match="^mask bits must contain only 0/1 values$"):
+            patchmix_batch(images, rows, rows, rows, rows, bits, 2)
 
     @pytest.mark.parametrize(
         "bits, labels, error",
