@@ -14,12 +14,12 @@ The CLI alone reads a run directory back.  :data:`PHASE_FILES` lists the
 artifacts each phase command writes there, and one rule holds: the
 directory's ``config.json`` records the settings that made every artifact
 in it.  So a phase command runs in three steps.  It checks each artifact
-there that it will not rewrite, its inputs first, and refuses (exit 2) one
-that other settings made or that has no ``config.json`` (:func:`_prepare`),
-then loads its inputs and datasets; so far it writes nothing.  It removes
-the artifacts it will rewrite and writes ``config.json`` (:func:`_begin`).
-Only then does its phase run, so a phase that fails or is interrupted
-leaves no artifact that ``config.json`` does not describe.
+there that it will not rewrite, its inputs first, refuses (exit 2) those
+other settings made or one with no ``config.json`` (:func:`_prepare`), then
+loads its inputs and datasets and checks what only they can refute; so far
+it writes nothing.  It removes the artifacts it will rewrite and writes
+``config.json`` (:func:`_begin`).  Only then does its phase run, so a phase
+that fails or is interrupted leaves no artifact ``config.json`` omits.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .data import (
 )
 from .errors import ConfigError, FormatError, NumericError
 from .evolution import SearchConfig, load_individual
+from .masks import _check_divisible
 from .mixing import cutmix, mixup
 from .model import (
     TrainConfig,
@@ -240,14 +241,15 @@ def _prepare(args, command: str, *reads: str) -> tuple[RunConfig, Path, tuple[st
     ``reads`` are the artifacts the command needs; a missing one is refused,
     naming the command that writes it.  ``pipeline`` needs none: it reuses a
     phase-1 checkpoint it finds and rewrites everything else.  The artifacts
-    are checked ``reads`` first, then in :data:`PHASE_FILES` order:
-    ``config.json`` must hold the sections that made one as the config
-    does, or the first key that differs is named, and an artifact with no
-    ``config.json`` is refused too.  Nothing is written here."""
+    are taken ``reads`` first, then in :data:`PHASE_FILES` order.  Each
+    section that made one must be in ``config.json`` as in the config, or
+    its first differing key is named, and every artifact the section made;
+    one with no ``config.json`` is refused too.  Nothing is written here."""
     cfg = load_run_config(args.config)
     if getattr(args, "seed", None) is not None:
         cfg.train = dataclasses.replace(cfg.train, seed=args.seed)
         cfg.search = dataclasses.replace(cfg.search, seed=args.seed)
+        cfg.validate()
     run_dir = Path(cfg.output_dir)
     artifacts = tuple(name for files in PHASE_FILES.values() for name in files)
     writes = PHASE_FILES.get(command, artifacts)
@@ -271,18 +273,21 @@ def _prepare(args, command: str, *reads: str) -> tuple[RunConfig, Path, tuple[st
     except json.JSONDecodeError as err:
         raise FormatError(f"{snapshot_path}: invalid JSON ({err})") from err
     wanted = run_config_to_dict(cfg)
-    for artifact in kept:
-        for section in _made_by(artifact.name)[1]:
-            old, new = saved.get(section) if isinstance(saved, dict) else None, wanted[section]
-            if not isinstance(old, dict):
-                raise FormatError(f"{snapshot_path}: config section {section} is not an object")
-            for key in {**new, **old}:  # the config's keys, then those only the snapshot has
-                found, asked = (json.dumps(d[key]) if key in d else "unset" for d in (old, new))
-                if found != asked:
-                    raise ConfigError(
-                        f"{artifact} was made with {section}.{key} = {found} "
-                        f"({snapshot_path}), but the config asks for {asked}; {advice}"
-                    )
+    for section in _SECTION_TYPES:
+        made = [artifact for artifact in kept if section in _made_by(artifact.name)[1]]
+        if not made:
+            continue
+        old, new = saved.get(section) if isinstance(saved, dict) else None, wanted[section]
+        if not isinstance(old, dict):
+            raise FormatError(f"{snapshot_path}: config section {section} is not an object")
+        for key in {**new, **old}:  # the config's keys, then those only the snapshot has
+            found, asked = (json.dumps(d[key]) if key in d else "unset" for d in (old, new))
+            if found != asked:
+                names = ", ".join(artifact.name for artifact in made)
+                raise ConfigError(
+                    f"{made[0]} was made with {section}.{key} = {found} ({snapshot_path}), but "
+                    f"the config asks for {asked}; remove {names} or choose another output_dir"
+                )
     return cfg, run_dir, writes
 
 
@@ -299,6 +304,7 @@ def _begin(cfg: RunConfig, run_dir: Path, writes: tuple[str, ...]) -> None:
 def cmd_train_random(args) -> int:
     cfg, run_dir, writes = _prepare(args, "train-random")
     train, val = build_datasets(cfg.dataset)
+    _check_divisible(train.width, train.height, cfg.train.grid_size)
     _begin(cfg, run_dir, writes)
     _, metrics = train_fitness_model(train, val, cfg.train, run_dir)
     last = metrics[-1]
@@ -311,6 +317,7 @@ def cmd_search(args) -> int:
     cfg, run_dir, writes = _prepare(args, "search", FITNESS_MODEL_FILE)
     model = load_model(run_dir / FITNESS_MODEL_FILE)
     val = build_dataset(cfg.dataset, val=True)
+    cfg.search.resolve_max_active(val.class_count)
     _begin(cfg, run_dir, writes)
     best, history = run_fitness_search(model, val, cfg.search, run_dir)
     print(f"best_score,{best.fitness!r}")

@@ -302,8 +302,9 @@ class FitnessTable:
         rng = RngKey(cfg.seed).child("fitness").generator()
         first = val.draw_of_class(np.broadcast_to(ci[:, None], shape), rng, "validation set")
         second = val.draw_of_class(np.broadcast_to(cj[:, None], shape), rng, "validation set")
+        buffers: dict = {}  # one scratch for every chunk
         patch_logits = np.concatenate([
-            forward_batch(model, val.images[start : start + TABLE_CHUNK])[0]
+            forward_batch(model, val.images[start : start + TABLE_CHUNK], buffers)[0]
             for start in range(0, len(val), TABLE_CHUNK)
         ])
         own = np.broadcast_to(val.labels[:, None], patch_logits.shape[:2])

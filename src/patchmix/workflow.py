@@ -21,7 +21,8 @@ same four.
    minimizing only the image-level loss (:func:`train_final`).  Each batch
    is composed into the batch matrix the training driver hands over: the
    original and random rows in one call, the guided rows cast into its
-   tail.
+   tail.  The random rows draw every first source, then every second
+   source, then every mask: the artifacts' bytes rest on that order.
 
 The phases write the run directory and never read it back.  Given a fitness
 model, :func:`run_guided_pipeline` skips phase 1; the CLI passes a run
@@ -53,7 +54,7 @@ from .evolution import (
     save_individual,
     slot_pairs,
 )
-from .masks import sample_mask_bits
+from .masks import _check_divisible, sample_mask_bits
 from .mixing import MixedBatch, patchmix, patchmix_batch
 from .model import (
     EpochMetrics,
@@ -236,32 +237,31 @@ class _Cycle:
 
 def guided_batch_composer(
     train: Dataset,
-    random_mixer,
     guided_set: MixedBatch,
     ratio: tuple[int, int, int],
     patches: np.ndarray,
-    batches: int,
     rng: np.random.Generator,
-    grid_size: int,
 ) -> Iterable[MixedBatch]:
-    """Yield batches of original : randomly-mixed : guided samples, each
-    composed into ``patches``, a (batch_size, P*P, patch_pixels) float64
-    matrix that every batch overwrites.
+    """Yield ``ceil(len(train) / batch_size)`` batches of original :
+    randomly-mixed : guided samples, each composed into ``patches``, a
+    (batch_size, P*P, patch_pixels) float64 matrix that every batch
+    overwrites.
 
     Originals cycle through epoch-shuffled training permutations; guided
-    rows cycle through shuffled guided-set permutations;
-    ``random_mixer(rng, count)`` supplies the ``(i, j, bits)`` of a batch's
-    randomly mixed rows.  The original and random rows are composed in one
-    :func:`patchmix_batch` call, the guided rows cast into the tail.  An
-    empty sequence stands for an empty guided set.  A guided set whose
-    grid, pixels per patch or class count differ from ``patches`` and the
-    training set is refused.
+    rows cycle through shuffled guided-set permutations.  A batch draws its
+    originals, then its random rows' first sources, second sources and
+    masks (one call each, in this order), then its guided rows.  The
+    original and random rows are composed in one :func:`patchmix_batch`
+    call, the guided rows cast into the tail.  An empty sequence stands for
+    an empty guided set.  A guided set whose grid, pixels per patch or
+    class count differ from ``patches`` and the training set is refused.
     """
+    p = math.isqrt(patches.shape[1])
     if len(guided_set):
         if guided_set.patches.shape[1] != patches.shape[1]:
             raise ConfigError(
                 f"guided set has grid size {math.isqrt(guided_set.patches.shape[1])}, "
-                f"but train.grid_size is {grid_size}"
+                f"but train.grid_size is {p}"
             )
         found = (guided_set.patches.shape[2], guided_set.image_labels.shape[1])
         wanted = (patches.shape[2], train.class_count)
@@ -273,19 +273,17 @@ def guided_batch_composer(
     n_original, n_random, n_guided = split_batch(len(patches), ratio)
     if n_guided and not len(guided_set):
         raise ConfigError("batch ratio requires guided samples but the set is empty")
-    if len(train) == 0:
-        raise ConfigError("empty training set")
     originals = _Cycle(len(train), rng)
     guided_order = _Cycle(len(guided_set), rng)
-    ones = np.ones((n_original, grid_size, grid_size), dtype=np.uint8)
+    ones = np.ones((n_original, p, p), dtype=np.uint8)
     n_mixed = n_original + n_random
-    for _ in range(batches):
+    for _ in range(math.ceil(len(train) / len(patches))):
         i = j = originals.take(n_original)
         bits = ones
         if n_random:
-            r_i, r_j, r_bits = random_mixer(rng, n_random)
-            i, j = np.concatenate([i, r_i]), np.concatenate([j, r_j])
-            bits = np.concatenate([ones, r_bits])
+            i = np.concatenate([i, rng.integers(len(train), size=n_random)])
+            j = np.concatenate([j, rng.integers(len(train), size=n_random)])
+            bits = np.concatenate([ones, sample_mask_bits(n_random, p, rng)])
         batch = patchmix_batch(
             train.images, i, j, train.labels[i], train.labels[j], bits, train.class_count,
             out=patches[:n_mixed],
@@ -310,21 +308,11 @@ def train_final(
 ):
     """Phase-4 trainer: composed batches (:func:`guided_batch_composer`),
     image-level objective only, whatever ``cfg.loss_mode`` says."""
-    cfg = replace(cfg, loss_mode="image_only")
-    p = cfg.grid_size
-
-    def random_mixer(rng: np.random.Generator, count: int):
-        i = rng.integers(len(train), size=count)
-        j = rng.integers(len(train), size=count)
-        return i, j, sample_mask_bits(count, p, rng)
-
-    def batches(epoch: int, rng: np.random.Generator, patches: np.ndarray):
-        n_batches = math.ceil(len(train) / cfg.batch_size)
-        yield from guided_batch_composer(
-            train, random_mixer, guided_set, ratio, patches, n_batches, rng, p
-        )
-
-    return _train_loop(train, val, cfg, batches, "final-train")
+    return _train_loop(
+        train, val, replace(cfg, loss_mode="image_only"),
+        lambda epoch, rng, patches: guided_batch_composer(train, guided_set, ratio, patches, rng),
+        "final-train",
+    )
 
 
 def fitness_val_subset(val: Dataset, cfg: SearchConfig) -> Dataset:
@@ -422,9 +410,12 @@ def run_guided_pipeline(
 ) -> PipelineResult:
     """Run all four phases, writing artifacts into ``run_dir``; given
     ``fitness_model``, phase 1 is skipped and the result's ``fitness_metrics``
-    is None.  A training or validation set that lacks a class is refused
-    before phase 1, and before ``begin``, if given, is called."""
+    is None.  A set that lacks a class, a grid that does not split the
+    images and a pair limit the class count refutes are refused before
+    ``begin``, if given, is called and phase 1 runs."""
     _check_class_coverage(train, val)
+    _check_divisible(train.width, train.height, train_cfg.grid_size)
+    search_cfg.resolve_max_active(val.class_count)
     if begin is not None:
         begin()
     run_dir = Path(run_dir)

@@ -739,6 +739,18 @@ class TestRunDirectory:
         assert captured.out == ""
         assert digests(run_dir) == before
 
+    def test_one_refusal_names_every_stale_artifact(self, tmp_path, capsys, run_dir):
+        cfg_path = write_config(tmp_path, run_dir, train={"epochs": 1})
+        assert main(["train-random", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        stale = (SEARCH_HISTORY_FILE, BEST_INDIVIDUAL_FILE, GUIDED_MANIFEST_FILE,
+                 FINAL_MODEL_FILE, FINAL_METRICS_FILE)
+        assert f"{stale[0]} was made with train.epochs = 3" in err
+        assert f"remove {', '.join(stale)} or choose another output_dir" in err
+        for name in stale:
+            (run_dir / name).unlink()
+        assert main(["train-random", "--config", str(cfg_path)]) == 0
+
     @pytest.mark.parametrize("command", ["train-random", "search", "generate", "train-guided"])
     def test_same_settings_accepted(self, tmp_path, capsys, run_dir, command):
         before = digests(run_dir)
@@ -769,6 +781,74 @@ class TestRunDirectory:
         assert main(["train-guided", "--config", str(write_config(tmp_path, run_dir))]) == 2
         err = capsys.readouterr().err
         assert f"{BEST_INDIVIDUAL_FILE} was made with search.generations = 1" in err
+
+
+class TestRefusedBeforeWriting:
+    """Settings that ``--seed`` or only the datasets refute exit 2 before
+    the run directory is touched: one that exists keeps its bytes, and a new
+    one is not made."""
+
+    def refused(self, tmp_path, capsys, run_dir, argv, message, **overrides):
+        before = digests(run_dir) if run_dir.exists() else None
+        cfg_path = write_config(tmp_path, run_dir, **overrides)
+        assert main([argv[0], "--config", str(cfg_path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        if before is None:
+            assert not run_dir.exists()
+        else:
+            assert digests(run_dir) == before
+
+    def test_negative_seed_override_over_a_run(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["train-random", "--config", str(write_config(tmp_path, run_dir))]) == 0
+        capsys.readouterr()
+        self.refused(
+            tmp_path, capsys, run_dir, ["train-random", "--seed", "-1"],
+            "seed must be non-negative",
+        )
+
+    def test_negative_seed_override_into_a_new_directory(self, tmp_path, capsys):
+        self.refused(
+            tmp_path, capsys, tmp_path / "run", ["pipeline", "--seed", "-1"],
+            "seed must be non-negative",
+        )
+
+    def test_search_with_too_many_active_pairs_over_a_run(self, tmp_path, capsys):
+        run_dir, two_classes = tmp_path / "run", {"class_count": 2}
+        cfg_path = write_config(tmp_path, run_dir, dataset=two_classes)
+        for command in ("train-random", "search"):
+            assert main([command, "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        self.refused(
+            tmp_path, capsys, run_dir, ["search"], "max_active_pairs 100 exceeds 3 pair slots",
+            dataset=two_classes, search={"max_active_pairs": 100},
+        )
+
+    @pytest.mark.parametrize(
+        "search, message",
+        [
+            ({"max_active_pairs": 100}, "max_active_pairs 100 exceeds 3 pair slots"),
+            ({"force_same_class": True, "max_active_pairs": 1},
+             "force_same_class needs max_active_pairs >= class_count (1 < 2)"),
+        ],
+        ids=["too-many", "fewer-than-the-classes"],
+    )
+    def test_pipeline_with_a_pair_limit_the_classes_refute(
+        self, tmp_path, capsys, search, message
+    ):
+        self.refused(
+            tmp_path, capsys, tmp_path / "run", ["pipeline"], message,
+            dataset={"class_count": 2}, search=search,
+        )
+
+    @pytest.mark.parametrize("command", ["pipeline", "train-random"])
+    def test_grid_that_does_not_split_the_images(self, tmp_path, capsys, command):
+        self.refused(
+            tmp_path, capsys, tmp_path / "run", [command],
+            "image 16x16 not divisible by grid size 3", train={"grid_size": 3},
+        )
 
 
 class TestEvalCommand:

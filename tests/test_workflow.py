@@ -12,6 +12,7 @@ from patchmix import workflow
 from patchmix.evolution import SearchConfig, evaluate_fitness, index_to_pair, pair_to_index
 from patchmix.mixing import MixedBatch, patchmix, patchmix_batch
 from patchmix.losses import loss_eval_count
+from patchmix.masks import sample_mask_bits
 from patchmix.model import TrainConfig, load_model, patchify
 from patchmix.rng import RngKey
 from patchmix.workflow import (
@@ -299,9 +300,6 @@ class TestBatchComposer:
     def train(self):
         return synth_shapes(3, 16, 6, seed=4)
 
-    def null_mixer(self, rng, count):
-        raise AssertionError("random mixer should not be called")
-
     @staticmethod
     def matrix(batch_size):
         """A batch matrix of the 16 px RGB training set on a 2x2 grid."""
@@ -312,10 +310,21 @@ class TestBatchComposer:
         """Each batch copied as it is drawn, before the next overwrites its matrix."""
         return [MixedBatch(b.patches.copy(), b.image_labels, b.patch_labels) for b in batches]
 
+    @staticmethod
+    def random_draws(rng, n, count):
+        """Reference for a batch's random rows: every first source, then
+        every second source, then every 2x2 mask."""
+        i = rng.integers(n, size=count)
+        j = rng.integers(n, size=count)
+        return i, j, sample_mask_bits(count, 2, rng)
+
+    @pytest.mark.parametrize("batch_size, count", [(1, 18), (5, 4), (6, 3), (7, 3), (18, 1), (19, 1)])
+    def test_one_pass_of_batches(self, train, rng, batch_size, count):
+        batches = guided_batch_composer(train, [], (1, 1, 0), self.matrix(batch_size), rng)
+        assert len(list(batches)) == count == math.ceil(len(train) / batch_size)
+
     def test_originals_are_identity_samples(self, train, rng):
-        batches = self.drawn(
-            guided_batch_composer(train, self.null_mixer, [], (1, 0, 0), self.matrix(6), 3, rng, 2)
-        )
+        batches = self.drawn(guided_batch_composer(train, [], (1, 0, 0), self.matrix(6), rng))
         assert len(batches) == 3
         seen = set()
         for batch in batches:
@@ -336,35 +345,33 @@ class TestBatchComposer:
     def test_guided_samples_cycle(self, train, rng):
         ind = make_individual(active=(1,), rng=np.random.default_rng(0))
         guided = guided_set(ind, train, 2, np.random.default_rng(1))
-        batches = self.drawn(
-            guided_batch_composer(
-                train, self.null_mixer, guided, (0, 0, 1), self.matrix(3), 2, rng, 2
-            )
-        )
+        batches = self.drawn(guided_batch_composer(train, guided, (0, 0, 1), self.matrix(3), rng))
+        assert len(batches) == 6
         source = {row.astype(np.float64).tobytes() for row in guided.patches}
         for batch in batches:
             assert len(batch) == 3
             for row in batch.patches:
                 assert row.tobytes() in source
 
-    def test_random_share_uses_mixer(self, train, rng):
-        calls = []
-
-        def mixer(mix_rng, count):
-            i = mix_rng.integers(len(train), size=count)
-            j = mix_rng.integers(len(train), size=count)
-            calls.append((i, j))
-            return i, j, np.zeros((count, 2, 2), dtype=np.uint8)
-
+    def test_random_rows_follow_the_draw_order(self, train):
+        """Each batch's random rows are the per-sample composites of the
+        reference draws, taken from the batch stream after its originals."""
         batches = self.drawn(
-            guided_batch_composer(train, mixer, [], (1, 1, 0), self.matrix(8), 2, rng, 2)
+            guided_batch_composer(train, [], (1, 1, 0), self.matrix(8), np.random.default_rng(9))
         )
-        assert [len(i) for i, _ in calls] == [4, 4]
-        assert all(len(b) == 8 for b in batches)
-        # All-zero masks: each random row is its second source whole.
-        for batch, (_, j) in zip(batches, calls):
-            np.testing.assert_array_equal(batch.patches[4:], patchify(train.images[j], 2))
-            np.testing.assert_array_equal(batch.image_labels[4:], np.eye(3)[train.labels[j]])
+        rng = np.random.default_rng(9)
+        originals = cycled_order(len(train), rng)
+        assert len(batches) == 3
+        for batch in batches:
+            take(originals, 4)
+            i, j, bits = self.random_draws(rng, len(train), 4)
+            assert len(batch) == 8
+            for r in range(4):
+                y_i, y_j = int(train.labels[i[r]]), int(train.labels[j[r]])
+                want = patchmix(train.images[i[r]], y_i, train.images[j[r]], y_j, bits[r], 3)
+                np.testing.assert_array_equal(batch.patches[4 + r], want.patches[0])
+                np.testing.assert_array_equal(batch.image_labels[4 + r], want.image_labels[0])
+                np.testing.assert_array_equal(batch.patch_labels[4 + r], want.patch_labels[0])
 
     @pytest.mark.parametrize("ratio, batch_size", [((1, 1, 1), 10), ((0, 0, 1), 4), ((2, 0, 1), 7)])
     def test_one_matrix_equals_parts_stacked(self, train, ratio, batch_size):
@@ -373,19 +380,14 @@ class TestBatchComposer:
         ind = make_individual(active=(0, 4), rng=np.random.default_rng(2))
         guided = guided_set(ind, train, 7, np.random.default_rng(3))
 
-        def mixer(mix_rng, count):
-            i = mix_rng.integers(len(train), size=count)
-            j = mix_rng.integers(len(train), size=count)
-            return i, j, mix_rng.integers(0, 2, (count, 2, 2), dtype=np.uint8)
-
         def parts_stacked(rng):
             n_original, n_random, n_guided = split_batch(batch_size, ratio)
             originals = cycled_order(len(train), rng)
             guided_order = cycled_order(len(guided), rng)
-            for _ in range(3):
+            for _ in range(math.ceil(len(train) / batch_size)):
                 idx = take(originals, n_original)
                 ones = np.ones((n_original, 2, 2), dtype=np.uint8)
-                i, j, bits = mixer(rng, n_random)
+                i, j, bits = self.random_draws(rng, len(train), n_random)
                 rows = take(guided_order, n_guided)
                 parts = [
                     patchmix_batch(train.images, idx, idx, train.labels[idx],
@@ -402,9 +404,7 @@ class TestBatchComposer:
                 ]
 
         matrix = self.matrix(batch_size)
-        got = guided_batch_composer(
-            train, mixer, guided, ratio, matrix, 3, np.random.default_rng(9), 2
-        )
+        got = guided_batch_composer(train, guided, ratio, matrix, np.random.default_rng(9))
         want = parts_stacked(np.random.default_rng(9))
         for batch, (patches, image_labels, patch_labels) in zip(got, want, strict=True):
             # Every batch is composed into the matrix it was handed.
@@ -416,11 +416,7 @@ class TestBatchComposer:
 
     def test_guided_needed_but_missing(self, train, rng):
         with pytest.raises(ConfigError, match="guided"):
-            list(
-                guided_batch_composer(
-                    train, self.null_mixer, [], (1, 1, 1), self.matrix(9), 1, rng, 2
-                )
-            )
+            list(guided_batch_composer(train, [], (1, 1, 1), self.matrix(9), rng))
 
 
 class TestFitnessValSubset:
