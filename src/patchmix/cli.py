@@ -13,19 +13,22 @@ same config into different directories stay byte-identical.
 The CLI alone reads a run directory back.  :data:`PHASE_FILES` lists the
 artifacts each phase command writes there, and one rule holds: the
 directory's ``config.json`` records the settings that made every artifact
-in it.  So a phase command runs in three steps.  It checks each artifact
-there that it will not rewrite, its inputs first, refuses (exit 2) those
-other settings made or one with no ``config.json`` (:func:`_prepare`), then
-loads its inputs and datasets and checks what only they can refute; so far
-it writes nothing.  It removes the artifacts it will rewrite and writes
-``config.json`` (:func:`_begin`).  Only then does its phase run, so a phase
-that fails or is interrupted leaves no artifact ``config.json`` omits.
+in it.  So a phase command checks each artifact there that it will not
+rewrite, its inputs first, and refuses (exit 2) those other settings made
+or one with no ``config.json`` (:func:`_prepare`); then it loads its inputs
+and datasets and runs its phase.  It records the run at the phase's first
+write: just before it, the phase calls :func:`_begin`, which removes the
+artifacts the command will rewrite and writes ``config.json``.  So a
+command that refuses, fails or is stopped before that write leaves the
+directory as it was, and one stopped after it leaves no artifact
+``config.json`` omits.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -46,7 +49,6 @@ from .data import (
 )
 from .errors import ConfigError, FormatError, NumericError
 from .evolution import SearchConfig, load_individual
-from .masks import _check_divisible
 from .mixing import cutmix, mixup
 from .model import (
     TrainConfig,
@@ -233,10 +235,11 @@ def _made_by(name: str) -> tuple[str, tuple[str, ...]]:
     return command, ("dataset", "train", "search")
 
 
-def _prepare(args, command: str, *reads: str) -> tuple[RunConfig, Path, tuple[str, ...]]:
+def _prepare(args, command: str, *reads: str) -> tuple[RunConfig, Path, typing.Callable]:
     """The run config of ``args`` (``--seed`` applied), its run directory and
-    the artifacts ``command`` will write there, once every artifact there
-    that it will not rewrite is found to come from these settings.
+    the :func:`_begin` of the artifacts ``command`` will write there, once
+    every artifact there that it will not rewrite is found to come from
+    these settings.
 
     ``reads`` are the artifacts the command needs; a missing one is refused,
     naming the command that writes it.  ``pipeline`` needs none: it reuses a
@@ -262,8 +265,9 @@ def _prepare(args, command: str, *reads: str) -> tuple[RunConfig, Path, tuple[st
         run_dir / name for name in dict.fromkeys((*reads, *artifacts))
         if name not in writes and (run_dir / name).exists()
     ]
+    begin = functools.partial(_begin, cfg, run_dir, writes)
     if not kept:
-        return cfg, run_dir, writes
+        return cfg, run_dir, begin
     snapshot_path = run_dir / CONFIG_SNAPSHOT_FILE
     advice = "remove it or choose another output_dir"
     if not snapshot_path.exists():
@@ -288,13 +292,14 @@ def _prepare(args, command: str, *reads: str) -> tuple[RunConfig, Path, tuple[st
                     f"{made[0]} was made with {section}.{key} = {found} ({snapshot_path}), but "
                     f"the config asks for {asked}; remove {names} or choose another output_dir"
                 )
-    return cfg, run_dir, writes
+    return cfg, run_dir, begin
 
 
 def _begin(cfg: RunConfig, run_dir: Path, writes: tuple[str, ...]) -> None:
     """Make the run directory, remove the artifacts about to be rewritten and
     record the settings, so that ``config.json`` describes every artifact
-    there even if the phase then fails or is interrupted."""
+    there even if the phase then fails or is interrupted.  A phase calls
+    it just before its first write."""
     run_dir.mkdir(parents=True, exist_ok=True)
     for name in writes:
         (run_dir / name).unlink(missing_ok=True)
@@ -302,11 +307,9 @@ def _begin(cfg: RunConfig, run_dir: Path, writes: tuple[str, ...]) -> None:
 
 
 def cmd_train_random(args) -> int:
-    cfg, run_dir, writes = _prepare(args, "train-random")
+    cfg, run_dir, begin = _prepare(args, "train-random")
     train, val = build_datasets(cfg.dataset)
-    _check_divisible(train.width, train.height, cfg.train.grid_size)
-    _begin(cfg, run_dir, writes)
-    _, metrics = train_fitness_model(train, val, cfg.train, run_dir)
+    _, metrics = train_fitness_model(train, val, cfg.train, run_dir, begin)
     last = metrics[-1]
     print(f"val_top1,{last.val_top1!r}")
     print(f"val_patch_acc,{last.val_patch_acc!r}")
@@ -314,49 +317,42 @@ def cmd_train_random(args) -> int:
 
 
 def cmd_search(args) -> int:
-    cfg, run_dir, writes = _prepare(args, "search", FITNESS_MODEL_FILE)
+    cfg, run_dir, begin = _prepare(args, "search", FITNESS_MODEL_FILE)
     model = load_model(run_dir / FITNESS_MODEL_FILE)
     val = build_dataset(cfg.dataset, val=True)
-    cfg.search.resolve_max_active(val.class_count)
-    _begin(cfg, run_dir, writes)
-    best, history = run_fitness_search(model, val, cfg.search, run_dir)
+    best, history = run_fitness_search(model, val, cfg.search, run_dir, begin)
     print(f"best_score,{best.fitness!r}")
     print(f"generations,{history[-1].generation}")
     return 0
 
 
 def cmd_generate(args) -> int:
-    cfg, run_dir, writes = _prepare(args, "generate", BEST_INDIVIDUAL_FILE)
+    cfg, run_dir, begin = _prepare(args, "generate", BEST_INDIVIDUAL_FILE)
     best, _ = load_individual(run_dir / BEST_INDIVIDUAL_FILE)
     train = build_dataset(cfg.dataset, val=False)
-    _begin(cfg, run_dir, writes)
-    recipe = write_guided_manifest(best, train, cfg.train, run_dir)
+    recipe = write_guided_manifest(best, train, cfg.train, run_dir, begin)
     print(f"guided_samples,{len(recipe)}")
     return 0
 
 
 def cmd_train_guided(args) -> int:
-    cfg, run_dir, writes = _prepare(
+    cfg, run_dir, begin = _prepare(
         args, "train-guided", BEST_INDIVIDUAL_FILE, GUIDED_MANIFEST_FILE
     )
     best, _ = load_individual(run_dir / BEST_INDIVIDUAL_FILE)
     recipe = load_guided_manifest(run_dir / GUIDED_MANIFEST_FILE)
     train, val = build_datasets(cfg.dataset)
-    _begin(cfg, run_dir, writes)
-    _, metrics = train_guided_model(best, recipe, train, val, cfg.train, run_dir)
+    _, metrics = train_guided_model(best, recipe, train, val, cfg.train, run_dir, begin)
     print(f"val_top1,{metrics[-1].val_top1!r}")
     return 0
 
 
 def cmd_pipeline(args) -> int:
-    cfg, run_dir, writes = _prepare(args, "pipeline")
+    cfg, run_dir, begin = _prepare(args, "pipeline")
     checkpoint = run_dir / FITNESS_MODEL_FILE
     fitness_model = load_model(checkpoint) if checkpoint.exists() else None
     train, val = build_datasets(cfg.dataset)
-    result = run_guided_pipeline(
-        train, val, cfg.train, cfg.search, run_dir, fitness_model,
-        begin=lambda: _begin(cfg, run_dir, writes),  # once the sets are checked
-    )
+    result = run_guided_pipeline(train, val, cfg.train, cfg.search, run_dir, fitness_model, begin)
     last = result.final_metrics[-1]
     print(f"best_score,{result.best_individual.fitness!r}")
     print(f"val_top1,{last.val_top1!r}")
@@ -369,9 +365,7 @@ def cmd_eval(args) -> int:
     top1, patch_acc = evaluate_model(model, dataset)
     print(f"clean_top1,{top1!r}")
     print(f"clean_patch_acc,{patch_acc!r}")
-    if args.attack is not None:
-        if args.attack != "fgsm":
-            raise ConfigError(f"unknown attack {args.attack!r}")
+    if args.attack is not None:  # "fgsm", the one choice
         epsilons = args.epsilon if args.epsilon else [0.1, 0.2, 0.3]
         print("epsilon,adversarial_top1")
         for eps in epsilons:
@@ -403,7 +397,7 @@ def _demo_train(method: str, train: Dataset, val: Dataset, cfg: TrainConfig):
         image_cfg = dataclasses.replace(cfg, loss_mode="image_only")
         p = image_cfg.grid_size
 
-        def batches(epoch: int, rng: np.random.Generator, patches: np.ndarray):
+        def batches(rng: np.random.Generator, patches: np.ndarray):
             for idx, partner in _shuffled_pairs(len(train), image_cfg.batch_size, rng):
                 sources = (train.images, idx, partner, train.labels[idx], train.labels[partner])
                 out = patches[: len(idx)]
@@ -429,8 +423,6 @@ def _demo_train(method: str, train: Dataset, val: Dataset, cfg: TrainConfig):
 
 
 def cmd_boundary_demo(args) -> int:
-    if args.method not in DEMO_METHODS:
-        raise ConfigError(f"method must be one of {DEMO_METHODS}, got {args.method!r}")
     out_path = Path(args.out)
     rows = run_boundary_demo(
         args.method,

@@ -254,22 +254,21 @@ class FitnessTable:
     on the stream ``RngKey(seed).child("fitness")``.  A genome's score
     therefore depends on the genome alone, not on when it was scored.
 
-    Each side is reduced once, here, into the form that scores it (``form``):
+    Each side is kept once, here, as one (n_pairs, rows, P*P) array of
+    ``sides = (first, second)``, in the form that scores it (``form``):
 
     * ``PER_CELL`` for the accuracy objectives on a grid whose cell count
-      P*P is a power of two: ``first_counts[s, n]`` counts the mask-1
-      images of slot s whose patch n is right, ``second_counts`` the
-      mask-0 ones, both (n_pairs, P*P) int64.  A composite's accuracy
-      k/P*P is then dyadic, so every partial sum of the mean over
-      composites is exact (below 2**53 cells in all), whatever its order,
-      and the integer total divided by P*P and then by the composite
-      count equals that mean bit for bit.
+      P*P is a power of two: one row of int64 counts, ``sides[0][s, 0, n]``
+      counting the mask-1 images of slot s whose patch n is right and
+      ``sides[1]`` the mask-0 ones.  A composite's accuracy k/P*P is then
+      dyadic, so every partial sum of the mean over composites is exact
+      (below 2**53 cells in all), whatever its order, and the integer total
+      divided by P*P and then by the composite count equals that mean bit
+      for bit.
     * ``GATHER`` otherwise (loss objectives, or other grids, where the
-      order of a float sum shows in its last bits): ``first_terms`` and
-      ``second_terms`` hold each side's (n_pairs, pairs_per_combo, P*P)
-      terms, and a score reduces each composite and then the composites.
-
-    The attributes of the other form are None.
+      order of a float sum shows in its last bits): ``pairs_per_combo``
+      rows, each side's images' terms, and a score reduces each composite
+      and then the composites.
     """
 
     def __init__(self, terms, first, second, grid_size: int, cfg: SearchConfig):
@@ -282,13 +281,10 @@ class FitnessTable:
         cells = grid_size * grid_size
         per_cell = cfg.objective.endswith("patch_acc") and cells & (cells - 1) == 0
         self.form = PER_CELL if per_cell else GATHER
-        self.first_counts = self.second_counts = self.first_terms = self.second_terms = None
+        sides = (terms[first], terms[second])  # each (n_pairs, pairs_per_combo, P*P)
         if per_cell:
-            self.first_counts = terms[first].sum(axis=1, dtype=np.int64)  # (n_pairs, P*P)
-            self.second_counts = terms[second].sum(axis=1, dtype=np.int64)
-        else:
-            self.first_terms = terms[first]  # (n_pairs, pairs_per_combo, P*P)
-            self.second_terms = terms[second]
+            sides = tuple(side.sum(axis=1, keepdims=True, dtype=np.int64) for side in sides)
+        self.sides = sides
 
     @classmethod
     def build(cls, model: ReferenceModel, val: Dataset, cfg: SearchConfig) -> "FitnessTable":
@@ -323,8 +319,9 @@ def evaluate_fitness(individual: Individual, table: FitnessTable) -> float:
     patch taking the term of the image its mask bit selects.  The score
     is the mean of a per-composite metric, exactly as if the composites
     had been forwarded, so a genome gets the same score whenever it is
-    scored.  A ``PER_CELL`` table sums, per active slot, the count of the
-    side each bit selects; a ``GATHER`` table gathers every composite.
+    scored.  Each bit selects its cell's row(s) from one side; a
+    ``PER_CELL`` table sums the selected counts, a ``GATHER`` table
+    reduces each gathered composite.
     """
     active = individual.active_slots()
     if len(active) == 0:
@@ -338,14 +335,14 @@ def evaluate_fitness(individual: Individual, table: FitnessTable) -> float:
         raise ConfigError(
             f"genome grid {individual.grid_size} does not match model grid {table.grid_size}"
         )
-    bits = individual.masks[active].reshape(len(active), -1)
+    bits = individual.masks[active].reshape(len(active), 1, -1)
     objective = table.cfg.objective
+    first, second = table.sides
+    kept = np.where(bits, first[active], second[active])  # (len(active), rows, P*P)
     if table.form == PER_CELL:
-        counts = np.where(bits, table.first_counts[active], table.second_counts[active])
-        score = float(counts.sum() / bits.shape[1] / (len(active) * table.cfg.pairs_per_combo))
+        score = float(kept.sum() / bits.shape[2] / (len(active) * table.cfg.pairs_per_combo))
     else:
-        kept = np.where(bits[:, None], table.first_terms[active], table.second_terms[active])
-        kept = kept.reshape(-1, bits.shape[1])  # one row per composite, slot by slot
+        kept = kept.reshape(-1, bits.shape[2])  # one row per composite, slot by slot
         if objective.endswith("patch_acc"):
             metric = kept.mean(axis=1)
         else:

@@ -90,18 +90,24 @@ SPLIT_FLOOR = 2**23
 _SPLIT_ROWS = 24
 
 
+def _param_shapes(class_count: int, hidden_dim: int, patch_pixels: int) -> dict:
+    """Each parameter block's shape, in :data:`PARAM_FIELDS` order."""
+    h, c = hidden_dim, class_count
+    return dict(zip(PARAM_FIELDS, ((patch_pixels, h), (h,), (h, c), (c,), (h, c), (c,))))
+
+
 @dataclass
 class ReferenceModel:
     grid_size: int
     class_count: int
     hidden_dim: int
     patch_pixels: int
-    w_embed: np.ndarray  # (patch_pixels, hidden_dim)
-    b_embed: np.ndarray  # (hidden_dim,)
-    w_patch: np.ndarray  # (hidden_dim, class_count)
-    b_patch: np.ndarray  # (class_count,)
-    w_img: np.ndarray    # (hidden_dim, class_count)
-    b_img: np.ndarray    # (class_count,)
+    w_embed: np.ndarray  # the six parameter blocks, shaped by _param_shapes
+    b_embed: np.ndarray
+    w_patch: np.ndarray
+    b_patch: np.ndarray
+    w_img: np.ndarray
+    b_img: np.ndarray
 
     @classmethod
     def initialize(
@@ -112,21 +118,16 @@ class ReferenceModel:
         patch_pixels: int,
         rng: np.random.Generator,
     ) -> "ReferenceModel":
-        """Gaussian weights with std sqrt(2 / fan_in); zero biases."""
+        """Gaussian weights with std sqrt(2 / fan_in), drawn in
+        :data:`PARAM_FIELDS` order; zero biases."""
         if min(grid_size, class_count, hidden_dim, patch_pixels) < 1:
             raise ConfigError("model dimensions must be positive")
-        return cls(
-            grid_size=grid_size,
-            class_count=class_count,
-            hidden_dim=hidden_dim,
-            patch_pixels=patch_pixels,
-            w_embed=rng.normal(0.0, np.sqrt(2.0 / patch_pixels), (patch_pixels, hidden_dim)),
-            b_embed=np.zeros(hidden_dim),
-            w_patch=rng.normal(0.0, np.sqrt(2.0 / hidden_dim), (hidden_dim, class_count)),
-            b_patch=np.zeros(class_count),
-            w_img=rng.normal(0.0, np.sqrt(2.0 / hidden_dim), (hidden_dim, class_count)),
-            b_img=np.zeros(class_count),
-        )
+        blocks = {
+            name: rng.normal(0.0, np.sqrt(2.0 / shape[0]), shape)
+            if name in WEIGHT_FIELDS else np.zeros(shape)
+            for name, shape in _param_shapes(class_count, hidden_dim, patch_pixels).items()
+        }
+        return cls(grid_size, class_count, hidden_dim, patch_pixels, **blocks)
 
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_FIELDS}
@@ -488,13 +489,13 @@ def _train_loop(
     train: Dataset,
     val: Dataset,
     cfg: TrainConfig,
-    batch_source: Callable[[int, np.random.Generator, np.ndarray], Iterable[MixedBatch]],
+    batch_source: Callable[[np.random.Generator, np.ndarray], Iterable[MixedBatch]],
     stream_tag: str,
 ) -> tuple[ReferenceModel, list[EpochMetrics]]:
     """Shared SGD driver: ``(model, per-epoch metrics)`` of a model of the
     shape ``cfg`` trains on ``train``, initialized from the stream
-    ``(stream_tag, "init")``.  ``batch_source(epoch, rng, patches)`` yields
-    sample batches; epoch ``e`` draws from the stream
+    ``(stream_tag, "init")``.  ``batch_source(rng, patches)`` yields one
+    epoch's sample batches; epoch ``e`` draws from the stream
     ``(stream_tag, "epoch", e)``.
 
     The config and both sets are checked before the model is built or a
@@ -531,7 +532,7 @@ def _train_loop(
             lr = cosine_lr(epoch, span, cfg.lr0, cfg.eta_min)
             rng = key.child(stream_tag, "epoch", epoch).generator()
             batch_losses = []
-            for index, batch in enumerate(batch_source(epoch, rng, patches)):
+            for index, batch in enumerate(batch_source(rng, patches)):
                 try:
                     loss, grads = backward(model, batch, cfg.loss_mode, buffers, worker)
                 except NumericError as err:
@@ -573,7 +574,7 @@ def train_random_patchmix(train: Dataset, val: Dataset, cfg: TrainConfig):
     """
     p = cfg.grid_size
 
-    def batches(epoch: int, rng: np.random.Generator, patches: np.ndarray):
+    def batches(rng: np.random.Generator, patches: np.ndarray):
         for idx, partner in _shuffled_pairs(len(train), cfg.batch_size, rng):
             bits = np.ones((len(idx), p, p), dtype=np.uint8)
             mixed = rng.random(len(idx)) < cfg.mix_probability
@@ -649,14 +650,7 @@ def load_model(path) -> ReferenceModel:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != MODEL_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    shapes = {
-        "w_embed": (patch_pixels, hidden_dim),
-        "b_embed": (hidden_dim,),
-        "w_patch": (hidden_dim, class_count),
-        "b_patch": (class_count,),
-        "w_img": (hidden_dim, class_count),
-        "b_img": (class_count,),
-    }
+    shapes = _param_shapes(class_count, hidden_dim, patch_pixels)
     expected = _MODEL_HEADER.size + sum(
         8 * int(np.prod(shape)) for shape in shapes.values()
     )

@@ -27,9 +27,13 @@ same four.
 The phases write the run directory and never read it back.  Given a fitness
 model, :func:`run_guided_pipeline` skips phase 1; the CLI passes a run
 directory's checkpoint only when the directory's ``config.json`` records
-the run's ``dataset`` and ``train`` settings.  The CLI rewrites that file,
-with every setting of the run, once the pipeline has checked its sets and
-before the first phase starts.
+the run's ``dataset`` and ``train`` settings.  Each phase takes an optional
+``begin`` and calls it once, after its work and just before its first
+write; :func:`run_guided_pipeline` hands its own to the first phase it
+runs.  The CLI's ``begin`` removes the artifacts the command rewrites and
+rewrites that file with every setting of the run, so a phase that refuses
+its inputs, fails or is stopped before it writes leaves the directory as
+it was.
 """
 
 from __future__ import annotations
@@ -78,6 +82,9 @@ FINAL_MODEL_FILE = "f_o_model.pmxm"
 FINAL_METRICS_FILE = "f_o_metrics.csv"
 
 DEFAULT_BATCH_RATIO = (1, 1, 1)
+
+# A phase calls its ``begin``, if given, once: after its work, just before its first write.
+Begin = Callable[[], None] | None
 
 
 @dataclass
@@ -310,7 +317,7 @@ def train_final(
     image-level objective only, whatever ``cfg.loss_mode`` says."""
     return _train_loop(
         train, val, replace(cfg, loss_mode="image_only"),
-        lambda epoch, rng, patches: guided_batch_composer(train, guided_set, ratio, patches, rng),
+        lambda rng, patches: guided_batch_composer(train, guided_set, ratio, patches, rng),
         "final-train",
     )
 
@@ -330,17 +337,23 @@ def fitness_val_subset(val: Dataset, cfg: SearchConfig) -> Dataset:
     return val.subset(chosen)
 
 
-def train_fitness_model(train: Dataset, val: Dataset, cfg: TrainConfig, run_dir: Path):
+def train_fitness_model(
+    train: Dataset, val: Dataset, cfg: TrainConfig, run_dir: Path, begin: Begin = None
+):
     """Phase 1: train the fitness model on random grid mixing and write it
     and its metrics into ``run_dir``.  Returns ``(model, metrics)``."""
     model, metrics = train_random_patchmix(train, val, cfg)
+    if begin is not None:
+        begin()
     save_model(model, run_dir / FITNESS_MODEL_FILE)
     save_metrics(metrics, run_dir / FITNESS_METRICS_FILE)
     log.info("phase 1 done: fitness model saved to %s", run_dir / FITNESS_MODEL_FILE)
     return model, metrics
 
 
-def run_fitness_search(model: ReferenceModel, val: Dataset, cfg: SearchConfig, run_dir: Path):
+def run_fitness_search(
+    model: ReferenceModel, val: Dataset, cfg: SearchConfig, run_dir: Path, begin: Begin = None
+):
     """Phase 2: search genomes of the model's grid against the frozen
     model, scored from one forward pass of the seeded fitness subset, and
     write the history and the best genome into ``run_dir``."""
@@ -349,6 +362,8 @@ def run_fitness_search(model: ReferenceModel, val: Dataset, cfg: SearchConfig, r
         cfg, val.class_count, model.grid_size,
         lambda individual: evaluate_fitness(individual, table),
     )
+    if begin is not None:
+        begin()
     save_history(history, run_dir / SEARCH_HISTORY_FILE)
     save_individual(best, cfg.resolve_max_active(val.class_count), run_dir / BEST_INDIVIDUAL_FILE)
     log.info(
@@ -359,12 +374,16 @@ def run_fitness_search(model: ReferenceModel, val: Dataset, cfg: SearchConfig, r
     return best, history
 
 
-def write_guided_manifest(best: Individual, train: Dataset, cfg: TrainConfig, run_dir: Path):
+def write_guided_manifest(
+    best: Individual, train: Dataset, cfg: TrainConfig, run_dir: Path, begin: Begin = None
+):
     """Phase 3: draw one guided recipe entry per training image from a
     stream of the training seed and write the manifest into ``run_dir``.
     Returns the recipe."""
     rng = RngKey(cfg.seed).child("guided-set").generator()
     recipe = draw_guided_recipe(best, train, len(train), rng)
+    if begin is not None:
+        begin()
     save_guided_manifest(recipe, run_dir / GUIDED_MANIFEST_FILE)
     log.info("phase 3 done: %d guided samples", len(recipe))
     return recipe
@@ -377,12 +396,15 @@ def train_guided_model(
     val: Dataset,
     cfg: TrainConfig,
     run_dir: Path,
+    begin: Begin = None,
 ):
     """Phase 4: compose the recipe's guided set, train the final model on it
     (:func:`train_final`) and write the model and its metrics into
     ``run_dir``.  Returns ``(model, metrics)``."""
     guided_set = materialize_guided(best, train, recipe)
     model, metrics = train_final(train, val, cfg, guided_set)
+    if begin is not None:
+        begin()
     save_model(model, run_dir / FINAL_MODEL_FILE)
     save_metrics(metrics, run_dir / FINAL_METRICS_FILE)
     log.info("phase 4 done: final model saved to %s", run_dir / FINAL_MODEL_FILE)
@@ -406,26 +428,31 @@ def run_guided_pipeline(
     search_cfg: SearchConfig,
     run_dir,
     fitness_model: ReferenceModel | None = None,
-    begin: Callable[[], None] | None = None,
+    begin: Begin = None,
 ) -> PipelineResult:
     """Run all four phases, writing artifacts into ``run_dir``; given
     ``fitness_model``, phase 1 is skipped and the result's ``fitness_metrics``
     is None.  A set that lacks a class, a grid that does not split the
     images and a pair limit the class count refutes are refused before
-    ``begin``, if given, is called and phase 1 runs."""
+    phase 1 runs.  The first phase that runs makes ``run_dir`` and calls
+    ``begin``, if given, just before its first write."""
     _check_class_coverage(train, val)
     _check_divisible(train.width, train.height, train_cfg.grid_size)
     search_cfg.resolve_max_active(val.class_count)
-    if begin is not None:
-        begin()
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
+
+    def start() -> None:
+        run_dir.mkdir(parents=True, exist_ok=True)
+        if begin is not None:
+            begin()
+
     fitness_metrics: list[EpochMetrics] | None = None
     if fitness_model is None:
-        fitness_model, fitness_metrics = train_fitness_model(train, val, train_cfg, run_dir)
+        fitness_model, fitness_metrics = train_fitness_model(train, val, train_cfg, run_dir, start)
+        start = None  # phase 1 made the first write
     else:
         log.info("phase 1 skipped: reusing the given fitness model")
-    best, history = run_fitness_search(fitness_model, val, search_cfg, run_dir)
+    best, history = run_fitness_search(fitness_model, val, search_cfg, run_dir, start)
     recipe = write_guided_manifest(best, train, train_cfg, run_dir)
     final_model, final_metrics = train_guided_model(best, recipe, train, val, train_cfg, run_dir)
     return PipelineResult(

@@ -21,7 +21,13 @@ from patchmix.cli import (
 )
 from patchmix.data import Dataset, load_dataset, save_dataset, synth_shapes
 from patchmix.errors import ConfigError, FormatError, NumericError
-from patchmix.evolution import SearchConfig
+from patchmix.evolution import (
+    Individual,
+    SearchConfig,
+    load_individual,
+    save_individual,
+    slot_pairs,
+)
 from patchmix.model import ReferenceModel, TrainConfig, load_model, save_model
 from patchmix.workflow import (
     BEST_INDIVIDUAL_FILE,
@@ -848,6 +854,84 @@ class TestRefusedBeforeWriting:
         self.refused(
             tmp_path, capsys, tmp_path / "run", [command],
             "image 16x16 not divisible by grid size 3", train={"grid_size": 3},
+        )
+
+
+class TestRefusedInsideThePhase:
+    """A phase refuses what only its inputs refute before its first write,
+    and the command records the run only at that write: a refusal leaves
+    the run directory byte-identical."""
+
+    @pytest.fixture()
+    def run(self, tmp_path, capsys):
+        """A pipeline run of the ``cifar`` kind, read from ``.pmxd`` files
+        whose paths, and so whose config, stay put when a file is swapped.
+        Returns the run directory, the config path and both dataset paths."""
+        sets = build_datasets(DatasetConfig(train_per_class=15, val_per_class=6, seed=3))
+        paths = (tmp_path / "train.pmxd", tmp_path / "val.pmxd")
+        for dataset, path in zip(sets, paths):
+            save_dataset(dataset, path)
+        dataset = {"kind": "cifar", "train_path": str(paths[0]), "val_path": str(paths[1])}
+        run_dir = tmp_path / "run"
+        cfg_path = write_config(tmp_path, run_dir, dataset=dataset)
+        assert main(["pipeline", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        return run_dir, cfg_path, *paths
+
+    @staticmethod
+    def refused(capsys, run_dir, cfg_path, command, message):
+        before = digests(run_dir)
+        assert main([command, "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert digests(run_dir) == before
+
+    def test_train_guided_with_an_image_index_outside_the_set(self, capsys, run):
+        run_dir, cfg_path, _, _ = run
+        path = run_dir / GUIDED_MANIFEST_FILE
+        lines = path.read_text().splitlines()
+        slot, i, _ = lines[3].split(",")
+        lines[3] = f"{slot},{i},-1"
+        path.write_text("\n".join(lines) + "\n")
+        self.refused(
+            capsys, run_dir, cfg_path, "train-guided",
+            f"guided set entry 2 ({slot},{i},-1): an image index lies outside [0, 45)",
+        )
+
+    def test_train_guided_with_a_genome_of_another_grid(self, capsys, run):
+        run_dir, cfg_path, _, _ = run
+        path = run_dir / BEST_INDIVIDUAL_FILE
+        best, max_active = load_individual(path)
+        save_individual(Individual(best.head, best.masks[:, :1, :1]), max_active, path)
+        self.refused(
+            capsys, run_dir, cfg_path, "train-guided",
+            "guided set has grid size 1, but train.grid_size is 2",
+        )
+
+    def test_search_with_a_validation_set_that_lacks_a_class(self, capsys, run):
+        run_dir, cfg_path, _, val_path = run
+        val = load_dataset(val_path)
+        save_dataset(val.subset(np.flatnonzero(val.labels != 2)), val_path)
+        self.refused(
+            capsys, run_dir, cfg_path, "search", "validation set has no samples of class 2"
+        )
+
+    def test_generate_with_a_training_set_that_lacks_an_active_class(self, capsys, run):
+        run_dir, cfg_path, train_path, _ = run
+        best, _ = load_individual(run_dir / BEST_INDIVIDUAL_FILE)
+        first = min(slot_pairs(3)[best.active_slots(), 0])
+        train = load_dataset(train_path)
+        save_dataset(train.subset(np.flatnonzero(train.labels != first)), train_path)
+        self.refused(
+            capsys, run_dir, cfg_path, "generate", f"training set has no samples of class {first}"
+        )
+
+    def test_train_random_with_validation_images_of_another_shape(self, capsys, run):
+        run_dir, cfg_path, _, val_path = run
+        save_dataset(synth_shapes(3, 20, 6, 4), val_path)
+        self.refused(
+            capsys, run_dir, cfg_path, "train-random", "train and validation image shapes differ"
         )
 
 

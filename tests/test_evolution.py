@@ -475,20 +475,21 @@ class TestFitnessTableForms:
         table = FitnessTable.build(model, val, SearchConfig(objective=objective, pairs_per_combo=3))
         per_cell = objective.endswith("patch_acc") and grid != 3
         assert table.form == (PER_CELL if per_cell else GATHER)
-        counts = (table.first_counts, table.second_counts)
-        gathered = (table.first_terms, table.second_terms)
-        kept, dropped = (counts, gathered) if per_cell else (gathered, counts)
-        assert all(side is not None for side in kept)
-        assert all(side is None for side in dropped)
+        assert len(table.sides) == 2
+        rows = 1 if per_cell else 3
+        assert all(side.shape == (pair_count(3), rows, grid * grid) for side in table.sides)
+        if not per_cell:
+            for side, images in zip(table.sides, (table.first, table.second)):
+                assert np.array_equal(side, table.terms[images])
 
     @pytest.mark.parametrize("objective", ["min_patch_acc", "max_patch_acc"])
     def test_counts_sum_each_sides_terms(self, objective):
         model, val = random_model_and_val(4, 4, seed=1)
         table = FitnessTable.build(model, val, SearchConfig(objective=objective, pairs_per_combo=5))
-        assert table.first_counts.dtype == table.second_counts.dtype == np.int64
-        assert table.first_counts.shape == (pair_count(4), 16)
-        assert np.array_equal(table.first_counts, table.terms[table.first].sum(axis=1))
-        assert np.array_equal(table.second_counts, table.terms[table.second].sum(axis=1))
+        for side, images in zip(table.sides, (table.first, table.second)):
+            assert side.dtype == np.int64
+            assert side.shape == (pair_count(4), 1, 16)
+            assert np.array_equal(side, table.terms[images].sum(axis=1, keepdims=True))
 
     @pytest.mark.parametrize("objective", ["min_patch_acc", "max_patch_acc"])
     def test_large_totals_equal_composite_forward(self, objective):

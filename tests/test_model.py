@@ -489,7 +489,7 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("case", list(ERRORS))
     def test_inputs_refused_before_a_batch_is_drawn(self, small_train, small_val, case):
-        def source(epoch, rng, patches):
+        def source(rng, patches):
             raise AssertionError("the batch source ran")
 
         train, val, cfg = self.inputs(case, small_train, small_val)
@@ -500,7 +500,7 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=2, batch_size=50, grid_size=2, hidden_dim=8)
         seen = []
 
-        def source(epoch, rng, patches):
+        def source(rng, patches):
             seen.append(patches)
             idx = np.arange(7)
             yield patchmix_batch(
@@ -522,7 +522,7 @@ class TestTrainLoopWorker:
         whole training set per epoch, or raises a ``ConfigError`` at batch
         ``fail_at``; ``seen`` gets the thread count at each batch request."""
 
-        def source(epoch, rng, patches):
+        def source(rng, patches):
             idx = np.arange(len(train))
             for index in range(batches):
                 seen.append(threading.active_count())
