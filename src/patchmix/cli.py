@@ -10,30 +10,28 @@ Unknown keys are rejected by name.  The config snapshot written into the
 run directory normalizes ``output_dir`` to "." so that two runs of the
 same config into different directories stay byte-identical.
 
-The CLI alone reads a run directory back.  :data:`PHASE_FILES` lists the
-artifacts each phase command writes there, and one rule holds: the
-directory's ``config.json`` records the settings that made every artifact
-in it.  So a phase command checks each artifact there that it will not
-rewrite, its inputs first, and refuses (exit 2) those other settings made
-or one with no ``config.json`` (:func:`_prepare`); then it loads its inputs
-and datasets and runs its phase.  It records the run at the phase's first
-write: just before it, the phase calls :func:`_begin`, which removes the
-artifacts the command will rewrite and writes ``config.json``.  So a
-command that refuses, fails or is stopped before that write leaves the
-directory as it was, and one stopped after it leaves no artifact
-``config.json`` omits.
+The CLI alone reads and writes a run directory.  :data:`PHASE_FILES`
+lists the artifacts each phase command writes there, and one rule holds:
+the directory's ``config.json`` records the settings that made every
+artifact in it.  So a phase command checks each artifact there that it
+will not rewrite, its inputs first, and refuses (exit 2) those other
+settings made or one with no ``config.json`` (:func:`_prepare`); then it
+loads its inputs and datasets, runs its phase and hands the results to
+the recorder :func:`_prepare` returned.  The recorder's first call removes
+the artifacts the command will rewrite and writes ``config.json``; each
+call then writes its phase's artifacts.  So a command that refuses, fails
+or is stopped before its first phase ends leaves the directory as it
+was, and one stopped later leaves no artifact ``config.json`` omits.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import logging
 import math
 import sys
-import tempfile
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,7 +46,7 @@ from .data import (
     toy_2d_three_class,
 )
 from .errors import ConfigError, FormatError, NumericError
-from .evolution import SearchConfig, load_individual
+from .evolution import SearchConfig, load_individual, save_history, save_individual
 from .mixing import cutmix, mixup
 from .model import (
     TrainConfig,
@@ -58,22 +56,17 @@ from .model import (
     evaluate_model,
     forward_batch,
     load_model,
+    save_metrics,
+    save_model,
     train_random_patchmix,
 )
 from .workflow import (
-    BEST_INDIVIDUAL_FILE,
-    FINAL_METRICS_FILE,
-    FINAL_MODEL_FILE,
-    FITNESS_METRICS_FILE,
-    FITNESS_MODEL_FILE,
-    GUIDED_MANIFEST_FILE,
-    SEARCH_HISTORY_FILE,
+    guided_recipe,
     load_guided_manifest,
     run_fitness_search,
     run_guided_pipeline,
-    train_fitness_model,
+    save_guided_manifest,
     train_guided_model,
-    write_guided_manifest,
 )
 
 log = logging.getLogger("patchmix.cli")
@@ -84,8 +77,15 @@ GRID_RESOLUTION = 200
 # The demo's mixup blend weight is Beta(MIXUP_BETA, MIXUP_BETA), i.e. uniform.
 MIXUP_BETA = 1.0
 CONFIG_SNAPSHOT_FILE = "config.json"
+FITNESS_MODEL_FILE = "f_t_model.pmxm"
+FITNESS_METRICS_FILE = "f_t_metrics.csv"
+SEARCH_HISTORY_FILE = "search_history.csv"
+BEST_INDIVIDUAL_FILE = "best_individual.txt"
+GUIDED_MANIFEST_FILE = "guided_set.txt"
+FINAL_MODEL_FILE = "f_o_model.pmxm"
+FINAL_METRICS_FILE = "f_o_metrics.csv"
 # The run directory besides config.json: each phase command and the
-# artifacts it writes, in phase order (see _made_by).
+# artifacts it writes, in phase order (see _made_by and _recorder).
 PHASE_FILES = {
     "train-random": (FITNESS_MODEL_FILE, FITNESS_METRICS_FILE),
     "search": (SEARCH_HISTORY_FILE, BEST_INDIVIDUAL_FILE),
@@ -237,9 +237,9 @@ def _made_by(name: str) -> tuple[str, tuple[str, ...]]:
 
 def _prepare(args, command: str, *reads: str) -> tuple[RunConfig, Path, typing.Callable]:
     """The run config of ``args`` (``--seed`` applied), its run directory and
-    the :func:`_begin` of the artifacts ``command`` will write there, once
-    every artifact there that it will not rewrite is found to come from
-    these settings.
+    the :func:`_recorder` of the artifacts ``command`` will write there,
+    once every artifact there that it will not rewrite is found to come
+    from these settings.
 
     ``reads`` are the artifacts the command needs; a missing one is refused,
     naming the command that writes it.  ``pipeline`` needs none: it reuses a
@@ -265,9 +265,9 @@ def _prepare(args, command: str, *reads: str) -> tuple[RunConfig, Path, typing.C
         run_dir / name for name in dict.fromkeys((*reads, *artifacts))
         if name not in writes and (run_dir / name).exists()
     ]
-    begin = functools.partial(_begin, cfg, run_dir, writes)
+    record = _recorder(cfg, run_dir, writes)
     if not kept:
-        return cfg, run_dir, begin
+        return cfg, run_dir, record
     snapshot_path = run_dir / CONFIG_SNAPSHOT_FILE
     advice = "remove it or choose another output_dir"
     if not snapshot_path.exists():
@@ -292,24 +292,45 @@ def _prepare(args, command: str, *reads: str) -> tuple[RunConfig, Path, typing.C
                     f"{made[0]} was made with {section}.{key} = {found} ({snapshot_path}), but "
                     f"the config asks for {asked}; remove {names} or choose another output_dir"
                 )
-    return cfg, run_dir, begin
+    return cfg, run_dir, record
 
 
-def _begin(cfg: RunConfig, run_dir: Path, writes: tuple[str, ...]) -> None:
-    """Make the run directory, remove the artifacts about to be rewritten and
-    record the settings, so that ``config.json`` describes every artifact
-    there even if the phase then fails or is interrupted.  A phase calls
-    it just before its first write."""
-    run_dir.mkdir(parents=True, exist_ok=True)
-    for name in writes:
-        (run_dir / name).unlink(missing_ok=True)
-    save_config_snapshot(cfg, run_dir)
+def _recorder(cfg: RunConfig, run_dir: Path, writes: tuple[str, ...]) -> typing.Callable:
+    """The ``record(phase, *results)`` that writes each phase's results into
+    ``run_dir`` as its artifacts in :data:`PHASE_FILES`.  Its first call
+    makes the run directory, removes the artifacts ``writes`` names and
+    records the settings, so that ``config.json`` describes every artifact
+    there even if a later phase fails or is interrupted."""
+    begun = False
+
+    def record(phase: int, *results) -> None:
+        nonlocal begun
+        if not begun:
+            run_dir.mkdir(parents=True, exist_ok=True)
+            for name in writes:
+                (run_dir / name).unlink(missing_ok=True)
+            save_config_snapshot(cfg, run_dir)
+            begun = True
+        paths = [run_dir / name for name in list(PHASE_FILES.values())[phase - 1]]
+        if phase == 2:
+            best, history = results
+            save_history(history, paths[0])
+            save_individual(best, cfg.search.resolve_max_active(best.class_count), paths[1])
+        elif phase == 3:
+            save_guided_manifest(results[0], paths[0])
+        else:  # phases 1 and 4: a model and its metrics
+            save_model(results[0], paths[0])
+            save_metrics(results[1], paths[1])
+        log.info("phase %d saved: %s", phase, ", ".join(str(path) for path in paths))
+
+    return record
 
 
 def cmd_train_random(args) -> int:
-    cfg, run_dir, begin = _prepare(args, "train-random")
+    cfg, _, record = _prepare(args, "train-random")
     train, val = build_datasets(cfg.dataset)
-    _, metrics = train_fitness_model(train, val, cfg.train, run_dir, begin)
+    model, metrics = train_random_patchmix(train, val, cfg.train)
+    record(1, model, metrics)
     last = metrics[-1]
     print(f"val_top1,{last.val_top1!r}")
     print(f"val_patch_acc,{last.val_patch_acc!r}")
@@ -317,42 +338,45 @@ def cmd_train_random(args) -> int:
 
 
 def cmd_search(args) -> int:
-    cfg, run_dir, begin = _prepare(args, "search", FITNESS_MODEL_FILE)
+    cfg, run_dir, record = _prepare(args, "search", FITNESS_MODEL_FILE)
     model = load_model(run_dir / FITNESS_MODEL_FILE)
     val = build_dataset(cfg.dataset, val=True)
-    best, history = run_fitness_search(model, val, cfg.search, run_dir, begin)
+    best, history = run_fitness_search(model, val, cfg.search)
+    record(2, best, history)
     print(f"best_score,{best.fitness!r}")
     print(f"generations,{history[-1].generation}")
     return 0
 
 
 def cmd_generate(args) -> int:
-    cfg, run_dir, begin = _prepare(args, "generate", BEST_INDIVIDUAL_FILE)
+    cfg, run_dir, record = _prepare(args, "generate", BEST_INDIVIDUAL_FILE)
     best, _ = load_individual(run_dir / BEST_INDIVIDUAL_FILE)
     train = build_dataset(cfg.dataset, val=False)
-    recipe = write_guided_manifest(best, train, cfg.train, run_dir, begin)
+    recipe = guided_recipe(best, train, cfg.train)
+    record(3, recipe)
     print(f"guided_samples,{len(recipe)}")
     return 0
 
 
 def cmd_train_guided(args) -> int:
-    cfg, run_dir, begin = _prepare(
+    cfg, run_dir, record = _prepare(
         args, "train-guided", BEST_INDIVIDUAL_FILE, GUIDED_MANIFEST_FILE
     )
     best, _ = load_individual(run_dir / BEST_INDIVIDUAL_FILE)
     recipe = load_guided_manifest(run_dir / GUIDED_MANIFEST_FILE)
     train, val = build_datasets(cfg.dataset)
-    _, metrics = train_guided_model(best, recipe, train, val, cfg.train, run_dir, begin)
+    model, metrics = train_guided_model(best, recipe, train, val, cfg.train)
+    record(4, model, metrics)
     print(f"val_top1,{metrics[-1].val_top1!r}")
     return 0
 
 
 def cmd_pipeline(args) -> int:
-    cfg, run_dir, begin = _prepare(args, "pipeline")
+    cfg, run_dir, record = _prepare(args, "pipeline")
     checkpoint = run_dir / FITNESS_MODEL_FILE
     fitness_model = load_model(checkpoint) if checkpoint.exists() else None
     train, val = build_datasets(cfg.dataset)
-    result = run_guided_pipeline(train, val, cfg.train, cfg.search, run_dir, fitness_model, begin)
+    result = run_guided_pipeline(train, val, cfg.train, cfg.search, fitness_model, record)
     last = result.final_metrics[-1]
     print(f"best_score,{result.best_individual.fitness!r}")
     print(f"val_top1,{last.val_top1!r}")
@@ -416,9 +440,7 @@ def _demo_train(method: str, train: Dataset, val: Dataset, cfg: TrainConfig):
             patience=15,
             seed=cfg.seed,
         )
-        with tempfile.TemporaryDirectory(prefix="pmx-demo-") as tmp:
-            result = run_guided_pipeline(train, val, cfg, search_cfg, Path(tmp))
-        return result.final_model
+        return run_guided_pipeline(train, val, cfg, search_cfg).final_model
     raise ConfigError(f"unknown method {method!r}")
 
 

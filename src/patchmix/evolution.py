@@ -42,7 +42,7 @@ import numpy as np
 from . import losses
 from .data import Dataset, _write_atomic
 from .errors import ConfigError, FormatError, NumericError
-from .masks import mask_rows, parse_mask_rows, sample_mask_bits
+from .masks import _as_bits, mask_rows, parse_mask_rows, sample_mask_bits
 from .model import ReferenceModel, _check_classes, forward_batch
 from .rng import RngKey
 
@@ -108,8 +108,10 @@ class Individual:
     fitness: float | None = None
 
     def __post_init__(self):
-        self.head = np.ascontiguousarray(self.head, dtype=np.uint8)
-        self.masks = np.ascontiguousarray(self.masks, dtype=np.uint8)
+        # Bits of another type than uint8 must be 0/1.  uint8 bits are not
+        # scanned: the search builds every offspring here, from 0/1 arrays.
+        self.head = np.ascontiguousarray(_as_bits(self.head, "head bits"))
+        self.masks = np.ascontiguousarray(_as_bits(self.masks))
         if self.head.ndim != 1:
             raise ConfigError("head must be one-dimensional")
         if (
@@ -608,7 +610,12 @@ _PAIR_RE = re.compile(r"^\((\d+),(\d+)\)$")
 
 
 def format_individual(individual: Individual, max_active: int) -> str:
-    """Genome text: header, head bits, then each active slot's pair and rows."""
+    """Genome text: header, head bits, then each active slot's pair and rows.
+    A head or active mask with a value other than 0/1 is refused, since
+    :func:`parse_individual` could not read it back."""
+    active = individual.masks[individual.active_slots()]
+    if not (np.isin(individual.head, (0, 1)).all() and np.isin(active, (0, 1)).all()):
+        raise ConfigError("genome head and active masks must contain only 0/1 values")
     lines = [
         f"C={individual.class_count} P={individual.grid_size} N={max_active}",
         "".join(str(int(v)) for v in individual.head),

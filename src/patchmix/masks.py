@@ -3,7 +3,9 @@
 A grid mask is a (P, P) uint8 array, one 0/1 bit per patch cell: bit
 ``bits[r, s]`` names the source of the whole pixel region of cell (r, s).
 ``mixing.patchmix`` and ``mixing.patchmix_batch`` copy each cell whole from
-that source into patch matrices, and check masks as :func:`_check_mask`.
+that source into patch matrices.  ``patchmix`` checks its mask with
+:func:`_check_mask`; ``patchmix_batch`` checks its stack with :func:`_as_bits`,
+a 0/1 value check and :func:`_check_square`.
 
 Random masks are drawn a batch at a time: :func:`sample_mask_bits` returns
 a (count, P, P) stack of fair-coin cells from one ``rng.random`` call, and
@@ -57,7 +59,7 @@ def _check_square(bits: np.ndarray, ndim: int) -> None:
         raise ConfigError("grid size must be at least 1")
 
 
-def _as_bits(mask) -> np.ndarray:
+def _as_bits(mask, what: str = "mask bits") -> np.ndarray:
     """``mask`` as a uint8 array.  A mask of another type is rejected unless
     every value is 0 or 1: the cast would wrap 257 to 1 and truncate 1.5 to
     1.  The callers check uint8 values themselves."""
@@ -65,7 +67,7 @@ def _as_bits(mask) -> np.ndarray:
     if bits.dtype == np.uint8:
         return bits
     if not ((bits == 0) | (bits == 1)).all():
-        raise ConfigError("mask bits must contain only 0/1 values")
+        raise ConfigError(f"{what} must contain only 0/1 values")
     return bits.astype(np.uint8)
 
 

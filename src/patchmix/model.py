@@ -689,16 +689,13 @@ def save_metrics(metrics: Sequence[EpochMetrics], path) -> None:
 
 def load_metrics(path) -> list[EpochMetrics]:
     rows = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise FormatError(f"bad metrics line {line!r}")
-        rows.append(
-            EpochMetrics(
-                int(parts[0]), float(parts[1]), float(parts[2]),
-                float(parts[3]), float(parts[4]),
-            )
-        )
+        try:  # a field count other than five raises ValueError too
+            epoch, lr, loss, top1, patch_acc = line.split(",")
+            row = EpochMetrics(int(epoch), float(lr), float(loss), float(top1), float(patch_acc))
+        except ValueError as err:
+            raise FormatError(f"{path}: bad metrics line {number}: {line!r}") from err
+        rows.append(row)
     return rows

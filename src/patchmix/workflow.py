@@ -1,16 +1,15 @@
 """Four-phase guided training pipeline.
 
-Each phase is one function that writes its artifacts into the run
-directory; the CLI phase commands and :func:`run_guided_pipeline` call the
-same four.
+Each phase is one function that returns its results and writes nothing;
+the CLI phase commands and :func:`run_guided_pipeline` call the same four.
 
-1. :func:`train_fitness_model` trains a fitness model on randomly
-   grid-mixed batches (full combined objective).
+1. :func:`~patchmix.model.train_random_patchmix` trains a fitness model on
+   randomly grid-mixed batches (full combined objective).
 2. :func:`run_fitness_search` searches mask/pair genomes against the
    frozen fitness model, scored from one forward pass of a seeded fraction
    of the validation set.
-3. :func:`write_guided_manifest` draws the guided recipe from the best
-   genome (one entry per training image: uniform active slot, one training
+3. :func:`guided_recipe` draws the guided recipe from the best genome
+   (one entry per training image: uniform active slot, one training
    image per class side; each of the three is drawn for all entries at
    once).  The genome must have the dataset's class count.
 4. :func:`train_guided_model` composes the recipe's guided set, one
@@ -24,16 +23,12 @@ same four.
    tail.  The random rows draw every first source, then every second
    source, then every mask: the artifacts' bytes rest on that order.
 
-The phases write the run directory and never read it back.  Given a fitness
-model, :func:`run_guided_pipeline` skips phase 1; the CLI passes a run
-directory's checkpoint only when the directory's ``config.json`` records
-the run's ``dataset`` and ``train`` settings.  Each phase takes an optional
-``begin`` and calls it once, after its work and just before its first
-write; :func:`run_guided_pipeline` hands its own to the first phase it
-runs.  The CLI's ``begin`` removes the artifacts the command rewrites and
-rewrites that file with every setting of the run, so a phase that refuses
-its inputs, fails or is stopped before it writes leaves the directory as
-it was.
+Given a fitness model, :func:`run_guided_pipeline` skips phase 1; the CLI
+passes a run directory's checkpoint only when the directory's
+``config.json`` records the run's ``dataset`` and ``train`` settings.  The
+pipeline hands each phase's results to its ``record``, if given, as that
+phase ends; the CLI's writes them into the run directory.  Of that
+directory, this module defines only the guided manifest's text format.
 """
 
 from __future__ import annotations
@@ -54,8 +49,6 @@ from .evolution import (
     SearchConfig,
     evaluate_fitness,
     run_search,
-    save_history,
-    save_individual,
     slot_pairs,
 )
 from .masks import _check_divisible, sample_mask_bits
@@ -65,26 +58,13 @@ from .model import (
     ReferenceModel,
     TrainConfig,
     _train_loop,
-    save_metrics,
-    save_model,
     train_random_patchmix,
 )
 from .rng import RngKey
 
 log = logging.getLogger("patchmix.workflow")
 
-FITNESS_MODEL_FILE = "f_t_model.pmxm"
-FITNESS_METRICS_FILE = "f_t_metrics.csv"
-SEARCH_HISTORY_FILE = "search_history.csv"
-BEST_INDIVIDUAL_FILE = "best_individual.txt"
-GUIDED_MANIFEST_FILE = "guided_set.txt"
-FINAL_MODEL_FILE = "f_o_model.pmxm"
-FINAL_METRICS_FILE = "f_o_metrics.csv"
-
 DEFAULT_BATCH_RATIO = (1, 1, 1)
-
-# A phase calls its ``begin``, if given, once: after its work, just before its first write.
-Begin = Callable[[], None] | None
 
 
 @dataclass
@@ -337,35 +317,15 @@ def fitness_val_subset(val: Dataset, cfg: SearchConfig) -> Dataset:
     return val.subset(chosen)
 
 
-def train_fitness_model(
-    train: Dataset, val: Dataset, cfg: TrainConfig, run_dir: Path, begin: Begin = None
-):
-    """Phase 1: train the fitness model on random grid mixing and write it
-    and its metrics into ``run_dir``.  Returns ``(model, metrics)``."""
-    model, metrics = train_random_patchmix(train, val, cfg)
-    if begin is not None:
-        begin()
-    save_model(model, run_dir / FITNESS_MODEL_FILE)
-    save_metrics(metrics, run_dir / FITNESS_METRICS_FILE)
-    log.info("phase 1 done: fitness model saved to %s", run_dir / FITNESS_MODEL_FILE)
-    return model, metrics
-
-
-def run_fitness_search(
-    model: ReferenceModel, val: Dataset, cfg: SearchConfig, run_dir: Path, begin: Begin = None
-):
+def run_fitness_search(model: ReferenceModel, val: Dataset, cfg: SearchConfig):
     """Phase 2: search genomes of the model's grid against the frozen
-    model, scored from one forward pass of the seeded fitness subset, and
-    write the history and the best genome into ``run_dir``."""
+    model, scored from one forward pass of the seeded fitness subset.
+    Returns ``(best, history)``."""
     table = FitnessTable.build(model, fitness_val_subset(val, cfg), cfg)
     best, history = run_search(
         cfg, val.class_count, model.grid_size,
         lambda individual: evaluate_fitness(individual, table),
     )
-    if begin is not None:
-        begin()
-    save_history(history, run_dir / SEARCH_HISTORY_FILE)
-    save_individual(best, cfg.resolve_max_active(val.class_count), run_dir / BEST_INDIVIDUAL_FILE)
     log.info(
         "phase 2 done: best score %.6f after %d generations; "
         "%d genomes scored by %s from a table of %d forwarded images",
@@ -374,19 +334,11 @@ def run_fitness_search(
     return best, history
 
 
-def write_guided_manifest(
-    best: Individual, train: Dataset, cfg: TrainConfig, run_dir: Path, begin: Begin = None
-):
-    """Phase 3: draw one guided recipe entry per training image from a
-    stream of the training seed and write the manifest into ``run_dir``.
-    Returns the recipe."""
+def guided_recipe(best: Individual, train: Dataset, cfg: TrainConfig):
+    """Phase 3: one guided recipe entry per training image, drawn from the
+    ``"guided-set"`` stream of the training seed."""
     rng = RngKey(cfg.seed).child("guided-set").generator()
-    recipe = draw_guided_recipe(best, train, len(train), rng)
-    if begin is not None:
-        begin()
-    save_guided_manifest(recipe, run_dir / GUIDED_MANIFEST_FILE)
-    log.info("phase 3 done: %d guided samples", len(recipe))
-    return recipe
+    return draw_guided_recipe(best, train, len(train), rng)
 
 
 def train_guided_model(
@@ -395,20 +347,10 @@ def train_guided_model(
     train: Dataset,
     val: Dataset,
     cfg: TrainConfig,
-    run_dir: Path,
-    begin: Begin = None,
 ):
-    """Phase 4: compose the recipe's guided set, train the final model on it
-    (:func:`train_final`) and write the model and its metrics into
-    ``run_dir``.  Returns ``(model, metrics)``."""
-    guided_set = materialize_guided(best, train, recipe)
-    model, metrics = train_final(train, val, cfg, guided_set)
-    if begin is not None:
-        begin()
-    save_model(model, run_dir / FINAL_MODEL_FILE)
-    save_metrics(metrics, run_dir / FINAL_METRICS_FILE)
-    log.info("phase 4 done: final model saved to %s", run_dir / FINAL_MODEL_FILE)
-    return model, metrics
+    """Phase 4: compose the recipe's guided set and train the final model on
+    it (:func:`train_final`).  Returns ``(model, metrics)``."""
+    return train_final(train, val, cfg, materialize_guided(best, train, recipe))
 
 
 def _check_class_coverage(train: Dataset, val: Dataset) -> None:
@@ -426,35 +368,31 @@ def run_guided_pipeline(
     val: Dataset,
     train_cfg: TrainConfig,
     search_cfg: SearchConfig,
-    run_dir,
     fitness_model: ReferenceModel | None = None,
-    begin: Begin = None,
+    record: Callable[..., None] | None = None,
 ) -> PipelineResult:
-    """Run all four phases, writing artifacts into ``run_dir``; given
-    ``fitness_model``, phase 1 is skipped and the result's ``fitness_metrics``
-    is None.  A set that lacks a class, a grid that does not split the
-    images and a pair limit the class count refutes are refused before
-    phase 1 runs.  The first phase that runs makes ``run_dir`` and calls
-    ``begin``, if given, just before its first write."""
+    """Run all four phases; given ``fitness_model``, phase 1 is skipped and
+    the result's ``fitness_metrics`` is None.  A set that lacks a class, a
+    grid that does not split the images and a pair limit the class count
+    refutes are refused before phase 1 runs.  As each phase that runs ends,
+    ``record(phase, *results)`` is called, if given, with the phase number
+    and what that phase returned; without it nothing is written."""
     _check_class_coverage(train, val)
     _check_divisible(train.width, train.height, train_cfg.grid_size)
     search_cfg.resolve_max_active(val.class_count)
-    run_dir = Path(run_dir)
-
-    def start() -> None:
-        run_dir.mkdir(parents=True, exist_ok=True)
-        if begin is not None:
-            begin()
-
+    record = record or (lambda phase, *results: None)
     fitness_metrics: list[EpochMetrics] | None = None
     if fitness_model is None:
-        fitness_model, fitness_metrics = train_fitness_model(train, val, train_cfg, run_dir, start)
-        start = None  # phase 1 made the first write
+        fitness_model, fitness_metrics = train_random_patchmix(train, val, train_cfg)
+        record(1, fitness_model, fitness_metrics)
     else:
         log.info("phase 1 skipped: reusing the given fitness model")
-    best, history = run_fitness_search(fitness_model, val, search_cfg, run_dir, start)
-    recipe = write_guided_manifest(best, train, train_cfg, run_dir)
-    final_model, final_metrics = train_guided_model(best, recipe, train, val, train_cfg, run_dir)
+    best, history = run_fitness_search(fitness_model, val, search_cfg)
+    record(2, best, history)
+    recipe = guided_recipe(best, train, train_cfg)
+    record(3, recipe)
+    final_model, final_metrics = train_guided_model(best, recipe, train, val, train_cfg)
+    record(4, final_model, final_metrics)
     return PipelineResult(
         fitness_model=fitness_model,
         fitness_metrics=fitness_metrics,

@@ -15,7 +15,17 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES
 from patchmix import workflow
-from patchmix.cli import main, run_boundary_demo
+from patchmix.cli import (
+    BEST_INDIVIDUAL_FILE,
+    FINAL_METRICS_FILE,
+    FINAL_MODEL_FILE,
+    FITNESS_METRICS_FILE,
+    FITNESS_MODEL_FILE,
+    GUIDED_MANIFEST_FILE,
+    SEARCH_HISTORY_FILE,
+    main,
+    run_boundary_demo,
+)
 from patchmix.data import synth_shapes, toy_2d_three_class
 from patchmix.evolution import (
     Rules,
@@ -42,13 +52,6 @@ from patchmix.model import (
     train_random_patchmix,
 )
 from patchmix.workflow import (
-    BEST_INDIVIDUAL_FILE,
-    FINAL_METRICS_FILE,
-    FINAL_MODEL_FILE,
-    FITNESS_METRICS_FILE,
-    FITNESS_MODEL_FILE,
-    GUIDED_MANIFEST_FILE,
-    SEARCH_HISTORY_FILE,
     ablation_csv_lines,
     ablation_grid,
     run_guided_pipeline,
@@ -358,7 +361,7 @@ def toy_training():
 
 
 @criterion(6, "toy training reaches 0.90 and guided stays within 0.02 of baseline")
-def test_end_to_end_toy_training(toy_training, tmp_path_factory):
+def test_end_to_end_toy_training(toy_training):
     model, metrics, _, elapsed = toy_training
     top1 = metrics[-1].val_top1
     assert top1 >= 0.90
@@ -374,8 +377,7 @@ def test_end_to_end_toy_training(toy_training, tmp_path_factory):
         search = SearchConfig(
             population_size=12, generations=5, pairs_per_combo=8, patience=8, seed=seed
         )
-        run_dir = tmp_path_factory.mktemp(f"guided-{seed}")
-        result = run_guided_pipeline(train, val, cfg, search, run_dir)
+        result = run_guided_pipeline(train, val, cfg, search)
         guided_scores.append(result.final_metrics[-1].val_top1)
         base_cfg = replace(cfg, loss_mode="image_only")
         _, base_metrics = train_final(train, val, base_cfg, [], ratio=(1, 1, 0))

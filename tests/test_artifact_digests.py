@@ -6,8 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from patchmix.cli import main
-from patchmix.workflow import FINAL_METRICS_FILE
+from patchmix.cli import FINAL_METRICS_FILE, main
 
 from test_cli import config_data
 

@@ -8,7 +8,14 @@ import pytest
 
 from patchmix import cli, workflow
 from patchmix.cli import (
+    BEST_INDIVIDUAL_FILE,
     CONFIG_SNAPSHOT_FILE,
+    FINAL_METRICS_FILE,
+    FINAL_MODEL_FILE,
+    FITNESS_METRICS_FILE,
+    FITNESS_MODEL_FILE,
+    GUIDED_MANIFEST_FILE,
+    SEARCH_HISTORY_FILE,
     DatasetConfig,
     RunConfig,
     build_datasets,
@@ -29,15 +36,6 @@ from patchmix.evolution import (
     slot_pairs,
 )
 from patchmix.model import ReferenceModel, TrainConfig, load_model, save_model
-from patchmix.workflow import (
-    BEST_INDIVIDUAL_FILE,
-    FINAL_METRICS_FILE,
-    FINAL_MODEL_FILE,
-    FITNESS_METRICS_FILE,
-    FITNESS_MODEL_FILE,
-    GUIDED_MANIFEST_FILE,
-    SEARCH_HISTORY_FILE,
-)
 
 from test_data import make_cifar_bytes
 

@@ -35,6 +35,7 @@ from patchmix.evolution import (
     repair,
     run_search,
     same_class_slots,
+    save_individual,
     slot_pairs,
     tournament_select,
     transpose_tails,
@@ -831,6 +832,44 @@ class TestGenomeText:
         ind = make_individual(class_count=2, active=(1,))
         ind.masks[1] = np.array([[1, 0], [0, 1]], dtype=np.uint8)
         assert format_individual(ind, 2) == "C=2 P=2 N=2\n010\n(0,1)\n10\n01"
+
+    @pytest.mark.parametrize(
+        "head, cell, message",
+        [
+            ([1, 0, 2], 1, "head bits must contain only 0/1 values"),
+            ([1, 0, 0], 257, "mask bits must contain only 0/1 values"),
+            ([1, 0, 0], 1.5, "mask bits must contain only 0/1 values"),
+        ],
+        ids=["head-2", "mask-257", "mask-1.5"],
+    )
+    def test_bits_of_another_type_refused_unless_0_or_1(self, head, cell, message):
+        # A cast to uint8 would keep 2, wrap 257 to 1 and truncate 1.5 to 1.
+        masks = np.zeros((3, 2, 2), dtype=type(cell))
+        masks[0, 0, 0] = cell
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            Individual(head, masks)
+
+    def test_bits_of_another_type_accepted_when_0_or_1(self):
+        ind = Individual([0, 1, 0], np.eye(2)[None].repeat(3, axis=0))
+        assert ind.head.dtype == ind.masks.dtype == np.uint8
+        assert format_individual(ind, 2) == "C=2 P=2 N=2\n010\n(0,1)\n10\n01"
+
+    @pytest.mark.parametrize("where", ["head", "active mask"])
+    def test_unreadable_genome_not_written(self, tmp_path, where):
+        ind = make_individual(class_count=2, active=(1,))
+        if where == "head":
+            ind.head[1] = 2
+        else:
+            ind.masks[1, 0, 0] = 2
+        path = tmp_path / "best.txt"
+        with pytest.raises(ConfigError, match="only 0/1 values"):
+            save_individual(ind, 2, path)
+        assert not path.exists()
+
+    def test_inactive_mask_values_not_written(self):
+        ind = make_individual(class_count=2, active=(1,))
+        ind.masks[0] = 7  # slot 0 is inactive: its mask is not in the text
+        assert parse_individual(format_individual(ind, 2))[0].head.tolist() == [0, 1, 0]
 
     @pytest.mark.parametrize(
         "text",

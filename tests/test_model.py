@@ -671,3 +671,10 @@ class TestMetricsFile:
         path.write_text("0,0.1,1.0\n")
         with pytest.raises(FormatError):
             load_metrics(path)
+
+    def test_non_numeric_field_rejected_naming_file_and_line(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text("0,0.1,1.0,0.5,0.25\n1,0.1,x,0.5,0.25\n")
+        with pytest.raises(FormatError) as err:
+            load_metrics(path)
+        assert str(err.value) == f"{path}: bad metrics line 2: '1,0.1,x,0.5,0.25'"

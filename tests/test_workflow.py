@@ -13,22 +13,16 @@ from patchmix.evolution import SearchConfig, evaluate_fitness, index_to_pair, pa
 from patchmix.mixing import MixedBatch, patchmix, patchmix_batch
 from patchmix.losses import loss_eval_count
 from patchmix.masks import sample_mask_bits
-from patchmix.model import TrainConfig, load_model, patchify
+from patchmix.model import TrainConfig, load_model, patchify, save_model
 from patchmix.rng import RngKey
 from patchmix.workflow import (
-    BEST_INDIVIDUAL_FILE,
-    FINAL_METRICS_FILE,
-    FINAL_MODEL_FILE,
-    FITNESS_METRICS_FILE,
-    FITNESS_MODEL_FILE,
-    GUIDED_MANIFEST_FILE,
-    SEARCH_HISTORY_FILE,
     AblationRow,
     ablation_csv_lines,
     ablation_grid,
     draw_guided_recipe,
     fitness_val_subset,
     guided_batch_composer,
+    guided_recipe,
     load_guided_manifest,
     materialize_guided,
     run_fitness_search,
@@ -544,45 +538,52 @@ def tiny_cfg():
     return TrainConfig(epochs=4, batch_size=30, hidden_dim=16, grid_size=2, seed=13)
 
 
+def recorder():
+    """A ``record`` that keeps every call's phase and results."""
+    calls = []
+    return calls, lambda phase, *results: calls.append((phase, results))
+
+
 class TestPipeline:
-    def test_all_artifacts_written(self, tiny_sets, tiny_cfg, tmp_path_factory):
+    def test_without_record_nothing_is_written(self, tiny_sets, tiny_cfg, tmp_path, monkeypatch):
         train, val = tiny_sets
-        run_dir = tmp_path_factory.mktemp("pipeline")
-        result = run_guided_pipeline(train, val, tiny_cfg, SMALL_SEARCH, run_dir)
-        for name in (
-            FITNESS_MODEL_FILE,
-            FITNESS_METRICS_FILE,
-            SEARCH_HISTORY_FILE,
-            BEST_INDIVIDUAL_FILE,
-            GUIDED_MANIFEST_FILE,
-            FINAL_MODEL_FILE,
-            FINAL_METRICS_FILE,
-        ):
-            assert (run_dir / name).exists(), name
+        monkeypatch.chdir(tmp_path)
+        result = run_guided_pipeline(train, val, tiny_cfg, SMALL_SEARCH)
+        assert list(tmp_path.iterdir()) == []
         assert result.best_individual.fitness is not None
         assert len(result.final_metrics) == tiny_cfg.epochs
+
+    def test_record_gets_every_phase_in_order(self, tiny_sets, tiny_cfg):
+        train, val = tiny_sets
+        calls, record = recorder()
+        result = run_guided_pipeline(train, val, tiny_cfg, SMALL_SEARCH, record=record)
+        assert [phase for phase, _ in calls] == [1, 2, 3, 4]
+        (_, fitness), (_, search), (_, (recipe,)), (_, final) = calls
+        assert fitness == (result.fitness_model, result.fitness_metrics)
+        assert search == (result.best_individual, result.history)
+        assert final == (result.final_model, result.final_metrics)
         assert result.fitness_metrics is not None
-        # Guided manifest covers one draw per training image.
-        recipe = load_guided_manifest(run_dir / GUIDED_MANIFEST_FILE)
+        # The guided recipe covers one draw per training image.
+        assert recipe == guided_recipe(result.best_individual, train, tiny_cfg)
         assert len(recipe) == len(train)
 
-    def test_resume_skips_phase_one(self, tiny_sets, tiny_cfg, tmp_path_factory, caplog):
+    def test_resume_skips_phase_one(self, tiny_sets, tiny_cfg, caplog):
         train, val = tiny_sets
-        run_dir = tmp_path_factory.mktemp("resume")
-        first = run_guided_pipeline(train, val, tiny_cfg, SMALL_SEARCH, run_dir)
-        final_bytes = (run_dir / FINAL_MODEL_FILE).read_bytes()
-        best_text = (run_dir / BEST_INDIVIDUAL_FILE).read_text()
-
-        checkpoint = load_model(run_dir / FITNESS_MODEL_FILE)
+        first = run_guided_pipeline(train, val, tiny_cfg, SMALL_SEARCH)
+        calls, record = recorder()
         with caplog.at_level(logging.INFO, logger="patchmix.workflow"):
             second = run_guided_pipeline(
-                train, val, tiny_cfg, SMALL_SEARCH, run_dir, fitness_model=checkpoint
+                train, val, tiny_cfg, SMALL_SEARCH, fitness_model=first.fitness_model,
+                record=record,
             )
         assert any("phase 1 skipped" in r.message for r in caplog.records)
+        assert [phase for phase, _ in calls] == [2, 3, 4]
         assert second.fitness_metrics is None
-        # Same checkpoint in, same artifacts out.
-        assert (run_dir / FINAL_MODEL_FILE).read_bytes() == final_bytes
-        assert (run_dir / BEST_INDIVIDUAL_FILE).read_text() == best_text
+        # Same fitness model in, same results out.
+        best, again = first.best_individual, second.best_individual
+        np.testing.assert_array_equal(again.head, best.head)
+        np.testing.assert_array_equal(again.masks, best.masks)
+        assert again.fitness == best.fitness
         np.testing.assert_array_equal(
             first.final_model.w_img, second.final_model.w_img
         )
@@ -591,7 +592,7 @@ class TestPipeline:
         "objective, form", [("min_patch_acc", "per-cell counts"), ("min_lp", "composite gather")]
     )
     def test_phase_two_log_counts_table_images_and_genomes(
-        self, tiny_sets, tiny_cfg, tmp_path_factory, caplog, monkeypatch, objective, form
+        self, tiny_sets, tiny_cfg, caplog, monkeypatch, objective, form
     ):
         train, val = tiny_sets
         search = replace(SMALL_SEARCH, objective=objective)
@@ -602,17 +603,14 @@ class TestPipeline:
             return evaluate_fitness(individual, table)
 
         monkeypatch.setattr(workflow, "evaluate_fitness", counted)
-        run_dir = tmp_path_factory.mktemp("phase-two-log")
         with caplog.at_level(logging.INFO, logger="patchmix.workflow"):
-            run_guided_pipeline(train, val, tiny_cfg, search, run_dir)
+            run_guided_pipeline(train, val, tiny_cfg, search)
         [line] = [r.getMessage() for r in caplog.records if "phase 2 done" in r.getMessage()]
         images = len(fitness_val_subset(val, search))
         assert len(calls) >= search.population_size
         assert f"; {len(calls)} genomes scored by {form} from a table of {images} forwarded" in line
 
-    def test_winner_keeps_its_score_on_the_run_table(
-        self, small_model, small_val, tmp_path, monkeypatch
-    ):
+    def test_winner_keeps_its_score_on_the_run_table(self, small_model, small_val, monkeypatch):
         # A loss objective ranks genomes, so a score taken on other draws
         # than the table's would show in the winner's re-score.
         cfg = SearchConfig(
@@ -626,7 +624,7 @@ class TestPipeline:
             return scored[-1][1]
 
         monkeypatch.setattr(workflow, "evaluate_fitness", recorded)
-        best, history = run_fitness_search(small_model, small_val, cfg, tmp_path)
+        best, history = run_fitness_search(small_model, small_val, cfg)
         [table] = {id(table): table for table, _ in scored}.values()
         scores = {score for _, score in scored}
         assert len(scores) > 1
@@ -635,21 +633,24 @@ class TestPipeline:
 
     @pytest.mark.parametrize("side, name", [(0, "training set"), (1, "validation set")])
     def test_set_without_a_class_refused_before_phase_one(
-        self, tiny_sets, tiny_cfg, tmp_path, side, name
+        self, tiny_sets, tiny_cfg, monkeypatch, side, name
     ):
         sets = list(tiny_sets)
         sets[side] = sets[side].subset(np.flatnonzero(sets[side].labels != 2))
+        monkeypatch.setattr(workflow, "train_random_patchmix", lambda *a: pytest.fail("phase 1 ran"))
         with pytest.raises(ConfigError, match=f"^{name} has no samples of class 2$"):
-            run_guided_pipeline(*sets, tiny_cfg, SMALL_SEARCH, tmp_path / "run")
-        assert not (tmp_path / "run").exists()
+            run_guided_pipeline(*sets, tiny_cfg, SMALL_SEARCH)
 
-    def test_fitness_model_checkpoint_matches_result(
-        self, tiny_sets, tiny_cfg, tmp_path_factory
-    ):
+    def test_fitness_model_checkpoint_matches_result(self, tiny_sets, tiny_cfg, tmp_path):
         train, val = tiny_sets
-        run_dir = tmp_path_factory.mktemp("checkpoint")
-        result = run_guided_pipeline(train, val, tiny_cfg, SMALL_SEARCH, run_dir)
-        loaded = load_model(run_dir / FITNESS_MODEL_FILE)
+        path = tmp_path / "fitness.pmxm"
+
+        def record(phase, *results):
+            if phase == 1:
+                save_model(results[0], path)
+
+        result = run_guided_pipeline(train, val, tiny_cfg, SMALL_SEARCH, record=record)
+        loaded = load_model(path)
         np.testing.assert_array_equal(loaded.w_embed, result.fitness_model.w_embed)
         np.testing.assert_array_equal(loaded.b_img, result.fitness_model.b_img)
 
