@@ -2,7 +2,7 @@
 
     python3 scripts/bench_pairs.py --label NAME --seeds 601-610 \
         [--parent HEAD] [--claim quickstart.p1_samples_per_s] \
-        [--change "what the change does"] [--tmp-dir DIR]
+        [--change "what the change does"] [--anchor REF] [--tmp-dir DIR]
 
 For every seed S, runs
 
@@ -33,13 +33,21 @@ metric it feeds.  The probe's own median call time (``mean_s``) is
 compared per workload; a workload whose two sides' probe medians differ by
 more than 5% is flagged ``probe_skewed``, since its rescaled times then
 move with the probe and not only with the program.
+With ``--anchor REF`` a third side, the fixed commit ``REF``, is exported
+like the parent and runs at every seed in the same alternating order
+(odd seeds anchor, parent, change; even seeds the reverse).  Every
+end-to-end metric and as-measured window then also gets the anchor's
+median and the parent/anchor and change/anchor median ratios, so reports
+made at different times, on a host whose speed drifts, can be chained
+through the one anchor.
 With ``--claim`` it also applies the claim rule: the change wins at least
 nine in ten pairs and its median gain exceeds the parent's IQR.  A claim
 that names no workload's end-to-end metric is refused before any run.
 
-The parent is exported with ``git archive`` into a temporary directory
-(under ``--tmp-dir`` if given), so the repository gains no worktree entry
-and the working tree may hold uncommitted changes.  Nothing under
+The parent, and the anchor if given, are exported with ``git archive``
+into a temporary directory (under ``--tmp-dir`` if given), so the
+repository gains no worktree entry and the working tree may hold
+uncommitted changes.  Nothing under
 ``perfbench/`` and no ``BENCHMARK.json`` is written.
 """
 
@@ -77,11 +85,11 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def export_tree(ref: str, dest: Path) -> Path:
-    """The files of commit ``ref`` under ``dest``."""
-    archive = dest / "parent.tar"
+def export_tree(ref: str, dest: Path, name: str) -> Path:
+    """The files of commit ``ref`` under ``dest / name``."""
+    archive = dest / f"{name}.tar"
     subprocess.run(["git", "-C", str(ROOT), "archive", "--output", str(archive), ref], check=True)
-    tree = dest / "parent"
+    tree = dest / name
     with tarfile.open(archive) as tar:
         tar.extractall(tree, filter="data")
     archive.unlink()
@@ -203,7 +211,7 @@ def summarize(results: dict, metrics: list[dict], claim: str | None) -> dict:
     if "as_measured" in results["parent"][0]:
         summary.update(summarize_as_measured(results, metrics))
     summary["all_runs_correct"] = {
-        side: [r["correct"] for r in results[side]] for side in ("parent", "change")
+        side: [r["correct"] for r in runs] for side, runs in results.items()
     }
     return summary
 
@@ -237,6 +245,32 @@ def summarize_as_measured(results: dict, metrics: list[dict]) -> dict:
     return {"as_measured": windows, "probe": probe}
 
 
+def flat(result: dict) -> dict:
+    """One invocation's end-to-end values and as-measured medians, by name."""
+    return {**{k: v["value"] for k, v in result["metrics"].items()},
+            **result.get("as_measured", {})}
+
+
+def median_ratios(results: dict) -> dict:
+    """For every end-to-end metric and as-measured window, the anchor's
+    median and the parent/anchor and change/anchor median ratios."""
+    runs = {side: [flat(r) for r in rs] for side, rs in results.items()}
+    first = results["anchor"][0]
+    names = [*first["metrics"], *(n for n in first.get("as_measured", {})
+                                  if n.split(".")[1] == "wall"
+                                  and n.split(".")[2] in WINDOW_METRICS)]
+    ratios = {}
+    for name in names:
+        anchor, parent, change = (statistics.median(r[name] for r in runs[side])
+                                  for side in ("anchor", "parent", "change"))
+        ratios[name] = {
+            "anchor_median": round(anchor, 6),
+            "parent_over_anchor": round(parent / anchor, 4) if anchor else None,
+            "change_over_anchor": round(change / anchor, 4) if anchor else None,
+        }
+    return ratios
+
+
 def environment(tree: Path, seed: int) -> dict:
     """Host and numpy facts, from the working tree's raw benchmark output."""
     raw = json.loads((tree / ".perfbench_work" / f"quickstart-seed{seed}-trace0.json").read_text())
@@ -249,7 +283,7 @@ def dumps(report: dict) -> str:
     """JSON with one line per metric, like the earlier ``BENCH_*.json`` files."""
     lines = []
     for key, value in report.items():
-        if key in ("end_to_end", "as_measured", "probe", "raw"):
+        if key in ("end_to_end", "as_measured", "probe", "anchor_ratios", "raw"):
             inner = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in value.items())
             lines.append(f" {json.dumps(key)}: {{\n{inner}\n }}")
         else:
@@ -264,6 +298,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", default="HEAD", help="git ref of the parent (default HEAD)")
     parser.add_argument("--claim", help="claimed metric, e.g. quickstart.p1_samples_per_s")
     parser.add_argument("--change", default="", help="one line on what the change does")
+    parser.add_argument("--anchor", help="git ref of a fixed third side, e.g. 7d747bf")
     parser.add_argument("--tmp-dir", type=Path, help="directory for the parent export")
     args = parser.parse_args(argv)
 
@@ -273,13 +308,17 @@ def main(argv=None) -> int:
                      f"choose one of: {', '.join(claimable(benchmark))}")
     metrics = benchmark["end_to_end"]
     workloads = [w["name"] for w in benchmark["workloads"]]
-    parent_sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent],
-                                check=True, capture_output=True, text=True).stdout.strip()
-    results: dict[str, list[dict]] = {"parent": [], "change": []}
+    refs = {"anchor": args.anchor} if args.anchor else {}
+    refs["parent"] = args.parent
+    shas = {side: subprocess.run(["git", "-C", str(ROOT), "rev-parse", ref], check=True,
+                                 capture_output=True, text=True).stdout.strip()
+            for side, ref in refs.items()}
+    results: dict[str, list[dict]] = {side: [] for side in (*shas, "change")}
     with tempfile.TemporaryDirectory(dir=args.tmp_dir) as tmp:
-        trees = {"parent": export_tree(parent_sha, Path(tmp)), "change": ROOT}
+        trees = {side: export_tree(sha, Path(tmp), side) for side, sha in shas.items()}
+        trees["change"] = ROOT
         for seed in args.seeds:
-            order = ("parent", "change") if seed % 2 else ("change", "parent")
+            order = list(results) if seed % 2 else list(results)[::-1]
             for side in order:
                 result = run_bench(trees[side], seed, workloads)
                 results[side].append(result)
@@ -287,16 +326,15 @@ def main(argv=None) -> int:
                       flush=True)
     report = {
         "change": args.change,
-        "parent": parent_sha,
+        **shas,
         "command": "python3 perfbench/run.py --workload all --seed S --seconds 40 --trace 0",
-        "pairs": f"seeds {','.join(map(str, args.seeds))}, one parent and one change "
-                 "invocation per seed; odd seeds ran the parent first, even seeds the change "
-                 "first (scripts/bench_pairs.py)",
+        "pairs": f"seeds {','.join(map(str, args.seeds))}, one invocation per side "
+                 f"({', '.join(results)}) and seed; odd seeds ran them in that order, "
+                 "even seeds in reverse (scripts/bench_pairs.py)",
         "environment": environment(ROOT, args.seeds[-1]),
         **summarize(results, metrics, args.claim),
-        "raw": {side: [{**{k: v["value"] for k, v in r["metrics"].items()}, **r["as_measured"]}
-                       for r in rs]
-                for side, rs in results.items()},
+        **({"anchor_ratios": median_ratios(results)} if args.anchor else {}),
+        "raw": {side: [flat(r) for r in rs] for side, rs in results.items()},
     }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(dumps(report))

@@ -114,6 +114,13 @@ class DatasetConfig:
                 raise ConfigError("missing config key dataset.train_path (required for cifar)")
             if not self.val_path:
                 raise ConfigError("missing config key dataset.val_path (required for cifar)")
+        else:
+            for key in ("train_path", "val_path"):
+                if getattr(self, key) is not None:
+                    raise ConfigError(
+                        f"config key dataset.{key} is read only for kind 'cifar', "
+                        f"got kind {self.kind!r}"
+                    )
         if self.kind == "toy" and self.class_count != 3:
             raise ConfigError(
                 f"dataset.class_count must be 3 for kind 'toy', got {self.class_count}"

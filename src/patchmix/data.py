@@ -22,6 +22,7 @@ import colorsys
 import itertools
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +39,15 @@ DATASET_MAGIC = b"PMXD"
 DATASET_VERSION = 1
 # magic, version, width, height, channels, class_count, sample count
 _HEADER = struct.Struct("<4sIIIIII")
+
+# Values drawn per class from which ``synth_shapes`` post-processes each
+# class on a worker while the next is drawn.  Fresh-process medians of a
+# config's two sets over 12 alternating runs (two cores, numpy 2.4.6): with
+# the overlap, 10 classes of 32 px at 400 and 100 per class (1,228,800 and
+# 307,200 values per class) took 273 -> 229 ms and 97 -> 90 ms, but the
+# quick-start's 153,600 values took 22.9 -> 25.3 ms, so below the floor the
+# classes stay on the calling thread.
+OVERLAP_FLOOR = 2**18
 
 
 @dataclass
@@ -145,6 +155,23 @@ def load_cifar_binary(path) -> Dataset:
     return Dataset(images, labels, CIFAR_CLASS_COUNT)
 
 
+def _class_pattern(k: int, class_count: int, rows, cols) -> np.ndarray:
+    """The noise-free (H, W, 3) float64 image of class ``k``: a hue band
+    pattern whose period and orientation cycle with ``k``."""
+    base = np.asarray(colorsys.hsv_to_rgb(k / class_count, 0.85, 0.9))
+    period = 2 + (k % 3)
+    orient = k % 4
+    if orient == 0:
+        band = (rows // period) % 2
+    elif orient == 1:
+        band = (cols // period) % 2
+    elif orient == 2:
+        band = ((rows + cols) // period) % 2
+    else:
+        band = ((rows - cols) // period) % 2
+    return (0.55 + 0.45 * band.astype(np.float64))[:, :, None] * base
+
+
 def synth_shapes(
     class_count: int,
     image_size: int,
@@ -155,6 +182,14 @@ def synth_shapes(
 
     Each class is a full-image color/stripe pattern plus small pixel
     noise, so any patch region on its own identifies the class.
+
+    The calling thread makes every draw: one ``standard_normal`` fill per
+    class, in class order, from the ``synth-shapes`` stream.  When a class
+    draws at least ``OVERLAP_FLOOR`` values, a one-thread worker scales,
+    adds the pattern, clips and stores each class while the next class is
+    drawn into a second buffer; the worker is joined on return or raise.
+    Smaller classes run on the calling thread alone and start no thread.
+    There is no setting for this, and the pixels are the same either way.
     """
     if image_size % 4 != 0:
         raise ConfigError(f"image_size must be divisible by 4, got {image_size}")
@@ -172,26 +207,30 @@ def synth_shapes(
     images = np.empty(
         (class_count, samples_per_class, image_size, image_size, 3), dtype=np.float32
     )
-    # One float64 noise buffer for every class: a standard normal draw
-    # scaled by 0.04 is the same bytes and stream as rng.normal(0.0, 0.04).
-    noise = np.empty((samples_per_class, image_size, image_size, 3))
-    for k in range(class_count):
-        base = np.asarray(colorsys.hsv_to_rgb(k / class_count, 0.85, 0.9))
-        period = 2 + (k % 3)
-        orient = k % 4
-        if orient == 0:
-            band = (rows // period) % 2
-        elif orient == 1:
-            band = (cols // period) % 2
-        elif orient == 2:
-            band = ((rows + cols) // period) % 2
-        else:
-            band = ((rows - cols) // period) % 2
-        clean = (0.55 + 0.45 * band.astype(np.float64))[:, :, None] * base
-        rng.standard_normal(out=noise)
+
+    # A standard normal draw scaled by 0.04 is the same bytes and stream as
+    # rng.normal(0.0, 0.04).
+    def finish(k: int, noise: np.ndarray) -> None:
         noise *= 0.04
-        noise += clean
+        noise += _class_pattern(k, class_count, rows, cols)
         images[k] = np.clip(noise, 0.0, 1.0, out=noise)
+
+    shape = images.shape[1:]
+    if images[0].size < OVERLAP_FLOOR:
+        noise = np.empty(shape)
+        for k in range(class_count):
+            rng.standard_normal(out=noise)
+            finish(k, noise)
+    else:
+        buffers = (np.empty(shape), np.empty(shape))
+        with ThreadPoolExecutor(1) as worker:
+            pending = None
+            for k in range(class_count):
+                rng.standard_normal(out=buffers[k % 2])
+                if pending is not None:
+                    pending.result()
+                pending = worker.submit(finish, k, buffers[k % 2])
+            pending.result()
     return Dataset(
         images.reshape(-1, image_size, image_size, 3),
         np.repeat(np.arange(class_count), samples_per_class),

@@ -180,3 +180,52 @@ def test_as_measured_windows_take_their_metric_bound_and_skewed_probes_are_flagg
     assert summary["as_measured"]["w.wall.p1_s"]["within_bound"]
     assert summary["probe"]["w"]["probe_skewed"] is False
     json.loads(bench_pairs.dumps(summary))
+
+
+def test_anchor_ratios_divide_each_side_median_by_the_anchor_median():
+    results = {
+        "anchor": [measured(0.20, 5e-4), measured(0.40, 5e-4), measured(0.30, 5e-4)],
+        "parent": [measured(0.15, 5e-4), measured(0.45, 5e-4), measured(0.33, 5e-4)],
+        "change": [measured(0.24, 5e-4), measured(0.27, 5e-4), measured(0.90, 5e-4)],
+    }
+    results["parent"][0]["metrics"]["w.pipeline_s"]["value"] = 3.0
+    results["change"][2]["metrics"]["w.pipeline_s"]["value"] = 0.5
+    ratios = bench_pairs.median_ratios(results)
+    # Only end-to-end metrics and timed windows: no probe_share, no probe.
+    assert list(ratios) == ["w.pipeline_s", "w.wall.p1_s"]
+    assert ratios["w.pipeline_s"] == {"anchor_median": 1.0, "parent_over_anchor": 1.0,
+                                      "change_over_anchor": 1.0}
+    assert ratios["w.wall.p1_s"] == {"anchor_median": 0.3, "parent_over_anchor": 1.1,
+                                     "change_over_anchor": 0.9}
+
+
+def test_anchor_runs_as_a_third_side_in_alternating_order(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text((SCRIPT.parent.parent / "BENCHMARK.json").read_text())
+    calls, exported = [], {}
+
+    def export_tree(sha, dest, name):
+        exported[name] = sha
+        return tmp_path / name
+
+    def run_bench(tree, seed, workloads):
+        calls.append((tree.name, seed))
+        return measured({"anchor": 0.2, "parent": 0.1}.get(tree.name, 0.05), 5e-4)
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "export_tree", export_tree)
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    monkeypatch.setattr(bench_pairs, "environment", lambda tree, seed: {})
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda cmd, **kw: finished(0, f"sha-{cmd[-1]}\n"))
+    bench_pairs.main(["--label", "x", "--seeds", "1-2", "--anchor", "7d747bf"])
+    assert exported == {"anchor": "sha-7d747bf", "parent": "sha-HEAD"}
+    change = tmp_path.name
+    assert calls == [("anchor", 1), ("parent", 1), (change, 1),
+                     (change, 2), ("parent", 2), ("anchor", 2)]
+    report = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert report["anchor"] == "sha-7d747bf" and report["parent"] == "sha-HEAD"
+    assert report["anchor_ratios"]["w.wall.p1_s"] == {
+        "anchor_median": 0.2, "parent_over_anchor": 0.5, "change_over_anchor": 0.25,
+    }
+    assert report["all_runs_correct"] == {side: [True, True]
+                                          for side in ("anchor", "parent", "change")}

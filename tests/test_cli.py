@@ -250,6 +250,23 @@ class TestExitCodes:
         assert "dataset.class_count must be 3 for kind 'toy'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("kind", [None, "synth", "toy"])
+    @pytest.mark.parametrize("key", ["train_path", "val_path"])
+    def test_path_for_a_kind_other_than_cifar_exits_2(self, tmp_path, capsys, kind, key):
+        # Without "kind" the config falls back to "synth", which reads no file.
+        data = config_data(tmp_path / "run", train={"grid_size": 1} if kind == "toy" else {})
+        data["dataset"].pop("kind")
+        if kind is not None:
+            data["dataset"]["kind"] = kind
+        data["dataset"][key] = str(tmp_path / "data_batch_1.bin")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["pipeline", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"dataset.{key} is read only for kind 'cifar'" in err
+        assert f"got kind {kind or 'synth'!r}" in err
+        assert not (tmp_path / "run").exists()
+
     def test_validation_set_without_a_class_exits_2_before_phase_one(self, tmp_path, capsys):
         train, val = build_datasets(DatasetConfig(train_per_class=15, val_per_class=6, seed=3))
         save_dataset(train, tmp_path / "train.pmxd")

@@ -1,8 +1,10 @@
 import colorsys
+import threading
 
 import numpy as np
 import pytest
 
+from patchmix import data
 from patchmix.data import (
     CIFAR_RECORD_BYTES,
     Dataset,
@@ -130,12 +132,64 @@ def reference_synth_images(class_count, image_size, samples_per_class, seed):
     return images.reshape(-1, image_size, image_size, 3), rng.bit_generator.state
 
 
+def class_values(args):
+    """Values ``synth_shapes(*args)`` draws per class."""
+    class_count, image_size, samples_per_class, seed = args
+    return samples_per_class * image_size * image_size * 3
+
+
+# Shapes on both sides of the overlap floor: 32 px draws 3072 values per
+# sample, so 85 samples stay below 2**18 and 86 reach it.
+BELOW_FLOOR = [(2, 16, 1, 0), (3, 20, 7, 11), (10, 32, 13, 12345), (3, 32, 85, 5)]
+ABOVE_FLOOR = [(3, 32, 86, 5), (2, 32, 90, 1), (5, 32, 100, 8), (16, 16, 342, 9)]
+
+
 class TestSynthShapes:
-    @pytest.mark.parametrize("args", [(2, 16, 1, 0), (3, 20, 7, 11), (10, 32, 13, 12345)])
+    @pytest.mark.parametrize("args", BELOW_FLOOR + ABOVE_FLOOR)
     def test_pixels_equal_the_normal_draw_reference(self, args):
         want, _ = reference_synth_images(*args)
         got = synth_shapes(*args).images
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("args", BELOW_FLOOR + ABOVE_FLOOR)
+    def test_classes_overlap_on_a_worker_only_from_the_floor(self, args, monkeypatch):
+        """Each class is post-processed once, in class order, on one worker
+        thread from the floor on, and below it on the calling thread with
+        no other thread started."""
+        seen = []
+        pattern = data._class_pattern
+
+        def record(k, *rest):
+            seen.append((k, threading.current_thread(), threading.active_count()))
+            return pattern(k, *rest)
+
+        monkeypatch.setattr(data, "_class_pattern", record)
+        before = threading.active_count()
+        synth_shapes(*args)
+        assert threading.active_count() == before
+        assert [k for k, _, _ in seen] == list(range(args[0]))
+        serial = class_values(args) < data.OVERLAP_FLOOR
+        assert {thread is threading.current_thread() for _, thread, _ in seen} == {serial}
+        assert {count for _, _, count in seen} == {before if serial else before + 1}
+
+    @pytest.mark.parametrize("class_count", [3, 5])
+    def test_worker_joined_when_post_processing_raises(self, class_count, monkeypatch):
+        error = RuntimeError("class 2 refused")
+        pattern = data._class_pattern
+
+        def refuse_class_2(k, *rest):
+            if k == 2:
+                raise error
+            return pattern(k, *rest)
+
+        monkeypatch.setattr(data, "_class_pattern", refuse_class_2)
+        args = (class_count, 32, 86, 5)
+        assert class_values(args) >= data.OVERLAP_FLOOR
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            synth_shapes(*args)
+        assert raised.value is error
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("shape", [(1,), (3, 4, 5), (7, 16, 16, 3)])
     def test_scaled_standard_normal_is_the_normal_draw(self, shape):
