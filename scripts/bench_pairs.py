@@ -31,8 +31,9 @@ Each timed window (``pipeline_s``, ``setup_s``, ``p1_s``, ``p2_s``,
 ``p34_s``) is compared as above, against the bound of the end-to-end
 metric it feeds.  The probe's own median call time (``mean_s``) is
 compared per workload; a workload whose two sides' probe medians differ by
-more than 5% is flagged ``probe_skewed``, since its rescaled times then
-move with the probe and not only with the program.
+more than the parent probe's IQR over its median, the spread ``unresolved``
+reads, is flagged ``probe_skewed``, since its rescaled times then move with
+the probe and not only with the program.
 With ``--anchor REF`` a third side, the fixed commit ``REF``, is exported
 like the parent and runs at every seed in the same alternating order
 (odd seeds anchor, parent, change; even seeds the reverse).  Every
@@ -65,7 +66,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CLAIM_SHARE = 0.9
-PROBE_SKEW = 0.05
 # Each as-measured window and the end-to-end metric whose bound it takes.
 WINDOW_METRICS = {
     "pipeline_s": "pipeline_s",
@@ -235,12 +235,15 @@ def summarize_as_measured(results: dict, metrics: list[dict]) -> dict:
             if not parent or not change:
                 probe[workload] = {"probe_skewed": None}
                 continue
-            p, c = statistics.median(parent), statistics.median(change)
+            pq = quartiles(parent) if len(parent) > 1 else parent * 3  # one run: no spread
+            p, c = pq[1], statistics.median(change)
+            spread = (pq[2] - pq[0]) / p
             probe[workload] = {
                 "parent_median_s": round(p, 9),
                 "change_median_s": round(c, 9),
                 "median_change": round(c / p - 1.0, 4),
-                "probe_skewed": abs(c / p - 1.0) > PROBE_SKEW,
+                "parent_iqr_over_median": round(spread, 4),
+                "probe_skewed": abs(c / p - 1.0) > spread,
             }
     return {"as_measured": windows, "probe": probe}
 

@@ -22,10 +22,8 @@ from .evolution import (
     Individual,
     SearchConfig,
     evaluate_fitness,
-    index_to_pair,
     load_individual,
     pair_count,
-    pair_to_index,
     run_search,
     save_individual,
     slot_pairs,
@@ -80,7 +78,6 @@ __all__ = [
     "evaluate_model",
     "fgsm_attack_batch",
     "forward_batch",
-    "index_to_pair",
     "load_cifar_binary",
     "load_dataset",
     "load_individual",
@@ -89,7 +86,6 @@ __all__ = [
     "log_softmax",
     "mixup",
     "pair_count",
-    "pair_to_index",
     "patchmix",
     "patchmix_batch",
     "run_guided_pipeline",

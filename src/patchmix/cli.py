@@ -50,6 +50,7 @@ from .evolution import SearchConfig, load_individual, save_history, save_individ
 from .mixing import cutmix, mixup
 from .model import (
     TrainConfig,
+    _check_epsilon,
     _shuffled_pairs,
     _train_loop,
     adversarial_accuracy,
@@ -393,15 +394,17 @@ def cmd_pipeline(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     dataset = sniff_and_load(args.dataset)
+    # "fgsm" is the one attack; a bad epsilon is refused before any output
+    epsilons = (args.epsilon or [0.1, 0.2, 0.3]) if args.attack else []
+    for eps in epsilons:
+        _check_epsilon(eps)
     top1, patch_acc = evaluate_model(model, dataset)
     print(f"clean_top1,{top1!r}")
     print(f"clean_patch_acc,{patch_acc!r}")
-    if args.attack is not None:  # "fgsm", the one choice
-        epsilons = args.epsilon if args.epsilon else [0.1, 0.2, 0.3]
+    if epsilons:
         print("epsilon,adversarial_top1")
         for eps in epsilons:
-            adv = adversarial_accuracy(model, dataset, eps)
-            print(f"{eps!r},{adv!r}")
+            print(f"{eps!r},{adversarial_accuracy(model, dataset, eps)!r}")
     return 0
 
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,7 +41,7 @@ import numpy as np
 from . import losses
 from .data import Dataset, _write_atomic
 from .errors import ConfigError, FormatError, NumericError
-from .masks import _as_bits, mask_rows, parse_mask_rows, sample_mask_bits
+from .masks import _as_bits, _check_square, mask_rows, parse_mask_rows, sample_mask_bits
 from .model import ReferenceModel, _check_classes, forward_batch
 from .rng import RngKey
 
@@ -63,24 +62,10 @@ def pair_count(class_count: int) -> int:
     return class_count * (class_count + 1) // 2
 
 
-def pair_to_index(i: int, j: int, class_count: int) -> int:
-    if not 0 <= i <= j < class_count:
-        raise ConfigError(f"bad class pair ({i}, {j}) for {class_count} classes")
-    return i * class_count - i * (i - 1) // 2 + (j - i)
-
-
 def slot_pairs(class_count: int) -> np.ndarray:
-    """The class pair of every slot, in slot order: a (pair_count, 2) int64
-    array whose row ``pair_to_index(i, j, class_count)`` is ``(i, j)``."""
+    """The class pair ``(i, j)`` of every slot, in slot order: a
+    (pair_count, 2) int64 array, the one map between slots and pairs."""
     return np.stack(np.triu_indices(class_count), axis=1)
-
-
-def index_to_pair(index: int, class_count: int) -> tuple[int, int]:
-    """Inverse of :func:`pair_to_index`: row ``index`` of :func:`slot_pairs`."""
-    index = operator.index(index)
-    if not 0 <= index < pair_count(class_count):
-        raise ConfigError(f"pair index {index} outside [0, {pair_count(class_count)})")
-    return tuple(slot_pairs(class_count)[index].tolist())
 
 
 def class_count_for_pairs(n_pairs: int) -> int:
@@ -88,11 +73,6 @@ def class_count_for_pairs(n_pairs: int) -> int:
     if pair_count(c) != n_pairs:
         raise ConfigError(f"{n_pairs} is not a valid pair count")
     return c
-
-
-def same_class_slots(class_count: int) -> np.ndarray:
-    pairs = slot_pairs(class_count)
-    return np.flatnonzero(pairs[:, 0] == pairs[:, 1])
 
 
 @dataclass
@@ -112,16 +92,9 @@ class Individual:
         # scanned: the search builds every offspring here, from 0/1 arrays.
         self.head = np.ascontiguousarray(_as_bits(self.head, "head bits"))
         self.masks = np.ascontiguousarray(_as_bits(self.masks))
-        if self.head.ndim != 1:
-            raise ConfigError("head must be one-dimensional")
-        if (
-            self.masks.ndim != 3
-            or self.masks.shape[0] != len(self.head)
-            or self.masks.shape[1] != self.masks.shape[2]
-        ):
-            raise ConfigError(
-                f"masks shape {self.masks.shape} does not match {len(self.head)} slots"
-            )
+        _check_square(self.masks, 3)  # refuses a grid of side 0 too
+        if self.head.ndim != 1 or len(self.head) != len(self.masks):
+            raise ConfigError(f"head {self.head.shape} does not match masks {self.masks.shape}")
         class_count_for_pairs(len(self.head))
 
     @property
@@ -183,7 +156,8 @@ class SearchConfig:
         """Slots every genome keeps active: the same-class pairs under
         ``force_same_class``, else none."""
         if self.force_same_class:
-            return same_class_slots(class_count)
+            pairs = slot_pairs(class_count)
+            return np.flatnonzero(pairs[:, 0] == pairs[:, 1])
         return np.empty(0, np.int64)
 
     def resolve_max_active(self, class_count: int) -> int:
@@ -547,8 +521,6 @@ def run_search(
     cfg.validate()
     if class_count < 1:
         raise ConfigError("class_count must be positive")
-    if grid_size < 1:
-        raise ConfigError("grid_size must be at least 1")
     rules = Rules.of(cfg, class_count)
     key = RngKey(cfg.seed)
     population = init_population(cfg, class_count, grid_size, key.child("init").generator())
@@ -620,8 +592,9 @@ def format_individual(individual: Individual, max_active: int) -> str:
         f"C={individual.class_count} P={individual.grid_size} N={max_active}",
         "".join(str(int(v)) for v in individual.head),
     ]
+    pairs = slot_pairs(individual.class_count)
     for slot in individual.active_slots():
-        i, j = index_to_pair(int(slot), individual.class_count)
+        i, j = pairs[slot]
         lines.append(f"({i},{j})")
         lines.extend(mask_rows(individual.masks[slot]))
     return "\n".join(lines)
@@ -648,11 +621,12 @@ def parse_individual(text: str) -> tuple[Individual, int]:
         raise FormatError(f"{int(head.sum())} active pairs exceed the limit {max_active}")
     pos += 1
     masks = np.zeros((n_pairs, grid_size, grid_size), dtype=np.uint8)
+    pairs = slot_pairs(class_count)
     for slot in np.flatnonzero(head):
         if pos >= len(lines):
             raise FormatError("missing pair block")
         pair = _PAIR_RE.match(lines[pos].strip())
-        expected = index_to_pair(int(slot), class_count)
+        expected = tuple(pairs[slot].tolist())
         if not pair or (int(pair.group(1)), int(pair.group(2))) != expected:
             raise FormatError(
                 f"expected pair {expected} at line {pos + 1}, found {lines[pos]!r}"

@@ -3,9 +3,8 @@
 A grid mask is a (P, P) uint8 array, one 0/1 bit per patch cell: bit
 ``bits[r, s]`` names the source of the whole pixel region of cell (r, s).
 ``mixing.patchmix`` and ``mixing.patchmix_batch`` copy each cell whole from
-that source into patch matrices.  ``patchmix`` checks its mask with
-:func:`_check_mask`; ``patchmix_batch`` checks its stack with :func:`_as_bits`,
-a 0/1 value check and :func:`_check_square`.
+that source into patch matrices; both check their bits with
+:func:`_check_bits`, one mask or a (B, P, P) stack of them.
 
 Random masks are drawn a batch at a time: :func:`sample_mask_bits` returns
 a (count, P, P) stack of fair-coin cells from one ``rng.random`` call, and
@@ -71,13 +70,13 @@ def _as_bits(mask, what: str = "mask bits") -> np.ndarray:
     return bits.astype(np.uint8)
 
 
-def _check_mask(mask) -> np.ndarray:
-    """``mask`` as a (P, P) uint8 array, rejected unless its cells are 0/1,
-    it is square and P is at least 1."""
-    bits = _as_bits(mask)
+def _check_bits(bits, ndim: int) -> np.ndarray:
+    """``bits`` as a uint8 array of ``ndim`` axes, rejected unless its cells
+    are 0/1 and its last two axes form one square grid of side at least 1."""
+    bits = _as_bits(bits)
     if bits.tobytes().translate(None, b"\x00\x01"):  # a byte other than 0 or 1
         raise ConfigError("mask bits must contain only 0/1 values")
-    _check_square(bits, 2)
+    _check_square(bits, ndim)
     return bits
 
 

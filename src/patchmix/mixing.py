@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import _check_label
 from .errors import ConfigError
-from .masks import _as_bits, _check_divisible, _check_mask, _check_square
+from .masks import _check_bits, _check_divisible
 
 
 @dataclass
@@ -130,7 +130,7 @@ def patchmix(
         raise ConfigError(f"source shapes differ: {x_i.shape} vs {x_j.shape}")
     if x_i.ndim != 3:
         raise ConfigError("images must have shape (height, width, channels)")
-    bits = _check_mask(mask)
+    bits = _check_bits(mask, 2)
     height, width, channels = x_i.shape
     p = bits.shape[0]
     _check_divisible(width, height, p)
@@ -162,10 +162,7 @@ def patchmix_batch(
     ``bits`` is a (B, P, P) stack, refused as :func:`patchmix` refuses a mask;
     a source index outside [0, len(images)) is refused too.
     """
-    bits = _as_bits(bits)
-    if bits.max(initial=0) > 1:
-        raise ConfigError("mask bits must contain only 0/1 values")
-    _check_square(bits, 3)
+    bits = _check_bits(bits, 3)
     y_i, y_j = _check_rows(class_count, y_i, y_j, i, j, bits)
     sources = _check_sources(i, j, len(images))
     height, width, channels = images.shape[1:]

@@ -587,6 +587,11 @@ def train_random_patchmix(train: Dataset, val: Dataset, cfg: TrainConfig):
     return _train_loop(train, val, cfg, batches, "rand-train")
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0 <= epsilon < np.inf:
+        raise ConfigError(f"epsilon must be finite and non-negative, got {epsilon}")
+
+
 def fgsm_attack_batch(
     model: ReferenceModel, images: np.ndarray, labels: np.ndarray, epsilon: float
 ) -> np.ndarray:
@@ -594,8 +599,7 @@ def fgsm_attack_batch(
 
     x_adv = clip(x + epsilon * sign(d image_loss / d x), 0, 1)
     """
-    if not 0 <= epsilon < np.inf:
-        raise ConfigError(f"epsilon must be finite and non-negative, got {epsilon}")
+    _check_epsilon(epsilon)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and not 0 <= labels.min() <= labels.max() < model.class_count:
         raise ConfigError(f"label outside [0, {model.class_count})")

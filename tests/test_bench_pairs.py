@@ -164,21 +164,31 @@ def measured(seconds, probe_s):
 
 def test_as_measured_windows_take_their_metric_bound_and_skewed_probes_are_flagged():
     metrics = METRICS + [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]
-    parent = [measured(0.10, 5.0e-4) for _ in range(10)]
-    change = [measured(0.121, 5.3e-4) for _ in range(10)]
+    # The parent's probe on w spreads: IQR over median 0.1.
+    parent = [measured(0.10, probe_s) for probe_s in [4.5e-4, 4.75e-4, 5e-4, 5.25e-4, 5.5e-4] * 2]
+    change = [measured(0.121, 5.6e-4) for _ in range(10)]
     summary = bench_pairs.summarize({"parent": parent, "change": change}, metrics, None)
     window = summary["as_measured"]["w.wall.p1_s"]
     # p1_s takes p1_samples_per_s's 0.2 bound: +21% is outside it.
     assert window["bound"] == 0.2 and not window["within_bound"]
     assert window["change_wins"] == 0 and window["median_change"] == 0.21
     assert list(summary["as_measured"]) == ["w.wall.p1_s"]
-    assert summary["probe"]["w"] == {"parent_median_s": 5e-4, "change_median_s": 5.3e-4,
-                                     "median_change": 0.06, "probe_skewed": True}
+    # +12% exceeds that spread; v's probe did not move, and does not spread.
+    assert summary["probe"]["w"] == {"parent_median_s": 5e-4, "change_median_s": 5.6e-4,
+                                     "median_change": 0.12, "parent_iqr_over_median": 0.1,
+                                     "probe_skewed": True}
     assert summary["probe"]["v"]["probe_skewed"] is False
-    change = [measured(0.09, 5.2e-4) for _ in range(10)]
+    # +6% lies within it: noise, not a skew.
+    change = [measured(0.09, 5.3e-4) for _ in range(10)]
     summary = bench_pairs.summarize({"parent": parent, "change": change}, metrics, None)
     assert summary["as_measured"]["w.wall.p1_s"]["within_bound"]
+    assert summary["probe"]["w"]["median_change"] == 0.06
     assert summary["probe"]["w"]["probe_skewed"] is False
+    # A probe the parent reached once has no spread: any difference is flagged.
+    parent = [measured(0.10, 5e-4)] + [measured(0.10, None) for _ in range(9)]
+    summary = bench_pairs.summarize({"parent": parent, "change": change}, metrics, None)
+    assert summary["probe"]["w"]["parent_iqr_over_median"] == 0.0
+    assert summary["probe"]["w"]["probe_skewed"] is True
     json.loads(bench_pairs.dumps(summary))
 
 

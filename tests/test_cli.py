@@ -924,6 +924,15 @@ class TestRefusedInsideThePhase:
             "guided set has grid size 1, but train.grid_size is 2",
         )
 
+    def test_train_guided_with_a_genome_of_grid_0(self, capsys, run):
+        run_dir, cfg_path, _, _ = run
+        path = run_dir / BEST_INDIVIDUAL_FILE
+        header, head, *blocks = path.read_text().splitlines()
+        c, _, n = header.split()  # "C=.. P=.. N=.."
+        pairs = [line for line in blocks if line.startswith("(")]  # mask rows dropped
+        path.write_text("\n".join([f"{c} P=0 {n}", head, *pairs]) + "\n")
+        self.refused(capsys, run_dir, cfg_path, "train-guided", "grid size must be at least 1")
+
     def test_search_with_a_validation_set_that_lacks_a_class(self, capsys, run):
         run_dir, cfg_path, _, val_path = run
         val = load_dataset(val_path)
@@ -982,15 +991,22 @@ class TestEvalCommand:
         )
         assert stdout_value(capsys, "0.0") == clean
 
-    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
-    def test_non_finite_epsilon_exits_2(self, trained_run, capsys, epsilon):
+    @pytest.mark.parametrize(
+        "ladder",
+        [["nan"], ["inf"], ["0.1", "-0.5"], ["0.1", "0.2", "inf"]],
+        ids=["nan", "inf", "negative-last", "inf-last"],
+    )
+    def test_non_finite_epsilon_exits_2(self, trained_run, capsys, ladder):
+        # Every epsilon is checked before anything is printed; the bad one is last.
         model_path, dataset_path = trained_run
         argv = ["eval", "--model", str(model_path), "--dataset", str(dataset_path),
-                "--attack", "fgsm", "--epsilon", epsilon]
+                "--attack", "fgsm"]
+        for epsilon in ladder:
+            argv += ["--epsilon", epsilon]
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert f"epsilon must be finite and non-negative, got {epsilon}" in captured.err
-        assert "\nepsilon,adversarial_top1\n" in captured.out and f"\n{epsilon}," not in captured.out
+        assert f"epsilon must be finite and non-negative, got {ladder[-1]}" in captured.err
+        assert captured.out == ""
 
     def test_default_epsilon_ladder(self, trained_run, capsys):
         model_path, dataset_path = trained_run

@@ -25,16 +25,13 @@ from patchmix.evolution import (
     flip_tails,
     format_individual,
     history_csv_lines,
-    index_to_pair,
     init_population,
     mutate,
     pair_count,
-    pair_to_index,
     parse_individual,
     random_tails,
     repair,
     run_search,
-    same_class_slots,
     save_individual,
     slot_pairs,
     tournament_select,
@@ -97,6 +94,11 @@ def mean_detector_model(levels, grid_size=2, patch_pixels=4):
     return model
 
 
+def slot_of(i, j, class_count):
+    """The slot of class pair (i, j): its row of :func:`slot_pairs`."""
+    return slot_pairs(class_count).tolist().index([i, j])
+
+
 def constant_dataset(levels, n_per_class=4, side=4):
     images, labels = [], []
     for k, v in enumerate(levels):
@@ -108,17 +110,14 @@ def constant_dataset(levels, n_per_class=4, side=4):
 class TestPairIndexing:
     def test_bijection(self):
         for c in range(1, 17):
-            pairs = [(i, j) for i in range(c) for j in range(i, c)]
+            pairs = [[i, j] for i in range(c) for j in range(i, c)]
             assert len(pairs) == pair_count(c) == c * (c + 1) // 2
-            for k, (i, j) in enumerate(pairs):
-                assert pair_to_index(i, j, c) == k
-                assert index_to_pair(k, c) == (i, j)
             assert slot_pairs(c).dtype == np.int64
-            assert slot_pairs(c).tolist() == [[i, j] for i, j in pairs]
+            assert slot_pairs(c).tolist() == pairs
 
     def test_row_major_upper_triangular(self):
-        pairs = [index_to_pair(k, 3) for k in range(pair_count(3))]
-        assert pairs == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+        pairs = slot_pairs(3).tolist()
+        assert pairs == [[0, 0], [0, 1], [0, 2], [1, 1], [1, 2], [2, 2]]
 
     def test_class_count_recovery(self):
         for c in (1, 2, 3, 7):
@@ -126,14 +125,8 @@ class TestPairIndexing:
         with pytest.raises(ConfigError):
             class_count_for_pairs(4)
 
-    def test_invalid_pairs_rejected(self):
-        with pytest.raises(ConfigError):
-            pair_to_index(2, 1, 3)
-        with pytest.raises(ConfigError):
-            index_to_pair(6, 3)
-
     def test_same_class_slots(self):
-        assert same_class_slots(3).tolist() == [0, 3, 5]
+        assert SearchConfig(force_same_class=True).forced_slots(3).tolist() == [0, 3, 5]
 
 
 class TestSearchConfig:
@@ -184,7 +177,7 @@ class TestInitPopulation:
         cfg = SearchConfig(population_size=20, force_same_class=True, seed=1)
         population = init_population(cfg, 3, 2, rng)
         for ind in population:
-            assert ind.head[same_class_slots(3)].all()
+            assert ind.head[cfg.forced_slots(3)].all()
             assert ind.head.sum() == 3  # limit = class count, all used by forcing
 
     def test_deterministic_per_seed(self):
@@ -225,7 +218,7 @@ def reference_fitness(individual, model, val, cfg):
     rng = RngKey(cfg.seed).child("fitness").generator()
     per_class = val.class_indices()
     sizes = np.array([len(ix) for ix in per_class])
-    pairs = [index_to_pair(k, val.class_count) for k in range(pair_count(val.class_count))]
+    pairs = slot_pairs(val.class_count)
     drawn = []
     for side in (0, 1):
         classes = np.array([[pair[side]] * cfg.pairs_per_combo for pair in pairs])
@@ -351,7 +344,7 @@ class TestEvaluateFitness:
         val = constant_dataset((0.2, 0.8))
         model = constant_class_model(class_count=2)
         cfg = SearchConfig(pairs_per_combo=5, seed=3)
-        slot_01 = pair_to_index(0, 1, 2)
+        slot_01 = slot_of(0, 1, 2)
         for bits, expected in [
             (np.ones((2, 2)), 1.0),
             (np.zeros((2, 2)), 0.0),
@@ -364,7 +357,7 @@ class TestEvaluateFitness:
     def test_max_objective_flips_sign(self):
         val = constant_dataset((0.2, 0.8))
         model = constant_class_model(class_count=2)
-        ind = make_individual(class_count=2, active=(pair_to_index(0, 1, 2),))
+        ind = make_individual(class_count=2, active=(slot_of(0, 1, 2),))
         ind.masks[:] = 1
         lo = table_fitness(ind, model, val, SearchConfig(objective="min_patch_acc"))
         hi = table_fitness(ind, model, val, SearchConfig(objective="max_patch_acc"))
@@ -375,7 +368,7 @@ class TestEvaluateFitness:
         # winning class and log(1 + e) otherwise.
         val = constant_dataset((0.2, 0.8))
         model = constant_class_model(class_count=2)
-        slot_01 = pair_to_index(0, 1, 2)
+        slot_01 = slot_of(0, 1, 2)
         ind = make_individual(class_count=2, active=(slot_01,))
         ind.masks[slot_01] = np.array([[1, 0], [0, 0]], dtype=np.uint8)
         got = table_fitness(ind, model, val, SearchConfig(objective="min_lp", seed=0))
@@ -419,7 +412,7 @@ class TestEvaluateFitness:
     def test_missing_class_named_in_error(self):
         val = constant_dataset((0.2, 0.5, 0.8)).subset(np.arange(8))  # drops class 2
         model = mean_detector_model((0.2, 0.5, 0.8))
-        ind = make_individual(active=(pair_to_index(1, 2, 3),))
+        ind = make_individual(active=(slot_of(1, 2, 3),))
         with pytest.raises(ConfigError, match="class 2"):
             table_fitness(ind, model, val, SearchConfig())
 
@@ -662,7 +655,7 @@ class TestMutationOps:
         cfg = SearchConfig(force_same_class=True)
         ind = make_individual(active=(0, 1, 3, 5), rng=np.random.default_rng(2))
         out = flip_heads(ind, rng, Rules.of(cfg, ind.class_count))
-        assert out.head[same_class_slots(3)].all()
+        assert out.head[cfg.forced_slots(3)].all()
         assert out.head.sum() == 4
 
     def test_random_tails_flip_rate(self, rng):
@@ -705,7 +698,7 @@ class TestRepair:
         cfg = SearchConfig(force_same_class=True)
         ind = make_individual(active=(1,))
         repair(ind, Rules.of(cfg, ind.class_count), rng)
-        assert ind.head[same_class_slots(3)].all()
+        assert ind.head[cfg.forced_slots(3)].all()
 
     def test_empty_head_gets_one_slot(self, rng):
         cfg = SearchConfig()
@@ -827,6 +820,23 @@ class TestGenomeText:
         assert np.array_equal(back.head, ind.head)
         assert np.array_equal(back.masks[ind.active_slots()], ind.masks[ind.active_slots()])
         assert back.fitness is None  # scores are not persisted
+
+    def test_roundtrip_with_every_slot_active(self):
+        # format and parse both index slot_pairs: every row must come back.
+        rng = np.random.default_rng(9)
+        for c in range(1, 17):
+            n = pair_count(c)
+            ind = Individual(np.ones(n, np.uint8), rng.integers(0, 2, (n, 2, 2), dtype=np.uint8))
+            back, max_active = parse_individual(format_individual(ind, n))
+            assert max_active == n
+            assert np.array_equal(back.head, ind.head)
+            assert np.array_equal(back.masks, ind.masks)
+
+    def test_grid_of_side_0_refused(self):
+        with pytest.raises(ConfigError, match="^grid size must be at least 1$"):
+            Individual(np.ones(3, np.uint8), np.zeros((3, 0, 0), np.uint8))
+        with pytest.raises(ConfigError, match="^grid size must be at least 1$"):
+            parse_individual("C=2 P=0 N=2\n010\n(0,1)")
 
     def test_layout_example(self):
         ind = make_individual(class_count=2, active=(1,))

@@ -28,12 +28,12 @@ from patchmix.evolution import (
     flip_heads,
     flip_tails,
     history_csv_lines,
-    index_to_pair,
     mutate,
     pair_count,
     random_tails,
     repair,
     run_search,
+    slot_pairs,
     tournament_select,
     transpose_tails,
 )
@@ -170,7 +170,8 @@ def ref_stats(generation, best, population):
     for ind in population:
         counts += ind.head
     class_count = population[0].class_count
-    census = [(index_to_pair(k, class_count), int(counts[k])) for k in np.flatnonzero(counts)]
+    pairs = slot_pairs(class_count).tolist()
+    census = [(tuple(pairs[k]), int(counts[k])) for k in np.flatnonzero(counts)]
     mean = float(np.mean([ind.fitness for ind in population]))
     return GenerationStats(generation, best.fitness, mean, census)
 

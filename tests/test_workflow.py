@@ -9,7 +9,7 @@ import pytest
 from patchmix.data import synth_shapes
 from patchmix.errors import ConfigError, FormatError
 from patchmix import workflow
-from patchmix.evolution import SearchConfig, evaluate_fitness, index_to_pair, pair_to_index
+from patchmix.evolution import SearchConfig, evaluate_fitness, slot_pairs
 from patchmix.mixing import MixedBatch, patchmix, patchmix_batch
 from patchmix.losses import loss_eval_count
 from patchmix.masks import sample_mask_bits
@@ -32,7 +32,7 @@ from patchmix.workflow import (
     train_final,
 )
 
-from test_evolution import make_individual
+from test_evolution import make_individual, slot_of
 from test_mixing import pixel_mask_patchmix
 
 
@@ -72,23 +72,21 @@ class TestGuidedSet:
         return synth_shapes(3, 16, 10, seed=2)
 
     def test_recipe_draws_from_active_slots(self, train, rng):
-        active = (pair_to_index(0, 1, 3), pair_to_index(1, 2, 3))
+        active = (slot_of(0, 1, 3), slot_of(1, 2, 3))
         ind = make_individual(active=active, rng=np.random.default_rng(1))
         recipe = draw_guided_recipe(ind, train, 40, rng)
         assert len(recipe) == 40
         seen_slots = set()
-        from patchmix.evolution import index_to_pair
-
         for slot, i, j in recipe:
             assert slot in active
             seen_slots.add(slot)
-            ci, cj = index_to_pair(slot, 3)
+            ci, cj = slot_pairs(3)[slot]
             assert train.labels[i] == ci
             assert train.labels[j] == cj
         assert seen_slots == set(active)
 
     def test_recipe_reaches_every_image_of_each_side(self, train, rng):
-        slot = pair_to_index(0, 2, 3)
+        slot = slot_of(0, 2, 3)
         recipe = draw_guided_recipe(make_individual(active=(slot,)), train, 400, rng)
         assert all(type(v) is int for entry in recipe for v in entry)
         assert {i for _, i, _ in recipe} == set(np.flatnonzero(train.labels == 0).tolist())
@@ -110,12 +108,12 @@ class TestGuidedSet:
 
     def test_missing_class_named(self, train, rng):
         only_01 = train.subset(np.flatnonzero(train.labels != 2))
-        ind = make_individual(active=(pair_to_index(1, 2, 3),))
+        ind = make_individual(active=(slot_of(1, 2, 3),))
         with pytest.raises(ConfigError, match="class 2"):
             draw_guided_recipe(ind, only_01, 4, rng)
 
     def test_materialize_follows_mask(self, train):
-        slot = pair_to_index(0, 2, 3)
+        slot = slot_of(0, 2, 3)
         ind = make_individual(active=(slot,))
         ind.masks[slot] = np.array([[1, 1], [0, 0]], dtype=np.uint8)
         i = int(np.flatnonzero(train.labels == 0)[0])
@@ -148,7 +146,7 @@ class TestGuidedSet:
             assert len(calls) == len(guided) == count
             assert guided.patches.dtype == np.float32 and guided.patches.shape[1:] == (16, 48)
             for row, (slot, i, j) in enumerate(recipe):
-                ci, cj = index_to_pair(slot, 3)
+                ci, cj = slot_pairs(3)[slot].tolist()
                 # One call per entry, in recipe order, straight into its row.
                 (x_i, y_i, x_j, y_j, mask, _), out = calls[row]
                 assert (y_i, y_j) == (ci, cj) and (mask == ind.masks[slot]).all()
