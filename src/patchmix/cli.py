@@ -34,6 +34,7 @@ import math
 import sys
 import typing
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,7 @@ from .data import (
 )
 from .errors import ConfigError, FormatError, NumericError
 from .evolution import SearchConfig, load_individual, save_history, save_individual
-from .mixing import cutmix, mixup
+from .mixing import _cutmix, _cutmix_corners, mixup
 from .model import (
     TrainConfig,
     _check_epsilon,
@@ -392,6 +393,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.epsilon and not args.attack:
+        raise ConfigError("--epsilon sets an attack's strength and needs --attack")
     model = load_model(args.model)
     dataset = sniff_and_load(args.dataset)
     # "fgsm" is the one attack; a bad epsilon is refused before any output
@@ -431,15 +434,19 @@ def _demo_train(method: str, train: Dataset, val: Dataset, cfg: TrainConfig):
         image_cfg = dataclasses.replace(cfg, loss_mode="image_only")
         p = image_cfg.grid_size
 
+        # Each plan makes its draws when it is yielded and composes when the
+        # driver calls it, on the main thread: these products are far below
+        # the split floor (_train_loop).
         def batches(rng: np.random.Generator, patches: np.ndarray):
             for idx, partner in _shuffled_pairs(len(train), image_cfg.batch_size, rng):
                 sources = (train.images, idx, partner, train.labels[idx], train.labels[partner])
-                out = patches[: len(idx)]
                 if method == "mixup":
                     lam = rng.beta(MIXUP_BETA, MIXUP_BETA, size=len(idx))
-                    yield mixup(*sources, lam, train.class_count, p, out=out)
+                    compose = partial(mixup, *sources, lam, train.class_count, p)
                 else:
-                    yield cutmix(*sources, rng, 1, 1, train.class_count, p, out=out)
+                    corners = _cutmix_corners(rng, len(idx), train.width, train.height, 1, 1)
+                    compose = partial(_cutmix, *sources, corners, 1, 1, train.class_count, p)
+                yield lambda out, compose=compose, n=len(idx): compose(out=out[:n])
 
         return _train_loop(train, val, image_cfg, batches, "rand-train")[0]
     if method == "guided":
@@ -525,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--attack", default=None, choices=["fgsm"])
     ev.add_argument(
         "--epsilon", type=float, action="append", default=None,
-        help="attack strength; repeat for several values (default 0.1 0.2 0.3)",
+        help="attack strength, with --attack; repeat for several values (default 0.1 0.2 0.3)",
     )
     ev.set_defaults(func=cmd_eval)
 

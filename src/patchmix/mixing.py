@@ -157,11 +157,19 @@ def patchmix_batch(
 
     Row k equals ``patchmix(images[i[k]], y_i[k], images[j[k]], y_j[k],
     bits[k], class_count)``.  All-ones bits give identity rows.  The
-    patches are float64 whatever the source type, written into ``out`` if
-    given; each grid cell is copied whole from the source its bit names.
-    ``bits`` is a (B, P, P) stack, refused as :func:`patchmix` refuses a mask;
-    a source index outside [0, len(images)) is refused too.
+    patches are written into ``out`` if given, in its type, else into a new
+    float64 array; each grid cell is copied whole from the source its bit
+    names.  ``bits`` is a (B, P, P) stack, refused as :func:`patchmix`
+    refuses a mask; a source index outside [0, len(images)) is refused too.
     """
+    # The composition lives in a private function, which the training
+    # driver's worker thread calls: the benchmark's tracer wraps every
+    # public function and assumes they all run on the main thread.
+    return _patchmix_batch(images, i, j, y_i, y_j, bits, class_count, out)
+
+
+def _patchmix_batch(images, i, j, y_i, y_j, bits, class_count: int, out) -> MixedBatch:
+    """:func:`patchmix_batch`: its checks, then one gather of every cell row."""
     bits = _check_bits(bits, 3)
     y_i, y_j = _check_rows(class_count, y_i, y_j, i, j, bits)
     sources = _check_sources(i, j, len(images))
@@ -178,12 +186,25 @@ def patchmix_batch(
     grid = np.arange(p)
     rows = source[..., None] * (height * p) + (grid[:, None, None] * ph + np.arange(ph)) * p
     rows += grid[:, None]
-    picked = np.take(images.reshape(-1, pw * channels), rows.reshape(-1), axis=0)
-    np.copyto(out.reshape(picked.shape), picked)
+    _take_rows(
+        images.reshape(-1, pw * channels), rows.reshape(-1), out.reshape(-1, pw * channels)
+    )
     flat = bits.reshape(b, p * p)
     lam = flat.sum(axis=1) / flat.shape[1]
     patch_labels = np.where(flat == 1, y_i[:, None], y_j[:, None])
     return MixedBatch(out, _soft_labels(lam, y_i, y_j, class_count), patch_labels)
+
+
+def _take_rows(source: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+    """``out[:] = source[index]`` for checked row indices: gathered straight
+    into ``out`` when it has the source's type, else one cast copy."""
+    if out.dtype == source.dtype:
+        # The indices are checked, so clipping changes none; the default
+        # "raise" would gather into a buffered copy of ``out``.
+        np.take(source, index, axis=0, out=out, mode="clip")
+    else:
+        # Without ``out``, "raise" is the faster mode for small rows.
+        np.copyto(out, np.take(source, index, axis=0))
 
 
 def mixup(
@@ -223,12 +244,28 @@ def cutmix(
     height, width = images.shape[1:3]
     if not 0 <= region_w <= width or not 0 <= region_h <= height:
         raise ConfigError(f"region {region_w}x{region_h} does not fit a {width}x{height} image")
+    corners = _cutmix_corners(rng, len(y_i), width, height, region_w, region_h)
+    return _cutmix(images, i, j, y_i, y_j, corners, region_w, region_h, class_count, grid_size, out)
+
+
+def _cutmix_corners(rng, count: int, width: int, height: int, region_w: int, region_h: int):
+    """The (count, 2) top-left ``(x, y)`` corners of :func:`cutmix`'s
+    regions, drawn as it describes; None for an empty region, which draws
+    nothing."""
+    if not (region_w and region_h):
+        return None
+    size = np.array([width, height])
+    centers = rng.normal(size / 2.0, size / 4.0, size=(count, 2))
+    corner = np.round(centers - [region_w / 2.0, region_h / 2.0])
+    return np.clip(corner, 0, size - [region_w, region_h]).astype(np.int64)
+
+
+def _cutmix(images, i, j, y_i, y_j, corners, region_w, region_h, class_count, grid_size, out):
+    """:func:`cutmix` with its regions' corners given (:func:`_cutmix_corners`)."""
+    height, width = images.shape[1:3]
     mixed = images[i].astype(np.float64)
-    if region_w and region_h:
-        size = np.array([width, height])
-        centers = rng.normal(size / 2.0, size / 4.0, size=(len(mixed), 2))
-        corner = np.round(centers - [region_w / 2.0, region_h / 2.0])
-        x0, y0 = np.clip(corner, 0, size - [region_w, region_h]).astype(np.int64).T
+    if corners is not None:
+        x0, y0 = corners.T
         rows = (y0[:, None] + np.arange(region_h))[:, :, None]
         cols = (x0[:, None] + np.arange(region_w))[:, None, :]
         k = np.arange(len(mixed))[:, None, None]

@@ -21,8 +21,10 @@ this module re-exports with ``unpatchify``).  Only the sign attack
 and the gradient checks form input gradients (:func:`batch_gradients`);
 training stops at parameter gradients.  Every trainer runs through one
 driver (:func:`_train_loop`) that checks its inputs, sizes the model and
-owns the run's float64 batch matrix: batch sources compose into it, and
-validation patchifies each chunk into it.
+owns the run's float64 batch matrix.  A trainer's batch source yields
+plans: each makes its random draws when it is yielded and composes its
+batch when the driver calls it.  Validation patchifies each chunk into
+the same matrix.
 
 A training step computes only the heads its loss mode reads: ``both``
 computes both, ``image_only`` only the mean embedding and the image head,
@@ -34,22 +36,29 @@ always computes both heads.
 
 The driver owns one worker thread for its run (a one-thread executor in a
 ``with`` block, joined on every exit) and hands it beside its scratch dict
-to the steps and to validation.  The encoder's two large GEMMs, the
-embedding ``patches @ w_embed`` and its weight gradient ``patches.T @
-d_pre``, then run as two row halves, the second on the worker, so a run
-with one BLAS thread uses a second core.  Only products of at least
-``SPLIT_FLOOR`` multiply-adds are split; below it the thread hand-off
-costs more than the half saves, and a run whose products all fall below it
-starts no thread.  Everything else, and every call without the driver
-(the fitness table, the sign attack, the demo's raster), stays on the
-calling thread; the worker runs only the BLAS call, so the loss-evaluation
-counters of ``losses`` stay on the main thread.  With one BLAS thread the
-split cannot move a byte: every output row keeps the single call's
-reduction, and the cut falls on a kernel tile boundary, so each row is
-summed in the same tile and order (:func:`_matmul_halves`).  A
-multi-threaded BLAS divides each call by its own shape, so there a
-product's last bits can depend on the split, as they already depend on
-the BLAS thread count.
+to the steps and to validation.  The worker has two jobs, both only in a
+run whose products reach ``SPLIT_FLOOR`` multiply-adds; a run whose
+products all fall below it starts no thread, since there the hand-off
+costs more than it saves.
+- The encoder's two large GEMMs, the embedding ``patches @ w_embed`` and
+  its weight gradient ``patches.T @ d_pre``, run as two row halves, the
+  second on the worker, so a run with one BLAS thread uses a second core.
+- While step k runs, the worker composes batch k+1: its plan, handed over
+  once the embedding is done, gathers into a staging matrix of the images'
+  type, and once step k has read the batch matrix the worker casts the
+  staged batch into it while the main thread runs the SGD step.
+Every draw, the rest of each step, and every call without the driver (the
+fitness table, the sign attack, the demo's raster) stay on the calling
+thread.  The worker calls only private functions and numpy, so the
+loss-evaluation counters of ``losses`` and every public function stay on
+the main thread.  With one BLAS thread the split cannot move a byte: every
+output row keeps the single call's reduction, and the cut falls on a
+kernel tile boundary, so each row is summed in the same tile and order
+(:func:`_matmul_halves`).  A multi-threaded BLAS divides each call by its
+own shape, so there a product's last bits can depend on the split, as
+they already depend on the BLAS thread count.  Composing ahead moves no
+byte either way: a plan's draws are made in the same order wherever it
+composes, and the staged float32 pixels cast exactly.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ from __future__ import annotations
 import struct
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -66,7 +76,7 @@ from . import losses
 from .data import Dataset, _write_atomic
 from .errors import ConfigError, FormatError, NumericError
 from .masks import _check_divisible, sample_mask_bits
-from .mixing import MixedBatch, patchify, patchmix_batch, unpatchify
+from .mixing import MixedBatch, _patchmix_batch, patchify, unpatchify
 from .rng import RngKey
 
 PARAM_FIELDS = ("w_embed", "b_embed", "w_patch", "b_patch", "w_img", "b_img")
@@ -82,6 +92,8 @@ _MODEL_HEADER = struct.Struct("<4sIIIII")
 # split, the CIFAR shape's (1600x192)x64 products take a step from 1190 to
 # 900 us; the quick-start shape's (1600x48)x64 ones would save about 4%
 # (669 -> 641 us), too little to resolve end to end, so they stay whole.
+# A run whose batch products reach it also composes each batch ahead, on
+# the worker (_train_loop).
 SPLIT_FLOOR = 2**23
 # Row count the cut is a multiple of, so no output row changes kernel tile.
 # With OpenBLAS 0.3.31 (SkylakeX kernels, one thread), products of more than
@@ -224,12 +236,14 @@ def _forward_arrays(
     need_patch: bool = True,
     need_image: bool = True,
     worker: Executor | None = None,
+    after_embedding: Callable[[], object] | None = None,
 ):
     """Forward pass of a (B, P*P, patch_pixels) float64 patch matrix, into
     ``buffers``: ``(feats, mean_feats, patch_logits, image_logits)``.  The
     patch logits are None unless ``need_patch``; the mean embedding and the
     image logits are None unless ``need_image``.  The embedding is split
-    over the batch on ``worker`` (:func:`_matmul_halves`)."""
+    over the batch on ``worker`` (:func:`_matmul_halves`);
+    ``after_embedding()``, if given, is called as soon as it is done."""
     if patches.ndim != 3 or patches.shape[1] != model.patch_count:
         raise ConfigError(
             f"model expects {model.patch_count} patches per sample, "
@@ -242,6 +256,8 @@ def _forward_arrays(
         )
     feats = _scratch(buffers, "feats", (len(patches), model.patch_count, model.hidden_dim))
     _matmul_halves(patches, model.w_embed, feats, worker)
+    if after_embedding is not None:
+        after_embedding()
     feats += model.b_embed
     np.maximum(feats, 0.0, out=feats)
     mean_feats = patch_logits = image_logits = None
@@ -275,12 +291,14 @@ def forward_batch(
 
 
 def _gradients(
-    model: ReferenceModel, patches, image_targets, patch_labels, loss_mode, buffers, worker=None
+    model: ReferenceModel, patches, image_targets, patch_labels, loss_mode, buffers, worker=None,
+    after_embedding=None,
 ):
     """``(loss, grads, d_pre)`` of a patch matrix, with ``d_pre`` the
     gradient of the loss with respect to the pre-activations; ``d_pre``
     lives in ``buffers``.  The embedding and its weight gradient are split
-    on ``worker`` (:func:`_matmul_halves`)."""
+    on ``worker`` (:func:`_matmul_halves`); ``after_embedding`` as in
+    :func:`_forward_arrays`."""
     if loss_mode not in losses.LOSS_MODES:
         raise ConfigError(f"unknown loss mode {loss_mode!r}")
     patches = np.asarray(patches)
@@ -308,7 +326,7 @@ def _gradients(
         )
 
     feats, mean_feats, patch_logits, image_logits = _forward_arrays(
-        model, patches, buffers, need_patch, need_image, worker
+        model, patches, buffers, need_patch, need_image, worker, after_embedding
     )
 
     # Per-sample losses, and the chain rule scaled for the batch mean and the mode.
@@ -390,6 +408,8 @@ def backward(
     loss_mode: str,
     buffers: dict | None = None,
     worker: Executor | None = None,
+    *,
+    after_embedding: Callable[[], object] | None = None,
 ):
     """``(loss, grads)`` of the mean loss over a batch of mixed samples,
     read from its patch matrix.
@@ -398,10 +418,13 @@ def backward(
     ``buffers``, a scratch dict the caller may keep across steps; the
     returned arrays never alias it.  With a ``worker`` executor, the
     encoder's large GEMMs compute half their rows on it, with the same
-    bytes (:func:`_matmul_halves`).
+    bytes (:func:`_matmul_halves`).  ``after_embedding()``, if given, is
+    called once the embedding GEMM is done; the training driver hands the
+    next batch's composition to the worker there (:func:`_train_loop`).
     """
     loss, grads, _ = _gradients(
-        model, batch.patches, batch.image_labels, batch.patch_labels, loss_mode, buffers, worker
+        model, batch.patches, batch.image_labels, batch.patch_labels, loss_mode, buffers, worker,
+        after_embedding,
     )
     return loss, grads
 
@@ -489,24 +512,37 @@ def _train_loop(
     train: Dataset,
     val: Dataset,
     cfg: TrainConfig,
-    batch_source: Callable[[np.random.Generator, np.ndarray], Iterable[MixedBatch]],
+    batch_source: Callable[
+        [np.random.Generator, np.ndarray], Iterable[Callable[[np.ndarray], MixedBatch]]
+    ],
     stream_tag: str,
 ) -> tuple[ReferenceModel, list[EpochMetrics]]:
     """Shared SGD driver: ``(model, per-epoch metrics)`` of a model of the
     shape ``cfg`` trains on ``train``, initialized from the stream
     ``(stream_tag, "init")``.  ``batch_source(rng, patches)`` yields one
-    epoch's sample batches; epoch ``e`` draws from the stream
+    epoch's batch plans; epoch ``e`` draws from the stream
     ``(stream_tag, "epoch", e)``.
 
+    ``patches`` is the run's one (batch_size, P*P, patch_pixels) float64
+    batch matrix.  A plan is a callable whose random draws were all made
+    when it was yielded: ``plan(out)`` composes its batch into the leading
+    rows of ``out``, a matrix of the shape of ``patches``, and returns it.
+    A plan may run on the worker thread, so it draws nothing and calls only
+    private functions.
+
     The config and both sets are checked before the model is built or a
-    batch drawn.  ``patches`` is the run's one (batch_size, P*P,
-    patch_pixels) float64 batch matrix; a source composes each batch into
-    its leading rows, so a batch is stale once the next is drawn.  Steps
-    and validation share one scratch dict and one worker thread, which
-    the run's executor starts at its first split GEMM and joins on return
-    or raise.  Validation patchifies ``cfg.batch_size`` rows at a time into
-    the same matrix.  The schedule spans epochs 0 .. epochs-1, so the last
-    epoch runs at eta_min.
+    plan drawn.  A run whose products stay below ``SPLIT_FLOOR`` draws and
+    composes each plan on the main thread after the step before it,
+    straight into ``patches``.  A run whose products reach it composes into
+    a staging matrix of the images' type and casts the staged batch into
+    ``patches``: each epoch's first plan on the main thread, and plan k+1,
+    drawn before step k, on the worker, handed over once step k's embedding
+    GEMM is done and cast once step k has read ``patches``, while the main
+    thread runs the SGD step.  Steps and validation share one scratch dict
+    and one worker thread, which the run's executor starts at its first
+    task and joins on return or raise.  Validation patchifies
+    ``cfg.batch_size`` rows at a time into the batch matrix.  The schedule
+    spans epochs 0 .. epochs-1, so the last epoch runs at eta_min.
     """
     cfg.validate()
     if len(train) == 0 or len(val) == 0:
@@ -525,20 +561,47 @@ def _train_loop(
     velocity = init_velocity(model)
     buffers: dict = {}
     patches = _scratch(buffers, "patches", (cfg.batch_size, p * p, ppc))
+    # The multiply-adds of a full batch's embedding: the run that splits its
+    # GEMMs composes ahead too, and below the floor no thread starts.
+    ahead = patches.size * cfg.hidden_dim >= SPLIT_FLOOR
+    stage = np.empty(patches.shape, train.images.dtype) if ahead else None
     span = cfg.epochs - 1
     metrics: list[EpochMetrics] = []
+
+    def compose(plan):
+        """The batch of ``plan`` in ``patches``, composed on this thread."""
+        if plan is None:
+            return None
+        return _land(plan(stage), patches) if ahead else plan(patches)
+
     with ThreadPoolExecutor(1) as worker:
         for epoch in range(cfg.epochs):
             lr = cosine_lr(epoch, span, cfg.lr0, cfg.eta_min)
             rng = key.child(stream_tag, "epoch", epoch).generator()
+            plans = iter(batch_source(rng, patches))
+            batch = compose(next(plans, None))
             batch_losses = []
-            for index, batch in enumerate(batch_source(rng, patches)):
+            while batch is not None:
+                # Only a run that composes ahead draws plan k+1 before step k.
+                plan = next(plans, None) if ahead else None
+                staged, hand_off = [], None
+                if plan is not None:
+                    hand_off = lambda: staged.append(worker.submit(plan, stage))
                 try:
-                    loss, grads = backward(model, batch, cfg.loss_mode, buffers, worker)
+                    loss, grads = backward(
+                        model, batch, cfg.loss_mode, buffers, worker, after_embedding=hand_off
+                    )
                 except NumericError as err:
-                    raise NumericError(f"epoch {epoch}, batch {index}: {err}") from err
+                    raise NumericError(f"epoch {epoch}, batch {len(batch_losses)}: {err}") from err
+                landed = None
+                if staged:
+                    landed = worker.submit(lambda: _land(staged[0].result(), patches))
                 sgd_nesterov_step(model, grads, velocity, lr, cfg.momentum, cfg.weight_decay)
                 batch_losses.append(loss)
+                if landed is not None:
+                    batch = landed.result()
+                else:
+                    batch = None if ahead else compose(next(plans, None))
             if not batch_losses:
                 raise ConfigError("training produced no batches")
             top1, patch_acc = evaluate_model(model, val, cfg.batch_size, buffers, worker)
@@ -546,6 +609,14 @@ def _train_loop(
                 EpochMetrics(epoch, float(lr), float(np.mean(batch_losses)), top1, patch_acc)
             )
     return model, metrics
+
+
+def _land(batch: MixedBatch, patches: np.ndarray) -> MixedBatch:
+    """``batch``, composed into the staging matrix, cast into the leading
+    rows of ``patches``."""
+    rows = patches[: len(batch)]
+    np.copyto(rows, batch.patches)
+    return MixedBatch(rows, batch.image_labels, batch.patch_labels)
 
 
 def _shuffled_pairs(
@@ -559,6 +630,14 @@ def _shuffled_pairs(
         yield idx, idx[rng.permutation(len(idx))]
 
 
+def _compose_pairs(data: Dataset, i, j, bits, out: np.ndarray) -> MixedBatch:
+    """A plan's composition: images ``i[k]`` and ``j[k]`` of ``data`` under
+    ``bits[k]``, into the leading rows of ``out``."""
+    return _patchmix_batch(
+        data.images, i, j, data.labels[i], data.labels[j], bits, data.class_count, out[: len(i)]
+    )
+
+
 def train_random_patchmix(train: Dataset, val: Dataset, cfg: TrainConfig):
     """Train a model on randomly grid-mixed batches.
 
@@ -566,9 +645,9 @@ def train_random_patchmix(train: Dataset, val: Dataset, cfg: TrainConfig):
     a random partner from the same batch, and composes the pair under a
     fresh random mask (an all-ones mask when the per-sample mix draw
     fails, so mix_probability = 0 reduces to plain classifier training).
-    Each batch draws all its mix decisions in one call, then the masks of
-    the mixed rows in one more, and is composed into the leading rows of
-    the run's batch matrix (:func:`_train_loop`).
+    Each batch's plan draws its partners, then all its mix decisions in one
+    call, then the masks of the mixed rows in one more, and composes into
+    the leading rows of the matrix it is handed (:func:`_train_loop`).
 
     Returns ``(model, per-epoch metrics)``.
     """
@@ -579,10 +658,7 @@ def train_random_patchmix(train: Dataset, val: Dataset, cfg: TrainConfig):
             bits = np.ones((len(idx), p, p), dtype=np.uint8)
             mixed = rng.random(len(idx)) < cfg.mix_probability
             bits[mixed] = sample_mask_bits(int(mixed.sum()), p, rng)
-            yield patchmix_batch(
-                train.images, idx, partner, train.labels[idx], train.labels[partner],
-                bits, train.class_count, out=patches[: len(idx)],
-            )
+            yield partial(_compose_pairs, train, idx, partner, bits)
 
     return _train_loop(train, val, cfg, batches, "rand-train")
 

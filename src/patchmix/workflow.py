@@ -17,11 +17,12 @@ the CLI phase commands and :func:`run_guided_pipeline` call the same four.
    matrices (every entry must name an active slot and training images of
    that slot's classes), and trains the final model on batches composed
    of original, randomly mixed, and guided samples —
-   minimizing only the image-level loss (:func:`train_final`).  Each batch
-   is composed into the batch matrix the training driver hands over: the
-   original and random rows in one call, the guided rows cast into its
-   tail.  The random rows draw every first source, then every second
-   source, then every mask: the artifacts' bytes rest on that order.
+   minimizing only the image-level loss (:func:`train_final`).  Each
+   batch is a plan (:func:`guided_batch_composer`, whose docstring holds
+   the draw order the artifacts' bytes rest on): its draws are made when
+   it is yielded, and it composes into whichever matrix the training
+   driver hands it, the original and random rows in one gather and the
+   guided rows copied into the tail.
 
 Given a fitness model, :func:`run_guided_pipeline` skips phase 1; the CLI
 passes a run directory's checkpoint only when the directory's
@@ -36,6 +37,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -52,11 +54,12 @@ from .evolution import (
     slot_pairs,
 )
 from .masks import _check_divisible, sample_mask_bits
-from .mixing import MixedBatch, patchmix, patchmix_batch
+from .mixing import MixedBatch, _take_rows, patchmix
 from .model import (
     EpochMetrics,
     ReferenceModel,
     TrainConfig,
+    _compose_pairs,
     _train_loop,
     train_random_patchmix,
 )
@@ -228,20 +231,24 @@ def guided_batch_composer(
     ratio: tuple[int, int, int],
     patches: np.ndarray,
     rng: np.random.Generator,
-) -> Iterable[MixedBatch]:
-    """Yield ``ceil(len(train) / batch_size)`` batches of original :
-    randomly-mixed : guided samples, each composed into ``patches``, a
-    (batch_size, P*P, patch_pixels) float64 matrix that every batch
-    overwrites.
+) -> Iterable[Callable[[np.ndarray], MixedBatch]]:
+    """Yield the plans of ``ceil(len(train) / batch_size)`` batches of
+    original : randomly-mixed : guided samples; ``patches`` is a
+    (batch_size, P*P, patch_pixels) batch matrix, and ``plan(out)``
+    composes its batch into ``out``, a matrix of that shape, and returns it.
 
     Originals cycle through epoch-shuffled training permutations; guided
-    rows cycle through shuffled guided-set permutations.  A batch draws its
-    originals, then its random rows' first sources, second sources and
-    masks (one call each, in this order), then its guided rows.  The
-    original and random rows are composed in one :func:`patchmix_batch`
-    call, the guided rows cast into the tail.  An empty sequence stands for
-    an empty guided set.  A guided set whose grid, pixels per patch or
-    class count differ from ``patches`` and the training set is refused.
+    rows cycle through shuffled guided-set permutations.  Each plan draws,
+    when it is yielded, its originals, then its random rows' first sources,
+    second sources and masks (one call each, in this order), then its
+    guided rows: the artifacts' bytes rest on that order.  The original and
+    random rows are composed in one gather, the guided rows gathered into
+    the tail.  ``out`` may also be of the images' type (float32), as the
+    training driver's staging matrix is, so the guided set must keep that
+    type too, as :func:`materialize_guided`'s does.  An empty sequence
+    stands for an empty guided set.  A guided set whose grid, pixels per
+    patch, class count or patch type differ from ``patches`` and the
+    training set is refused when the first plan is drawn.
     """
     p = math.isqrt(patches.shape[1])
     if len(guided_set):
@@ -257,13 +264,17 @@ def guided_batch_composer(
                 f"guided set has (patch_pixels, class_count) = {found}, but the "
                 f"training set has {wanted}"
             )
+        if guided_set.patches.dtype != train.images.dtype:
+            raise ConfigError(
+                f"guided set patches are {guided_set.patches.dtype}, but the training "
+                f"images are {train.images.dtype}"
+            )
     n_original, n_random, n_guided = split_batch(len(patches), ratio)
     if n_guided and not len(guided_set):
         raise ConfigError("batch ratio requires guided samples but the set is empty")
     originals = _Cycle(len(train), rng)
     guided_order = _Cycle(len(guided_set), rng)
     ones = np.ones((n_original, p, p), dtype=np.uint8)
-    n_mixed = n_original + n_random
     for _ in range(math.ceil(len(train) / len(patches))):
         i = j = originals.take(n_original)
         bits = ones
@@ -271,19 +282,23 @@ def guided_batch_composer(
             i = np.concatenate([i, rng.integers(len(train), size=n_random)])
             j = np.concatenate([j, rng.integers(len(train), size=n_random)])
             bits = np.concatenate([ones, sample_mask_bits(n_random, p, rng)])
-        batch = patchmix_batch(
-            train.images, i, j, train.labels[i], train.labels[j], bits, train.class_count,
-            out=patches[:n_mixed],
-        )
-        if n_guided:
-            rows = guided_order.take(n_guided)
-            patches[n_mixed:] = guided_set.patches[rows]
-            batch = MixedBatch(
-                patches,
-                np.concatenate([batch.image_labels, guided_set.image_labels[rows]]),
-                np.concatenate([batch.patch_labels, guided_set.patch_labels[rows]]),
-            )
-        yield batch
+        rows = guided_order.take(n_guided)
+        yield partial(_compose_guided, train, guided_set, i, j, bits, rows)
+
+
+def _compose_guided(train: Dataset, guided_set, i, j, bits, rows, out: np.ndarray) -> MixedBatch:
+    """A phase-4 plan's composition into ``out``: training images ``i[k]``
+    and ``j[k]`` under ``bits[k]`` in the leading rows, then the guided
+    set's ``rows``."""
+    batch = _compose_pairs(train, i, j, bits, out)
+    if not len(rows):
+        return batch
+    _take_rows(guided_set.patches, rows, out[len(i) :])
+    return MixedBatch(
+        out,
+        np.concatenate([batch.image_labels, guided_set.image_labels[rows]]),
+        np.concatenate([batch.patch_labels, guided_set.patch_labels[rows]]),
+    )
 
 
 def train_final(

@@ -1008,6 +1008,16 @@ class TestEvalCommand:
         assert f"epsilon must be finite and non-negative, got {ladder[-1]}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("epsilon", ["-1", "nan", "0.1"])
+    def test_epsilon_without_attack_exits_2(self, trained_run, capsys, epsilon):
+        model_path, dataset_path = trained_run
+        argv = ["eval", "--model", str(model_path), "--dataset", str(dataset_path),
+                "--epsilon", epsilon]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--epsilon sets an attack's strength and needs --attack" in captured.err
+        assert captured.out == ""
+
     def test_default_epsilon_ladder(self, trained_run, capsys):
         model_path, dataset_path = trained_run
         main(["eval", "--model", str(model_path), "--dataset", str(dataset_path), "--attack", "fgsm"])

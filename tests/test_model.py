@@ -503,9 +503,9 @@ class TestTrainLoop:
         def source(rng, patches):
             seen.append(patches)
             idx = np.arange(7)
-            yield patchmix_batch(
+            yield lambda out: patchmix_batch(
                 small_train.images, idx, idx, small_train.labels[idx], small_train.labels[idx],
-                np.ones((7, 2, 2)), 3, out=patches[:7],
+                np.ones((7, 2, 2)), 3, out=out[:7],
             )
 
         _train_loop(small_train, small_val, cfg, source, "test")
@@ -528,10 +528,10 @@ class TestTrainLoopWorker:
                 seen.append(threading.active_count())
                 if index == fail_at:
                     raise ConfigError("the source refused")
-                yield patchmix_batch(
+                yield lambda out: patchmix_batch(
                     train.images, idx, idx, train.labels[idx], train.labels[idx],
                     np.ones((len(idx), cfg.grid_size, cfg.grid_size)), train.class_count,
-                    out=patches[: len(idx)],
+                    out=out[: len(idx)],
                 )
 
         return _train_loop(train, val, cfg, source, "test")
@@ -545,7 +545,7 @@ class TestTrainLoopWorker:
     def test_normal_return_joins_the_worker(self, cifar_sets):
         before, seen = threading.active_count(), []
         self.run(*cifar_sets, TrainConfig(epochs=1, batch_size=100), seen)
-        assert seen == [before, before + 1]
+        assert seen == [before, before]
         assert threading.active_count() == before
 
     def test_numeric_error_joins_the_worker(self, cifar_sets):
@@ -555,14 +555,36 @@ class TestTrainLoopWorker:
             NumericError, match="^epoch 0, batch 1: "
         ):
             self.run(*cifar_sets, cfg, seen)
-        assert seen == [before, before + 1]
+        assert seen == [before, before]
         assert threading.active_count() == before
 
     def test_source_error_joins_the_worker(self, cifar_sets):
         before, seen = threading.active_count(), []
         with pytest.raises(ConfigError, match="^the source refused$"):
             self.run(*cifar_sets, TrainConfig(epochs=1, batch_size=100), seen, 3, fail_at=2)
-        assert seen == [before, before + 1, before + 1]
+        assert seen == [before, before, before + 1]
+        assert threading.active_count() == before
+
+    def test_plan_error_on_the_worker_joins_it(self, cifar_sets):
+        train, val = cifar_sets
+        before, on_main = threading.active_count(), []
+
+        def source(rng, patches):
+            idx = np.arange(len(train))
+            for index in range(3):
+                def plan(out, index=index):
+                    on_main.append(threading.current_thread() is threading.main_thread())
+                    if index == 1:
+                        raise ConfigError("the plan refused")
+                    return patchmix_batch(
+                        train.images, idx, idx, train.labels[idx], train.labels[idx],
+                        np.ones((len(idx), 4, 4)), train.class_count, out=out[: len(idx)],
+                    )
+                yield plan
+
+        with pytest.raises(ConfigError, match="^the plan refused$"):
+            _train_loop(train, val, TrainConfig(epochs=1, batch_size=100), source, "test")
+        assert on_main == [True, False]
         assert threading.active_count() == before
 
     def test_quick_start_shape_starts_no_thread(self):

@@ -298,9 +298,13 @@ class TestBatchComposer:
         return np.empty((batch_size, 4, 8 * 8 * 3))
 
     @staticmethod
-    def drawn(batches):
-        """Each batch copied as it is drawn, before the next overwrites its matrix."""
-        return [MixedBatch(b.patches.copy(), b.image_labels, b.patch_labels) for b in batches]
+    def drawn(plans, matrix):
+        """Each plan composed into ``matrix`` and copied, before the next
+        plan overwrites it."""
+        return [
+            MixedBatch(b.patches.copy(), b.image_labels, b.patch_labels)
+            for b in (plan(matrix) for plan in plans)
+        ]
 
     @staticmethod
     def random_draws(rng, n, count):
@@ -316,7 +320,8 @@ class TestBatchComposer:
         assert len(list(batches)) == count == math.ceil(len(train) / batch_size)
 
     def test_originals_are_identity_samples(self, train, rng):
-        batches = self.drawn(guided_batch_composer(train, [], (1, 0, 0), self.matrix(6), rng))
+        matrix = self.matrix(6)
+        batches = self.drawn(guided_batch_composer(train, [], (1, 0, 0), matrix, rng), matrix)
         assert len(batches) == 3
         seen = set()
         for batch in batches:
@@ -337,7 +342,8 @@ class TestBatchComposer:
     def test_guided_samples_cycle(self, train, rng):
         ind = make_individual(active=(1,), rng=np.random.default_rng(0))
         guided = guided_set(ind, train, 2, np.random.default_rng(1))
-        batches = self.drawn(guided_batch_composer(train, guided, (0, 0, 1), self.matrix(3), rng))
+        matrix = self.matrix(3)
+        batches = self.drawn(guided_batch_composer(train, guided, (0, 0, 1), matrix, rng), matrix)
         assert len(batches) == 6
         source = {row.astype(np.float64).tobytes() for row in guided.patches}
         for batch in batches:
@@ -348,8 +354,9 @@ class TestBatchComposer:
     def test_random_rows_follow_the_draw_order(self, train):
         """Each batch's random rows are the per-sample composites of the
         reference draws, taken from the batch stream after its originals."""
+        matrix = self.matrix(8)
         batches = self.drawn(
-            guided_batch_composer(train, [], (1, 1, 0), self.matrix(8), np.random.default_rng(9))
+            guided_batch_composer(train, [], (1, 1, 0), matrix, np.random.default_rng(9)), matrix
         )
         rng = np.random.default_rng(9)
         originals = cycled_order(len(train), rng)
@@ -398,8 +405,9 @@ class TestBatchComposer:
         matrix = self.matrix(batch_size)
         got = guided_batch_composer(train, guided, ratio, matrix, np.random.default_rng(9))
         want = parts_stacked(np.random.default_rng(9))
-        for batch, (patches, image_labels, patch_labels) in zip(got, want, strict=True):
+        for plan, (patches, image_labels, patch_labels) in zip(got, want, strict=True):
             # Every batch is composed into the matrix it was handed.
+            batch = plan(matrix)
             assert np.shares_memory(batch.patches, matrix)
             assert batch.patches.dtype == np.float64
             np.testing.assert_array_equal(batch.patches, patches)
@@ -409,6 +417,16 @@ class TestBatchComposer:
     def test_guided_needed_but_missing(self, train, rng):
         with pytest.raises(ConfigError, match="guided"):
             list(guided_batch_composer(train, [], (1, 1, 1), self.matrix(9), rng))
+
+    def test_guided_set_of_another_type_refused(self, train, rng):
+        # The training driver may stage a batch in the images' type, which
+        # would round float64 guided rows.
+        ind = make_individual(active=(1,), rng=np.random.default_rng(0))
+        guided = guided_set(ind, train, 2, np.random.default_rng(1))
+        wide = MixedBatch(guided.patches.astype(np.float64), guided.image_labels, None)
+        message = "^guided set patches are float64, but the training images are float32$"
+        with pytest.raises(ConfigError, match=message):
+            next(iter(guided_batch_composer(train, wide, (1, 1, 1), self.matrix(3), rng)))
 
 
 class TestFitnessValSubset:
