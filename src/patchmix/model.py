@@ -44,9 +44,8 @@ costs more than it saves.
   its weight gradient ``patches.T @ d_pre``, run as two row halves, the
   second on the worker, so a run with one BLAS thread uses a second core.
 - While step k runs, the worker composes batch k+1: its plan, handed over
-  once the embedding is done, gathers into a staging matrix of the images'
-  type, and once step k has read the batch matrix the worker casts the
-  staged batch into it while the main thread runs the SGD step.
+  once the embedding is done, composes into the run's second float64
+  batch matrix, the one step k does not read.
 Every draw, the rest of each step, and every call without the driver (the
 fitness table, the sign attack, the demo's raster) stay on the calling
 thread.  The worker calls only private functions and numpy, so the
@@ -58,7 +57,7 @@ kernel tile boundary, so each row is summed in the same tile and order
 own shape, so there a product's last bits can depend on the split, as
 they already depend on the BLAS thread count.  Composing ahead moves no
 byte either way: a plan's draws are made in the same order wherever it
-composes, and the staged float32 pixels cast exactly.
+composes, into a matrix of the same type.
 """
 
 from __future__ import annotations
@@ -523,26 +522,26 @@ def _train_loop(
     epoch's batch plans; epoch ``e`` draws from the stream
     ``(stream_tag, "epoch", e)``.
 
-    ``patches`` is the run's one (batch_size, P*P, patch_pixels) float64
-    batch matrix.  A plan is a callable whose random draws were all made
-    when it was yielded: ``plan(out)`` composes its batch into the leading
-    rows of ``out``, a matrix of the shape of ``patches``, and returns it.
+    ``patches`` is the run's (batch_size, P*P, patch_pixels) float64 batch
+    matrix.  A plan is a callable whose random draws were all made when it
+    was yielded: ``plan(out)`` composes its batch into the leading rows of
+    ``out``, a float64 matrix of the shape of ``patches``, and returns it.
     A plan may run on the worker thread, so it draws nothing and calls only
     private functions.
 
     The config and both sets are checked before the model is built or a
-    plan drawn.  A run whose products stay below ``SPLIT_FLOOR`` draws and
-    composes each plan on the main thread after the step before it,
-    straight into ``patches``.  A run whose products reach it composes into
-    a staging matrix of the images' type and casts the staged batch into
-    ``patches``: each epoch's first plan on the main thread, and plan k+1,
-    drawn before step k, on the worker, handed over once step k's embedding
-    GEMM is done and cast once step k has read ``patches``, while the main
-    thread runs the SGD step.  Steps and validation share one scratch dict
-    and one worker thread, which the run's executor starts at its first
-    task and joins on return or raise.  Validation patchifies
-    ``cfg.batch_size`` rows at a time into the batch matrix.  The schedule
-    spans epochs 0 .. epochs-1, so the last epoch runs at eta_min.
+    plan drawn.  Each epoch's first plan composes into ``patches`` on the
+    main thread.  A run whose products stay below ``SPLIT_FLOOR`` draws and
+    composes each later plan on the main thread after the step before it,
+    into the same matrix.  A run whose products reach it keeps a second
+    batch matrix: plan k+1, drawn before step k, composes on the worker
+    into the matrix step k does not read, handed over once step k's
+    embedding GEMM is done, and step k+1 reads it there.  Steps and
+    validation share one scratch dict and one worker thread, which the
+    run's executor starts at its first task and joins on return or raise.
+    Validation patchifies ``cfg.batch_size`` rows at a time into
+    ``patches``.  The schedule spans epochs 0 .. epochs-1, so the last
+    epoch runs at eta_min.
     """
     cfg.validate()
     if len(train) == 0 or len(val) == 0:
@@ -562,46 +561,46 @@ def _train_loop(
     buffers: dict = {}
     patches = _scratch(buffers, "patches", (cfg.batch_size, p * p, ppc))
     # The multiply-adds of a full batch's embedding: the run that splits its
-    # GEMMs composes ahead too, and below the floor no thread starts.
+    # GEMMs composes ahead too, into a spare matrix; below the floor no
+    # thread starts, and the spare is ``patches`` itself.
     ahead = patches.size * cfg.hidden_dim >= SPLIT_FLOOR
-    stage = np.empty(patches.shape, train.images.dtype) if ahead else None
+    spare = np.empty_like(patches) if ahead else patches
     span = cfg.epochs - 1
     metrics: list[EpochMetrics] = []
 
-    def compose(plan):
-        """The batch of ``plan`` in ``patches``, composed on this thread."""
-        if plan is None:
-            return None
-        return _land(plan(stage), patches) if ahead else plan(patches)
+    def compose(plans, out):
+        """The next plan's batch, composed into ``out`` on this thread; None
+        after the last."""
+        plan = next(plans, None)
+        return None if plan is None else plan(out)
 
     with ThreadPoolExecutor(1) as worker:
         for epoch in range(cfg.epochs):
             lr = cosine_lr(epoch, span, cfg.lr0, cfg.eta_min)
             rng = key.child(stream_tag, "epoch", epoch).generator()
             plans = iter(batch_source(rng, patches))
-            batch = compose(next(plans, None))
+            front, back = patches, spare
+            batch = compose(plans, front)
             batch_losses = []
             while batch is not None:
                 # Only a run that composes ahead draws plan k+1 before step k.
                 plan = next(plans, None) if ahead else None
-                staged, hand_off = [], None
+                composed, hand_off = [], None
                 if plan is not None:
-                    hand_off = lambda: staged.append(worker.submit(plan, stage))
+                    hand_off = lambda: composed.append(worker.submit(plan, back))
                 try:
                     loss, grads = backward(
                         model, batch, cfg.loss_mode, buffers, worker, after_embedding=hand_off
                     )
                 except NumericError as err:
                     raise NumericError(f"epoch {epoch}, batch {len(batch_losses)}: {err}") from err
-                landed = None
-                if staged:
-                    landed = worker.submit(lambda: _land(staged[0].result(), patches))
                 sgd_nesterov_step(model, grads, velocity, lr, cfg.momentum, cfg.weight_decay)
                 batch_losses.append(loss)
-                if landed is not None:
-                    batch = landed.result()
+                front, back = back, front
+                if ahead:
+                    batch = None if plan is None else composed[0].result()
                 else:
-                    batch = None if ahead else compose(next(plans, None))
+                    batch = compose(plans, front)
             if not batch_losses:
                 raise ConfigError("training produced no batches")
             top1, patch_acc = evaluate_model(model, val, cfg.batch_size, buffers, worker)
@@ -609,14 +608,6 @@ def _train_loop(
                 EpochMetrics(epoch, float(lr), float(np.mean(batch_losses)), top1, patch_acc)
             )
     return model, metrics
-
-
-def _land(batch: MixedBatch, patches: np.ndarray) -> MixedBatch:
-    """``batch``, composed into the staging matrix, cast into the leading
-    rows of ``patches``."""
-    rows = patches[: len(batch)]
-    np.copyto(rows, batch.patches)
-    return MixedBatch(rows, batch.image_labels, batch.patch_labels)
 
 
 def _shuffled_pairs(

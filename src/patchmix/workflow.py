@@ -20,9 +20,9 @@ the CLI phase commands and :func:`run_guided_pipeline` call the same four.
    minimizing only the image-level loss (:func:`train_final`).  Each
    batch is a plan (:func:`guided_batch_composer`, whose docstring holds
    the draw order the artifacts' bytes rest on): its draws are made when
-   it is yielded, and it composes into whichever matrix the training
-   driver hands it, the original and random rows in one gather and the
-   guided rows copied into the tail.
+   it is yielded, and it composes into the float64 batch matrix the
+   training driver hands it, the original and random rows in one gather
+   and the guided rows copied into the tail.
 
 Given a fitness model, :func:`run_guided_pipeline` skips phase 1; the CLI
 passes a run directory's checkpoint only when the directory's
@@ -242,13 +242,11 @@ def guided_batch_composer(
     when it is yielded, its originals, then its random rows' first sources,
     second sources and masks (one call each, in this order), then its
     guided rows: the artifacts' bytes rest on that order.  The original and
-    random rows are composed in one gather, the guided rows gathered into
-    the tail.  ``out`` may also be of the images' type (float32), as the
-    training driver's staging matrix is, so the guided set must keep that
-    type too, as :func:`materialize_guided`'s does.  An empty sequence
-    stands for an empty guided set.  A guided set whose grid, pixels per
-    patch, class count or patch type differ from ``patches`` and the
-    training set is refused when the first plan is drawn.
+    random rows are composed in one gather, the guided rows copied into
+    the tail.  An empty sequence stands for an empty guided set.  A guided
+    set whose grid, pixels per patch or class count differ from
+    ``patches`` and the training set is refused when the first plan is
+    drawn.
     """
     p = math.isqrt(patches.shape[1])
     if len(guided_set):
@@ -263,11 +261,6 @@ def guided_batch_composer(
             raise ConfigError(
                 f"guided set has (patch_pixels, class_count) = {found}, but the "
                 f"training set has {wanted}"
-            )
-        if guided_set.patches.dtype != train.images.dtype:
-            raise ConfigError(
-                f"guided set patches are {guided_set.patches.dtype}, but the training "
-                f"images are {train.images.dtype}"
             )
     n_original, n_random, n_guided = split_batch(len(patches), ratio)
     if n_guided and not len(guided_set):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patchmix import mixing
 from patchmix.errors import ConfigError
 from patchmix.mixing import MixedBatch, cutmix, mixup, patchmix, patchmix_batch, unpatchify
 from patchmix.model import patchify
@@ -218,9 +219,14 @@ class TestPatchmixBatch:
         np.testing.assert_array_equal(got.image_labels, want.image_labels)
         np.testing.assert_array_equal(got.patch_labels, want.patch_labels)
 
+    @pytest.mark.parametrize("gather_bytes", [None, 100], ids=["one-block", "100-byte-blocks"])
     @pytest.mark.parametrize("grid_size", [1, 2, 4])
-    def test_equals_stacked_patchmix(self, rng, grid_size):
-        # Non-square images catch a swap of the H/P and W/P cell axes.
+    def test_equals_stacked_patchmix(self, rng, grid_size, gather_bytes, monkeypatch):
+        # Non-square images catch a swap of the H/P and W/P cell axes.  The
+        # small blocks split every gather, with a partial last block, and
+        # go down to one row at a time where a row is wider.
+        if gather_bytes:
+            monkeypatch.setattr(mixing, "_GATHER_BYTES", gather_bytes)
         for shape in [(h, w, c) for h, w in [(8, 8), (8, 12), (12, 8)] for c in (1, 3)]:
             for dtype in (np.float32, np.float64):
                 images = rng.random((10, *shape)).astype(dtype)

@@ -587,6 +587,45 @@ class TestTrainLoopWorker:
         assert on_main == [True, False]
         assert threading.active_count() == before
 
+    @staticmethod
+    def matrices(train, val, cfg):
+        """``(handed, outs)`` of a two-epoch run on a source of three
+        identity batches per epoch: the matrix handed to the source each
+        epoch, and the matrix each plan composed into, in order."""
+        handed, outs = [], []
+
+        def source(rng, patches):
+            handed.append(patches)
+            idx = np.arange(len(train))
+            for _ in range(3):
+                def plan(out):
+                    outs.append(out)
+                    return patchmix_batch(
+                        train.images, idx, idx, train.labels[idx], train.labels[idx],
+                        np.ones((len(idx), cfg.grid_size, cfg.grid_size)), train.class_count,
+                        out=out[: len(idx)],
+                    )
+                yield plan
+
+        _train_loop(train, val, cfg, source, "test")
+        return handed, outs
+
+    def test_next_plan_composes_into_the_matrix_the_step_does_not_read(self, cifar_sets):
+        handed, outs = self.matrices(*cifar_sets, TrainConfig(epochs=2, batch_size=100))
+        patches, spare = handed[0], outs[1]
+        assert len(handed) == 2 and handed[1] is patches
+        assert spare.shape == patches.shape and spare.dtype == np.float64
+        assert not np.shares_memory(spare, patches)
+        # Plan k composes into the matrix step k reads, so plan k+1 takes the other.
+        assert [out is patches for out in outs] == [True, False, True] * 2
+        assert all(out is patches or out is spare for out in outs)
+
+    def test_below_the_floor_every_plan_composes_into_one_matrix(self):
+        train, val = synth_shapes(3, 16, 34, 5), synth_shapes(3, 16, 5, 6)
+        handed, outs = self.matrices(train, val, TrainConfig(epochs=2, batch_size=102))
+        assert len(handed) == 2 and len(outs) == 6
+        assert all(matrix is handed[0] for matrix in handed + outs)
+
     def test_quick_start_shape_starts_no_thread(self):
         # 16 px on grid 4: (1600x48)x64 products, below the split floor.
         train, val = synth_shapes(3, 16, 34, 5), synth_shapes(3, 16, 5, 6)

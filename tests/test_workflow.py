@@ -8,6 +8,7 @@ import pytest
 
 from patchmix.data import synth_shapes
 from patchmix.errors import ConfigError, FormatError
+from patchmix import model as model_module
 from patchmix import workflow
 from patchmix.evolution import SearchConfig, evaluate_fitness, slot_pairs
 from patchmix.mixing import MixedBatch, patchmix, patchmix_batch
@@ -418,15 +419,32 @@ class TestBatchComposer:
         with pytest.raises(ConfigError, match="guided"):
             list(guided_batch_composer(train, [], (1, 1, 1), self.matrix(9), rng))
 
-    def test_guided_set_of_another_type_refused(self, train, rng):
-        # The training driver may stage a batch in the images' type, which
-        # would round float64 guided rows.
-        ind = make_individual(active=(1,), rng=np.random.default_rng(0))
-        guided = guided_set(ind, train, 2, np.random.default_rng(1))
-        wide = MixedBatch(guided.patches.astype(np.float64), guided.image_labels, None)
-        message = "^guided set patches are float64, but the training images are float32$"
-        with pytest.raises(ConfigError, match=message):
-            next(iter(guided_batch_composer(train, wide, (1, 1, 1), self.matrix(3), rng)))
+    def test_float64_guided_set_trains_the_same_composed_ahead(self, monkeypatch):
+        """A float64 guided set whose values float32 cannot hold reaches the
+        batch unrounded, whether the worker composes each batch ahead or
+        the main thread composes it after the step before."""
+        # 32 px RGB on grid 4: batches of 48 reach the split floor, so the
+        # default run composes ahead.
+        train, val = synth_shapes(3, 32, 20, seed=4), synth_shapes(3, 32, 3, seed=5)
+        cfg = TrainConfig(epochs=2, batch_size=48, grid_size=4, hidden_dim=64, seed=3)
+        assert 48 * 16 * (8 * 8 * 3) * 64 >= model_module.SPLIT_FLOOR
+        ind = make_individual(grid_size=4, active=(0, 4), rng=np.random.default_rng(2))
+        guided = guided_set(ind, train, 30, np.random.default_rng(3))
+        wide = MixedBatch(
+            np.nextafter(guided.patches.astype(np.float64), 2.0),
+            guided.image_labels,
+            guided.patch_labels,
+        )
+        assert not np.array_equal(wide.patches.astype(np.float32), wide.patches)
+        ahead, ahead_metrics = train_final(train, val, cfg, wide)
+        monkeypatch.setattr(model_module, "SPLIT_FLOOR", 2**62)
+        here, here_metrics = train_final(train, val, cfg, wide)
+        rounded, _ = train_final(train, val, cfg, guided)
+        for name, value in ahead.params().items():
+            assert value.tobytes() == getattr(here, name).tobytes(), name
+        assert ahead_metrics == here_metrics
+        # The set's last bits reach the model: rounded to float32, it trains otherwise.
+        assert ahead.w_embed.tobytes() != rounded.w_embed.tobytes()
 
 
 class TestFitnessValSubset:
